@@ -2,10 +2,9 @@
 
 Not a paper figure — this bench guards the evaluation *infrastructure*:
 the process-pool sweep engine must merge to exactly the serial runner's
-results while the fast-path core loop keeps its speedup over the traced
-path.  The rendered artifact mirrors what ``repro-tma bench`` writes to
-``BENCH_*.json``; the assertions pin the two properties the CI gate
-enforces (identical merges, fast path genuinely faster).
+results, and an attached observer must leave the core loop's results
+unchanged.  The rendered artifact mirrors what ``repro-tma bench``
+writes to ``BENCH_*.json``.
 """
 
 import pytest
@@ -50,24 +49,32 @@ def test_serial_sweep_baseline(benchmark):
     assert all(o.ok for o in report.outcomes)
 
 
-def test_fastpath_core_speedup(benchmark, artifact):
-    """The sweeps lean on the tracerless fast path; keep it fast."""
+def test_plain_core_loop(benchmark, artifact):
+    """The sweeps run the plain cycle loop; observers must not change it."""
     traces = {name: build_trace(name, scale=SCALE) for name in WORKLOADS}
 
-    def traced():
-        return [make_core(ROCKET).run(traces[n], fast_path=False)
-                for n in WORKLOADS]
+    class _Count:
+        cycles = 0
 
-    def fast():
-        return [make_core(ROCKET).run(traces[n], fast_path=True)
-                for n in WORKLOADS]
+        def on_cycle(self, cycle, signals):
+            self.cycles += 1
 
-    fast_results = benchmark(fast)
-    traced_results = traced()
-    for fast_result, traced_result in zip(fast_results, traced_results):
-        assert fast_result.events == traced_result.events
-        assert fast_result.cycles == traced_result.cycles
-        assert fast_result.instret == traced_result.instret
-    artifact("sweep_fastpath_equivalence",
-             "fast path == traced path on "
+    def observed():
+        results = []
+        for name in WORKLOADS:
+            core = make_core(ROCKET)
+            core.add_observer(_Count())
+            results.append(core.run(traces[name]))
+        return results
+
+    def plain():
+        return [make_core(ROCKET).run(traces[n]) for n in WORKLOADS]
+
+    plain_results = benchmark(plain)
+    for plain_result, observed_result in zip(plain_results, observed()):
+        assert plain_result.events == observed_result.events
+        assert plain_result.cycles == observed_result.cycles
+        assert plain_result.instret == observed_result.instret
+    artifact("sweep_observer_equivalence",
+             "plain loop == observed loop on "
              + ", ".join(WORKLOADS) + f" (scale {SCALE})")

@@ -13,9 +13,7 @@ Two halves:
    sum to 1.0, ``self + neighbor == mem_bound`` exactly per core, and
    repeated runs are bit-identical (lockstep determinism).
 
-Exits non-zero on the first violated expectation.  Run under
-``REPRO_TIMING_ENGINE=objects`` as well: the solo oracle must hold on
-every engine.
+Exits non-zero on the first violated expectation.
 """
 
 import os
@@ -79,8 +77,7 @@ def main():
     from repro.tools.tma_tool import run_core
     from repro.cores import config_by_name
 
-    engine = os.environ.get("REPRO_TIMING_ENGINE", "columnar")
-    print(f"multicore smoke (engine={engine})")
+    print("multicore smoke")
 
     print("solo-equivalence oracle:")
     for workload, config_name in ORACLE_PAIRS:

@@ -1,8 +1,7 @@
 """Core timing models and Table IV configurations."""
 
-from .base import (BoomConfig, CoreFaultHook, CoreResult, EventAccumulator,
-                   RocketConfig, SignalObserver, check_cycle_budget,
-                   check_run_completed)
+from .base import (BoomConfig, CoreFaultHook, CoreResult, RocketConfig,
+                   SignalObserver, check_cycle_budget, check_run_completed)
 from .batch import (DEFAULT_GRID, BatchResult, BatchStats, GridPoint,
                     canonical_grid_key, parse_grid, point_from_key,
                     resolve_config_spec, run_batch)
@@ -23,7 +22,6 @@ __all__ = [
     "CONFIGS_BY_NAME",
     "CoreFaultHook",
     "CoreResult",
-    "EventAccumulator",
     "GIGA_BOOM",
     "LARGE_BOOM",
     "MEDIUM_BOOM",

@@ -7,51 +7,25 @@ Each cycle a core produces a mapping ``{event_name: lane_bitmask}`` where
 bit *i* of the mask is the boolean signal of event source *i* in that
 cycle (single-source events use bit 0).  This is exactly the wire-level
 view the PMU counter architectures (Fig. 6) and the TracerV-style tracer
-(§IV-C) tap, so the same per-cycle dictionary drives:
+(§IV-C) tap.
 
-- the core's own aggregate event totals (fast path, always on),
-- attached :class:`SignalObserver` instances — counter-architecture
-  hardware models and the cycle tracer (slow path, opt-in).
+Each core has one cycle loop, which accumulates the core's own event
+totals in place without building any per-cycle record.  The record is
+built only when it is needed: attached :class:`SignalObserver` instances
+(counter-architecture hardware models, the cycle tracer, AutoCounter)
+receive it at the end of every cycle, and a :class:`CoreFaultHook` is
+consulted at the top of every cycle.  A plain run pays two tests of
+one flag per cycle for this hook and no per-instruction work.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Protocol
 
 from ..isa.errors import RunTimeout
 from ..uarch.branch import PredictorStats
 from ..uarch.cache import CacheConfig, CacheStats, L1D_32K
-
-#: Environment knob selecting the timing-engine implementation, the
-#: timing-layer mirror of ``REPRO_EXEC_ENGINE``:
-#:
-#: - ``columnar`` (default) — descriptor-compiled cycle loops reading
-#:   the :class:`~repro.isa.columnar.ColumnarTrace` columns directly;
-#: - ``objects``  — the original ``DynInst``-walking loops, kept as the
-#:   bit-identical reference oracle.
-TIMING_ENGINE_ENV = "REPRO_TIMING_ENGINE"
-
-#: Valid values for :data:`TIMING_ENGINE_ENV` / ``engine=`` arguments.
-TIMING_ENGINES = ("columnar", "objects")
-
-
-def resolve_timing_engine(override: Optional[str] = None) -> str:
-    """Resolve the timing engine: explicit *override*, else env, else default.
-
-    Raises ``ValueError`` on an unknown engine name so a typo in a CI
-    matrix or CLI flag fails loudly instead of silently running the
-    default engine.
-    """
-    engine = override if override is not None else os.environ.get(
-        TIMING_ENGINE_ENV, TIMING_ENGINES[0])
-    engine = engine.strip().lower()
-    if engine not in TIMING_ENGINES:
-        raise ValueError(
-            f"unknown timing engine {engine!r}; expected one of "
-            f"{', '.join(TIMING_ENGINES)}")
-    return engine
 
 
 class SignalObserver(Protocol):
@@ -219,47 +193,3 @@ class CoreResult:
     def lanes(self, name: str) -> List[int]:
         """Per-lane totals of *name* ([] when never asserted)."""
         return self.lane_events.get(name, [])
-
-
-class EventAccumulator:
-    """Accumulates per-cycle lane bitmasks into totals and lane counts.
-
-    Per-lane totals are only maintained for the event names listed in
-    *track_lanes* (the per-lane study of Table V needs them; everything
-    else only needs aggregate slot counts).
-    """
-
-    __slots__ = ("totals", "lane_totals", "_track")
-
-    def __init__(self, track_lanes: Optional[set] = None) -> None:
-        self.totals: Dict[str, int] = {}
-        self.lane_totals: Dict[str, List[int]] = {}
-        self._track = track_lanes or set()
-
-    def add(self, signals: Mapping[str, int]) -> None:
-        totals = self.totals
-        track = self._track
-        for name, mask in signals.items():
-            if not mask:
-                continue
-            # Single-lane signals (mask == 1, the overwhelmingly common
-            # case) skip the popcount.
-            count = 1 if mask == 1 else mask.bit_count()
-            if name in totals:
-                totals[name] += count
-            else:
-                totals[name] = count
-            if track and name in track:
-                per_lane = self.lane_totals.get(name)
-                if per_lane is None:
-                    per_lane = []
-                    self.lane_totals[name] = per_lane
-                bit = 0
-                m = mask
-                while m:
-                    if m & 1:
-                        while len(per_lane) <= bit:
-                            per_lane.append(0)
-                        per_lane[bit] += 1
-                    m >>= 1
-                    bit += 1

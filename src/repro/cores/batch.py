@@ -17,8 +17,7 @@ burns it four times per trace.
   engines);
 - the Rocket/BOOM descriptor tables are compiled **once per family**
   via ``ColumnarTrace.timing_table`` and shared by every point of that
-  family (on the ``objects`` engine the lazily materialised
-  ``DynInst`` list is the shared artifact instead);
+  family;
 - the TAGE fold memos — pure ``history -> (index fold, tag fold)``
   functions — are shared across every same-geometry table in the grid
   (:func:`repro.uarch.branch.share_fold_caches`);
@@ -45,9 +44,10 @@ from concurrent.futures import as_completed
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..isa.columnar import ColumnarTrace, as_columnar
 from ..uarch.branch import share_fold_caches
 from ..uarch.cache import CacheConfig
-from .base import BoomConfig, CoreResult, RocketConfig, resolve_timing_engine
+from .base import BoomConfig, CoreResult, RocketConfig
 from .boom import BoomCore
 from .configs import config_by_name
 from .descriptors import build_boom_table, build_rocket_table
@@ -90,7 +90,7 @@ class BatchStats:
     #: Trace fetches paid by this batch (1; a per-config sweep pays N).
     trace_fetches: int = 0
     #: Descriptor-table compiles amortised (points beyond the first in
-    #: each core family on the columnar engine).
+    #: each core family).
     tables_shared: int = 0
     #: TAGE tables adopting another same-geometry table's fold memo.
     fold_caches_shared: int = 0
@@ -283,18 +283,15 @@ def _resolve_workers(workers: Optional[int], pending: int) -> int:
     return max(1, min(int(workers), pending))
 
 
-def _precompile_tables(trace, pending: Sequence[GridPoint], engine: str) -> int:
+def _precompile_tables(trace: ColumnarTrace, pending: Sequence[GridPoint]) -> int:
     """Compile each family's descriptor table once; return shares."""
-    timing_table = getattr(trace, "timing_table", None)
-    if timing_table is None or engine != "columnar":
-        return 0
     builders = {"rocket": build_rocket_table, "boom": build_boom_table}
     counts: Dict[str, int] = {}
     for point in pending:
         family = "rocket" if isinstance(point.config, RocketConfig) else "boom"
         counts[family] = counts.get(family, 0) + 1
     for family in sorted(counts):
-        timing_table(family, builders[family])
+        trace.timing_table(family, builders[family])
     return sum(count - 1 for count in counts.values())
 
 
@@ -302,32 +299,32 @@ def _run_inline(
     workload: str,
     pending: Sequence[GridPoint],
     scale: float,
-    engine: str,
     stats: BatchStats,
     note: Callable[[GridPoint, CoreResult], None],
 ) -> None:
     from ..workloads import build_trace
 
-    trace = build_trace(workload, scale=scale)
+    # Convert an object-form trace once, not once per grid point.
+    trace = as_columnar(build_trace(workload, scale=scale))
     stats.trace_fetches = 1
-    stats.tables_shared = _precompile_tables(trace, pending, engine)
+    stats.tables_shared = _precompile_tables(trace, pending)
     cores = [make_core(point.config) for point in pending]
     stats.fold_caches_shared = share_fold_caches(
         getattr(core, "predictor", None) for core in cores
     )
     for point, core in zip(pending, cores):
-        note(point, core.run(trace, engine=engine))
+        note(point, core.run(trace))
 
 
 def _run_point(
-    workload: str, scale: float, key: str, config: CoreConfig, engine: str
+    workload: str, scale: float, key: str, config: CoreConfig
 ) -> Tuple[str, Dict[str, object]]:
     """Pool-worker entry: one grid point, fresh core, exact codec."""
     from ..tools import cache as result_cache
     from ..workloads import build_trace
 
     trace = build_trace(workload, scale=scale)
-    result = make_core(config).run(trace, engine=engine)
+    result = make_core(config).run(trace)
     return key, result_cache.serialize_result(result)
 
 
@@ -335,7 +332,6 @@ def _run_process(
     workload: str,
     pending: Sequence[GridPoint],
     scale: float,
-    engine: str,
     stats: BatchStats,
     note: Callable[[GridPoint, CoreResult], None],
     workers: int,
@@ -354,9 +350,7 @@ def _run_process(
     try:
         with factory(workers) as pool:
             futures = {
-                pool.submit(
-                    _run_point, workload, scale, point.key, point.config, engine
-                ): point
+                pool.submit(_run_point, workload, scale, point.key, point.config): point
                 for point in pending
             }
             for future in as_completed(futures):
@@ -368,7 +362,7 @@ def _run_process(
         stats.fallback_reason = f"{type(exc).__name__}: {exc}"
         stats.mode = "mixed" if len(remaining) < len(pending) else "inline"
         if remaining:
-            _run_inline(workload, list(remaining.values()), scale, engine, stats, note)
+            _run_inline(workload, list(remaining.values()), scale, stats, note)
 
 
 def run_batch(
@@ -376,7 +370,6 @@ def run_batch(
     points: Optional[Sequence[GridPoint]] = None,
     *,
     scale: float = 1.0,
-    engine: Optional[str] = None,
     use_cache: bool = True,
     checkpoint=None,
     workers: Optional[int] = None,
@@ -390,7 +383,7 @@ def run_batch(
 
     Every point's :class:`CoreResult` is bit-identical to a standalone
     :func:`repro.tools.tma_tool.run_core` of the same (workload,
-    config, scale) — the per-config engines stay the oracle.
+    config, scale) — the standalone run stays the oracle.
 
     *checkpoint* (a :class:`~repro.tools.checkpoint.SweepCheckpoint`)
     records each point as it completes and restores completed points on
@@ -420,7 +413,6 @@ def run_batch(
     if len(set(keys)) != len(keys):
         raise ValueError(f"duplicate grid point keys in {keys}")
 
-    engine_name = resolve_timing_engine(engine)
     stats = BatchStats(points_total=len(points))
     done: Dict[str, CoreResult] = {}
     start = time.perf_counter()
@@ -500,7 +492,6 @@ def run_batch(
             scale=scale,
             warmup=warmup,
             sampled=sampled,
-            engine=engine_name,
             workers=count,
             progress=progress,
             executor_factory=executor_factory,
@@ -515,7 +506,6 @@ def run_batch(
                 workload,
                 pending,
                 scale,
-                engine_name,
                 stats,
                 note,
                 count,
@@ -523,7 +513,7 @@ def run_batch(
             )
         else:
             stats.mode = "inline"
-            _run_inline(workload, pending, scale, engine_name, stats, note)
+            _run_inline(workload, pending, scale, stats, note)
 
     stats.wall_s = time.perf_counter() - start
     results = [done[key] for key in keys]

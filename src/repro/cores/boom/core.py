@@ -16,102 +16,47 @@ exactly as the paper's event pair does (§IV-A).
 
 All seven of Icicle's new BOOM events (Table I) are emitted here, along
 with the pre-existing Basic/Microarchitectural/Memory events.
+
+There is one cycle loop.  It reads the trace columns through a compiled
+descriptor table, keeps µops in a slab of parallel arrays, and
+accumulates event counters and lane histograms in place; attached
+observers and a fault hook are served by an optional per-cycle hook in
+the same loop (see :meth:`BoomCore.run`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
+from itertools import compress
+from operator import ne
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from ...isa.columnar import ColumnarTrace
-from ...isa.dyn_trace import DynamicTrace, DynInst
-from ...isa.instructions import InstrClass
-from ...uarch.branch import BoomBranchPredictor, Prediction
+from ...isa.columnar import ColumnarTrace, as_columnar
+from ...uarch.branch import BoomBranchPredictor
 from ...uarch.cache import MemorySystem, NonBlockingCache
 from ...uarch.prefetch import StridePrefetcher
 from ...uarch.tlb import L2_TLB_HIT_LATENCY, PTW_LATENCY, TlbHierarchy
-from ..base import (BoomConfig, CoreFaultHook, CoreResult, EventAccumulator,
-                    SignalObserver, check_cycle_budget, check_run_completed,
-                    resolve_timing_engine)
+from ..base import (BoomConfig, CoreFaultHook, CoreResult, SignalObserver,
+                    check_cycle_budget, check_run_completed)
 from ..configs import LARGE_BOOM
-from ..descriptors import build_boom_table
+from ..descriptors import INT_QUEUE, MEM_QUEUE, build_boom_table
 
 _SAFETY_CYCLES_PER_INST = 600
 
-_INT_QUEUE = 0
-_MEM_QUEUE = 1
-_FP_QUEUE = 2
+#: Single-lane events the loop counts in local variables, in the order
+#: the per-cycle hook snapshots them.
+_COUNTED_EVENTS = ("fence_retired", "br_mispredict", "cf_target_mispredict",
+                   "flush", "icache_blocked", "itlb_miss", "icache_miss",
+                   "dtlb_miss", "l2_tlb_miss", "dcache_miss", "recovering")
 
-_QUEUE_OF_CLASS = {
-    InstrClass.ALU: _INT_QUEUE,
-    InstrClass.MUL: _INT_QUEUE,
-    InstrClass.DIV: _INT_QUEUE,
-    InstrClass.BRANCH: _INT_QUEUE,
-    InstrClass.JUMP: _INT_QUEUE,
-    InstrClass.JUMP_REG: _INT_QUEUE,
-    InstrClass.CSR: _INT_QUEUE,
-    InstrClass.SYSTEM: _INT_QUEUE,
-    InstrClass.FENCE: _INT_QUEUE,
-    InstrClass.LOAD: _MEM_QUEUE,
-    InstrClass.STORE: _MEM_QUEUE,
-    InstrClass.AMO: _MEM_QUEUE,
-    InstrClass.FP_LOAD: _MEM_QUEUE,
-    InstrClass.FP_STORE: _MEM_QUEUE,
-    InstrClass.FP: _FP_QUEUE,
-    InstrClass.FP_DIV: _FP_QUEUE,
-}
 
-class _Uop:
-    """A micro-op in flight (real, or a phantom wrong-path stand-in)."""
-
-    __slots__ = ("seq", "inst", "queue", "latency", "producers", "dest",
-                 "is_phantom", "issued", "completed_cycle", "flushed",
-                 "prediction", "indirect_prediction", "mispredicted",
-                 "is_load", "is_store", "mem_addr", "mem_width",
-                 "violating_load_seq")
-
-    def __init__(self, seq: int, inst: Optional[DynInst], queue: int,
-                 latency: int) -> None:
-        self.seq = seq
-        self.inst = inst
-        self.queue = queue
-        self.latency = latency
-        self.producers: List["_Uop"] = []
-        self.dest = inst.dest if inst is not None else -1
-        self.is_phantom = inst is None
-        self.issued = False
-        self.completed_cycle: Optional[int] = None
-        self.flushed = False
-        self.prediction: Optional[Prediction] = None
-        self.indirect_prediction: Optional[int] = None
-        self.mispredicted = False
-        self.is_load = inst.is_load if inst is not None else False
-        self.is_store = inst.is_store if inst is not None else False
-        self.mem_addr = inst.mem_addr if inst is not None else 0
-        self.mem_width = inst.mem_width if inst is not None else 0
-        # Seq of the youngest load that speculatively bypassed this store.
-        self.violating_load_seq: Optional[int] = None
-
-    def ready(self, cycle: int) -> bool:
-        """Wakeup check: all producers complete by *cycle*."""
-        producers = self.producers
-        while producers:
-            producer = producers[-1]
-            done = producer.completed_cycle
-            if producer.flushed or (done is not None and done <= cycle):
-                producers.pop()
-            else:
-                return False
-        return True
-
-    @property
-    def serializes(self) -> bool:
-        """Fence/CSR/system µops dispatch alone with a drained ROB."""
-        if self.inst is None:
-            return False
-        return self.inst.cls in (InstrClass.FENCE, InstrClass.CSR,
-                                 InstrClass.SYSTEM)
+def _moved_lanes(after: List[int], before: List[int]) -> int:
+    """Bitmask of the lanes whose counter moved since *before*."""
+    mask = 0
+    for lane in compress(range(len(after)), map(ne, after, before)):
+        mask |= 1 << lane
+    return mask
 
 
 class BoomCore:
@@ -136,59 +81,38 @@ class BoomCore:
         #: PCs of loads that previously caused an ordering violation; the
         #: (modelled) store-set predictor makes them wait thereafter.
         self._trained_loads: Set[int] = set()
-        self._stq: List[_Uop] = []
 
     def add_observer(self, observer: SignalObserver) -> None:
         self.observers.append(observer)
 
     # ------------------------------------------------------------------
 
-    def run(self, trace: DynamicTrace,
-            max_cycles: Optional[int] = None,
-            fast_path: Optional[bool] = None,
-            engine: Optional[str] = None) -> CoreResult:
+    def run(self, trace: ColumnarTrace,
+            max_cycles: Optional[int] = None) -> CoreResult:
         """Replay *trace* and return per-event totals.
 
         *max_cycles* arms a watchdog (default off): exceeding the budget
         raises :class:`~repro.isa.errors.RunTimeout` instead of spinning
         until the internal safety stop silently truncates the run.
 
-        *fast_path* (default auto, like
-        :meth:`repro.cores.rocket.RocketCore.run`) reuses one signal
-        dictionary across cycles instead of allocating a fresh per-cycle
-        record when no observer or fault hook needs to retain it; the
-        results are bit-identical either way.
-
-        *engine* selects the timing-engine implementation on the fast
-        path (``None`` defers to ``REPRO_TIMING_ENGINE``, default
-        ``columnar``): the columnar engine runs the slab-allocated
-        descriptor loop over the trace columns, the ``objects`` engine
-        walks materialized ``DynInst``/``_Uop`` records.  Both engines
-        are bit-identical (``tests/test_timing_engine.py``); a
-        ``DynamicTrace`` input always uses the object engine.
+        A :class:`~repro.isa.dyn_trace.DynamicTrace` is converted with
+        :meth:`ColumnarTrace.from_dynamic` first.  Observers and a fault
+        hook ride the same loop as a plain run, exactly as on
+        :meth:`repro.cores.rocket.RocketCore.run`: the hook is consulted
+        at the top of every cycle, and observers receive each cycle's
+        ``{event: lane_mask}`` record at its end.
         """
-        traceless = not self.observers and self.fault_hook is None
-        engine = resolve_timing_engine(engine)
-        if fast_path is None:
-            fast_path = traceless
-        elif fast_path and not traceless:
-            raise ValueError(
-                "fast_path=True reuses the per-cycle signal record, but "
-                "an observer or fault hook is attached and retains it")
         self.reset_run_state()
-        if fast_path and engine == "columnar" \
-                and isinstance(trace, ColumnarTrace):
-            return self._run_columnar(trace, max_cycles)
-        return self._run_objects(trace, max_cycles, fast_path)
+        return self._run_columnar(as_columnar(trace), max_cycles)
 
     def reset_run_state(self) -> None:
         """Clear every field :meth:`run` treats as per-run scratch.
 
-        A reused core instance must not leak the machine-clear count,
-        the store-set training, or the store queue of the previous run
-        into this one.  Everything *not* cleared here — caches, TLBs,
-        predictor — deliberately stays warm across runs on one
-        instance, which is exactly why the batched grid engine
+        A reused core instance must not leak the machine-clear count or
+        the store-set training of the previous run into this one.
+        Everything *not* cleared here — caches, TLBs, predictor —
+        deliberately stays warm across runs on one instance, which is
+        exactly why the batched grid engine
         (:mod:`repro.cores.batch`) instantiates a fresh core per grid
         point instead of reusing one: warm-structure carry-over is a
         feature within a config and state leakage across configs.
@@ -198,320 +122,34 @@ class BoomCore:
         """
         self.machine_clears = 0
         self._trained_loads.clear()
-        self._stq = []
-
-    def _run_objects(self, trace: DynamicTrace, max_cycles: Optional[int],
-                     fast_path: bool) -> CoreResult:
-        """The ``DynInst``/``_Uop``-walking loop (the reference oracle)."""
-        config = self.config
-        w_c = config.decode_width
-        issue_ports = (config.issue_int, config.issue_mem, config.issue_fp)
-        accumulator = EventAccumulator(track_lanes={
-            "uops_issued", "fetch_bubbles", "dcache_blocked",
-            "uops_retired"})
-        observers = self.observers
-        instructions = trace.instructions
-        total = len(instructions)
-
-        rob: Deque[_Uop] = deque()
-        iqs: Tuple[List[_Uop], List[_Uop], List[_Uop]] = ([], [], [])
-        iq_capacity = (config.iq_int, config.iq_mem, config.iq_fp)
-        fetch_buffer: Deque[_Uop] = deque()
-        fb_capacity = config.fetch_buffer_size
-        self._stq = []
-        stq = self._stq
-        ldq_used = 0
-        stq_used = 0
-
-        reg_producers: Dict[int, List[_Uop]] = {}
-        pending_resolves: List[_Uop] = []   # mispredicted CF uops in flight
-        serialized_uop: Optional[_Uop] = None
-
-        fetch_idx = 0
-        seq = 0
-        retired = 0
-        cycle = 0
-
-        fetch_resume_at = 0
-        l1i_refill_until = 0
-        recovering = False
-        recovering_from = 0       # first cycle the window is visible
-        wrong_path = False        # a mispredicted CF is in flight
-
-        safety_limit = total * _SAFETY_CYCLES_PER_INST + 20_000
-        budget = safety_limit + 1 if max_cycles is None else max_cycles
-        fault_hook = self.fault_hook
-        accumulator_add = accumulator.add
-        mshr_refill_in_flight = self.l1d.mshrs.refill_in_flight
-        rob_capacity = config.rob_entries
-        #: Fast path: one reused record, cleared per cycle; traced path
-        #: allocates per cycle because observers may retain the mapping.
-        reused_signals: Dict[str, int] = {}
-
-        while retired < total and cycle < safety_limit:
-            if cycle >= budget:
-                check_cycle_budget(cycle, max_cycles,
-                                   workload=trace.program_name,
-                                   retired=retired, total=total)
-            if fault_hook is not None and fault_hook.stall_cycle(cycle):
-                # Injected stall: the whole core freezes this cycle.
-                cycle += 1
-                continue
-            if fast_path:
-                signals = reused_signals
-                signals.clear()
-                signals["cycles"] = 1
-            else:
-                signals = {"cycles": 1}
-
-            # ---------------- commit ----------------------------------
-            commit_lanes = 0
-            fence_flush: Optional[_Uop] = None
-            while rob and commit_lanes < w_c:
-                head = rob[0]
-                done = head.completed_cycle
-                if not head.issued or done is None or done > cycle:
-                    break
-                rob.popleft()
-                commit_lanes += 1
-                retired += 1
-                if head.is_load:
-                    ldq_used = max(0, ldq_used - 1)
-                if head.is_store:
-                    stq_used = max(0, stq_used - 1)
-                    if head in stq:
-                        stq.remove(head)
-                if head is serialized_uop:
-                    serialized_uop = None
-                inst = head.inst
-                if inst is not None and inst.is_fence:
-                    signals["fence_retired"] = 1
-                    fence_flush = head
-                    break
-            if commit_lanes:
-                mask = (1 << commit_lanes) - 1
-                signals["uops_retired"] = mask
-                signals["instr_retired"] = mask
-
-            if fence_flush is not None:
-                # Intended flush: restart the frontend after the fence.
-                self._flush_younger(fence_flush.seq + 1, rob, iqs,
-                                    fetch_buffer, stq, pending_resolves)
-                ldq_used, stq_used = self._recount_queues(rob)
-                fetch_idx = fence_flush.inst.index + 1
-                fetch_resume_at = cycle + config.redirect_latency
-                recovering = True
-                recovering_from = cycle + 1
-                wrong_path = False
-                if fence_flush.inst.mnemonic == "fence.i":
-                    self.l1i.flush()
-
-            # ---------------- resolve mispredicted control flow -------
-            resolved: Optional[_Uop] = None
-            for uop in pending_resolves:
-                done = uop.completed_cycle
-                if uop.issued and done is not None and done <= cycle:
-                    if resolved is None or uop.seq < resolved.seq:
-                        resolved = uop
-            if resolved is not None:
-                pending_resolves.remove(resolved)
-                if resolved.inst is not None and resolved.inst.is_branch:
-                    signals["br_mispredict"] = 1
-                else:
-                    signals["cf_target_mispredict"] = 1
-                self._flush_younger(resolved.seq + 1, rob, iqs, fetch_buffer,
-                                    stq, pending_resolves)
-                ldq_used, stq_used = self._recount_queues(rob)
-                fetch_idx = resolved.inst.index + 1
-                fetch_resume_at = cycle + config.redirect_latency
-                recovering = True
-                recovering_from = cycle + 1
-                wrong_path = False
-
-            # ---------------- issue ------------------------------------
-            issued_total = 0
-            issue_lane = 0
-            machine_clear_store: Optional[_Uop] = None
-            any_queue_nonempty = any(iqs)
-            for queue_index, queue in enumerate(iqs):
-                ports = issue_ports[queue_index]
-                issued_here = 0
-                if queue:
-                    kept: List[_Uop] = []
-                    for uop in queue:
-                        if uop.flushed:
-                            continue
-                        if issued_here < ports and uop.ready(cycle) \
-                                and self._try_issue(uop, cycle, signals):
-                            uop.issued = True
-                            signals["uops_issued"] = (
-                                signals.get("uops_issued", 0)
-                                | (1 << (issue_lane + issued_here)))
-                            issued_here += 1
-                            if uop.mispredicted:
-                                pending_resolves.append(uop)
-                            if uop.violating_load_seq is not None \
-                                    and machine_clear_store is None:
-                                machine_clear_store = uop
-                        else:
-                            kept.append(uop)
-                    queue[:] = kept
-                issued_total += issued_here
-                issue_lane += ports
-
-            if machine_clear_store is not None:
-                load_seq = machine_clear_store.violating_load_seq
-                machine_clear_store.violating_load_seq = None
-                refetch_index = self._index_of_seq(rob, load_seq)
-                if refetch_index is not None:
-                    # Memory-ordering violation: machine clear, squash
-                    # from the offending load onward and refetch it.
-                    signals["flush"] = 1
-                    self.machine_clears += 1
-                    self._flush_younger(load_seq, rob, iqs, fetch_buffer,
-                                        stq, pending_resolves)
-                    ldq_used, stq_used = self._recount_queues(rob)
-                    fetch_idx = refetch_index
-                    fetch_resume_at = cycle + config.redirect_latency
-                    recovering = True
-                    recovering_from = cycle + 1
-                    wrong_path = False
-                    if serialized_uop is not None and serialized_uop.flushed:
-                        serialized_uop = None
-
-            # D$-blocked heuristic (§IV-A): per commit-width slot, high
-            # when the slot got no valid instruction, a queue is
-            # non-empty, and at least one MSHR is handling a miss.
-            if any_queue_nonempty and mshr_refill_in_flight(cycle):
-                mask = 0
-                for slot in range(w_c):
-                    if issued_total <= slot:
-                        mask |= 1 << slot
-                if mask:
-                    signals["dcache_blocked"] = mask
-
-            # ---------------- dispatch ---------------------------------
-            bubble_mask = 0
-            backend_blocked = serialized_uop is not None
-            for lane in range(w_c):
-                if backend_blocked:
-                    break
-                if not fetch_buffer:
-                    if not recovering and len(rob) < rob_capacity:
-                        bubble_mask |= 1 << lane
-                    continue
-                uop = fetch_buffer[0]
-                if len(rob) >= rob_capacity:
-                    break
-                if uop.serializes:
-                    if rob:
-                        break  # wait for the ROB to drain
-                    fetch_buffer.popleft()
-                    uop.issued = True
-                    uop.completed_cycle = cycle + 1
-                    # The serialized uop bypasses the issue queues but
-                    # still occupies an issue slot this cycle (the ROB
-                    # is empty, so lane 0 is necessarily free); without
-                    # this the paper's BadSpec pair Uops-issued minus
-                    # Uops-retired undercounts by one per fence/CSR.
-                    signals["uops_issued"] = signals.get(
-                        "uops_issued", 0) | 1
-                    rob.append(uop)
-                    serialized_uop = uop
-                    backend_blocked = True
-                    continue
-                queue_index = uop.queue
-                if len(iqs[queue_index]) >= iq_capacity[queue_index]:
-                    break
-                if not uop.is_phantom:
-                    if uop.is_load and ldq_used >= config.ldq_entries:
-                        break
-                    if uop.is_store and stq_used >= config.stq_entries:
-                        break
-                fetch_buffer.popleft()
-                self._rename(uop, reg_producers)
-                rob.append(uop)
-                iqs[queue_index].append(uop)
-                if not uop.is_phantom:
-                    if uop.is_load:
-                        ldq_used += 1
-                    if uop.is_store:
-                        stq_used += 1
-                        stq.append(uop)
-            if bubble_mask:
-                signals["fetch_bubbles"] = bubble_mask
-
-            # ---------------- fetch ------------------------------------
-            if l1i_refill_until > cycle and not fetch_buffer:
-                signals["icache_blocked"] = 1
-
-            fetched_any = False
-            if len(fetch_buffer) < fb_capacity and cycle >= fetch_resume_at:
-                if wrong_path:
-                    seq = self._fetch_phantoms(fetch_buffer, fb_capacity,
-                                               seq)
-                    fetched_any = True
-                elif fetch_idx < total:
-                    (fetched_any, fetch_resume_at, l1i_refill_until, seq,
-                     fetch_idx, wrong_path) = self._fetch(
-                        instructions, fetch_idx, cycle, fetch_buffer,
-                        fb_capacity, signals, seq, wrong_path,
-                        l1i_refill_until)
-            if recovering:
-                if fetched_any:
-                    recovering = False
-                elif cycle >= recovering_from:
-                    signals["recovering"] = 1
-
-            accumulator_add(signals)
-            for observer in observers:
-                observer.on_cycle(cycle, signals)
-            cycle += 1
-
-        check_run_completed(retired, total, cycle, max_cycles,
-                            workload=trace.program_name)
-        return CoreResult(
-            workload=trace.program_name, config_name=config.name,
-            core="boom", cycles=cycle, instret=retired,
-            events=accumulator.totals, lane_events=accumulator.lane_totals,
-            commit_width=w_c, issue_width=config.issue_width,
-            l1i_stats=self.l1i.stats, l1d_stats=self.l1d.stats,
-            l2_stats=self.memory.l2.stats,
-            predictor_stats=self.predictor.stats,
-            extra={"machine_clears": float(self.machine_clears),
-                   "decode_resteers": float(self.predictor.decode_resteers)})
 
     # ------------------------------------------------------------------
-    # columnar engine: descriptor table + slab-allocated µop pool
+    # the cycle loop: descriptor table + slab-allocated µop pool
     # ------------------------------------------------------------------
 
     def _run_columnar(self, trace: ColumnarTrace,
                       max_cycles: Optional[int]) -> CoreResult:
-        """The object loop re-expressed over columns and a µop slab.
-
-        Identical pipeline model to :meth:`_run_objects`, restructured
-        for throughput:
+        """The pipeline model over trace columns and a µop slab.
 
         - static facts come from the :class:`~repro.cores.descriptors
           .BoomOpTable` compiled once per trace; dynamic facts from the
-          flat trace columns — no ``DynInst`` list is materialized;
+          flat trace columns;
         - µops live in a slab of parallel arrays with a free list; ROB,
           issue queues, fetch buffer, store queue, and pending-resolve
-          list hold integer slot indices instead of ``_Uop`` objects;
+          list hold integer slot indices;
         - producer references are ``(slot << 32) | generation`` tokens:
           freeing a slot bumps its generation, so a stale token proves
           its µop already left the ROB — for an in-order-commit machine
-          that is exactly the "producer complete" answer the object
-          path's lazy ``_Uop.ready`` scan would have given;
+          that is exactly the "producer complete" answer;
         - events accumulate into local counters and lane histograms
-          (per-cycle dedup flags replicate the ``|= 1`` mask signals;
-          the contiguous commit/bubble/blocked lane patterns collapse
-          to one histogram bump per cycle), and the
-          ``EventAccumulator``-shaped totals and lane lists are rebuilt
-          once after the run.
+          (per-cycle dedup flags keep every single-lane event to one
+          assertion per cycle; the contiguous commit/bubble/blocked lane
+          patterns collapse to one histogram bump per cycle), and the
+          totals and per-lane lists are rebuilt once after the run.
 
-        Bit-identity with the object engine across the registry is
-        pinned by ``tests/test_timing_engine.py``.
+        The per-cycle observer record is rebuilt from the same state:
+        the counters that moved, the commit prefix, the issued lanes,
+        and the bubble/blocked suffixes.
         """
         config = self.config
         w_c = config.decode_width
@@ -674,11 +312,19 @@ class BoomCore:
         bubble_hist = [0] * w_c         # index: first bubbling lane
         blocked_hist = [0] * w_c        # index: first D$-blocked lane
 
+        # Per-cycle hook state.  On a plain run ``hooked`` is False and
+        # the hook costs two tests of it per cycle.
+        observers = self.observers or None
+        fault_hook = self.fault_hook
+        hooked = observers is not None or fault_hook is not None
+        stalled = 0
+        all_lanes = (1 << w_c) - 1
+
         def flush_younger(from_seq: int) -> None:
-            # Mirrors _flush_younger: squash the ROB tail, filter the
-            # issue/store/pending queues, drain the fetch buffer.  Every
-            # flushed slot is freed here — its generation bump is what
-            # later identifies stale producer tokens.
+            # Squash the ROB tail, filter the issue/store/pending
+            # queues, drain the fetch buffer.  Every flushed slot is
+            # freed here — its generation bump is what later identifies
+            # stale producer tokens.
             nonlocal rob_len, fb_len
             while rob and u_seq[rob[-1]] >= from_seq:
                 sl = rob.pop()
@@ -728,6 +374,21 @@ class BoomCore:
                 check_cycle_budget(cycle, max_cycles,
                                    workload=trace.program_name,
                                    retired=retired, total=total)
+            if hooked:
+                if fault_hook is not None and fault_hook.stall_cycle(cycle):
+                    # Injected stall: the whole core freezes this cycle.
+                    stalled += 1
+                    cycle += 1
+                    continue
+                if observers is not None:
+                    counted_before = (
+                        n_fence_retired, n_br_mispredict, n_cf_mispredict,
+                        n_flush, n_icache_blocked, n_itlb_miss,
+                        n_icache_miss, n_dtlb_miss, n_l2tlb_miss,
+                        n_dcache_miss, n_recovering)
+                    issued_before = lanes_issued[:]
+                    bubble_before = bubble_hist[:]
+                    blocked_before = blocked_hist[:]
             dtlb_counted = False
             l2tlb_counted = False
             dcache_counted = False
@@ -863,7 +524,7 @@ class BoomCore:
                                 # Ports exhausted: the rest of the queue
                                 # is untouched this cycle.
                                 break
-                            # ---- inlined _Uop.ready --------------
+                            # ---- wakeup: producers complete? ----
                             prod = u_prod[slot]
                             is_ready = True
                             while prod:
@@ -895,13 +556,13 @@ class BoomCore:
                                 is_ready = False
                                 break
                             if is_ready:
-                                # ---- inlined _try_issue ----------
+                                # ---- issue ----------------------
                                 s = u_s[slot]
                                 if s < 0:
                                     u_completed[slot] = cycle + 1
                                     ok = True
                                 elif d_is_load[s]:
-                                    # ---- inlined _issue_load -----
+                                    # ---- load ------------------
                                     lo = u_mem_addr[slot]
                                     hi = lo + d_memw[s]
                                     myseq = u_seq[slot]
@@ -992,7 +653,7 @@ class BoomCore:
                                                     ready_at + tlb_extra
                                                 ok = True
                                 elif d_is_store[s]:
-                                    # ---- inlined _issue_store ----
+                                    # ---- store -----------------
                                     addr = u_mem_addr[slot]
                                     if dtlb_probe(addr):
                                         tlb_extra = 0
@@ -1002,8 +663,7 @@ class BoomCore:
                                             dtlb_counted = True
                                         # L2 probe for latency/state
                                         # only: stores don't assert
-                                        # l2_tlb_miss (matching
-                                        # _issue_store).
+                                        # l2_tlb_miss.
                                         if l2tlb_probe(addr):
                                             tlb_extra = \
                                                 L2_TLB_HIT_LATENCY
@@ -1121,8 +781,8 @@ class BoomCore:
                 if s >= 0:
                     queue_index = d_queue[s]
                 else:
-                    queue_index = (_MEM_QUEUE if u_seq[slot] & 3 == 3
-                                   else _INT_QUEUE)
+                    queue_index = (MEM_QUEUE if u_seq[slot] & 3 == 3
+                                   else INT_QUEUE)
                 queue = iqs[queue_index]
                 if len(queue) + len(parked[queue_index]) \
                         >= iq_capacity[queue_index]:
@@ -1134,7 +794,7 @@ class BoomCore:
                         break
                 fb_popleft()
                 fb_len -= 1
-                # ---- inlined _rename ---------------------------------
+                # ---- rename ------------------------------------------
                 if s >= 0:
                     srcs = d_srcs[s]
                     if srcs:
@@ -1175,7 +835,7 @@ class BoomCore:
             fetched_any = False
             if fb_len < fb_capacity and cycle >= fetch_resume_at:
                 if wrong_path:
-                    # ---- inlined _fetch_phantoms ---------------------
+                    # ---- wrong-path phantoms -------------------------
                     for _ in range(min(fetch_width, fb_capacity - fb_len)):
                         if free_slots:
                             slot = free_pop()
@@ -1211,7 +871,7 @@ class BoomCore:
                         seq += 1
                     fetched_any = True
                 elif fetch_idx < total:
-                    # ---- inlined _fetch ------------------------------
+                    # ---- fetch one packet ----------------------------
                     pc = d_pc[sidx[fetch_idx]]
                     if itlb_probe(pc):
                         tlb_extra = 0
@@ -1331,17 +991,41 @@ class BoomCore:
                 elif cycle >= recovering_from:
                     n_recovering += 1
 
+            if hooked and observers is not None:
+                signals = dict.fromkeys(compress(_COUNTED_EVENTS, map(ne, (
+                    n_fence_retired, n_br_mispredict, n_cf_mispredict,
+                    n_flush, n_icache_blocked, n_itlb_miss, n_icache_miss,
+                    n_dtlb_miss, n_l2tlb_miss, n_dcache_miss, n_recovering),
+                    counted_before)), 1)
+                signals["cycles"] = 1
+                if commit_lanes:
+                    signals["uops_retired"] = signals["instr_retired"] = \
+                        (1 << commit_lanes) - 1
+                mask = _moved_lanes(lanes_issued, issued_before)
+                if mask:
+                    signals["uops_issued"] = mask
+                # Bubbles and D$-blocked fill a suffix starting at the
+                # one lane whose histogram entry moved.
+                mask = _moved_lanes(bubble_hist, bubble_before)
+                if mask:
+                    signals["fetch_bubbles"] = all_lanes & -mask
+                mask = _moved_lanes(blocked_hist, blocked_before)
+                if mask:
+                    signals["dcache_blocked"] = all_lanes & -mask
+                for observer in observers:
+                    observer.on_cycle(cycle, signals)
             cycle += 1
 
         check_run_completed(retired, total, cycle, max_cycles,
                             workload=trace.program_name)
 
-        # Rebuild the EventAccumulator view: totals only for events that
+        # Rebuild the totals and lane lists: totals only for events that
         # were ever asserted, lane lists ending at the highest lane ever
         # asserted.  ``retired`` doubles as both retire totals because
-        # the object loop adds ``commit_lanes`` to each exactly when it
-        # advances ``retired`` by the same amount (phantoms included).
-        events: Dict[str, int] = {"cycles": cycle} if cycle else {}
+        # every commit asserts both on ``commit_lanes`` lanes exactly
+        # when it advances ``retired`` by the same amount.
+        active = cycle - stalled
+        events: Dict[str, int] = {"cycles": active} if active else {}
         lane_events: Dict[str, List[int]] = {}
         uops_issued = sum(lanes_issued)
         if uops_issued:
@@ -1400,238 +1084,3 @@ class BoomCore:
             predictor_stats=self.predictor.stats,
             extra={"machine_clears": float(self.machine_clears),
                    "decode_resteers": float(self.predictor.decode_resteers)})
-
-    # ------------------------------------------------------------------
-    # issue helpers
-    # ------------------------------------------------------------------
-
-    def _try_issue(self, uop: _Uop, cycle: int,
-                   signals: Dict[str, int]) -> bool:
-        """Attempt to issue *uop*; returns False on a structural stall."""
-        if uop.is_phantom:
-            uop.completed_cycle = cycle + uop.latency
-            return True
-        if uop.is_load:
-            return self._issue_load(uop, cycle, signals)
-        if uop.is_store:
-            self._issue_store(uop, cycle, signals)
-            return True
-        uop.completed_cycle = cycle + uop.latency
-        return True
-
-    def _issue_load(self, uop: _Uop, cycle: int,
-                    signals: Dict[str, int]) -> bool:
-        blocking_store = self._older_overlapping_store(uop)
-        if blocking_store is not None:
-            if uop.inst.pc in self._trained_loads:
-                return False  # store-set predictor holds this load back
-            # Speculate past the store; the store will machine-clear us.
-            if blocking_store.violating_load_seq is None \
-                    or uop.seq < blocking_store.violating_load_seq:
-                blocking_store.violating_load_seq = uop.seq
-            self._trained_loads.add(uop.inst.pc)
-            uop.completed_cycle = cycle + 2
-            return True
-        if self._forwarding_store(uop) is not None:
-            uop.completed_cycle = cycle + 2  # store-to-load forwarding
-            return True
-        hit_tlb, tlb_extra = self.tlbs.access_data(uop.mem_addr)
-        if not hit_tlb:
-            signals["dtlb_miss"] = signals.get("dtlb_miss", 0) | 1
-            if tlb_extra > 10:
-                signals["l2_tlb_miss"] = signals.get("l2_tlb_miss", 0) | 1
-        if self.l1d.mshrs.is_full(cycle) \
-                and not self.l1d.cache.lookup(uop.mem_addr):
-            return False  # no MSHR for a would-be miss: retry later
-        hit, ready, primary = self.l1d.access_ex(uop.mem_addr, cycle)
-        if primary:
-            signals["dcache_miss"] = signals.get("dcache_miss", 0) | 1
-        if self.dprefetcher is not None:
-            targets = self.dprefetcher.train(uop.inst.pc, uop.mem_addr)
-            if targets:
-                self.dprefetcher.issue(self.l1d, targets, cycle)
-        uop.completed_cycle = ready + tlb_extra
-        return True
-
-    def _issue_store(self, uop: _Uop, cycle: int,
-                     signals: Dict[str, int]) -> None:
-        hit_tlb, tlb_extra = self.tlbs.access_data(uop.mem_addr)
-        if not hit_tlb:
-            signals["dtlb_miss"] = signals.get("dtlb_miss", 0) | 1
-        _, _, primary = self.l1d.access_ex(uop.mem_addr, cycle,
-                                           is_store=True)
-        if primary:
-            signals["dcache_miss"] = signals.get("dcache_miss", 0) | 1
-        uop.completed_cycle = cycle + 1 + tlb_extra
-
-    def _older_overlapping_store(self, load: _Uop) -> Optional[_Uop]:
-        lo, hi = load.mem_addr, load.mem_addr + load.mem_width
-        for store in self._stq:
-            if store.seq >= load.seq or store.issued or store.flushed:
-                continue
-            if store.mem_addr < hi and lo < store.mem_addr + store.mem_width:
-                return store
-        return None
-
-    def _forwarding_store(self, load: _Uop) -> Optional[_Uop]:
-        best: Optional[_Uop] = None
-        for store in self._stq:
-            if store.seq >= load.seq or not store.issued or store.flushed:
-                continue
-            if store.mem_addr == load.mem_addr \
-                    and store.mem_width >= load.mem_width:
-                if best is None or store.seq > best.seq:
-                    best = store
-        return best
-
-    # ------------------------------------------------------------------
-    # dispatch helpers
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _rename(uop: _Uop, reg_producers: Dict[int, List["_Uop"]]) -> None:
-        inst = uop.inst
-        if inst is None:
-            return
-        for src in inst.srcs:
-            producers = reg_producers.get(src)
-            if producers:
-                while producers and producers[-1].flushed:
-                    producers.pop()
-                if producers:
-                    uop.producers.append(producers[-1])
-        if uop.dest >= 0:
-            reg_producers.setdefault(uop.dest, []).append(uop)
-
-    # ------------------------------------------------------------------
-    # flush machinery
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _flush_younger(seq: int, rob: Deque[_Uop],
-                       iqs: Tuple[List[_Uop], ...],
-                       fetch_buffer: Deque[_Uop], stq: List[_Uop],
-                       pending_resolves: List[_Uop]) -> None:
-        while rob and rob[-1].seq >= seq:
-            rob.pop().flushed = True
-        for queue in iqs:
-            queue[:] = [u for u in queue if not u.flushed]
-        for uop in fetch_buffer:
-            uop.flushed = True
-        fetch_buffer.clear()
-        stq[:] = [u for u in stq if not u.flushed]
-        pending_resolves[:] = [u for u in pending_resolves if not u.flushed]
-
-    @staticmethod
-    def _recount_queues(rob: Deque[_Uop]) -> Tuple[int, int]:
-        ldq = sum(1 for u in rob if u.is_load and not u.is_phantom)
-        stq = sum(1 for u in rob if u.is_store and not u.is_phantom)
-        return ldq, stq
-
-    @staticmethod
-    def _index_of_seq(rob: Deque[_Uop], seq: int) -> Optional[int]:
-        for uop in rob:
-            if uop.seq == seq and uop.inst is not None:
-                return uop.inst.index
-        return None
-
-    # ------------------------------------------------------------------
-    # fetch
-    # ------------------------------------------------------------------
-
-    def _fetch_phantoms(self, fetch_buffer: Deque[_Uop], capacity: int,
-                        seq: int) -> int:
-        """Supply wrong-path phantom µops at full fetch bandwidth."""
-        count = min(self.config.fetch_width, capacity - len(fetch_buffer))
-        for _ in range(count):
-            queue = _MEM_QUEUE if (seq & 3) == 3 else _INT_QUEUE
-            fetch_buffer.append(_Uop(seq, None, queue, 1))
-            seq += 1
-        return seq
-
-    def _fetch(self, instructions: List[DynInst], fetch_idx: int,
-               cycle: int, fetch_buffer: Deque[_Uop], capacity: int,
-               signals: Dict[str, int], seq: int, wrong_path: bool,
-               l1i_refill_until: int
-               ) -> Tuple[bool, int, int, int, int, bool]:
-        """Fetch one packet; returns updated frontend state."""
-        first = instructions[fetch_idx]
-        pc = first.pc
-
-        tlb_hit, tlb_extra = self.tlbs.access_instruction(pc)
-        if not tlb_hit:
-            signals["itlb_miss"] = 1
-            if tlb_extra > 10:
-                signals["l2_tlb_miss"] = signals.get("l2_tlb_miss", 0) | 1
-        hit, latency = self.l1i.access(pc, cycle=cycle)
-        if not hit:
-            signals["icache_miss"] = 1
-            if self.config.icache_prefetch:
-                # Next-line prefetch: pull the following block alongside.
-                block_bytes = self.l1i.config.block_bytes
-                next_block = self.l1i.block_address(pc) + block_bytes
-                if not self.l1i.lookup(next_block):
-                    self.l1i.access(next_block)
-                    self.l1i.stats.accesses -= 1
-                    self.l1i.stats.misses -= 1
-        latency += tlb_extra
-        if not hit or tlb_extra:
-            stall_until = cycle + latency
-            return (False, stall_until, stall_until, seq, fetch_idx,
-                    wrong_path)
-
-        total = len(instructions)
-        block = self.l1i.block_address(pc)
-        fetched = 0
-        prev_pc = None
-        resume_at = cycle + 1
-        while (fetch_idx < total and fetched < self.config.fetch_width
-               and len(fetch_buffer) < capacity):
-            inst = instructions[fetch_idx]
-            if prev_pc is not None and inst.pc != prev_pc + 4:
-                break
-            if self.l1i.block_address(inst.pc) != block:
-                break
-            uop = _Uop(seq, inst, _QUEUE_OF_CLASS[inst.cls], inst.latency)
-            seq += 1
-            end_packet = False
-            if inst.is_branch:
-                prediction = self.predictor.predict_branch(inst.pc)
-                uop.prediction = prediction
-                mispredicted = prediction.taken != inst.taken
-                uop.mispredicted = mispredicted
-                self.predictor.resolve_branch(inst.pc, inst.taken,
-                                              inst.next_pc, prediction)
-                if mispredicted:
-                    wrong_path = True
-                    end_packet = True
-                elif inst.taken:
-                    end_packet = True
-                    if not prediction.btb_hit:
-                        resume_at = cycle + 2  # decode resteer
-            elif inst.cls == InstrClass.JUMP:
-                if inst.dest == 1:  # call: push the return address
-                    self.predictor.ras.push(inst.pc + 4)
-                if self.predictor.btb.lookup(inst.pc) is None:
-                    resume_at = cycle + 2  # decode computes the jal target
-                    self.predictor.btb.insert(inst.pc, inst.next_pc)
-                end_packet = True
-            elif inst.cls == InstrClass.JUMP_REG:
-                is_return = (inst.dest < 0 and inst.srcs == (1,))
-                predicted = self.predictor.predict_indirect(
-                    inst.pc, is_return=is_return)
-                uop.indirect_prediction = predicted
-                mispredicted = self.predictor.resolve_indirect(
-                    inst.pc, inst.next_pc, predicted)
-                uop.mispredicted = mispredicted
-                if mispredicted:
-                    wrong_path = True
-                end_packet = True
-            fetch_buffer.append(uop)
-            fetched += 1
-            prev_pc = inst.pc
-            fetch_idx += 1
-            if end_packet:
-                break
-        return (fetched > 0, resume_at, l1i_refill_until, seq, fetch_idx,
-                wrong_path)

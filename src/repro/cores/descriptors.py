@@ -1,19 +1,16 @@
 """Timing-descriptor tables: per-static-op facts compiled to flat arrays.
 
-The columnar timing engines (``REPRO_TIMING_ENGINE=columnar``) never
-touch ``DynInst`` objects: the cycle loops read the dynamic columns of a
-:class:`~repro.isa.columnar.ColumnarTrace` (``sidx``/``mem_addr``/
-``next_pc``/``taken``) and look every *static* fact up in the tables
-below — ``descriptor[sidx[i]]`` instead of attribute chains on a
-materialized object.  Each table is compiled once per trace per core
+The cycle loops of both cores never touch ``DynInst`` objects: they read
+the dynamic columns of a :class:`~repro.isa.columnar.ColumnarTrace`
+(``sidx``/``mem_addr``/``next_pc``/``taken``) and look every *static*
+fact up in the tables below — ``descriptor[sidx[i]]`` instead of
+attribute chains on a materialized object.  Each table is compiled once per trace per core
 family and cached on the trace (:meth:`ColumnarTrace.timing_table`), so
 a TMA sweep pays the compilation for its few-hundred static ops exactly
 once, not once per dynamic instruction per config point.
 
 Everything here is *derived* from ``StaticOp`` — the tables introduce no
-new semantics, which is what keeps the columnar loops bit-identical to
-the ``DynInst``-walking oracle loops (pinned by
-``tests/test_timing_engine.py``).
+new semantics; ``tests/golden_digests.json`` pins the loops' results.
 """
 
 from __future__ import annotations
@@ -49,8 +46,8 @@ _QUEUE_OF_CLASS = {
 
 _SERIALIZING_CLASSES = (InstrClass.FENCE, InstrClass.CSR, InstrClass.SYSTEM)
 
-#: Commit-class event name per functional class ("arith" for the rest),
-#: mirroring ``cores/rocket/core.py``.
+#: Rocket's commit-class event name per functional class ("arith" for
+#: the rest).
 _CLASS_SIGNAL = {
     InstrClass.LOAD: "load", InstrClass.FP_LOAD: "load",
     InstrClass.STORE: "store", InstrClass.FP_STORE: "store",

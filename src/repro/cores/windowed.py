@@ -57,8 +57,8 @@ from dataclasses import fields as dataclass_fields
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
-from ..isa.columnar import ColumnarTrace, unpack_window
-from .base import BoomConfig, CoreResult, RocketConfig, resolve_timing_engine
+from ..isa.columnar import ColumnarTrace, as_columnar, unpack_window
+from .base import BoomConfig, CoreResult, RocketConfig
 from .batch import GridPoint, make_core
 
 CoreConfig = Union[RocketConfig, BoomConfig]
@@ -295,8 +295,7 @@ def _pin_retire_counts(result: CoreResult, n_instr: int) -> CoreResult:
 
 
 def measure_window(window_trace: ColumnarTrace, warm_len: int,
-                   config: CoreConfig,
-                   engine: Optional[str] = None) -> CoreResult:
+                   config: CoreConfig) -> CoreResult:
     """Measure one window whose first *warm_len* instructions are warmup.
 
     *window_trace* spans ``[start - warm_len, stop)`` of the parent
@@ -304,13 +303,12 @@ def measure_window(window_trace: ColumnarTrace, warm_len: int,
     windows) over the same shared columns.
     """
     full = _pin_retire_counts(
-        make_core(config).run(window_trace, engine=engine),
-        len(window_trace))
+        make_core(config).run(window_trace), len(window_trace))
     if warm_len <= 0:
         return full
     warm_trace = window_trace.slice(0, warm_len)
     warm = _pin_retire_counts(
-        make_core(config).run(warm_trace, engine=engine), warm_len)
+        make_core(config).run(warm_trace), warm_len)
     return subtract_results(full, warm)
 
 
@@ -507,7 +505,7 @@ def _tick(progress, message: str) -> None:
 
 
 def _window_task(tag, static_blob: bytes, window_blob: bytes, warm_len: int,
-                 config: CoreConfig, engine: str):
+                 config: CoreConfig):
     """Pool-worker entry: one window, run-and-subtract, exact codec.
 
     *tag* is any picklable identity the caller uses to route the result
@@ -519,7 +517,7 @@ def _window_task(tag, static_blob: bytes, window_blob: bytes, warm_len: int,
 
     begin = time.perf_counter()
     trace = unpack_window(static_blob, window_blob)
-    result = measure_window(trace, warm_len, config, engine=engine)
+    result = measure_window(trace, warm_len, config)
     return tag, serialize_result(result), time.perf_counter() - begin
 
 
@@ -532,17 +530,17 @@ def _resolve_workers(workers: Optional[int], tasks: int) -> int:
 def _run_window_tasks(
     trace: ColumnarTrace,
     tasks: Sequence[Tuple[object, int, int, int, CoreConfig]],
-    engine: str,
     workers: Optional[int],
     progress: bool,
     executor_factory=None,
     on_result: Optional[Callable[[object, CoreResult, float], None]] = None,
-) -> Dict[object, Tuple[CoreResult, float]]:
+) -> Tuple[Dict[object, Tuple[CoreResult, float]], Optional[str]]:
     """Execute window tasks, in a pool when it pays, inline otherwise.
 
     Each task is ``(tag, warm_start, start, stop, config)``.  Pool
     failures fall back to finishing the remaining tasks inline, like
-    the batch engine.  Returns ``{tag: (measured result, wall_s)}``.
+    the batch engine.  Returns ``({tag: (measured result, wall_s)},
+    fallback_reason)``; the reason is None unless the pool failed.
     """
     from ..tools import cache as result_cache
     from ..tools.pool import EXECUTOR_FACTORIES
@@ -561,6 +559,7 @@ def _run_window_tasks(
 
     count = _resolve_workers(workers, total)
     remaining = list(tasks)
+    fallback_reason: Optional[str] = None
     if count > 1:
         static_blob = trace.pack_static()
         factory = executor_factory or EXECUTOR_FACTORIES["process"]
@@ -570,7 +569,7 @@ def _run_window_tasks(
                     pool.submit(
                         _window_task, tag,
                         static_blob, trace.pack_window(warm_start, stop),
-                        start - warm_start, config, engine): (tag, start, stop)
+                        start - warm_start, config): (tag, start, stop)
                     for tag, warm_start, start, stop, config in tasks
                 }
                 for future in as_completed(futures):
@@ -578,17 +577,17 @@ def _run_window_tasks(
                     _, payload, wall = future.result()
                     note(tag, result_cache.deserialize_result(payload),
                          wall, start, stop)
-        except Exception:  # noqa: BLE001 - any pool failure: go inline
+        except Exception as exc:  # noqa: BLE001 - any pool failure: go inline
+            fallback_reason = f"{type(exc).__name__}: {exc}"
             remaining = [t for t in tasks if t[0] not in done]
         else:
             remaining = []
     for tag, warm_start, start, stop, config in remaining:
         begin = time.perf_counter()
         window_trace = trace.slice(warm_start, stop)
-        result = measure_window(window_trace, start - warm_start, config,
-                                engine=engine)
+        result = measure_window(window_trace, start - warm_start, config)
         note(tag, result, time.perf_counter() - begin, start, stop)
-    return done
+    return done, fallback_reason
 
 
 def _window_tasks(plan: WindowPlan, config: CoreConfig,
@@ -615,7 +614,7 @@ def windowed_metadata(plan: WindowPlan, walls: Sequence[float]
 
 def run_windowed(workload: str, config: CoreConfig, *, windows: int,
                  scale: float = 1.0, warmup: Optional[int] = None,
-                 sampled: bool = False, engine: Optional[str] = None,
+                 sampled: bool = False,
                  use_cache: bool = True, workers: Optional[int] = None,
                  progress: bool = False, executor_factory=None) -> CoreResult:
     """Windowed (or sampled) replacement for a single ``run_core``.
@@ -630,7 +629,6 @@ def run_windowed(workload: str, config: CoreConfig, *, windows: int,
     from ..tools import cache as result_cache
     from ..workloads import build_trace
 
-    engine_name = resolve_timing_engine(engine)
     # The key normalizes the request without touching the trace, so a
     # cache hit skips even the functional-execution/trace-fetch cost.
     key = result_cache.windowed_cache_key(
@@ -640,19 +638,21 @@ def run_windowed(workload: str, config: CoreConfig, *, windows: int,
         cached = result_cache.load(key)
         if cached is not None:
             return cached
-    trace = build_trace(workload, scale=scale)
+    trace = as_columnar(build_trace(workload, scale=scale))
     plan = plan_windows(len(trace), windows, warmup=warmup, sampled=sampled)
 
     begin = time.perf_counter()
-    done = _run_window_tasks(
-        trace, _window_tasks(plan, config, tag=lambda i: i), engine_name,
-        workers, progress, executor_factory)
+    done, fallback_reason = _run_window_tasks(
+        trace, _window_tasks(plan, config, tag=lambda i: i), workers,
+        progress, executor_factory)
     parts = [done[i][0] for i in range(len(plan.spans))]
     walls = [done[i][1] for i in range(len(plan.spans))]
 
     stitched = stitch_results(workload, parts)
     metadata = windowed_metadata(plan, walls)
     metadata["wall_s"] = round(time.perf_counter() - begin, 6)
+    if fallback_reason is not None:
+        metadata["fallback_reason"] = fallback_reason
     if plan.sampled:
         result = extrapolate_sampled(stitched, plan, parts)
         metadata["error_bars"] = _error_bars(parts)
@@ -667,7 +667,7 @@ def run_windowed(workload: str, config: CoreConfig, *, windows: int,
 def run_windowed_points(
     workload: str, points: Sequence[GridPoint], *, windows: int,
     scale: float = 1.0, warmup: Optional[int] = None, sampled: bool = False,
-    engine: Optional[str] = None, workers: Optional[int] = None,
+    workers: Optional[int] = None,
     progress: bool = False, executor_factory=None,
     note: Optional[Callable[[GridPoint, CoreResult], None]] = None,
 ) -> Dict[str, CoreResult]:
@@ -682,8 +682,7 @@ def run_windowed_points(
     """
     from ..workloads import build_trace
 
-    engine_name = resolve_timing_engine(engine)
-    trace = build_trace(workload, scale=scale)
+    trace = as_columnar(build_trace(workload, scale=scale))
     plan = plan_windows(len(trace), windows, warmup=warmup, sampled=sampled)
     by_point = {point.key: point for point in points}
 
@@ -693,8 +692,8 @@ def run_windowed_points(
             plan, point.config, tag=lambda i, key=point.key: (key, i)))
 
     begin = time.perf_counter()
-    done = _run_window_tasks(trace, tasks, engine_name, workers, progress,
-                             executor_factory)
+    done, fallback_reason = _run_window_tasks(trace, tasks, workers,
+                                              progress, executor_factory)
     results: Dict[str, CoreResult] = {}
     for point in points:
         parts = [done[(point.key, i)][0] for i in range(len(plan.spans))]
@@ -702,6 +701,8 @@ def run_windowed_points(
         stitched = stitch_results(workload, parts)
         metadata = windowed_metadata(plan, walls)
         metadata["wall_s"] = round(time.perf_counter() - begin, 6)
+        if fallback_reason is not None:
+            metadata["fallback_reason"] = fallback_reason
         if plan.sampled:
             result = extrapolate_sampled(stitched, plan, parts)
             metadata["error_bars"] = _error_bars(parts)

@@ -35,7 +35,7 @@ import struct
 from array import array
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .dyn_trace import DynInst
+from .dyn_trace import DynamicTrace, DynInst
 from .errors import ExecutionError
 from .instructions import InstrClass
 
@@ -103,6 +103,42 @@ class ColumnarTrace:
         self.instret = 0
         self._materialized: Optional[List[DynInst]] = None
         self._timing_tables: Dict[str, object] = {}
+
+    @classmethod
+    def from_dynamic(cls, trace: DynamicTrace) -> "ColumnarTrace":
+        """Columnar copy of an object-form trace.
+
+        Instructions sharing every static field share one
+        :class:`StaticOp`; the dynamic fields and CSR writes fill the
+        columns.  ``materialize_one(i)`` of the result reproduces
+        ``trace[i]`` field for field, with ``index`` set to ``i``.
+        """
+        columnar = cls((), program_name=trace.program_name,
+                       exit_code=trace.exit_code,
+                       halt_reason=trace.halt_reason,
+                       final_int_regs=list(trace.final_int_regs))
+        ops: Dict[StaticOp, int] = {}
+        sidx = columnar.sidx.append
+        mem_addr = columnar.mem_addr.append
+        next_pc = columnar.next_pc.append
+        taken = columnar.taken.append
+        for i, inst in enumerate(trace.instructions):
+            op = StaticOp(inst.pc, inst.cls, inst.dest, tuple(inst.srcs),
+                          inst.latency, inst.mnemonic, inst.mem_width,
+                          inst.is_load, inst.is_store, inst.is_branch,
+                          inst.is_fence, inst.csr)
+            s = ops.get(op)
+            if s is None:
+                s = ops[op] = len(ops)
+            sidx(s)
+            mem_addr(inst.mem_addr)
+            next_pc(inst.next_pc)
+            taken(inst.taken)
+            if inst.csr_write is not None:
+                columnar.csr_writes[i] = inst.csr_write
+        columnar.static_ops = tuple(ops)
+        columnar.instret = trace.instret
+        return columnar
 
     # ------------------------------------------------------------------
     # container protocol / lazy materialization
@@ -330,6 +366,13 @@ class ColumnarTrace:
         # object graphs: a trace crossing a process boundary costs
         # O(columns) bytes no matter how it is transported.
         return (unpack, (self.pack(),))
+
+
+def as_columnar(trace: Union[ColumnarTrace, DynamicTrace]) -> ColumnarTrace:
+    """*trace* itself when columnar, else its :meth:`from_dynamic` copy."""
+    if isinstance(trace, ColumnarTrace):
+        return trace
+    return ColumnarTrace.from_dynamic(trace)
 
 
 def unpack(data: bytes) -> ColumnarTrace:

@@ -9,16 +9,15 @@ Two execution paths:
 
 - **One active core** (every other slot idle): no threads, no turnstile
   — the core is built exactly the way the single-core pipeline builds
-  it and runs on the requested timing engine.  This path is *bit-
-  identical* to :func:`repro.tools.tma_tool.run_core` by construction
-  and is what the solo-oracle tests pin.  ``force_lockstep=True``
-  instead routes the single core through the full uncore + turnstile
-  stack (the traced engine), which the equivalence tests use to pin the
-  shared path itself against the solo oracle.
+  it.  This path is *bit-identical* to
+  :func:`repro.tools.tma_tool.run_core` by construction and is what the
+  solo-oracle tests pin.  ``force_lockstep=True`` instead routes the
+  single core through the full uncore + turnstile stack, which the
+  equivalence tests use to pin the shared path itself against the solo
+  oracle.
 - **Multiple active cores**: one thread per core, each attached to a
-  :class:`~repro.multicore.lockstep.TurnstileHook` (which forces the
-  traced per-cycle loop — pinned bit-identical to the fast engines by
-  the tier-1 suite), sharing one uncore.  Deterministic by
+  :class:`~repro.multicore.lockstep.TurnstileHook` (the cycle loop's
+  per-cycle fault hook), sharing one uncore.  Deterministic by
   construction: the turnstile serializes cycles in arbitration order,
   so repeated runs are identical.
 """
@@ -175,7 +174,6 @@ def _solo_metrics(result: CoreResult) -> RequestorMetrics:
 
 
 def run_scenario(scenario: Union[str, Scenario], *,
-                 engine: Optional[str] = None,
                  max_cycles: Optional[int] = None,
                  force_lockstep: bool = False,
                  lockstep_timeout: float = 300.0) -> MulticoreResult:
@@ -192,7 +190,7 @@ def run_scenario(scenario: Union[str, Scenario], *,
         index, slot = active[0]
         trace = build_trace(slot.workload, scale=scenario.scale)
         core = _make_core(slot)
-        result = core.run(trace, max_cycles=max_cycles, engine=engine)
+        result = core.run(trace, max_cycles=max_cycles)
         tma = compute_tma(result)
         metrics = _solo_metrics(result)
         attribution = attribute_mem_bound(tma, metrics, DRAM_LATENCY)
@@ -324,15 +322,9 @@ def run_scenario_payload(scenario: Union[str, Scenario], *,
                          scale: Optional[float] = None,
                          shared_bus: Optional[bool] = None,
                          arbitration: Optional[str] = None,
-                         engine: Optional[str] = None,
                          max_cycles: Optional[int] = None,
                          use_cache: bool = True) -> Dict[str, Any]:
-    """Resolve overrides, run (or serve from disk), return the payload.
-
-    The timing engines are bit-identical (the lockstep path always uses
-    the traced loop), so — like the CoreResult cache — the key does not
-    include *engine*.
-    """
+    """Resolve overrides, run (or serve from disk), return the payload."""
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     scenario = scenario.with_overrides(cores=cores, scale=scale,
@@ -344,8 +336,7 @@ def run_scenario_payload(scenario: Union[str, Scenario], *,
         cached = cache.load_payload(key)
         if cached is not None:
             return dict(cached, from_cache=True)
-    payload = run_scenario(scenario, engine=engine,
-                           max_cycles=max_cycles).to_payload()
+    payload = run_scenario(scenario, max_cycles=max_cycles).to_payload()
     if use_cache:
         cache.store_payload(key, payload)
     return dict(payload, from_cache=False)

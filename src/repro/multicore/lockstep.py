@@ -2,7 +2,7 @@
 
 The core models are single-threaded simulators with a per-cycle hook
 seam (:class:`~repro.cores.base.CoreFaultHook`, consulted exactly once
-at the top of every simulated cycle on the traced path).  Lockstep
+at the top of every simulated cycle).  Lockstep
 reuses that seam: each core runs on its own thread with a
 :class:`TurnstileHook` attached, and the :class:`CycleTurnstile` lets
 exactly one core simulate one cycle at a time, in a deterministic
@@ -124,10 +124,9 @@ class CycleTurnstile:
 class TurnstileHook:
     """:class:`CoreFaultHook` adapter: blocks for the turn, never stalls.
 
-    Attached as ``core.fault_hook``, which (a) forces the traced loop —
-    the per-cycle path already pinned bit-identical to the fast and
-    columnar engines — and (b) gets ``stall_cycle`` called exactly once
-    per simulated cycle, which is the turnstile's admission point.
+    Attached as ``core.fault_hook``, it gets ``stall_cycle`` called
+    exactly once per simulated cycle, at the top of the cycle loop's
+    per-cycle hook, which is the turnstile's admission point.
     """
 
     def __init__(self, turnstile: CycleTurnstile, core: int) -> None:

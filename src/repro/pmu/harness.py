@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..cores.base import (BoomConfig, CoreResult, RocketConfig,
-                          resolve_timing_engine)
+from ..cores.base import BoomConfig, CoreResult, RocketConfig
 from ..cores.boom import BoomCore
 from ..cores.rocket import RocketCore
 from ..isa import assemble, execute
@@ -85,23 +84,16 @@ class PerfHarness:
     """Programs counters, runs workloads, reads TMA event values back."""
 
     def __init__(self, core: str = "boom", increment_mode: str = "adders",
-                 mode: str = "baremetal", fault_injector=None,
-                 timing_engine: Optional[str] = None) -> None:
+                 mode: str = "baremetal", fault_injector=None) -> None:
         if mode not in ("baremetal", "linux"):
             raise ValueError(f"unknown mode {mode!r}")
         if increment_mode not in INCREMENT_MODES:
             raise ValueError(
                 f"unknown increment mode {increment_mode!r}; "
                 f"choose from {INCREMENT_MODES}")
-        if timing_engine is not None:
-            timing_engine = resolve_timing_engine(timing_engine)
         self.core = core
         self.increment_mode = increment_mode
         self.mode = mode
-        #: Timing-engine override forwarded to every ``core.run`` call
-        #: (None defers to ``REPRO_TIMING_ENGINE``).  Both engines are
-        #: bit-identical, so measurements do not depend on the choice.
-        self.timing_engine = timing_engine
         #: Optional :class:`repro.reliability.faults.FaultInjector`.
         #: When set, every run is perturbed through the injector's
         #: hooks (trace truncation, core stalls, counter corruption).
@@ -241,8 +233,7 @@ class PerfHarness:
             else:
                 self.setup(csr, assignment)
             core_model.add_observer(csr)
-            result = core_model.run(trace, max_cycles=max_cycles,
-                                    engine=self.timing_engine)
+            result = core_model.run(trace, max_cycles=max_cycles)
             csr.drain()
             for index, names in assignment.slots:
                 values[names[0]] = csr.corrected_value_for(index)
@@ -278,7 +269,7 @@ class PerfHarness:
         csr = CsrFile(core=self.core, increment_mode=self.increment_mode)
         self.setup(csr, assignment)
         core_model.add_observer(csr)
-        core_model.run(trace, engine=self.timing_engine)
+        core_model.run(trace)
         csr.drain()
         return {"+".join(names): csr.corrected_value_for(index)
                 for index, names in assignment.slots}

@@ -16,7 +16,7 @@ fault class          injection point
                      HPM counter value is read back with a flipped
                      bit (a stuck read port / SEU).
 ``truncate-trace``   :meth:`FaultInjector.perturb_trace` — the
-                     dynamic trace is cut short before replay (a
+                     trace is cut short before replay (a
                      truncated TracerV dump).
 ``corrupt-cache``    :meth:`FaultInjector.corrupt_cache_file` —
                      bytes of an on-disk result entry are flipped
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Sequence
 
-from ..isa.dyn_trace import DynamicTrace
+from ..isa.columnar import ColumnarTrace, as_columnar
 
 DROP_INCREMENTS = "drop-increments"
 BITFLIP_COUNTER = "bitflip-counter"
@@ -190,22 +190,25 @@ class FaultInjector:
     # trace hook
     # ------------------------------------------------------------------
 
-    def perturb_trace(self, trace: DynamicTrace) -> DynamicTrace:
-        """Cut the dynamic trace short before it reaches the core."""
+    def perturb_trace(self, trace: ColumnarTrace) -> ColumnarTrace:
+        """Cut the trace short before it reaches the core.
+
+        The cut is a column slice, so the truncated trace stays
+        columnar; it keeps the workload's name and is marked
+        ``halt_reason="truncated"``.
+        """
         spec = self.spec
         if spec.kind != TRUNCATE_TRACE:
             return trace
+        trace = as_columnar(trace)
         keep = max(1, int(len(trace) * spec.keep_fraction))
         if keep >= len(trace):
             keep = len(trace) - 1
         self.injections += 1
-        return DynamicTrace(
-            instructions=trace.instructions[:keep],
-            program_name=trace.program_name,
-            exit_code=trace.exit_code,
-            halt_reason="truncated",
-            final_int_regs=list(trace.final_int_regs),
-            instret=keep)
+        truncated = trace.slice(0, keep)
+        truncated.program_name = trace.program_name
+        truncated.halt_reason = "truncated"
+        return truncated
 
     # ------------------------------------------------------------------
     # cache hook

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..core.tma import TmaResult, compute_tma
-from ..cores.base import BoomConfig, RocketConfig, resolve_timing_engine
+from ..cores.base import BoomConfig, RocketConfig
 from ..isa.errors import DeadlineExceeded
 from ..pmu.harness import Measurement, PerfHarness
 from ..tools import cache
@@ -158,7 +158,6 @@ class ResilientRunner:
                  max_cycles: Optional[int] = DEFAULT_MAX_CYCLES,
                  backoff_base: float = 0.0,
                  use_cache: bool = True,
-                 timing_engine: Optional[str] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  breaker: Optional[CircuitBreaker] = None,
                  deadline: Optional[float] = None,
@@ -177,14 +176,7 @@ class ResilientRunner:
         self.breaker = breaker
         self.deadline = deadline
         self.clock = clock
-        self.harness = harness or PerfHarness(timing_engine=timing_engine)
-        if timing_engine is not None:
-            # An explicit runner-level engine wins over whatever the
-            # supplied harness was built with (both engines are
-            # bit-identical, so this only changes *how* the result is
-            # computed, never the result).
-            self.harness.timing_engine = resolve_timing_engine(timing_engine)
-        self.timing_engine = self.harness.timing_engine
+        self.harness = harness or PerfHarness()
         self.checker = checker or TmaInvariantChecker()
         self.event_names = list(event_names) if event_names else None
         self.scale = scale
@@ -205,8 +197,7 @@ class ResilientRunner:
         return PerfHarness(core=config.core,
                            increment_mode=self.harness.increment_mode,
                            mode=self.harness.mode,
-                           fault_injector=self.harness.fault_injector,
-                           timing_engine=self.timing_engine)
+                           fault_injector=self.harness.fault_injector)
 
     def _events_for(self, config: CoreConfig) -> Optional[Sequence[str]]:
         """Configured event names, but only for the matching core."""

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from .. import __version__
-from ..cores.base import resolve_timing_engine
 from ..reliability.breaker import CircuitBreaker
 from .job import (DEFAULT_PRIORITY, MAX_PRIORITY, GridJob, JobRecord,
                   JobValidationError, MulticoreJob, TMAJob, outcome_payload)
@@ -98,19 +97,11 @@ class TMAService:
                  max_requeues: int = 2,
                  record_retention: int = DEFAULT_RECORD_RETENTION,
                  metrics: Optional[MetricsRegistry] = None,
-                 timing_engine: Optional[str] = None,
                  breaker_threshold: int = 3,
                  breaker_cooldown: float = 30.0,
                  shard=None) -> None:
         if record_retention < 1:
             raise ValueError("record_retention must be >= 1")
-        if timing_engine is not None:
-            timing_engine = resolve_timing_engine(timing_engine)
-        #: Timing-engine override stamped onto every worker-bound
-        #: :class:`~repro.tools.pool.RunnerSpec` (None defers to
-        #: ``REPRO_TIMING_ENGINE`` in the worker process).  Engines are
-        #: bit-identical, so this never changes job results or dedup.
-        self.timing_engine = timing_engine
         #: Shard identity (:class:`repro.service.shard.ShardInfo`) when
         #: this instance serves one consistent-hash slice of the job-key
         #: space; None for a plain single-node deployment.  Shards get
@@ -208,8 +199,6 @@ class TMAService:
         self._emit(record, "running")
         allow_crash_hook = record.requeues == 0
         spec = record.job.runner_spec()
-        if self.timing_engine is not None:
-            spec = replace(spec, timing_engine=self.timing_engine)
         if record.job.deadline_seconds is not None:
             # Relative budget -> absolute deadline, stamped at launch
             # so queue wait does not eat into the execution budget.
@@ -367,25 +356,17 @@ class TMAService:
         # queue and the pool entirely.
         cached = self.store.lookup(job)
         if cached is not None:
-            now = time.time()
-            record.state = "done"
-            record.started_at = now
-            record.finished_at = now
-            record.result = cached
-            self.metrics.inc("jobs_accepted")
-            self.metrics.inc("cache_hits")
-            self.metrics.inc("jobs_completed")
-            self._emit(record, "queued", client=client)
-            self._emit_terminal(record)
-            latency = record.latency()
-            if latency is not None:
-                self.metrics.observe("job_latency_seconds", latency)
+            self._serve_cached(record, cached, client)
             self._refresh_gauges()
             return SubmitReceipt(record=record, accepted=True,
                                  queue_depth=self.scheduler.queue_depth)
 
-        receipt = self.scheduler.submit(record)
-        if receipt.accepted:
+        # The scheduler looks the store up again under its lock, for a
+        # primary that stored and retired after the lookup above.
+        receipt = self.scheduler.submit(record, lookup=self._lookup_record)
+        if receipt.cached is not None:
+            self._serve_cached(record, receipt.cached, client)
+        elif receipt.accepted:
             self.metrics.inc("jobs_accepted")
             self._emit(record, "queued", client=client,
                        coalesced_with=record.coalesced_with)
@@ -397,6 +378,26 @@ class TMAService:
             self._emit_terminal(record)
         self._refresh_gauges()
         return receipt
+
+    def _lookup_record(self, record: JobRecord) -> Optional[Dict[str, Any]]:
+        return self.store.lookup(record.job)
+
+    def _serve_cached(self, record: JobRecord, cached: Dict[str, Any],
+                      client: str) -> None:
+        """Complete *record* with a stored result; no queue, no run."""
+        now = time.time()
+        record.state = "done"
+        record.started_at = now
+        record.finished_at = now
+        record.result = cached
+        self.metrics.inc("jobs_accepted")
+        self.metrics.inc("cache_hits")
+        self.metrics.inc("jobs_completed")
+        self._emit(record, "queued", client=client)
+        self._emit_terminal(record)
+        latency = record.latency()
+        if latency is not None:
+            self.metrics.observe("job_latency_seconds", latency)
 
     def submit_multicore_payload(self,
                                  payload: Dict[str, Any]) -> SubmitReceipt:
@@ -464,29 +465,23 @@ class TMAService:
             point_record_ids[point.key] = record.id
             cached = self.store.lookup(job)
             if cached is not None:
-                now = time.time()
-                record.state = "done"
-                record.started_at = now
-                record.finished_at = now
-                record.result = cached
-                self.metrics.inc("jobs_accepted")
-                self.metrics.inc("cache_hits")
-                self.metrics.inc("jobs_completed")
+                self._serve_cached(record, cached, client)
                 self.metrics.inc("grid_points_cached")
-                self._emit(record, "queued", client=client)
-                self._emit_terminal(record)
-                latency = record.latency()
-                if latency is not None:
-                    self.metrics.observe("job_latency_seconds", latency)
                 continue
             queued.append(record)
 
         accepted = True
         if queued:
-            receipts = self.scheduler.submit_many(queued)
+            receipts = self.scheduler.submit_many(
+                queued, lookup=self._lookup_record)
             accepted = all(receipt.accepted for receipt in receipts)
             if accepted:
                 for receipt in receipts:
+                    if receipt.cached is not None:
+                        self._serve_cached(receipt.record, receipt.cached,
+                                           client)
+                        self.metrics.inc("grid_points_cached")
+                        continue
                     self.metrics.inc("jobs_accepted")
                     self._emit(receipt.record, "queued", client=client,
                                coalesced_with=receipt.record.coalesced_with)

@@ -11,7 +11,10 @@ The scheduler is the service's front door.  Its contract:
   it attaches to the primary as a follower and completes when the
   primary does (one execution, N completions).  Dedup therefore
   *relieves* backpressure — duplicate-heavy bursts coalesce instead of
-  filling the queue.
+  filling the queue.  With no primary in flight, an optional result
+  lookup runs under the same lock: a primary stores its result before
+  it is retired, so a repeat that just missed the store cannot slip
+  past its finished primary into a second execution.
 - **Priority then fair-share.**  Dispatch order is priority class
   ascending (0 first); within a class, clients are served round-robin
   so one chatty client cannot starve the rest.  Within one client's
@@ -28,7 +31,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from ..chaos import injector as chaos
 from .job import JobRecord
@@ -43,6 +46,12 @@ class SubmitReceipt:
     deduped: bool = False
     queue_depth: int = 0
     retry_after: Optional[float] = None
+    #: Stored result that completes the submission without a run.
+    cached: Optional[Dict[str, Any]] = None
+
+
+#: Result-store lookup consulted under the scheduler lock.
+Lookup = Callable[[JobRecord], Optional[Dict[str, Any]]]
 
 
 class JobScheduler:
@@ -67,8 +76,9 @@ class JobScheduler:
     # ------------------------------------------------------------------
     # Admission
 
-    def submit(self, record: JobRecord) -> SubmitReceipt:
-        """Admit, coalesce, or reject one submission."""
+    def submit(self, record: JobRecord,
+               lookup: Optional[Lookup] = None) -> SubmitReceipt:
+        """Admit, coalesce, serve from *lookup*, or reject a submission."""
         with self._lock:
             if self._closed:
                 record.state = "rejected"
@@ -84,6 +94,11 @@ class JobScheduler:
                 return SubmitReceipt(record=record, accepted=True,
                                      deduped=True,
                                      queue_depth=self._queued)
+            cached = lookup(record) if lookup is not None else None
+            if cached is not None:
+                return SubmitReceipt(record=record, accepted=True,
+                                     queue_depth=self._queued,
+                                     cached=cached)
             if self._queued >= self.capacity:
                 record.state = "rejected"
                 record.error = "queue full"
@@ -96,7 +111,8 @@ class JobScheduler:
             return SubmitReceipt(record=record, accepted=True,
                                  queue_depth=self._queued)
 
-    def submit_many(self, records: List[JobRecord]) -> List[SubmitReceipt]:
+    def submit_many(self, records: List[JobRecord],
+                    lookup: Optional[Lookup] = None) -> List[SubmitReceipt]:
         """Admit a whole batch atomically (one lock hold, no partial grids).
 
         Grid fan-outs need all-or-nothing admission: accepting half a
@@ -107,7 +123,9 @@ class JobScheduler:
         the remaining new primaries do not all fit under ``capacity``,
         the entire batch is rejected and no state changes.  Holding the
         lock across the batch also keeps the fair-share accounting
-        atomic: another client's fan-out cannot interleave.
+        atomic: another client's fan-out cannot interleave.  Records
+        *lookup* serves are accepted with their stored result and take
+        no slot.
         """
         with self._lock:
             if self._closed:
@@ -119,14 +137,22 @@ class JobScheduler:
                         for record in records]
             # Phase 1: classify without mutating, so rejection is free.
             batch_primaries: Dict[str, JobRecord] = {}
-            plans: List[str] = []  # "existing" | "batch" | "new"
+            batch_cached: Dict[str, Dict[str, Any]] = {}
+            plans: List[str] = []  # "existing" | "batch" | "cached" | "new"
             for record in records:
                 key = record.job_key
                 if key in self._primaries:
                     plans.append("existing")
                 elif key in batch_primaries:
                     plans.append("batch")
+                elif key in batch_cached:
+                    plans.append("cached")
                 else:
+                    cached = lookup(record) if lookup is not None else None
+                    if cached is not None:
+                        batch_cached[key] = cached
+                        plans.append("cached")
+                        continue
                     batch_primaries[key] = record
                     plans.append("new")
             if self._queued + len(batch_primaries) > self.capacity:
@@ -142,6 +168,11 @@ class JobScheduler:
             receipts: List[SubmitReceipt] = []
             for record, plan in zip(records, plans):
                 key = record.job_key
+                if plan == "cached":
+                    receipts.append(SubmitReceipt(
+                        record=record, accepted=True,
+                        queue_depth=self._queued, cached=batch_cached[key]))
+                    continue
                 record.state = "queued"
                 if plan == "new":
                     self._primaries[key] = record

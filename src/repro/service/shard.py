@@ -109,11 +109,9 @@ def _spec_to_submission(
     the same job object here guarantees the executor routes by the
     *same* canonical job key the server deduplicates on.
 
-    Two spec fields deliberately do not ship: ``timing_engine`` (all
-    engines are cycle-identical by the equivalence suite; the shard
-    uses its own default) and the retry shape
-    (``max_attempts``/``backoff_base`` — retry policy is the executing
-    server's concern, and folding it into the key would split dedup).
+    The retry shape (``max_attempts``/``backoff_base``) deliberately
+    does not ship: retry policy is the executing server's concern, and
+    folding it into the key would split dedup.
     An absolute ``deadline`` is rebased to the relative
     ``deadline_seconds`` the wire format carries.
     """

@@ -101,7 +101,7 @@ def _execute_windowed(spec: RunnerSpec, workload: str, config_name: str,
         result = run_windowed(
             workload, config, windows=spec.windows, scale=spec.scale,
             warmup=spec.windows_warmup, sampled=spec.windows_sampled,
-            engine=spec.timing_engine, use_cache=spec.use_cache, workers=1,
+            use_cache=spec.use_cache, workers=1,
             progress=progress if progress is not None else False)
         tma = compute_tma(result)
     except Exception as exc:  # noqa: BLE001 - reported on the outcome
@@ -149,7 +149,6 @@ def _execute_multicore(spec: RunnerSpec) -> RunOutcome:
             scale=spec.scenario_scale,
             shared_bus=spec.scenario_shared_bus,
             arbitration=spec.scenario_arbitration,
-            engine=spec.timing_engine,
             max_cycles=spec.max_cycles,
             use_cache=spec.use_cache)
     except Exception as exc:  # noqa: BLE001 - reported on the outcome

@@ -1,20 +1,14 @@
 """Benchmark harness with a regression gate: ``repro-tma bench``.
 
-Runs the tier-2 performance set — the Fig. 7 Rocket workload suite
-single-run (traced vs. fast path), the functional layer (interpreted
+Runs the tier-2 performance set — the functional layer (interpreted
 oracle vs. closure-compiled engine), the trace-memoization tiers
-(cold vs. warm), the timing engines (columnar descriptor loops vs.
-the ``DynInst``-walking oracle, on Rocket and BOOM large), and the
-(workload x config) sweep (serial vs. parallel) — and writes a
+(cold vs. warm), the timing layer (batched grid and windowed engines),
+and the (workload x config) sweep (serial vs. parallel) — and writes a
 ``BENCH_*.json`` snapshot of:
 
 - wall-clock and runs/sec for every mode,
-- the fast-path speedup over the traced path,
 - the compiled functional engine's speedup over the interpreter (with
   a bit-identical trace check),
-- the columnar timing engine's speedup over the object engine per
-  core model, in wall clock and simulated cycles/instructions per
-  second (with a bit-identical ``CoreResult`` check),
 - the warm trace-cache hit rate,
 - the batched multi-config engine's wall clock against per-config
   single runs (grid-of-4, inline and pooled, with a bit-identical
@@ -30,9 +24,10 @@ The regression gate compares the *ratio* metrics (speedups,
 efficiency) against the previous snapshot with a configurable
 threshold.  Ratios are used because they are approximately
 machine-independent: absolute runs/sec differ wildly across CI
-runners, but "fast path is 2.2x the traced path" holds anywhere the
-same interpreter runs, so a drop means the code regressed, not the
-machine.  Absolute numbers are recorded for humans, never gated.
+runners, but "the batch pass beats the single runs it replaces" holds
+anywhere the same interpreter runs, so a drop means the code
+regressed, not the machine.  Absolute numbers are recorded for
+humans, never gated.
 Raw parallel *speedup* is deliberately not gated either: on a 1-CPU
 runner 4 workers legitimately score < 1.0 (BENCH_PR2 recorded 0.894),
 so the gate uses per-core ``parallel.efficiency`` instead, which is
@@ -74,10 +69,7 @@ DEFAULT_OUTPUT = "BENCH_PR10.json"
 #: runner's core count (0.894 on a 1-CPU runner is correct behaviour),
 #: so the gate enforces the per-core ``parallel.efficiency`` instead.
 GATED_METRICS = (
-    "fastpath.speedup",
     "functional.speedup",
-    "timing.rocket.speedup",
-    "timing.boom_large.speedup",
     "timing.batch.speedup",
     "timing.windowed.efficiency",
     "parallel.efficiency",
@@ -94,23 +86,6 @@ QUICK_WORKLOADS = (
     "spmv",
     "mergesort",
     "multiply",
-)
-
-#: Workloads for the timing-engine section: a fixed basket mixing FP
-#: kernels, streaming memory, sorting, and branchy spec proxies, so
-#: the engine ratio reflects every pipeline regime rather than one
-#: workload's personality.
-TIMING_WORKLOADS = (
-    "mm",
-    "spmv",
-    "vvadd",
-    "multiply",
-    "towers",
-    "mergesort",
-    "548.exchange2_r",
-    "531.deepsjeng_r",
-    "541.leela_r",
-    "coremark",
 )
 
 
@@ -144,45 +119,6 @@ def _outcome_digest(outcome) -> Tuple:
     )
 
 
-def _bench_fastpath(
-    workloads: Sequence[str],
-    scale: float,
-    inject_slowdown: float,
-) -> Dict[str, float]:
-    """Single-run Fig. 7 Rocket suite: traced path vs. fast path.
-
-    The traced path attaches the per-cycle signal machinery the PMU
-    models consume; the fast path is the tracerless loop the sweeps
-    use.  Both replay identical committed-path traces, so the ratio is
-    a pure measure of the core model's inner loop.
-    """
-    from ..pmu.harness import make_core
-
-    traces = {name: build_trace(name, scale=scale) for name in workloads}
-
-    start = time.perf_counter()
-    for name in workloads:
-        make_core(ROCKET).run(traces[name], fast_path=False)
-    traced_s = time.perf_counter() - start
-
-    per_run_penalty = inject_slowdown * traced_s / len(workloads)
-    start = time.perf_counter()
-    for name in workloads:
-        make_core(ROCKET).run(traces[name], fast_path=True)
-        if per_run_penalty:
-            time.sleep(per_run_penalty)
-    fast_s = time.perf_counter() - start
-
-    return {
-        "workloads": len(workloads),
-        "traced_wall_s": round(traced_s, 4),
-        "fast_wall_s": round(fast_s, 4),
-        "traced_runs_per_s": round(len(workloads) / traced_s, 3),
-        "fast_runs_per_s": round(len(workloads) / fast_s, 3),
-        "speedup": round(traced_s / fast_s, 3),
-    }
-
-
 def _core_result_digest(result) -> Tuple:
     """Every observable field of one ``CoreResult``."""
     return (
@@ -198,85 +134,14 @@ def _core_result_digest(result) -> Tuple:
     )
 
 
-def _bench_timing_core(
-    make_core_fn: Callable,
-    traces: Dict,
-    names: Sequence[str],
-) -> Dict[str, float]:
-    """Run the basket under both timing engines for one core model.
-
-    Fresh core per run (matching how ``tma_tool``/the harness run), one
-    pass per engine over shared prebuilt traces: each engine pays its
-    own per-trace compilation exactly once — ``DynInst``
-    materialization for the object engine, descriptor tables for the
-    columnar engine — which is what a cold sweep pays.  ``identical``
-    is a full field-by-field ``CoreResult`` comparison.
-    """
-
-    def one_pass(engine: str):
-        results = []
-        start = time.perf_counter()
-        for name in names:
-            results.append(make_core_fn().run(traces[name], engine=engine))
-        return time.perf_counter() - start, results
-
-    objects_s, objects_results = one_pass("objects")
-    columnar_s, columnar_results = one_pass("columnar")
-    identical = all(
-        _core_result_digest(a) == _core_result_digest(b)
-        for a, b in zip(objects_results, columnar_results)
-    )
-    cycles = sum(r.cycles for r in columnar_results)
-    instret = sum(r.instret for r in columnar_results)
-    return {
-        "workloads": len(names),
-        "simulated_cycles": cycles,
-        "simulated_instructions": instret,
-        "objects_wall_s": round(objects_s, 4),
-        "columnar_wall_s": round(columnar_s, 4),
-        "objects_kcycles_per_s": round(cycles / objects_s / 1e3, 1),
-        "columnar_kcycles_per_s": round(cycles / columnar_s / 1e3, 1),
-        "objects_kinst_per_s": round(instret / objects_s / 1e3, 1),
-        "columnar_kinst_per_s": round(instret / columnar_s / 1e3, 1),
-        "speedup": round(objects_s / columnar_s, 3),
-        "identical": identical,
-    }
-
-
-def _bench_timing(scale: float, workers: int) -> Dict:
-    """Timing engines: descriptor-compiled columnar loops vs. oracle.
-
-    Both engines replay identical committed-path traces through the
-    same pipeline model, so the ratio isolates the engine's data
-    layout: slab-allocated columns indexed by static-op descriptors
-    vs. materialized ``DynInst``/µop objects.  Simulated cycles and
-    instructions per second are the throughput a (workload x config)
-    sweep experiences per core model.
-    """
-    from ..cores.boom import BoomCore
-    from ..cores.configs import LARGE_BOOM
-    from ..cores.rocket import RocketCore
-
-    names = TIMING_WORKLOADS
-    traces = {name: build_trace(name, scale=scale) for name in names}
-    rocket = _bench_timing_core(lambda: RocketCore(ROCKET), traces, names)
-    boom = _bench_timing_core(lambda: BoomCore(LARGE_BOOM), traces, names)
-    # Drop the section's residue: the object-engine passes cached a
-    # materialized DynInst list on every trace held by the in-memory
-    # tier, and forking that heap into pool workers measurably slows
-    # the parallel section (copy-on-write faults on refcount writes).
-    del traces
-    trace_cache.clear_memory()
-    batch = _bench_batch(scale, workers)
+def _bench_timing(scale: float, workers: int, inject_slowdown: float) -> Dict:
+    """Timing layer: the batched grid engine and the windowed engine."""
+    batch = _bench_batch(scale, workers, inject_slowdown)
     windowed = _bench_windowed(workers)
     return {
-        "rocket": rocket,
-        "boom_large": boom,
         "batch": batch,
         "windowed": windowed,
-        "identical": bool(
-            rocket["identical"] and boom["identical"] and batch["identical"]
-        ),
+        "identical": batch["identical"],
     }
 
 
@@ -286,7 +151,11 @@ def _bench_timing(scale: float, workers: int) -> Dict:
 BATCH_WORKLOADS = ("mm", "towers")
 
 
-def _bench_batch(scale: float, workers: int) -> Dict[str, float]:
+def _bench_batch(
+    scale: float,
+    workers: int,
+    inject_slowdown: float = 0.0,
+) -> Dict[str, float]:
     """Batched multi-config engine vs. per-config single runs.
 
     Measures the default grid-of-4 three ways over the same workload
@@ -304,6 +173,8 @@ def _bench_batch(scale: float, workers: int) -> Dict[str, float]:
       memos shared — with no parallelism in the numerator, so it is
       machine-independent and must never fall materially below 1.0
       (batching must not cost more than the runs it replaces).
+      ``inject_slowdown`` adds that fraction of the singles' wall time,
+      spread over the inline runs, to self-test the gate.
     - ``pool``: the same pass with ``workers`` processes, which is how
       ``repro-tma sweep --grid`` actually runs.  ``vs_single``
       (``pool_wall / max_single_wall``) is the acceptance target
@@ -339,12 +210,16 @@ def _bench_batch(scale: float, workers: int) -> Dict[str, float]:
                 )
             single_wall[point.key] = time.perf_counter() - start
 
+        per_run_penalty = inject_slowdown * sum(single_wall.values()) / len(names)
         trace_cache.clear_memory()
         start = time.perf_counter()
-        batches = {
-            name: run_batch(name, points, scale=scale, use_cache=False, workers=1)
-            for name in names
-        }
+        batches = {}
+        for name in names:
+            batches[name] = run_batch(
+                name, points, scale=scale, use_cache=False, workers=1
+            )
+            if per_run_penalty:
+                time.sleep(per_run_penalty)
         batch_s = time.perf_counter() - start
 
         trace_cache.clear_memory()
@@ -1030,8 +905,7 @@ def run_benchmarks(
         "fingerprint": _fingerprint(),
         "functional": _bench_functional(workloads, scale),
         "trace_cache": _bench_trace_cache(workloads, scale),
-        "fastpath": _bench_fastpath(workloads, scale, inject_slowdown),
-        "timing": _bench_timing(scale, workers),
+        "timing": _bench_timing(scale, workers, inject_slowdown),
         "parallel": _bench_parallel(workloads, scale, workers),
         # Fixed small scale: the lockstep harness serializes cycles
         # across cores, so the section stays CI-cheap at any mode.
@@ -1103,8 +977,8 @@ def compare_benchmarks(
         )
     if not current.get("timing", {}).get("identical", True):
         problems.append(
-            "timing.identical: columnar and object timing engines "
-            "produced different CoreResults"
+            "timing.identical: batched grid points diverged from "
+            "their single-run CoreResults"
         )
     windowed = current.get("timing", {}).get("windowed", {})
     if not windowed.get("stitch_ok", True):
@@ -1174,7 +1048,6 @@ def find_baseline(output: str, root: str = ".") -> Optional[str]:
 
 
 def render_payload(payload: Dict) -> str:
-    fast = payload["fastpath"]
     par = payload["parallel"]
     lines = [
         f"tier-2 bench [{payload['mode']}] scale={payload['scale']} "
@@ -1201,27 +1074,8 @@ def render_payload(payload: Dict) -> str:
             f"mem {tc['mem_wall_s']:.2f}s  "
             f"warm hit rate {tc['trace_cache_hit_rate']:.2f}"
         )
-    lines += [
-        f"  fastpath: {fast['workloads']} rocket fig7 runs  "
-        f"traced {fast['traced_wall_s']:.2f}s "
-        f"({fast['traced_runs_per_s']:.1f}/s)  "
-        f"fast {fast['fast_wall_s']:.2f}s "
-        f"({fast['fast_runs_per_s']:.1f}/s)  "
-        f"speedup {fast['speedup']:.2f}x",
-    ]
     timing = payload.get("timing")
     if timing:
-        for core_key in ("rocket", "boom_large"):
-            section = timing[core_key]
-            lines.append(
-                f"  timing[{core_key}]: {section['workloads']} workloads  "
-                f"objects {section['objects_wall_s']:.2f}s "
-                f"({section['objects_kcycles_per_s']:.0f} kcyc/s)  "
-                f"columnar {section['columnar_wall_s']:.2f}s "
-                f"({section['columnar_kcycles_per_s']:.0f} kcyc/s)  "
-                f"speedup {section['speedup']:.2f}x  "
-                f"identical={section['identical']}"
-            )
         batch = timing.get("batch")
         if batch:
             lines.append(

@@ -25,7 +25,7 @@ from typing import List, Optional
 from ..core import (compute_tma, render_breakdown_table, render_result,
                     to_csv, to_json)
 from ..cores import CONFIGS_BY_NAME, config_by_name
-from ..cores.base import RocketConfig, TIMING_ENGINES
+from ..cores.base import RocketConfig
 from ..pmu import PerfHarness
 from ..pmu.harness import make_core
 from ..trace import (boom_tma_bundle, capture_trace, find_first,
@@ -33,14 +33,6 @@ from ..trace import (boom_tma_bundle, capture_trace, find_first,
 from ..vlsi import ARCHITECTURES, sweep
 from ..workloads import build_trace, get_workload, workload_names
 from .tma_tool import run_suite
-
-
-def _add_timing_engine(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--timing-engine", default=None,
-                        choices=sorted(TIMING_ENGINES),
-                        help="timing-engine implementation (default: "
-                             "REPRO_TIMING_ENGINE or columnar); the "
-                             "engines are bit-identical")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -103,7 +95,6 @@ def _cmd_tma(args: argparse.Namespace) -> int:
     try:
         core_result = run_core(args.workload, config, scale=args.scale,
                                use_cache=not args.no_cache,
-                               engine=args.timing_engine,
                                windows=args.windows, warmup=args.warmup,
                                sampled=args.sampled, progress=args.progress)
     except ValueError as exc:
@@ -160,7 +151,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     try:
         results = run_suite(names, config, scale=args.scale,
                             use_cache=not args.no_cache,
-                            engine=args.timing_engine,
                             checkpoint=checkpoint, deadline=deadline,
                             windows=args.windows, warmup=args.warmup,
                             sampled=args.sampled, progress=args.progress)
@@ -320,7 +310,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         batches = run_grid(names, points, scale=args.scale,
                            use_cache=not args.no_cache,
-                           engine=args.timing_engine,
                            workers=args.workers,
                            checkpoint=checkpoint, deadline=deadline,
                            windows=args.windows, warmup=args.warmup,
@@ -428,8 +417,7 @@ def _cmd_multicore(args: argparse.Namespace) -> int:
         payload = run_scenario_payload(
             args.scenario, cores=args.cores, scale=args.scale,
             shared_bus=False if args.no_shared_bus else None,
-            arbitration=args.arbitration, engine=args.timing_engine,
-            use_cache=not args.no_cache)
+            arbitration=args.arbitration, use_cache=not args.no_cache)
     except KeyError as exc:
         print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
         return 2
@@ -541,8 +529,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     config = config_by_name(args.config)
     harness = PerfHarness(core=config.core,
                           increment_mode=args.counter_arch,
-                          mode=args.mode,
-                          timing_engine=args.timing_engine)
+                          mode=args.mode)
     events = args.events.split(",") if args.events else None
     measurement = harness.measure(args.workload, config,
                                   event_names=events, scale=args.scale)
@@ -679,8 +666,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     kwargs = dict(workers=args.workers,
                   queue_capacity=args.queue_size,
                   executor=args.executor,
-                  record_retention=args.record_retention,
-                  timing_engine=args.timing_engine)
+                  record_retention=args.record_retention)
     if args.shard_id:
         from ..service.shard import make_shard_service
 
@@ -873,7 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tma.add_argument("--workload", required=True)
     p_tma.add_argument("--top-only", action="store_true")
     _add_common(p_tma)
-    _add_timing_engine(p_tma)
     _add_windowing(p_tma)
     p_tma.set_defaults(func=_cmd_tma)
 
@@ -891,7 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="wall-clock budget in seconds; progress is "
                               "checkpointed, exit code 3 when it lapses")
     _add_common(p_suite)
-    _add_timing_engine(p_suite)
     _add_windowing(p_suite)
     p_suite.set_defaults(func=_cmd_suite)
 
@@ -928,7 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--deadline", type=float, default=None,
                          help="wall-clock budget in seconds; progress is "
                               "checkpointed, exit code 3 when it lapses")
-    _add_timing_engine(p_sweep)
     _add_windowing(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -955,7 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="bypass the on-disk result cache")
     p_mc.add_argument("--json", default=None,
                       help="also write the scenario payload as JSON")
-    _add_timing_engine(p_mc)
     p_mc.set_defaults(func=_cmd_multicore)
 
     p_mix = sub.add_parser("mix", help="dynamic instruction mix")
@@ -994,7 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["baremetal", "linux"])
     p_perf.add_argument("--show-tma", action="store_true")
     _add_common(p_perf)
-    _add_timing_engine(p_perf)
     p_perf.set_defaults(func=_cmd_perf)
 
     p_bench = sub.add_parser(
@@ -1061,7 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip resubmitting drain-persisted jobs")
     p_serve.add_argument("--verbose", action="store_true",
                          help="log every HTTP request to stderr")
-    _add_timing_engine(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_submit = sub.add_parser(

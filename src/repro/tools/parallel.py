@@ -35,14 +35,6 @@ before sharding, the parent *pre-warms* the trace-memoization disk tier
 columnar trace, so every pool worker unpacks compact column bytes
 instead of re-executing the workload — and nothing ever pickles a
 ``DynInst`` list across the process boundary.
-
-Timing-engine selection (``REPRO_TIMING_ENGINE``) crosses the process
-boundary the same way as every other runner option: the wrapped
-runner's ``timing_engine`` rides in the picklable
-:class:`~repro.tools.pool.RunnerSpec` and is rebuilt into each
-worker-side harness, while an unset engine defers to the environment
-variable the workers inherit.  Both engines are bit-identical, so the
-sweep's merged report never depends on the choice.
 """
 
 from __future__ import annotations

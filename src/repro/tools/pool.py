@@ -88,9 +88,6 @@ class RunnerSpec:
     max_cycles: Optional[int] = DEFAULT_MAX_CYCLES
     backoff_base: float = 0.0
     use_cache: bool = True
-    #: Timing-engine override rebuilt into the worker-side harness
-    #: (None defers to ``REPRO_TIMING_ENGINE`` in the worker process).
-    timing_engine: Optional[str] = None
     #: Absolute ``time.time()`` wall-clock deadline carried from the
     #: CLI / service job into the worker-side runner: attempts that
     #: cannot start before it fail fast with ``DeadlineExceeded``.
@@ -129,7 +126,6 @@ class RunnerSpec:
             max_cycles=runner.max_cycles,
             backoff_base=runner.backoff_base,
             use_cache=runner.use_cache,
-            timing_engine=runner.timing_engine,
             deadline=runner.deadline,
         )
 
@@ -140,7 +136,6 @@ class RunnerSpec:
             core=self.core,
             increment_mode=self.increment_mode,
             mode=self.mode,
-            timing_engine=self.timing_engine,
         )
         return ResilientRunner(
             harness=harness,

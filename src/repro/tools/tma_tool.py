@@ -43,7 +43,6 @@ class SuiteDeadlineExceeded(DeadlineExceeded):
 
 def run_core(workload: str, config: CoreConfig, scale: float = 1.0,
              use_cache: bool = True,
-             engine: Optional[str] = None,
              windows: Optional[int] = None,
              warmup: Optional[int] = None,
              sampled: bool = False,
@@ -53,11 +52,6 @@ def run_core(workload: str, config: CoreConfig, scale: float = 1.0,
 
     Results are cached on disk keyed by a fingerprint of every module
     that influences timing, so repeated benchmark runs are cheap.
-
-    *engine* selects the timing-engine implementation (``None`` defers
-    to ``REPRO_TIMING_ENGINE``, default ``columnar``).  The engines are
-    bit-identical, so the disk cache is deliberately shared between
-    them: the key does not include the engine.
 
     *windows* shards the trace into K instruction windows simulated in
     parallel and stitched (:mod:`repro.cores.windowed`); *warmup* sets
@@ -80,7 +74,7 @@ def run_core(workload: str, config: CoreConfig, scale: float = 1.0,
     if windows is not None:
         return run_windowed(
             workload, config, windows=windows, scale=scale, warmup=warmup,
-            sampled=sampled, engine=engine, use_cache=use_cache,
+            sampled=sampled, use_cache=use_cache,
             workers=workers, progress=progress)
     if sampled:
         raise ValueError("sampled=True requires windows= to be set")
@@ -99,7 +93,7 @@ def run_core(workload: str, config: CoreConfig, scale: float = 1.0,
         core = RocketCore(config)
     else:
         core = BoomCore(config)
-    result = core.run(trace, engine=engine)
+    result = core.run(trace)
     if use_cache:
         cache.store(key, result)
     return result
@@ -107,7 +101,6 @@ def run_core(workload: str, config: CoreConfig, scale: float = 1.0,
 
 def run_tma(workload: str, config: CoreConfig = LARGE_BOOM,
             scale: float = 1.0, use_cache: bool = True,
-            engine: Optional[str] = None,
             windows: Optional[int] = None,
             warmup: Optional[int] = None,
             sampled: bool = False,
@@ -115,7 +108,7 @@ def run_tma(workload: str, config: CoreConfig = LARGE_BOOM,
             progress: bool = False) -> TmaResult:
     """End-to-end: workload name + core config -> TMA classification."""
     return compute_tma(run_core(workload, config, scale=scale,
-                                use_cache=use_cache, engine=engine,
+                                use_cache=use_cache,
                                 windows=windows, warmup=warmup,
                                 sampled=sampled, workers=workers,
                                 progress=progress))
@@ -124,7 +117,6 @@ def run_tma(workload: str, config: CoreConfig = LARGE_BOOM,
 def run_suite(workloads: Sequence[str], config: CoreConfig,
               scale: float = 1.0,
               use_cache: bool = True,
-              engine: Optional[str] = None,
               checkpoint: Optional[SweepCheckpoint] = None,
               deadline: Optional[float] = None,
               windows: Optional[int] = None,
@@ -168,7 +160,7 @@ def run_suite(workloads: Sequence[str], config: CoreConfig,
                 f"{len(workloads)} workloads remaining",
                 results=results, remaining=remaining)
         result = run_core(name, config, scale=scale, use_cache=use_cache,
-                          engine=engine, windows=windows, warmup=warmup,
+                          windows=windows, warmup=warmup,
                           sampled=sampled, workers=workers, progress=progress)
         if checkpoint is not None:
             checkpoint.record(key, cache.serialize_result(result))
@@ -179,7 +171,6 @@ def run_suite(workloads: Sequence[str], config: CoreConfig,
 def run_grid(workloads: Sequence[str], points: Sequence["GridPoint"],
              scale: float = 1.0,
              use_cache: bool = True,
-             engine: Optional[str] = None,
              workers: Optional[int] = None,
              checkpoint: Optional[SweepCheckpoint] = None,
              deadline: Optional[float] = None,
@@ -210,7 +201,7 @@ def run_grid(workloads: Sequence[str], points: Sequence["GridPoint"],
                 f"{len(workloads)} workloads remaining",
                 results=results, remaining=remaining)
         results.append(run_batch(
-            name, points, scale=scale, engine=engine, use_cache=use_cache,
+            name, points, scale=scale, use_cache=use_cache,
             checkpoint=checkpoint, workers=workers, windows=windows,
             warmup=warmup, sampled=sampled, progress=progress))
     return results

@@ -10,10 +10,6 @@ canonical point keys, fold-cache sharing safety, checkpoint restore,
 and the end-to-end acceptance — SIGKILL a ``repro-tma sweep --grid``
 run mid-grid, ``--resume`` it, and require the matrix to match an
 uninterrupted oracle run exactly.
-
-The whole file honours ``REPRO_TIMING_ENGINE``: the batch-equivalence
-CI job runs it once on the default columnar engine and once with the
-object-engine oracle forced.
 """
 
 import dataclasses
@@ -82,7 +78,7 @@ def test_batch_shares_tables_and_folds_on_columnar():
     trace = build_trace("towers", scale=SCALE, engine="compiled")
     assert hasattr(trace, "timing_table")
     batch = run_batch("towers", GRID, scale=SCALE, use_cache=False,
-                      engine="columnar", workers=1)
+                      workers=1)
     stats = batch.stats
     assert stats.mode == "inline"
     # One rocket + three BOOM points: each family compiles its

@@ -5,8 +5,11 @@ import pickle
 import pytest
 
 from repro.cores import config_by_name
-from repro.isa import ColumnarTrace, ExecutionError, execute, execute_compiled
+from repro.isa import (ColumnarTrace, ExecutionError, assemble, execute,
+                       execute_compiled)
 from repro.isa.columnar import unpack, unpack_window
+from repro.isa.dyn_trace import DynamicTrace, DynInst
+from repro.isa.instructions import InstrClass
 from repro.pmu.harness import make_core
 from repro.workloads import build_program
 
@@ -136,13 +139,71 @@ def test_window_unpack_shares_one_static_table(trace):
 
 
 @pytest.mark.parametrize("config_name", ["rocket", "small-boom"])
-@pytest.mark.parametrize("fast_path", [False, True])
-def test_cores_accept_columnar_traces(config_name, fast_path):
+@pytest.mark.parametrize("observed", [False, True])
+def test_cores_accept_columnar_traces(config_name, observed):
     program = build_program("median")
     interpreted = execute(program)
     columnar = execute_compiled(program)
     config = config_by_name(config_name)
-    baseline = make_core(config).run(interpreted, fast_path=fast_path)
-    result = make_core(config).run(columnar, fast_path=fast_path)
+    cores = [make_core(config), make_core(config)]
+    if observed:
+        for core in cores:
+            core.add_observer(_NullObserver())
+    baseline = cores[0].run(interpreted)
+    result = cores[1].run(columnar)
     assert result.cycles == baseline.cycles
     assert result.instret == baseline.instret
+    assert result.events == baseline.events
+
+
+class _NullObserver:
+    def on_cycle(self, cycle, signals):
+        pass
+
+
+_CSR_WRITES_ASM = """.text
+_start:
+    li t0, 12
+    csrw mhpmevent3, t0
+    csrwi mcounteren, 7
+    csrw mhpmcounter3, zero
+    addi t1, t0, 1
+    li a7, 93
+    ecall
+"""
+
+
+@pytest.mark.parametrize("program", ["median", "csr-writes"])
+def test_from_dynamic_round_trips_materialize_one(program):
+    if program == "median":
+        interpreted = execute(build_program("median"))
+    else:
+        interpreted = execute(assemble(_CSR_WRITES_ASM, name=program))
+        assert sum(inst.csr_write is not None for inst in interpreted) == 3
+    columnar = ColumnarTrace.from_dynamic(interpreted)
+    assert len(columnar) == len(interpreted)
+    assert len(columnar.static_ops) <= len(interpreted)
+    assert (columnar.program_name, columnar.exit_code, columnar.halt_reason,
+            columnar.final_int_regs, columnar.instret) == \
+        (interpreted.program_name, interpreted.exit_code,
+         interpreted.halt_reason, interpreted.final_int_regs,
+         interpreted.instret)
+    for i, inst in enumerate(interpreted):
+        view = columnar.materialize_one(i)
+        assert [getattr(view, f) for f in DynInst.__slots__] == \
+            [getattr(inst, f) for f in DynInst.__slots__], i
+
+
+def test_from_dynamic_keeps_hand_built_instructions_apart():
+    """Two instructions at one pc but with different static fields."""
+    a = DynInst(0, 0x1000, InstrClass.ALU, 5, (1,), 1, 0x1004, "addi")
+    b = DynInst(1, 0x1004, InstrClass.JUMP, -1, (), 1, 0x1000, "j",
+                taken=True)
+    c = DynInst(2, 0x1000, InstrClass.MUL, 6, (5,), 3, 0x1004, "mul",
+                csr_write=7)
+    trace = DynamicTrace([a, b, c], program_name="hand")
+    columnar = ColumnarTrace.from_dynamic(trace)
+    assert len(columnar.static_ops) == 3
+    assert columnar.csr_writes == {2: 7}
+    assert columnar.materialize_one(2).cls is InstrClass.MUL
+    assert columnar.materialize_one(1).taken is True

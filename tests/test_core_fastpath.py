@@ -1,14 +1,12 @@
-"""Fast-path core loops must be bit-identical to the traced loops.
+"""Observers and fault hooks ride the one cycle loop without changing it.
 
-The tracerless fast path skips per-cycle signal-record allocation; the
-only acceptable difference is wall clock.  These tests pin the full
-result surface — event totals, cycles, instret, cache and predictor
-statistics — for both cores across a workload cross-section, plus the
-guard that refuses the fast path when an observer needs the records it
-skips.
+With an observer attached, each core's cycle loop hands it the
+``{event: lane_mask}`` record of every cycle.  These tests pin that
+per-cycle stream against ``tests/golden_digests.json`` (recorded on
+the per-cycle object loops before they were deleted) for both cores
+across a workload cross-section, and pin that attaching an observer
+never changes the run's result.
 """
-
-import dataclasses
 
 import pytest
 
@@ -16,71 +14,36 @@ from repro.cores import LARGE_BOOM, ROCKET, SMALL_BOOM
 from repro.pmu.harness import make_core
 from repro.workloads import build_trace
 
-WORKLOADS = ["dhrystone", "median", "memcpy", "mergesort", "qsort",
-             "spmv", "towers", "vvadd"]
+from tests.make_golden_digests import (STREAM_WORKLOADS, SignalStreamRecorder,
+                                       config_key, digest, load_golden,
+                                       stream_doc)
+
+WORKLOADS = list(STREAM_WORKLOADS)
 SCALE = 0.3
-
-
-def result_digest(result):
-    return (
-        result.events,
-        result.lane_events,
-        result.cycles,
-        result.instret,
-        dataclasses.astuple(result.l1i_stats),
-        dataclasses.astuple(result.l1d_stats),
-        dataclasses.astuple(result.l2_stats),
-        dataclasses.astuple(result.predictor_stats),
-        result.extra,
-    )
+GOLDEN = load_golden()
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("config", [ROCKET, SMALL_BOOM, LARGE_BOOM],
                          ids=lambda c: c.name)
-def test_fast_path_matches_traced_path(workload, config):
-    trace = build_trace(workload, scale=SCALE)
-    traced = make_core(config).run(trace, fast_path=False)
-    fast = make_core(config).run(trace, fast_path=True)
-    if isinstance(fast.lane_events, dict) and not fast.lane_events:
-        # The fast path reports no per-lane splits (nothing tracks
-        # them); totals must still agree exactly.
-        assert traced.events == fast.events
-        digest_traced = result_digest(traced)[2:]
-        digest_fast = result_digest(fast)[2:]
-        assert digest_traced == digest_fast
-    else:
-        assert result_digest(traced) == result_digest(fast)
+def test_signal_stream_matches_golden(workload, config):
+    key = config_key(config)
+    assert digest(stream_doc(workload, key)) == \
+        GOLDEN[f"signals/{workload}/{key}"]
 
 
 @pytest.mark.parametrize("config", [ROCKET, SMALL_BOOM],
                          ids=lambda c: c.name)
 def test_auto_path_is_fast_only_when_traceless(config):
+    """An observer sees every cycle and changes nothing it observes."""
     trace = build_trace("median", scale=SCALE)
-    core = make_core(config)
-    auto = core.run(trace)
-    assert auto.events == make_core(config).run(trace,
-                                                fast_path=True).events
-
-    class Recorder:
-        def __init__(self):
-            self.cycles = 0
-
-        def on_cycle(self, cycle, signals):
-            self.cycles += 1
+    plain = make_core(config).run(trace)
 
     observed_core = make_core(config)
-    recorder = Recorder()
+    recorder = SignalStreamRecorder()
     observed_core.add_observer(recorder)
     observed = observed_core.run(trace)
     assert recorder.cycles == observed.cycles
-    assert observed.events == auto.events
-
-
-@pytest.mark.parametrize("config", [ROCKET, SMALL_BOOM],
-                         ids=lambda c: c.name)
-def test_fast_path_refused_with_observer(config):
-    core = make_core(config)
-    core.add_observer(lambda cycle, signals: None)
-    with pytest.raises(ValueError):
-        core.run(build_trace("median", scale=SCALE), fast_path=True)
+    assert observed.events == plain.events
+    assert observed.lane_events == plain.lane_events
+    assert observed.cycles == plain.cycles

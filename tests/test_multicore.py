@@ -98,11 +98,18 @@ def test_lockstep_solo_with_idle_neighbor_matches_oracle(workload, config):
     assert core.uncore.bus_wait_neighbor == 0
 
 
-@pytest.mark.parametrize("engine", ["columnar", "objects"])
-def test_solo_identity_holds_on_both_engines(engine):
-    result = run_scenario(solo_scenario("vvadd", "rocket"), engine=engine)
+#: The two trace forms a core accepts, by the functional executor that
+#: produces them: compiled -> ``ColumnarTrace``, interpreted -> the
+#: object-form ``DynamicTrace`` (converted by ``from_dynamic``).
+TRACE_FORMS = {"columnar": "compiled", "objects": "interpreted"}
+
+
+@pytest.mark.parametrize("trace_form", list(TRACE_FORMS))
+def test_solo_identity_holds_on_both_engines(trace_form, monkeypatch):
+    monkeypatch.setenv("REPRO_EXEC_ENGINE", TRACE_FORMS[trace_form])
+    result = run_scenario(solo_scenario("vvadd", "rocket"))
     solo = run_core("vvadd", config_by_name("rocket"), scale=SCALE,
-                    use_cache=False, engine=engine)
+                    use_cache=False)
     assert result_digest(result.core_at(0).result) == result_digest(solo)
 
 
@@ -111,10 +118,11 @@ def test_solo_identity_holds_on_both_engines(engine):
 
 
 @pytest.mark.parametrize("name", scenario_names())
-@pytest.mark.parametrize("engine", ["columnar", "objects"])
-def test_scenario_attribution_invariants(name, engine):
+@pytest.mark.parametrize("trace_form", list(TRACE_FORMS))
+def test_scenario_attribution_invariants(name, trace_form, monkeypatch):
+    monkeypatch.setenv("REPRO_EXEC_ENGINE", TRACE_FORMS[trace_form])
     scenario = get_scenario(name).with_overrides(scale=SCALE)
-    result = run_scenario(scenario, engine=engine)
+    result = run_scenario(scenario)
     assert result.cores, "scenario ran no cores"
     for core in result.cores:
         level1_sum = sum(core.tma.level1.values())

@@ -127,6 +127,24 @@ def test_truncated_trace_detected_against_reference():
     assert excinfo.value.invariant == "reference-divergence"
 
 
+def test_truncated_trace_stays_columnar_and_matches_golden():
+    from repro.isa.columnar import ColumnarTrace
+    from tests.make_golden_digests import digest, load_golden, pmu_fault_doc
+
+    trace = build_trace("qsort", scale=0.3, engine="compiled")
+    spec = FaultSpec(kind=TRUNCATE_TRACE, seed=1, keep_fraction=0.45)
+    cut = FaultInjector(spec).perturb_trace(trace)
+    keep = int(len(trace) * 0.45)
+    assert isinstance(cut, ColumnarTrace)
+    assert (len(cut), cut.instret, cut.halt_reason, cut.program_name) == \
+        (keep, keep, "truncated", trace.program_name)
+    # The whole truncated measurement, CoreResult included, is the one
+    # recorded when truncation still built an object-form trace.
+    key = "pmu-fault/truncate-trace/qsort/rocket"
+    assert digest(pmu_fault_doc("qsort", "rocket", "truncate-trace")) == \
+        load_golden()[key]
+
+
 def test_stalled_core_detected_as_run_timeout():
     spec = FaultSpec(kind=STALL_CORE, seed=1, stall_at=32)
     with pytest.raises(RunTimeout):

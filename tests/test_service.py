@@ -119,6 +119,60 @@ def test_repeat_request_served_from_cache_without_pool():
         service.drain()
 
 
+def _race_primary_past_lookup(service, monkeypatch, primary_ids):
+    """Hook between a repeat's store lookup and its scheduler submit.
+
+    The first lookup after installation misses, and the hook then waits
+    for the primaries to store their results and retire: the exact
+    window in which a repeat used to slip into a second execution.
+    """
+    real_lookup = service.store.lookup
+    raced = []
+
+    def racing_lookup(job):
+        result = real_lookup(job)
+        if result is None and not raced:
+            raced.append(job)
+            wait_done(service, primary_ids)
+        return result
+
+    monkeypatch.setattr(service.store, "lookup", racing_lookup)
+    return raced
+
+
+@pytest.mark.parametrize("path", ["job", "grid"])
+def test_repeat_racing_its_primary_executes_once(monkeypatch, path):
+    service = make_service(workers=1).start()
+    body = {"workload": "vvadd", "scale": 0.2, "config": "rocket"}
+    try:
+        if path == "job":
+            primary_ids = [service.submit_payload(body).record.id]
+        else:
+            grid = service.submit_grid_payload(
+                {"workload": "vvadd", "grid": "rocket,small-boom",
+                 "scale": 0.2})
+            primary_ids = list(grid.point_record_ids.values())
+        raced = _race_primary_past_lookup(service, monkeypatch, primary_ids)
+        if path == "job":
+            repeat_ids = [service.submit_payload(body).record.id]
+        else:
+            repeat = service.submit_grid_payload(
+                {"workload": "vvadd", "grid": "rocket,small-boom",
+                 "scale": 0.2, "client": "other"})
+            repeat_ids = list(repeat.point_record_ids.values())
+        assert raced, "the hook never ran between lookup and submit"
+        assert wait_done(service, primary_ids + repeat_ids) == \
+            ["done"] * (len(primary_ids) + len(repeat_ids))
+        # One execution per job key; the repeats came from the store.
+        assert service.metrics.counter("jobs_executed") == len(primary_ids)
+        assert service.metrics.counter("cache_hits") == len(repeat_ids)
+        for primary_id, repeat_id in zip(primary_ids, repeat_ids):
+            assert (service.status(repeat_id)["result"]["cycles"]
+                    == service.status(primary_id)["result"]["cycles"])
+    finally:
+        service.drain()
+
+
 def test_non_default_harness_options_bypass_result_store():
     service = make_service().start()
     try:

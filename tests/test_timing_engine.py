@@ -1,39 +1,41 @@
-"""The columnar timing engines must be bit-identical to the oracles.
+"""Each core's one cycle loop must reproduce the golden digests.
 
-``REPRO_TIMING_ENGINE=columnar`` (the default) runs the descriptor-
-compiled, slab-allocated cycle loops over the trace columns;
-``objects`` runs the materialized ``DynInst``/µop loops.  The only
-acceptable difference is wall clock: these tests pin the full
-``CoreResult`` surface (event totals, per-lane splits, cycles, instret,
-cache/predictor statistics, extras) *and* the TMA level-1/level-2
-classification for every registry workload on Rocket and three BOOM
-sizes, plus the engine-selection knob itself and the per-run state
-reset that makes core instances safely reusable.
+Every core has a single cycle loop over ``ColumnarTrace`` columns.  The
+oracle it answers to is ``tests/golden_digests.json``: digests of the
+full ``CoreResult`` surface (event totals, per-lane splits, cycles,
+instret, cache/predictor statistics, extras) plus TMA level 1 and 2 for
+every registry workload on Rocket and three BOOM sizes.  The digests
+were generated before the object-walking loops were deleted, and
+matched those loops bit for bit.  These tests also pin how ``run``
+treats ``DynamicTrace`` inputs and the per-run state reset that makes
+core instances safely reusable.
 
-The functional executor is pinned to ``compiled`` throughout: these
-tests are about the *timing* engines and need ``ColumnarTrace`` inputs
-even when the surrounding suite runs under
-``REPRO_EXEC_ENGINE=interpreted`` (whose reference path produces
-``DynamicTrace``).
+The functional executor is pinned to ``compiled`` where a test needs a
+``ColumnarTrace`` even when the surrounding suite runs under
+``REPRO_EXEC_ENGINE=interpreted``.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core import compute_tma
 from repro.cores import LARGE_BOOM, MEDIUM_BOOM, ROCKET, SMALL_BOOM
-from repro.cores.base import (TIMING_ENGINE_ENV, TIMING_ENGINES,
-                              resolve_timing_engine)
 from repro.cores.boom import BoomCore
 from repro.isa import execute
 from repro.isa.columnar import ColumnarTrace
 from repro.pmu.harness import make_core
 from repro.workloads import build_program, build_trace, workload_names
 
-SCALE = 0.3
+from tests.make_golden_digests import (SCALE, SignalStreamRecorder,
+                                       config_key, digest, load_golden,
+                                       result_document)
 
 CONFIGS = [ROCKET, SMALL_BOOM, MEDIUM_BOOM, LARGE_BOOM]
+GOLDEN = load_golden()
+
+
+def golden_core(workload, config):
+    return GOLDEN[f"core/{workload}/{config_key(config)}"]
 
 
 def result_digest(result):
@@ -51,7 +53,7 @@ def result_digest(result):
 
 
 # ----------------------------------------------------------------------
-# bit-identity across the registry
+# golden digests across the registry
 
 
 @pytest.mark.parametrize("workload", workload_names())
@@ -59,54 +61,48 @@ def result_digest(result):
 def test_columnar_matches_objects(workload, config):
     trace = build_trace(workload, scale=SCALE, engine="compiled")
     assert isinstance(trace, ColumnarTrace)
-    objects = make_core(config).run(trace, engine="objects")
-    columnar = make_core(config).run(trace, engine="columnar")
-    assert result_digest(objects) == result_digest(columnar)
-
-    tma_objects = compute_tma(objects)
-    tma_columnar = compute_tma(columnar)
-    assert tma_objects.level1 == tma_columnar.level1
-    assert tma_objects.level2 == tma_columnar.level2
+    result = make_core(config).run(trace)
+    assert digest(result_document(result)) == golden_core(workload, config)
 
 
 # ----------------------------------------------------------------------
-# engine selection
+# trace inputs
 
 
 def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown timing engine"):
-        resolve_timing_engine("vectorized")
+    """``run`` takes no engine selector: there is one loop."""
     trace = build_trace("vvadd", scale=SCALE, engine="compiled")
-    with pytest.raises(ValueError, match="unknown timing engine"):
-        make_core(ROCKET).run(trace, engine="vectorized")
-
-
-def test_env_selects_engine(monkeypatch):
-    monkeypatch.setenv(TIMING_ENGINE_ENV, "objects")
-    assert resolve_timing_engine() == "objects"
-    # An explicit override always beats the environment.
-    assert resolve_timing_engine("columnar") == "columnar"
-    monkeypatch.setenv(TIMING_ENGINE_ENV, "jit")
-    with pytest.raises(ValueError, match="unknown timing engine"):
-        resolve_timing_engine()
+    with pytest.raises(TypeError):
+        make_core(ROCKET).run(trace, engine="objects")
 
 
 def test_default_engine_is_columnar(monkeypatch):
-    monkeypatch.delenv(TIMING_ENGINE_ENV, raising=False)
-    assert resolve_timing_engine() == "columnar"
-    assert set(TIMING_ENGINES) == {"columnar", "objects"}
+    """A ``DynamicTrace`` is converted once; a columnar one is not."""
+    conversions = []
+    real = ColumnarTrace.from_dynamic.__func__
+
+    def counting(cls, trace):
+        conversions.append(trace)
+        return real(cls, trace)
+
+    monkeypatch.setattr(ColumnarTrace, "from_dynamic",
+                        classmethod(counting))
+    make_core(ROCKET).run(build_trace("vvadd", scale=SCALE,
+                                      engine="compiled"))
+    assert conversions == []
+    dynamic = execute(build_program("vvadd", scale=SCALE))
+    make_core(ROCKET).run(dynamic)
+    assert len(conversions) == 1 and conversions[0] is dynamic
 
 
 @pytest.mark.parametrize("config", [ROCKET, SMALL_BOOM],
                          ids=lambda c: c.name)
 def test_dynamic_trace_falls_back_to_objects(config):
-    """A ``DynamicTrace`` input runs (via the object engine) either way."""
-    columnar_trace = build_trace("median", scale=SCALE, engine="compiled")
+    """A ``DynamicTrace`` input runs through ``from_dynamic`` exactly."""
     dynamic_trace = execute(build_program("median", scale=SCALE))
     assert not isinstance(dynamic_trace, ColumnarTrace)
-    reference = make_core(config).run(columnar_trace, engine="objects")
-    via_dynamic = make_core(config).run(dynamic_trace, engine="columnar")
-    assert result_digest(via_dynamic) == result_digest(reference)
+    result = make_core(config).run(dynamic_trace)
+    assert digest(result_document(result)) == golden_core("median", config)
 
 
 # ----------------------------------------------------------------------
@@ -116,33 +112,33 @@ def test_dynamic_trace_falls_back_to_objects(config):
 def test_boom_run_resets_per_run_state():
     """Stale per-run state must not leak into a later ``run()``.
 
-    The machine-clear count, the store-set training, and the store
-    queue are per-run; the caches, TLBs, and predictor deliberately
-    stay warm.  A core poisoned with stale per-run state must produce
-    the exact result of a pristine core.
+    The machine-clear count and the store-set training are per-run;
+    the caches, TLBs, and predictor deliberately stay warm.  A core
+    poisoned with stale per-run state must produce the exact result of
+    a pristine core.
     """
     trace = build_trace("qsort", scale=SCALE, engine="compiled")
     clean = BoomCore(SMALL_BOOM).run(trace)
     poisoned = BoomCore(SMALL_BOOM)
     poisoned.machine_clears = 999
     poisoned._trained_loads.add(0x80000123)
-    poisoned._stq = [object()]
     assert result_digest(poisoned.run(trace)) == result_digest(clean)
 
 
 @pytest.mark.parametrize("config", [SMALL_BOOM, LARGE_BOOM],
                          ids=lambda c: c.name)
 def test_reused_core_engines_stay_identical(config):
-    """Back-to-back runs on one instance stay engine-independent.
+    """Back-to-back runs on one instance do not depend on observers.
 
-    Warm cache/predictor state evolves across runs; both engines must
-    see the identical evolution, so a reused objects-engine core and a
-    reused columnar-engine core agree run by run.
+    Warm cache/predictor state evolves across runs; a reused core with
+    an observer attached and a reused core without one must see the
+    identical evolution, so the two agree run by run.
     """
-    core_objects = BoomCore(config)
-    core_columnar = BoomCore(config)
+    core_observed = BoomCore(config)
+    core_observed.add_observer(SignalStreamRecorder())
+    core_plain = BoomCore(config)
     for workload in ("qsort", "median", "qsort"):
         trace = build_trace(workload, scale=SCALE, engine="compiled")
-        objects = core_objects.run(trace, engine="objects")
-        columnar = core_columnar.run(trace, engine="columnar")
-        assert result_digest(objects) == result_digest(columnar)
+        observed = core_observed.run(trace)
+        plain = core_plain.run(trace)
+        assert result_digest(observed) == result_digest(plain)

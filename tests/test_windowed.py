@@ -7,12 +7,9 @@ plain ``run_core`` of the same (workload, config, scale): these tests
 pin the equivalence gate across the whole workload registry and every
 core config, the per-event-class gate semantics (bit-identical,
 retire-edge slack, calibrated tolerance), sampled-mode labeling and
-error bars, the cache-key plan folding, and the windowed paths through
-``run_core``, the batch engine, and the service job layer.
-
-The whole file honours ``REPRO_TIMING_ENGINE``: the
-windowed-equivalence CI job runs it once on the default columnar engine
-and once with the object-engine oracle forced.
+error bars, the cache-key plan folding, the labeled pool fallback, and
+the windowed paths through ``run_core``, the batch engine, and the
+service job layer.
 """
 
 import copy
@@ -145,13 +142,39 @@ def test_stitch_matches_oracle_across_registry(workload):
         assert abs(stitched.instret - oracle.instret) <= RETIRE_EDGE_SLACK
 
 
-def test_both_timing_engines_agree_windowed():
-    results = [
-        run_windowed("towers", ROCKET, windows=3, scale=SCALE,
-                     engine=engine, use_cache=False, workers=1)
-        for engine in ("objects", "columnar")
-    ]
-    assert result_digest(results[0]) == result_digest(results[1])
+class _BrokenPool:
+    """Executor factory whose pool dies on the first submission."""
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        raise RuntimeError("pool is gone")
+
+
+def test_pool_fallback_is_labeled_and_exact():
+    inline = run_windowed("towers", ROCKET, windows=3, scale=SCALE,
+                          use_cache=False, workers=1)
+    assert "fallback_reason" not in inline.windowed
+    fallen = run_windowed("towers", ROCKET, windows=3, scale=SCALE,
+                          use_cache=False, workers=2,
+                          executor_factory=_BrokenPool)
+    assert result_digest(fallen) == result_digest(inline)
+    assert fallen.windowed["fallback_reason"] == \
+        "RuntimeError: pool is gone"
+    points = parse_grid("rocket,small-boom")
+    fallen_points = run_windowed_points("towers", points, windows=2,
+                                        scale=SCALE, workers=2,
+                                        executor_factory=_BrokenPool)
+    for point in points:
+        assert fallen_points[point.key].windowed["fallback_reason"] == \
+            "RuntimeError: pool is gone"
 
 
 def test_gate_event_classes():
