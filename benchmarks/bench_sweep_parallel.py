@@ -3,8 +3,7 @@
 Not a paper figure — this bench guards the evaluation *infrastructure*:
 the process-pool sweep engine must merge to exactly the serial runner's
 results, and an attached observer must leave the core loop's results
-unchanged.  The rendered artifact mirrors what ``repro-tma bench``
-writes to ``BENCH_*.json``.
+unchanged.
 """
 
 import pytest
@@ -12,12 +11,21 @@ import pytest
 from repro.cores import ROCKET
 from repro.pmu.harness import PerfHarness, make_core
 from repro.reliability.runner import ResilientRunner
-from repro.tools.bench import _outcome_digest
 from repro.tools.parallel import ParallelSweepRunner
 from repro.workloads import build_trace
 
 WORKLOADS = ["dhrystone", "median", "qsort", "towers"]
 SCALE = 0.5
+
+
+def _outcome_digest(outcome):
+    """Hashable identity of one sweep outcome for equivalence checks."""
+    measurement = outcome.measurement
+    measured = None if measurement is None else (
+        tuple(sorted(measurement.events.items())),
+        measurement.cycles, measurement.instret, measurement.passes)
+    return (outcome.workload, outcome.config_name, outcome.status,
+            outcome.attempts, measured)
 
 
 def _make_runner():

@@ -38,11 +38,12 @@ Modes
 
 **exact** simulates every instruction (contiguous spans covering the
 whole trace); stitched totals are gated against the ``run_core`` oracle
-by ``tests/test_windowed.py`` and the bench ``timing.windowed`` section.
+by ``tests/test_windowed.py``.
 **sampled** simulates periodic sample spans only (SimPoint-style) and
 extrapolates totals by the coverage factor, attaching per-TMA-slot
 error bars from the cross-window variance; sampled results always carry
-``sampled=True`` so they can never masquerade as exact.
+``sampled=True`` so they can never masquerade as exact, and the same
+tests bound their TMA level-1 error against the oracle.
 """
 
 from __future__ import annotations

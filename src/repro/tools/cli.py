@@ -546,64 +546,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from . import bench
-
-    if args.profile:
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            payload = bench.run_benchmarks(
-                quick=args.quick, workers=args.workers,
-                inject_slowdown=args.inject_slowdown)
-        finally:
-            profiler.disable()
-        stats = pstats.Stats(profiler)
-        stats.sort_stats("cumulative")
-        print(f"--- top {args.profile_top} cumulative hotspots ---")
-        stats.print_stats(args.profile_top)
-        if args.profile_output:
-            with open(args.profile_output, "w", encoding="utf-8") as handle:
-                pstats.Stats(profiler, stream=handle) \
-                    .sort_stats("cumulative") \
-                    .print_stats(args.profile_top)
-            print(f"wrote {args.profile_output}")
-    else:
-        payload = bench.run_benchmarks(
-            quick=args.quick, workers=args.workers,
-            inject_slowdown=args.inject_slowdown)
-    print(bench.render_payload(payload))
-    bench.write_payload(payload, args.output)
-    print(f"wrote {args.output}")
-
-    baseline_path = args.baseline
-    if baseline_path == "auto":
-        baseline_path = bench.find_baseline(args.output)
-    if not baseline_path or baseline_path == "none":
-        print("no baseline BENCH_*.json; gate skipped")
-        return 0
-    with open(baseline_path, "r", encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    problems = bench.compare_benchmarks(payload, baseline,
-                                        threshold=args.threshold,
-                                        timing=not args.profile)
-    if problems:
-        print(f"REGRESSION vs {baseline_path}:", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
-        return 1
-    if args.profile:
-        print(f"gate vs {baseline_path}: identity checks passed; "
-              "timing ratios skipped (profiler overhead distorts them)")
-    else:
-        print(f"gate passed vs {baseline_path} "
-              f"(threshold {args.threshold:.0%})")
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     from . import cache
 
@@ -837,13 +779,6 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def bench_default_output() -> str:
-    """The bench snapshot filename for this PR (see ``tools.bench``)."""
-    from .bench import DEFAULT_OUTPUT
-
-    return DEFAULT_OUTPUT
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tma_tool", description=__doc__,
@@ -977,34 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument("--show-tma", action="store_true")
     _add_common(p_perf)
     p_perf.set_defaults(func=_cmd_perf)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="tier-2 benchmark set + BENCH_*.json regression gate")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="CI-sized subset of the tier-2 set")
-    p_bench.add_argument("--workers", type=int, default=None,
-                         help="sweep workers (default min(4, cpus))")
-    p_bench.add_argument("--threshold", type=float, default=0.20,
-                         help="allowed fractional regression on gated "
-                              "ratio metrics")
-    p_bench.add_argument("--output", default=bench_default_output(),
-                         help="snapshot to write")
-    p_bench.add_argument("--baseline", default="auto",
-                         help="baseline BENCH_*.json ('auto' picks the "
-                              "newest committed one, 'none' skips)")
-    p_bench.add_argument("--inject-slowdown", type=float, default=0.0,
-                         help="artificial per-run slowdown fraction "
-                              "(gate self-test)")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="wrap the run in cProfile and print the "
-                              "top cumulative hotspots")
-    p_bench.add_argument("--profile-top", type=int, default=25,
-                         help="hotspot rows to print with --profile")
-    p_bench.add_argument("--profile-output", default="BENCH_PROFILE.txt",
-                         help="also write the profile table here "
-                              "('' to skip)")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_cache = sub.add_parser(
         "cache", help="result-cache size report and LRU pruning")

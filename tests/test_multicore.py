@@ -8,7 +8,8 @@ The load-bearing guarantees:
   idle neighbor induces exactly zero neighbor attribution.
 - **Slot conservation under sharing**: per-core level-1 TMA slots sum
   to 1.0 and ``self + neighbor == mem_bound`` exactly (as floats) on
-  every scenario in the registry.
+  every scenario in the registry, and every per-core result passes the
+  ``TmaInvariantChecker`` audit.
 - **Determinism**: the turnstile serializes cycles, so repeated runs
   are bit-identical.
 """
@@ -31,6 +32,7 @@ from repro.multicore import (
     scenario_cache_key,
     scenario_names,
 )
+from repro.reliability import TmaInvariantChecker
 from repro.tools.tma_tool import run_core
 from repro.uarch.cache import Cache, L1D_32K, NonBlockingCache
 
@@ -124,7 +126,9 @@ def test_scenario_attribution_invariants(name, trace_form, monkeypatch):
     scenario = get_scenario(name).with_overrides(scale=SCALE)
     result = run_scenario(scenario)
     assert result.cores, "scenario ran no cores"
+    checker = TmaInvariantChecker()
     for core in result.cores:
+        checker.check_core_result(core.result)
         level1_sum = sum(core.tma.level1.values())
         assert level1_sum == pytest.approx(1.0, abs=1e-9)
         attribution = core.attribution

@@ -6,8 +6,9 @@ per-window results into a whole-run ``CoreResult``.  The oracle is a
 plain ``run_core`` of the same (workload, config, scale): these tests
 pin the equivalence gate across the whole workload registry and every
 core config, the per-event-class gate semantics (bit-identical,
-retire-edge slack, calibrated tolerance), sampled-mode labeling and
-error bars, the cache-key plan folding, the labeled pool fallback, and
+retire-edge slack, calibrated tolerance), sampled-mode labeling,
+error bars and error bound, TMA invariants on every stitched result,
+the cache-key plan folding, the labeled pool fallback, and
 the windowed paths through ``run_core``, the batch engine, and the
 service job layer.
 """
@@ -17,7 +18,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.tma import TOP_LEVEL
+from repro.core.tma import TOP_LEVEL, compute_tma
 from repro.cores import LARGE_BOOM, MEDIUM_BOOM, ROCKET, SMALL_BOOM
 from repro.cores.batch import parse_grid, run_batch
 from repro.cores.windowed import (ABS_PER_WINDOW, DEFAULT_WARMUP,
@@ -26,6 +27,7 @@ from repro.cores.windowed import (ABS_PER_WINDOW, DEFAULT_WARMUP,
                                   assert_stitch_equivalent, normalized_warmup,
                                   plan_windows, resolve_windows_env,
                                   run_windowed, run_windowed_points)
+from repro.reliability import TmaInvariantChecker
 from repro.service.job import TMAJob, JobValidationError, outcome_payload
 from repro.service.workers import execute_job
 from repro.tools import cache as result_cache
@@ -34,6 +36,7 @@ from repro.workloads import build_trace, workload_names
 
 SCALE = 0.3
 CONFIGS = (ROCKET, SMALL_BOOM, MEDIUM_BOOM, LARGE_BOOM)
+CHECKER = TmaInvariantChecker()
 
 
 @pytest.fixture(autouse=True)
@@ -134,6 +137,8 @@ def test_stitch_matches_oracle_across_registry(workload):
                                 warmup=GATE_WARMUP, use_cache=False,
                                 workers=1)
         assert_stitch_equivalent(stitched, oracle, 4)
+        CHECKER.check_core_result(oracle)
+        CHECKER.check_core_result(stitched)
         assert stitched.sampled is False
         assert stitched.windowed["windows"] <= 4
         assert stitched.windowed["warmup"] == GATE_WARMUP
@@ -238,6 +243,30 @@ def test_sampled_is_labeled_and_extrapolated():
         bar = bars[slot]
         assert set(bar) == {"mean", "stderr", "low", "high"}
         assert bar["low"] <= bar["mean"] <= bar["high"]
+
+
+#: Worst TMA level-1 slot error a sampled run may show against the
+#: ``run_core`` oracle.  Small phase-heterogeneous traces are
+#: sampling's worst case (mm's init loops vs. its FP kernel score ~0.11
+#: on the retiring slot, deterministically); a broken extrapolation
+#: (wrong coverage factor, dropped spans) lands far past the bound.
+SAMPLED_ERROR_BOUND = 0.15
+
+
+@pytest.mark.parametrize("workload", ["mm", "towers"])
+def test_sampled_error_within_bound(workload):
+    oracle = run_core(workload, ROCKET, scale=SCALE, use_cache=False)
+    sampled = run_windowed(workload, ROCKET, windows=4, scale=SCALE,
+                           sampled=True, use_cache=False, workers=1)
+    CHECKER.check_core_result(oracle)
+    CHECKER.check_core_result(sampled)
+    assert sampled.sampled is True
+    assert set(sampled.windowed["error_bars"]) == set(TOP_LEVEL)
+    oracle_tma = compute_tma(oracle)
+    sampled_tma = compute_tma(sampled)
+    worst = max(abs(sampled_tma.fraction(slot) - oracle_tma.fraction(slot))
+                for slot in TOP_LEVEL)
+    assert worst <= SAMPLED_ERROR_BOUND
 
 
 def test_exact_mode_is_never_labeled_sampled():
