@@ -44,7 +44,7 @@ from concurrent.futures import as_completed
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..isa.columnar import ColumnarTrace, as_columnar
+from ..isa.columnar import ColumnarTrace
 from ..uarch.branch import share_fold_caches
 from ..uarch.cache import CacheConfig
 from .base import BoomConfig, CoreResult, RocketConfig
@@ -304,8 +304,7 @@ def _run_inline(
 ) -> None:
     from ..workloads import build_trace
 
-    # Convert an object-form trace once, not once per grid point.
-    trace = as_columnar(build_trace(workload, scale=scale))
+    trace = build_trace(workload, scale=scale)
     stats.trace_fetches = 1
     stats.tables_shared = _precompile_tables(trace, pending)
     cores = [make_core(point.config) for point in pending]

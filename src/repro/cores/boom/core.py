@@ -32,7 +32,7 @@ from itertools import compress
 from operator import ne
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from ...isa.columnar import ColumnarTrace, as_columnar
+from ...isa.columnar import ColumnarTrace
 from ...uarch.branch import BoomBranchPredictor
 from ...uarch.cache import MemorySystem, NonBlockingCache
 from ...uarch.prefetch import StridePrefetcher
@@ -95,15 +95,13 @@ class BoomCore:
         raises :class:`~repro.isa.errors.RunTimeout` instead of spinning
         until the internal safety stop silently truncates the run.
 
-        A :class:`~repro.isa.dyn_trace.DynamicTrace` is converted with
-        :meth:`ColumnarTrace.from_dynamic` first.  Observers and a fault
-        hook ride the same loop as a plain run, exactly as on
-        :meth:`repro.cores.rocket.RocketCore.run`: the hook is consulted
-        at the top of every cycle, and observers receive each cycle's
-        ``{event: lane_mask}`` record at its end.
+        Observers and a fault hook ride the same loop as a plain run,
+        exactly as on :meth:`repro.cores.rocket.RocketCore.run`: the
+        hook is consulted at the top of every cycle, and observers
+        receive each cycle's ``{event: lane_mask}`` record at its end.
         """
         self.reset_run_state()
-        return self._run_columnar(as_columnar(trace), max_cycles)
+        return self._run_columnar(trace, max_cycles)
 
     def reset_run_state(self) -> None:
         """Clear every field :meth:`run` treats as per-run scratch.

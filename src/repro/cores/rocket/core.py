@@ -29,7 +29,7 @@ from itertools import compress
 from operator import ne
 from typing import Deque, Dict, List, Optional, Sequence
 
-from ...isa.columnar import ColumnarTrace, as_columnar
+from ...isa.columnar import ColumnarTrace
 from ...uarch.branch import RocketBranchPredictor
 from ...uarch.cache import Cache, MemorySystem
 from ...uarch.tlb import L2_TLB_HIT_LATENCY, PTW_LATENCY, TlbHierarchy
@@ -82,10 +82,6 @@ class RocketCore:
         raises :class:`~repro.isa.errors.RunTimeout` instead of spinning
         until the internal safety stop silently truncates the run.
 
-        A :class:`~repro.isa.dyn_trace.DynamicTrace` (the interpreted
-        executor's output, or a hand-built trace) is converted with
-        :meth:`ColumnarTrace.from_dynamic` first.
-
         With no observer and no fault hook the loop does nothing per
         cycle beyond the model itself.  Otherwise the fault hook's
         ``stall_cycle`` is consulted at the top of every cycle (a stalled
@@ -94,7 +90,7 @@ class RocketCore:
         record of the events asserted in it.
         """
         self.reset_run_state()
-        return self._run_columnar(as_columnar(trace), max_cycles)
+        return self._run_columnar(trace, max_cycles)
 
     def reset_run_state(self) -> None:
         """Clear per-run scratch state (audited batch-path contract).

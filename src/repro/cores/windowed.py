@@ -58,7 +58,7 @@ from dataclasses import fields as dataclass_fields
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
-from ..isa.columnar import ColumnarTrace, as_columnar, unpack_window
+from ..isa.columnar import ColumnarTrace, unpack_window
 from .base import BoomConfig, CoreResult, RocketConfig
 from .batch import GridPoint, make_core
 
@@ -639,7 +639,7 @@ def run_windowed(workload: str, config: CoreConfig, *, windows: int,
         cached = result_cache.load(key)
         if cached is not None:
             return cached
-    trace = as_columnar(build_trace(workload, scale=scale))
+    trace = build_trace(workload, scale=scale)
     plan = plan_windows(len(trace), windows, warmup=warmup, sampled=sampled)
 
     begin = time.perf_counter()
@@ -683,7 +683,7 @@ def run_windowed_points(
     """
     from ..workloads import build_trace
 
-    trace = as_columnar(build_trace(workload, scale=scale))
+    trace = build_trace(workload, scale=scale)
     plan = plan_windows(len(trace), windows, warmup=warmup, sampled=sampled)
     by_point = {point.key: point for point in points}
 

@@ -8,13 +8,11 @@ traces that the Rocket and BOOM timing models replay.
 from .assembler import Assembler, assemble
 from .builder import AsmBuilder
 from .columnar import ColumnarTrace, StaticOp, unpack
-from .compiler import (CompiledProgram, CompileError, compile_program,
-                       execute_compiled)
-from .dyn_trace import DynamicTrace, DynInst, FP_REG_BASE, NO_REG
+from .compiler import CompiledProgram, CompileError, compile_program, execute
+from .dyn_trace import DynInst, FP_REG_BASE, NO_REG
 from .encoding import (EncodingError, decode, encodable, encode,
                        encode_program)
 from .errors import AssemblerError, ExecutionError, IsaError
-from .executor import FunctionalExecutor, execute
 from .instructions import InstrClass, Instruction, OPCODES, OpSpec
 from .memory import SparseMemory
 from .program import DEFAULT_DATA_BASE, DEFAULT_TEXT_BASE, Program
@@ -28,12 +26,10 @@ __all__ = [
     "CompiledProgram",
     "DEFAULT_DATA_BASE",
     "DEFAULT_TEXT_BASE",
-    "DynamicTrace",
     "DynInst",
     "EncodingError",
     "ExecutionError",
     "FP_REG_BASE",
-    "FunctionalExecutor",
     "InstrClass",
     "Instruction",
     "IsaError",
@@ -50,6 +46,5 @@ __all__ = [
     "encode",
     "encode_program",
     "execute",
-    "execute_compiled",
     "unpack",
 ]

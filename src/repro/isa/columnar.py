@@ -1,6 +1,7 @@
-"""Columnar dynamic-trace backend: struct-of-arrays storage + byte codec.
+"""Committed-path trace: struct-of-arrays storage + byte codec.
 
-A functional trace is extremely redundant: every dynamic instruction is
+:func:`~repro.isa.compiler.execute` emits this form directly.  A
+functional trace is extremely redundant: every dynamic instruction is
 one of a few hundred *static* instructions, and almost all of a
 :class:`~repro.isa.dyn_trace.DynInst`'s fields (pc, class, register
 dependencies, latency, flags, mnemonic) are static properties of that
@@ -22,9 +23,6 @@ the codec).
 The object view is *lazy*: ``trace[i]`` materializes a single
 ``DynInst`` on demand, and ``trace.instructions`` materializes (and
 caches) the full list the first time a timing model asks for it.
-Materialized records are bit-identical to what the interpreted
-:class:`~repro.isa.executor.FunctionalExecutor` emits — pinned by
-``tests/test_trace_compiler.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import struct
 from array import array
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .dyn_trace import DynamicTrace, DynInst
+from .dyn_trace import DynInst
 from .errors import ExecutionError
 from .instructions import InstrClass
 
@@ -74,8 +72,7 @@ class StaticOp(NamedTuple):
 class ColumnarTrace:
     """Committed-path trace stored as columns with lazy ``DynInst`` views.
 
-    Duck-type compatible with :class:`~repro.isa.dyn_trace.DynamicTrace`
-    everywhere the repo consumes traces: ``len``/iteration/indexing,
+    Besides the columns it offers ``len``/iteration/indexing,
     ``instructions``, the summary helpers, and the end-of-run metadata
     attributes.
     """
@@ -103,42 +100,6 @@ class ColumnarTrace:
         self.instret = 0
         self._materialized: Optional[List[DynInst]] = None
         self._timing_tables: Dict[str, object] = {}
-
-    @classmethod
-    def from_dynamic(cls, trace: DynamicTrace) -> "ColumnarTrace":
-        """Columnar copy of an object-form trace.
-
-        Instructions sharing every static field share one
-        :class:`StaticOp`; the dynamic fields and CSR writes fill the
-        columns.  ``materialize_one(i)`` of the result reproduces
-        ``trace[i]`` field for field, with ``index`` set to ``i``.
-        """
-        columnar = cls((), program_name=trace.program_name,
-                       exit_code=trace.exit_code,
-                       halt_reason=trace.halt_reason,
-                       final_int_regs=list(trace.final_int_regs))
-        ops: Dict[StaticOp, int] = {}
-        sidx = columnar.sidx.append
-        mem_addr = columnar.mem_addr.append
-        next_pc = columnar.next_pc.append
-        taken = columnar.taken.append
-        for i, inst in enumerate(trace.instructions):
-            op = StaticOp(inst.pc, inst.cls, inst.dest, tuple(inst.srcs),
-                          inst.latency, inst.mnemonic, inst.mem_width,
-                          inst.is_load, inst.is_store, inst.is_branch,
-                          inst.is_fence, inst.csr)
-            s = ops.get(op)
-            if s is None:
-                s = ops[op] = len(ops)
-            sidx(s)
-            mem_addr(inst.mem_addr)
-            next_pc(inst.next_pc)
-            taken(inst.taken)
-            if inst.csr_write is not None:
-                columnar.csr_writes[i] = inst.csr_write
-        columnar.static_ops = tuple(ops)
-        columnar.instret = trace.instret
-        return columnar
 
     # ------------------------------------------------------------------
     # container protocol / lazy materialization
@@ -366,13 +327,6 @@ class ColumnarTrace:
         # object graphs: a trace crossing a process boundary costs
         # O(columns) bytes no matter how it is transported.
         return (unpack, (self.pack(),))
-
-
-def as_columnar(trace: Union[ColumnarTrace, DynamicTrace]) -> ColumnarTrace:
-    """*trace* itself when columnar, else its :meth:`from_dynamic` copy."""
-    if isinstance(trace, ColumnarTrace):
-        return trace
-    return ColumnarTrace.from_dynamic(trace)
 
 
 def unpack(data: bytes) -> ColumnarTrace:

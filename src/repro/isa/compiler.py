@@ -1,15 +1,18 @@
-"""Trace compiler: closure-compiled functional execution.
+"""Functional executor: closure-compiled RV64-subset execution.
 
-The interpreted :class:`~repro.isa.executor.FunctionalExecutor` re-reads
-instruction fields and walks chained string-mnemonic dispatch for every
-*dynamic* instruction.  :func:`compile_program` does all of that work
-once per *static* instruction instead: each instruction is pre-decoded
-into a specialized zero-argument closure with its operand indices,
+:func:`execute` runs a :class:`~repro.isa.program.Program` and returns
+its committed-path :class:`~repro.isa.columnar.ColumnarTrace`, the input
+the Rocket and BOOM timing models replay.  It implements the
+architectural semantics of the RV64 subset (64-bit two's-complement
+integer arithmetic, little-endian memory, IEEE-754 doubles for the FP
+subset) without any timing.
+
+:func:`compile_program` decodes each *static* instruction once into a
+specialized zero-argument closure with its operand indices,
 immediates, memory width, semantic handler, and control-flow successors
 pre-bound (classic threaded-code interpretation).  Executing the program
 is then a tight ``idx = ops[idx]()`` loop, and the closures append
-directly into the struct-of-arrays columns of a
-:class:`~repro.isa.columnar.ColumnarTrace`.
+directly into the struct-of-arrays columns of the trace.
 
 Two layers keep compilation reusable and runs independent:
 
@@ -21,20 +24,20 @@ Two layers keep compilation reusable and runs independent:
   memory, CSRs) and a fresh output trace, yielding the actual op
   closures.
 
-The interpreted executor remains the reference oracle:
-``tests/test_trace_compiler.py`` pins compiled and interpreted traces
-bit-identical across the full workload registry.
+Program exit follows the common bare-metal convention: ``ecall`` with
+``a7 == 93`` terminates with exit code ``a0``; ``ebreak`` also halts.
+The ``trace/<workload>`` entries of ``tests/golden_digests.json`` pin
+the trace of every registry workload.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import struct
+from typing import Callable, Dict, List, Tuple
 
 from .columnar import ColumnarTrace, StaticOp
+from .dyn_trace import FP_REG_BASE, NO_REG
 from .errors import ExecutionError
-from .executor import (DEFAULT_MAX_INSTRUCTIONS, SYSCALL_EXIT,
-                       FunctionalExecutor, _bits2f, _f2bits, _sext,
-                       _to_signed64)
 from .instructions import (InstrClass, Instruction, MEM_WIDTHS, OPCODES,
                            OpSpec, UNSIGNED_LOADS)
 from .memory import SparseMemory
@@ -42,6 +45,11 @@ from .program import INSTR_BYTES, Program
 
 _U64 = (1 << 64) - 1
 _U32 = (1 << 32) - 1
+
+SYSCALL_EXIT = 93
+
+#: Default safety valve on dynamic instruction count.
+DEFAULT_MAX_INSTRUCTIONS = 4_000_000
 
 #: Halt sentinels returned by op closures (normal returns are >= 0;
 #: any index >= len(program) means "fell off the text section").
@@ -51,6 +59,26 @@ _HALT_EBREAK = -3
 #: AMO mnemonics that count as loads / stores in the DynInst flags.
 _AMO_LOADS = frozenset({"lr.d", "amoadd.d", "amoswap.d"})
 _AMO_STORES = frozenset({"sc.d", "amoadd.d", "amoswap.d"})
+
+
+def _sext(value: int, bits: int) -> int:
+    """Sign-extend the low *bits* of *value* to a Python int."""
+    value &= (1 << bits) - 1
+    if value & (1 << (bits - 1)):
+        value -= 1 << bits
+    return value
+
+
+def _to_signed64(value: int) -> int:
+    return _sext(value, 64)
+
+
+def _f2bits(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+def _bits2f(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits & _U64))[0]
 
 
 def _sdiv(a: int, b: int) -> int:
@@ -69,8 +97,7 @@ def _srem(a: int, b: int) -> int:
 # ----------------------------------------------------------------------
 # Semantic tables: one pre-bindable value function per mnemonic.
 # Signature (a, b, imm, pc) with a/b the unsigned rs1/rs2 values; the
-# generated op masks the result to 64 bits, mirroring the interpreter's
-# ``_write_int``.
+# generated op masks the result to 64 bits before writing ``rd``.
 
 _ALU_EVAL: Dict[str, Callable[[int, int, int, int], int]] = {
     "add": lambda a, b, imm, pc: a + b,
@@ -140,6 +167,27 @@ class CompileError(ExecutionError):
     """A program failed validation at :func:`compile_program` time."""
 
 
+def _deps(instr: Instruction) -> Tuple[int, Tuple[int, ...]]:
+    """Unified (dest, sources) register ids for dependency tracking."""
+    spec = instr.spec
+    dest = NO_REG
+    if spec.writes_rd:
+        if spec.fp_rd:
+            dest = FP_REG_BASE + instr.rd
+        elif instr.rd != 0:
+            dest = instr.rd
+    srcs: List[int] = []
+    if spec.reads_rs1:
+        src = FP_REG_BASE + instr.rs1 if spec.fp_rs1 else instr.rs1
+        if spec.fp_rs1 or instr.rs1 != 0:
+            srcs.append(src)
+    if spec.reads_rs2:
+        src = FP_REG_BASE + instr.rs2 if spec.fp_rs2 else instr.rs2
+        if spec.fp_rs2 or instr.rs2 != 0:
+            srcs.append(src)
+    return dest, tuple(srcs)
+
+
 def _static_op(instr: Instruction, spec: OpSpec) -> StaticOp:
     """The per-static-instruction record shared by all dynamic instances."""
     cls = spec.cls
@@ -150,7 +198,7 @@ def _static_op(instr: Instruction, spec: OpSpec) -> StaticOp:
         mem_width = 8
     else:
         mem_width = 0
-    dest, srcs = FunctionalExecutor._deps(instr)
+    dest, srcs = _deps(instr)
     return StaticOp(
         pc=instr.addr, cls=cls, dest=dest, srcs=srcs, latency=spec.latency,
         mnemonic=m, mem_width=mem_width,
@@ -430,7 +478,7 @@ def _compile_csr(instr: Instruction, idx: int, nxt: int, npc: int, bad):
     rd, rs1, imm, ca = instr.rd, instr.rs1, instr.imm, instr.csr
     # Whether the op writes the CSR is static for csrrs/csrrc (rs1
     # register index == x0 means pure read) and csrr?i (zero imm means
-    # pure read) — mirror the interpreter's conditions exactly.
+    # pure read), as the Zicsr spec defines it.
     if m == "csrrw":
         def value(old, a):
             return a & _U64
@@ -749,8 +797,13 @@ class CompiledExecutor:
         return trace
 
 
-def execute_compiled(program: Program,
-                     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
-                     ) -> ColumnarTrace:
-    """Closure-compiled twin of :func:`~repro.isa.executor.execute`."""
+def execute(program: Program,
+            max_instructions: int = DEFAULT_MAX_INSTRUCTIONS) -> ColumnarTrace:
+    """Run *program* functionally and return its committed-path trace."""
     return compile_program(program).run(max_instructions=max_instructions)
+
+
+#: Former name of :func:`execute`, the same function object.  The
+#: traced benchmark run (``perfbench/spans.py``) wraps the ``isa.exec``
+#: layer by this name.
+execute_compiled = execute

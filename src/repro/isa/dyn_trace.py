@@ -1,10 +1,11 @@
-"""Dynamic instruction trace produced by the functional executor.
+"""One committed dynamic instruction, as the timing models see it.
 
 The core timing models are *trace driven* (DESIGN.md §4): the program is
-executed functionally once, and the resulting sequence of
-:class:`DynInst` records — committed-path instructions with resolved
-branch outcomes and memory addresses — is replayed through the Rocket and
-BOOM cycle-level models.  Wrong-path work is modelled inside the timing
+executed functionally once, and the resulting committed-path trace — a
+:class:`~repro.isa.columnar.ColumnarTrace` with resolved branch outcomes
+and memory addresses — is replayed through the Rocket and BOOM
+cycle-level models.  :class:`DynInst` is the lazy per-instruction view
+of one trace entry.  Wrong-path work is modelled inside the timing
 models with phantom µops, so the trace only ever contains the committed
 path.
 
@@ -16,8 +17,7 @@ writes to ``x0``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .instructions import InstrClass
 
@@ -86,46 +86,3 @@ class DynInst:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DynInst(#{self.index} pc={self.pc:#x} {self.mnemonic}"
                 f" next={self.next_pc:#x})")
-
-
-@dataclass
-class DynamicTrace:
-    """Committed-path execution trace plus end-of-run summary state."""
-
-    instructions: List[DynInst]
-    program_name: str = "program"
-    exit_code: int = 0
-    halt_reason: str = "ecall"
-    final_int_regs: List[int] = field(default_factory=list)
-    instret: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.instret:
-            self.instret = len(self.instructions)
-
-    def __len__(self) -> int:
-        return len(self.instructions)
-
-    def __iter__(self):
-        return iter(self.instructions)
-
-    def __getitem__(self, index: int) -> DynInst:
-        return self.instructions[index]
-
-    def class_histogram(self) -> Dict[InstrClass, int]:
-        """Return dynamic instruction counts per functional class."""
-        histogram: Dict[InstrClass, int] = {}
-        for inst in self.instructions:
-            histogram[inst.cls] = histogram.get(inst.cls, 0) + 1
-        return histogram
-
-    def branch_count(self) -> int:
-        """Number of conditional branches in the trace."""
-        return sum(1 for inst in self.instructions if inst.is_branch)
-
-    def mispredictable_summary(self) -> Dict[str, int]:
-        """Quick branch statistics used in reports."""
-        branches = [inst for inst in self.instructions if inst.is_branch]
-        taken = sum(1 for inst in branches if inst.taken)
-        return {"branches": len(branches), "taken": taken,
-                "not_taken": len(branches) - taken}

@@ -1,4 +1,4 @@
-"""Sparse byte-addressable memory for the functional executor.
+"""Sparse byte-addressable memory for :func:`repro.isa.execute`.
 
 Backed by fixed-size pages allocated on demand, so programs can scatter
 data across the 64-bit address space without large allocations.  All

@@ -279,28 +279,9 @@ def run_scenario(scenario: Union[str, Scenario], *,
 # Cached payload entry point (CLI --json and the service job reuse it)
 
 
-_MULTICORE_MODULES = ("uncore", "lockstep", "scenarios", "attribution",
-                      "harness")
-
-_fingerprint_cache: Optional[str] = None
-
-
 def multicore_fingerprint() -> str:
     """Model fingerprint extended with the multicore modules' source."""
-    global _fingerprint_cache
-    if _fingerprint_cache is None:
-        import importlib
-        import os
-
-        digest = hashlib.sha256(cache.model_fingerprint().encode())
-        for name in _MULTICORE_MODULES:
-            module = importlib.import_module(f"repro.multicore.{name}")
-            path = getattr(module, "__file__", None)
-            if path and os.path.exists(path):
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-        _fingerprint_cache = digest.hexdigest()[:16]
-    return _fingerprint_cache
+    return cache.source_fingerprint(cache.MULTICORE_PACKAGES)
 
 
 def scenario_cache_key(scenario: Scenario) -> str:

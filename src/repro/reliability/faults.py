@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Sequence
 
-from ..isa.columnar import ColumnarTrace, as_columnar
+from ..isa.columnar import ColumnarTrace
 
 DROP_INCREMENTS = "drop-increments"
 BITFLIP_COUNTER = "bitflip-counter"
@@ -200,7 +200,6 @@ class FaultInjector:
         spec = self.spec
         if spec.kind != TRUNCATE_TRACE:
             return trace
-        trace = as_columnar(trace)
         keep = max(1, int(len(trace) * spec.keep_fraction))
         if keep >= len(trace):
             keep = len(trace) - 1

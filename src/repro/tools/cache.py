@@ -2,8 +2,9 @@
 
 Cycle-level simulation is the expensive step of the pipeline, so results
 are cached as JSON keyed by (workload, scale, config, model fingerprint).
-The fingerprint hashes the source of every module that influences timing,
-so editing the simulator invalidates stale results automatically.
+The fingerprint hashes the source of every module in the packages that
+influence timing (:data:`MODEL_PACKAGES`), so editing the simulator
+invalidates stale results automatically.
 
 Integrity: every entry written by :func:`store` embeds a checksum of its
 payload, so silent on-disk corruption (a flipped byte that is still
@@ -32,7 +33,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..cores.base import BoomConfig, CoreResult, RocketConfig
 from ..isa.errors import CacheIntegrityError
@@ -44,34 +45,41 @@ _LIMIT_BYTES_ENV = "REPRO_CACHE_LIMIT_BYTES"
 _LIMIT_ENTRIES_ENV = "REPRO_CACHE_LIMIT_ENTRIES"
 _DEFAULT_CACHE = Path(__file__).resolve().parents[3] / ".cache" / "results"
 
-_FINGERPRINT_MODULES = (
-    "repro.isa.executor", "repro.isa.assembler", "repro.isa.instructions",
-    "repro.uarch.cache", "repro.uarch.branch", "repro.uarch.tlb",
-    "repro.cores.base", "repro.cores.rocket.core", "repro.cores.boom.core",
-    "repro.cores.windowed",
-    "repro.workloads.micro", "repro.workloads.spec",
-    "repro.workloads.casestudy", "repro.workloads.data",
-    "repro.workloads.huge",
-)
+_REPRO_ROOT = Path(__file__).resolve().parents[1]
 
-_fingerprint_cache: Optional[str] = None
+#: The ``repro`` subpackages each source fingerprint covers.  Every
+#: ``.py`` file under them is hashed, so a module added later is
+#: covered without a hand-kept list.
+TRACE_PACKAGES = ("repro.isa", "repro.workloads")
+MODEL_PACKAGES = TRACE_PACKAGES + ("repro.uarch", "repro.cores")
+MULTICORE_PACKAGES = MODEL_PACKAGES + ("repro.multicore",)
+
+_package_digests: Dict[str, bytes] = {}
+
+
+def _package_digest(package: str) -> bytes:
+    digest = _package_digests.get(package)
+    if digest is None:
+        hasher = hashlib.sha256()
+        root = _REPRO_ROOT.joinpath(*package.split(".")[1:])
+        for path in sorted(root.rglob("*.py")):
+            hasher.update(path.relative_to(_REPRO_ROOT).as_posix().encode())
+            hasher.update(path.read_bytes())
+        digest = _package_digests[package] = hasher.digest()
+    return digest
+
+
+def source_fingerprint(packages: Tuple[str, ...]) -> str:
+    """Hash of the path and source of every ``.py`` file in *packages*."""
+    digest = hashlib.sha256()
+    for package in packages:
+        digest.update(_package_digest(package))
+    return digest.hexdigest()[:16]
 
 
 def model_fingerprint() -> str:
     """Hash of every timing-relevant module's source."""
-    global _fingerprint_cache
-    if _fingerprint_cache is None:
-        import importlib
-
-        digest = hashlib.sha256()
-        for module_name in _FINGERPRINT_MODULES:
-            module = importlib.import_module(module_name)
-            path = getattr(module, "__file__", None)
-            if path and os.path.exists(path):
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-        _fingerprint_cache = digest.hexdigest()[:16]
-    return _fingerprint_cache
+    return source_fingerprint(MODEL_PACKAGES)
 
 
 def cache_dir() -> Path:

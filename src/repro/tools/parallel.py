@@ -56,7 +56,7 @@ from .checkpoint import (
     serialize_outcome,
 )
 from .pool import (RunnerSpec, executor_factory as resolve_executor_factory,
-                   in_worker, process_executor_factory, worker_init)
+                   in_worker)
 
 CoreConfig = Union[RocketConfig, BoomConfig]
 
@@ -65,12 +65,6 @@ CoreConfig = Union[RocketConfig, BoomConfig]
 #: Only honoured inside pool workers, so the serial recovery path (and
 #: plain serial sweeps) complete normally.
 _CRASH_ENV = "REPRO_PARALLEL_CRASH_WORKLOAD"
-
-# Pool plumbing lives in repro.tools.pool (shared with the analysis
-# service); these aliases keep the engine's historical import surface.
-_worker_init = worker_init
-_default_executor_factory = process_executor_factory
-
 
 #: One grid pair: (canonical index, workload name, core config).
 SweepTask = Tuple[int, str, CoreConfig]

@@ -256,11 +256,6 @@ def executor_factory(style: str) -> ExecutorFactory:
         ) from None
 
 
-def make_executor(style: str, workers: int) -> ContextManager:
-    """Build one ladder rung by name: ``make_executor('process', 4)``."""
-    return executor_factory(style)(workers)
-
-
 # ---------------------------------------------------------------------------
 # Remote dispatch registry (the shard rung's contract)
 

@@ -2,12 +2,11 @@
 
 from . import trace_cache
 from .data import Lcg, doubles_as_dwords, dwords, ring_permutation
-from .registry import (ENGINE_ENV, Workload, build_program, build_trace,
-                       clear_caches, get_workload, register, workload_names)
+from .registry import (Workload, build_program, build_trace, clear_caches,
+                       get_workload, register, workload_names)
 from .spec import SPEC_INTRATE
 
 __all__ = [
-    "ENGINE_ENV",
     "Lcg",
     "SPEC_INTRATE",
     "Workload",

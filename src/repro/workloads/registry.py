@@ -7,18 +7,11 @@ process (the trace of a workload at a given scale never changes).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..isa import DynamicTrace, Program, assemble, execute, execute_compiled
+from ..isa import ColumnarTrace, Program, assemble, execute
 from . import trace_cache
-
-#: Engine selector: "compiled" (closure-compiled, memoized, columnar) is
-#: the production default; "interpreted" keeps the original
-#: FunctionalExecutor as the always-available reference oracle.
-ENGINE_ENV = "REPRO_EXEC_ENGINE"
-_ENGINES = ("compiled", "interpreted")
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,6 @@ def is_idle(name: str) -> bool:
 
 _REGISTRY: Dict[str, Workload] = {}
 _PROGRAM_CACHE: Dict[Tuple[str, float], Program] = {}
-_TRACE_CACHE: Dict[Tuple[str, float], DynamicTrace] = {}
 
 
 def register(workload: Workload) -> Workload:
@@ -121,15 +113,6 @@ def build_program(name: str, scale: float = 1.0) -> Program:
     return _PROGRAM_CACHE[key]
 
 
-def _engine(override: Optional[str] = None) -> str:
-    engine = override or os.environ.get(ENGINE_ENV, "compiled") or "compiled"
-    engine = engine.strip().lower()
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"unknown execution engine {engine!r}; known: {_ENGINES}")
-    return engine
-
-
 def _verify_exit(name: str, scale: float, trace) -> None:
     workload = get_workload(name)
     if workload.expected_exit is not None:
@@ -140,41 +123,25 @@ def _verify_exit(name: str, scale: float, trace) -> None:
                 f"expected {expected}")
 
 
-def build_trace(name: str, scale: float = 1.0,
-                engine: Optional[str] = None) -> DynamicTrace:
+def build_trace(name: str, scale: float = 1.0) -> ColumnarTrace:
     """Assemble and functionally execute the workload (cached).
 
-    The default ``compiled`` engine runs the closure-compiled executor
-    and memoizes the columnar trace through
-    :mod:`repro.workloads.trace_cache` (in-memory LRU + shared disk
-    tier), so sweeps and service bursts execute each workload
-    functionally once.  ``engine="interpreted"`` (or env
-    ``REPRO_EXEC_ENGINE=interpreted``) forces the reference
-    :class:`~repro.isa.executor.FunctionalExecutor` path.
-
-    Either way the workload's ``expected_exit`` code is verified, so a
-    broken kernel fails loudly instead of producing a meaningless
-    characterization.
+    The trace is memoized through :mod:`repro.workloads.trace_cache`
+    (in-memory LRU + shared disk tier), so sweeps and service bursts
+    execute each workload functionally once.  The workload's
+    ``expected_exit`` code is verified, so a broken kernel fails loudly
+    instead of producing a meaningless characterization.
     """
     get_workload(name)  # fail fast on unknown names
-    if _engine(engine) == "compiled":
-        trace = trace_cache.get(
-            name, scale,
-            lambda: execute_compiled(build_program(name, scale)))
-        _verify_exit(name, scale, trace)
-        return trace
-    key = (name, scale)
-    if key not in _TRACE_CACHE:
-        trace = execute(build_program(name, scale))
-        _verify_exit(name, scale, trace)
-        _TRACE_CACHE[key] = trace
-    return _TRACE_CACHE[key]
+    trace = trace_cache.get(
+        name, scale, lambda: execute(build_program(name, scale)))
+    _verify_exit(name, scale, trace)
+    return trace
 
 
 def clear_caches() -> None:
     """Drop cached programs/traces (mostly for tests)."""
     _PROGRAM_CACHE.clear()
-    _TRACE_CACHE.clear()
     trace_cache.clear_memory()
 
 

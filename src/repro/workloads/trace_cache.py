@@ -15,10 +15,9 @@ values behind that key in two bounded tiers:
 
 Keying rules: the cache key hashes the workload name, the scale (the
 suite's input seed — workloads are deterministic functions of it), and
-a fingerprint of every module whose source influences functional
-semantics (assembler, instruction specs, executor, compiler, columnar
-codec, workload generators).  Editing any of those invalidates every
-entry automatically; core-config fields are deliberately *excluded* so
+a fingerprint of the source of every module in ``repro.isa`` and
+``repro.workloads``.  Editing any of those invalidates every entry
+automatically; core-config fields are deliberately *excluded* so
 a 64-point sweep executes each workload functionally once.
 
 Environment knobs::
@@ -35,7 +34,6 @@ the parent / service metrics registry.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import os
 import threading
 from collections import OrderedDict
@@ -50,15 +48,6 @@ _DISK_LIMIT_ENV = "REPRO_TRACE_CACHE_ENTRIES"
 
 _DEFAULT_MEM_ENTRIES = 64
 _DEFAULT_DISK_ENTRIES = 512
-
-#: Modules whose source defines functional-trace semantics; editing any
-#: of them must invalidate every memoized trace.
-_FINGERPRINT_MODULES = (
-    "repro.isa.assembler", "repro.isa.instructions", "repro.isa.executor",
-    "repro.isa.compiler", "repro.isa.columnar", "repro.isa.memory",
-    "repro.workloads.micro", "repro.workloads.spec",
-    "repro.workloads.casestudy", "repro.workloads.data",
-)
 
 _STAT_KEYS = ("mem_hits", "disk_hits", "misses", "disk_corrupt")
 
@@ -91,7 +80,6 @@ def _unseal(data: bytes) -> bytes:
 _lock = threading.Lock()
 _mem: "OrderedDict[Tuple[str, float], ColumnarTrace]" = OrderedDict()
 _stats: Dict[str, int] = {key: 0 for key in _STAT_KEYS}
-_fingerprint: Optional[str] = None
 
 
 def _env_int(name: str, default: int) -> int:
@@ -119,17 +107,9 @@ def trace_dir() -> Path:
 
 def fingerprint() -> str:
     """Hash of every functional-semantics module's source."""
-    global _fingerprint
-    if _fingerprint is None:
-        digest = hashlib.sha256()
-        for module_name in _FINGERPRINT_MODULES:
-            module = importlib.import_module(module_name)
-            path = getattr(module, "__file__", None)
-            if path and os.path.exists(path):
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-        _fingerprint = digest.hexdigest()[:16]
-    return _fingerprint
+    from ..tools.cache import TRACE_PACKAGES, source_fingerprint
+
+    return source_fingerprint(TRACE_PACKAGES)
 
 
 def trace_key(workload: str, scale: float) -> str:
@@ -320,9 +300,7 @@ def warm(workload: str, scale: float,
 
 def clear_memory() -> None:
     """Drop the in-memory tier and zero the counters (tests)."""
-    global _fingerprint
     with _lock:
         _mem.clear()
         for key in _STAT_KEYS:
             _stats[key] = 0
-        _fingerprint = None

@@ -20,7 +20,10 @@ families are:
 - ``pmu``: ``PerfHarness`` read-backs under each counter architecture,
   and runs with injected faults;
 - ``tracer``: ``CycleTracer`` records and ``AutoCounter`` totals;
-- ``multicore``: every registry scenario through the lockstep path.
+- ``multicore``: every registry scenario through the lockstep path;
+- ``trace``: the functional executor's ``ColumnarTrace`` for every
+  registry workload at scale 1.0 (static ops, a sha256 per column, CSR
+  writes and end-of-run state).
 
 ``tests/test_golden_digests.py`` recomputes every entry with the
 builders below and compares.
@@ -32,6 +35,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from array import array
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -72,7 +76,7 @@ def _core(config_name: str):
 
 def _trace(workload: str):
     from repro.workloads import build_trace
-    return build_trace(workload, scale=SCALE, engine="compiled")
+    return build_trace(workload, scale=SCALE)
 
 
 def result_document(result) -> Dict[str, Any]:
@@ -276,6 +280,44 @@ def multicore_doc(scenario_name: str) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
+# (f) functional traces
+
+
+def trace_document(trace) -> Dict[str, Any]:
+    """A ``ColumnarTrace`` in canonical form.
+
+    Static ops are renumbered in first-execution order and unexecuted
+    ones dropped, so the document pins the committed path, not the
+    layout of the producer's static table.
+    """
+    order: Dict[int, int] = {}
+    sidx = array("I", [order.setdefault(s, len(order)) for s in trace.sidx])
+    static: List[Any] = [None] * len(order)
+    for s, k in order.items():
+        op = trace.static_ops[s]
+        static[k] = [op.pc, op.cls.value, op.dest, list(op.srcs),
+                     op.latency, op.mnemonic, op.mem_width, op.is_load,
+                     op.is_store, op.is_branch, op.is_fence, op.csr]
+    columns = {"sidx": sidx, "mem_addr": trace.mem_addr,
+               "next_pc": trace.next_pc, "taken": trace.taken}
+    return {
+        "static": static,
+        "columns": {name: hashlib.sha256(column.tobytes()).hexdigest()
+                    for name, column in columns.items()},
+        "csr_writes": sorted([i, v] for i, v in trace.csr_writes.items()),
+        "exit_code": trace.exit_code, "halt_reason": trace.halt_reason,
+        "final_int_regs": list(trace.final_int_regs),
+        "instret": trace.instret,
+    }
+
+
+def trace_doc(workload: str) -> Dict[str, Any]:
+    from repro.isa import execute
+    from repro.workloads import build_program
+    return trace_document(execute(build_program(workload)))
+
+
+# ----------------------------------------------------------------------
 
 
 def entries() -> List[Tuple[str, Callable[[], Dict[str, Any]]]]:
@@ -318,6 +360,8 @@ def entries() -> List[Tuple[str, Callable[[], Dict[str, Any]]]]:
                 lambda: tracer_doc("qsort", "medium-boom")))
     for name in scenario_names():
         out.append((f"multicore/{name}", lambda n=name: multicore_doc(n)))
+    for workload in workload_names():
+        out.append((f"trace/{workload}", lambda w=workload: trace_doc(w)))
     return out
 
 

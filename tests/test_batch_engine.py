@@ -75,7 +75,7 @@ def test_batch_matches_single_config_oracle(workload):
 
 
 def test_batch_shares_tables_and_folds_on_columnar():
-    trace = build_trace("towers", scale=SCALE, engine="compiled")
+    trace = build_trace("towers", scale=SCALE)
     assert hasattr(trace, "timing_table")
     batch = run_batch("towers", GRID, scale=SCALE, use_cache=False,
                       workers=1)

@@ -186,8 +186,6 @@ def test_corrupt_trace_cache_entry_is_a_counted_miss():
 
     built = build_trace("vvadd", scale=0.1)
     path = trace_cache.entry_path("vvadd", 0.1)
-    if not path.exists():
-        pytest.skip("interpreted engine forced; no disk tier in play")
     # Flip one payload byte on disk: the sealed envelope must catch it
     # even though the columnar codec itself has no content digest.
     raw = bytearray(path.read_bytes())

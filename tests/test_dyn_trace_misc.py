@@ -1,4 +1,4 @@
-"""Unit tests for DynamicTrace utilities and small remaining gaps."""
+"""Unit tests for trace utilities and small remaining gaps."""
 
 import pytest
 

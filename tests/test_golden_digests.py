@@ -2,11 +2,13 @@
 
 ``tests/golden_digests.json`` pins the full ``CoreResult`` surface and
 TMA level 1/2 of every registry workload on Rocket and three BOOM
-sizes, and the per-cycle signal streams observers see; the per-core
-loop tests check those.  Checked here: a run under a releasing stall
-hook, PMU read-backs under every counter architecture with and without
-injected faults, cycle tracer and AutoCounter output, and every
-multicore scenario through the lockstep path.  ``tests/make_golden_digests.py`` builds each document; see its
+sizes, the per-cycle signal streams observers see, and every registry
+workload's functional trace; the per-core loop tests and
+``tests/test_trace_compiler.py`` check those.  Checked here: a run
+under a releasing stall hook, PMU read-backs under every counter
+architecture with and without injected faults, cycle tracer and
+AutoCounter output, and every multicore scenario through the lockstep
+path.  ``tests/make_golden_digests.py`` builds each document; see its
 docstring before regenerating anything.
 """
 
@@ -22,7 +24,7 @@ CHECKED_ELSEWHERE = {f"signals/{workload}" for workload in STREAM_WORKLOADS}
 
 def checked_here(key):
     family, rest = key.split("/", 1)
-    return family != "core" and \
+    return family not in ("core", "trace") and \
         f"{family}/{rest.split('/')[0]}" not in CHECKED_ELSEWHERE
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa import ExecutionError, assemble, execute
-from repro.isa.executor import FunctionalExecutor
 
 U64 = (1 << 64) - 1
 
@@ -232,7 +231,7 @@ def test_instruction_budget_enforced():
         j loop
     """)
     with pytest.raises(ExecutionError):
-        FunctionalExecutor(program, max_instructions=1000).run()
+        execute(program, max_instructions=1000)
 
 
 def test_dyn_trace_records_memory_addresses():

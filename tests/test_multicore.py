@@ -100,15 +100,13 @@ def test_lockstep_solo_with_idle_neighbor_matches_oracle(workload, config):
     assert core.uncore.bus_wait_neighbor == 0
 
 
-#: The two trace forms a core accepts, by the functional executor that
-#: produces them: compiled -> ``ColumnarTrace``, interpreted -> the
-#: object-form ``DynamicTrace`` (converted by ``from_dynamic``).
-TRACE_FORMS = {"columnar": "compiled", "objects": "interpreted"}
+#: Cores take one trace form, the columnar one.  The parameter keeps
+#: the ids these tests had when a second, object-form trace existed.
+TRACE_FORMS = ("columnar",)
 
 
-@pytest.mark.parametrize("trace_form", list(TRACE_FORMS))
-def test_solo_identity_holds_on_both_engines(trace_form, monkeypatch):
-    monkeypatch.setenv("REPRO_EXEC_ENGINE", TRACE_FORMS[trace_form])
+@pytest.mark.parametrize("trace_form", TRACE_FORMS)
+def test_solo_identity_holds_on_both_engines(trace_form):
     result = run_scenario(solo_scenario("vvadd", "rocket"))
     solo = run_core("vvadd", config_by_name("rocket"), scale=SCALE,
                     use_cache=False)
@@ -120,9 +118,8 @@ def test_solo_identity_holds_on_both_engines(trace_form, monkeypatch):
 
 
 @pytest.mark.parametrize("name", scenario_names())
-@pytest.mark.parametrize("trace_form", list(TRACE_FORMS))
-def test_scenario_attribution_invariants(name, trace_form, monkeypatch):
-    monkeypatch.setenv("REPRO_EXEC_ENGINE", TRACE_FORMS[trace_form])
+@pytest.mark.parametrize("trace_form", TRACE_FORMS)
+def test_scenario_attribution_invariants(name, trace_form):
     scenario = get_scenario(name).with_overrides(scale=SCALE)
     result = run_scenario(scenario)
     assert result.cores, "scenario ran no cores"

@@ -131,7 +131,7 @@ def test_truncated_trace_stays_columnar_and_matches_golden():
     from repro.isa.columnar import ColumnarTrace
     from tests.make_golden_digests import digest, load_golden, pmu_fault_doc
 
-    trace = build_trace("qsort", scale=0.3, engine="compiled")
+    trace = build_trace("qsort", scale=0.3)
     spec = FaultSpec(kind=TRUNCATE_TRACE, seed=1, keep_fraction=0.45)
     cut = FaultInjector(spec).perturb_trace(trace)
     keep = int(len(trace) * 0.45)

@@ -514,7 +514,6 @@ def test_job_runner_spec_reflects_options():
 def test_trace_cache_metrics_surface_in_registry(monkeypatch):
     from repro.workloads import clear_caches
 
-    monkeypatch.setenv("REPRO_EXEC_ENGINE", "compiled")
     clear_caches()
     service = make_service(workers=1, executor="inline").start()
     try:

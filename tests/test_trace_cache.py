@@ -1,9 +1,9 @@
-"""Trace memoization tiers: hits, eviction, isolation, engine selection."""
+"""Trace memoization tiers: hits, eviction, isolation, keying."""
 
 import pytest
 
 from repro.cores import config_by_name
-from repro.isa import ColumnarTrace, DynamicTrace
+from repro.isa import ColumnarTrace
 from repro.reliability.runner import ResilientRunner
 from repro.workloads import build_trace, clear_caches, trace_cache
 
@@ -11,10 +11,6 @@ from repro.workloads import build_trace, clear_caches, trace_cache
 @pytest.fixture(autouse=True)
 def isolated_trace_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    # These tests exercise the memoizing compiled engine specifically;
-    # pin it so an outer REPRO_EXEC_ENGINE=interpreted (the CI oracle
-    # job) doesn't bypass the machinery under test.
-    monkeypatch.setenv("REPRO_EXEC_ENGINE", "compiled")
     clear_caches()
     yield tmp_path
     clear_caches()
@@ -99,28 +95,6 @@ def test_corrupt_disk_entry_is_a_miss_and_removed():
     assert not path.exists() or path.read_bytes() != b"garbage"
 
 
-def test_interpreted_engine_bypasses_memoization(monkeypatch):
-    monkeypatch.setenv("REPRO_EXEC_ENGINE", "interpreted")
-    trace = build_trace("vvadd")
-    assert isinstance(trace, DynamicTrace)
-    assert trace_cache.stats()["misses"] == 0
-    assert not trace_cache.trace_dir().exists()
-
-
-def test_engine_argument_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_EXEC_ENGINE", "interpreted")
-    assert isinstance(build_trace("vvadd", engine="compiled"), ColumnarTrace)
-    with pytest.raises(ValueError, match="unknown execution engine"):
-        build_trace("vvadd", engine="jit")
-
-
-def test_engines_agree_on_exit_code():
-    compiled = build_trace("mergesort", engine="compiled")
-    interpreted = build_trace("mergesort", engine="interpreted")
-    assert compiled.exit_code == interpreted.exit_code
-    assert len(compiled) == len(interpreted.instructions)
-
-
 def test_runner_outcome_carries_cache_delta():
     runner = ResilientRunner(use_cache=False)
     config = config_by_name("rocket")
@@ -134,5 +108,5 @@ def test_runner_outcome_carries_cache_delta():
 
 def test_fingerprint_change_invalidates_key(monkeypatch):
     key_before = trace_cache.trace_key("vvadd", 1.0)
-    monkeypatch.setattr(trace_cache, "_fingerprint", "deadbeef00000000")
+    monkeypatch.setattr(trace_cache, "fingerprint", lambda: "deadbeef00000000")
     assert trace_cache.trace_key("vvadd", 1.0) != key_before

@@ -1,17 +1,19 @@
-"""Compiled-vs-interpreted executor equivalence and load-time validation.
+"""The functional executor against its golden traces, and load-time validation.
 
-The closure-compiled engine must be observably indistinguishable from
-the interpreted reference oracle: every committed dynamic instruction
-bit-identical, every halt reason and exit code equal, and every error
-raised with the same message — only faster.
+Every registry workload's trace must match its ``trace/<workload>``
+digest in ``tests/golden_digests.json``: static ops, every column, CSR
+writes, exit code, halt reason, final registers and instret.  Halts and
+the instruction budget are pinned to literal expectations.
 """
 
 import pytest
 
 from repro.isa import (CompileError, ExecutionError, assemble,
-                       compile_program, execute, execute_compiled)
+                       compile_program, execute, unpack)
 from repro.isa.instructions import OPCODES, OperandFormat, OpSpec
 from repro.workloads import build_program, workload_names
+
+from tests.make_golden_digests import digest, load_golden, trace_doc
 
 DYN_FIELDS = (
     "index", "pc", "cls", "dest", "srcs", "latency", "next_pc",
@@ -20,14 +22,17 @@ DYN_FIELDS = (
     "is_mem", "is_control_flow",
 )
 
+GOLDEN = load_golden()
+STACK_TOP = 0x8800_0000
 
-def assert_traces_identical(interpreted, compiled):
-    assert len(interpreted) == len(compiled)
-    assert interpreted.exit_code == compiled.exit_code
-    assert interpreted.halt_reason == compiled.halt_reason
-    assert list(interpreted.final_int_regs) == list(compiled.final_int_regs)
-    assert interpreted.instret == compiled.instret
-    for a, b in zip(interpreted, compiled):
+
+def assert_traces_identical(expected, actual):
+    assert len(expected) == len(actual)
+    assert expected.exit_code == actual.exit_code
+    assert expected.halt_reason == actual.halt_reason
+    assert list(expected.final_int_regs) == list(actual.final_int_regs)
+    assert expected.instret == actual.instret
+    for a, b in zip(expected, actual):
         for field in DYN_FIELDS:
             assert getattr(a, field) == getattr(b, field), (
                 f"{field} differs at index {a.index} ({a.mnemonic})")
@@ -35,8 +40,7 @@ def assert_traces_identical(interpreted, compiled):
 
 @pytest.mark.parametrize("name", workload_names())
 def test_bit_identical_across_workload_registry(name):
-    program = build_program(name)
-    assert_traces_identical(execute(program), execute_compiled(program))
+    assert digest(trace_doc(name)) == GOLDEN[f"trace/{name}"], name
 
 
 def test_compiled_trace_metadata_matches():
@@ -46,20 +50,24 @@ def test_compiled_trace_metadata_matches():
         li a7, 93
         ecall
     """)
-    trace = execute_compiled(program)
+    trace = execute(program)
     assert trace.exit_code == 7
     assert trace.halt_reason == "ecall"
     assert trace.instret == len(trace)
 
 
 def test_halt_reason_ebreak_and_fell_off_text():
-    ebreak = assemble("_start:\n    ebreak\n")
-    assert_traces_identical(execute(ebreak), execute_compiled(ebreak))
-    assert execute_compiled(ebreak).halt_reason == "ebreak"
+    ebreak = execute(assemble("_start:\n    ebreak\n"))
+    assert ebreak.halt_reason == "ebreak"
+    assert (len(ebreak), ebreak.instret, ebreak.exit_code) == (1, 1, 0)
+    assert ebreak[0].mnemonic == "ebreak"
+    assert ebreak.final_int_regs == [0, 0, STACK_TOP] + [0] * 29
 
-    fall = assemble("_start:\n    addi a0, a0, 1\n")
-    assert_traces_identical(execute(fall), execute_compiled(fall))
-    assert execute_compiled(fall).halt_reason == "fell-off-text"
+    fall = execute(assemble("_start:\n    addi a0, a0, 1\n"))
+    assert fall.halt_reason == "fell-off-text"
+    assert (len(fall), fall.instret, fall.exit_code) == (1, 1, 0)
+    assert fall.final_int_regs[10] == 1
+    assert fall[0].next_pc == fall[0].pc + 4
 
 
 def test_instruction_budget_message_parity():
@@ -67,16 +75,31 @@ def test_instruction_budget_message_parity():
     _start:
         j _start
     """, name="spin")
-    with pytest.raises(ExecutionError) as interpreted:
+    with pytest.raises(ExecutionError) as raised:
         execute(program, max_instructions=100)
-    with pytest.raises(ExecutionError) as compiled:
-        execute_compiled(program, max_instructions=100)
-    assert str(compiled.value) == str(interpreted.value)
+    assert str(raised.value) == "instruction budget exceeded (100) in 'spin'"
+
+
+def test_csr_writes_are_recorded_and_survive_the_codec():
+    trace = execute(assemble("""
+    _start:
+        li t0, 12
+        csrw mhpmevent3, t0
+        csrwi mcounteren, 7
+        csrw mhpmcounter3, zero
+        csrr t1, mhpmevent3
+        li a7, 93
+        ecall
+    """, name="csr-writes"))
+    assert trace.csr_writes == {1: 12, 2: 7, 3: 0}
+    assert [inst.csr_write for inst in trace][:5] == [None, 12, 7, 0, None]
+    assert trace.final_int_regs[6] == 12  # t1 read back mhpmevent3
+    assert_traces_identical(trace, unpack(trace.pack()))
 
 
 # ----------------------------------------------------------------------
 # Load-time validation: bad programs fail at compile_program(), not
-# mid-run (the interpreter only notices when dispatch reaches them).
+# mid-run when dispatch reaches them.
 
 
 def _program_with_bad_mnemonic(mnemonic):
@@ -112,7 +135,7 @@ def test_missing_semantic_handler_fails_at_compile_time(monkeypatch):
 
 def test_validation_is_eager_not_lazy():
     # The bad instruction sits on a never-taken path; compilation must
-    # reject it anyway, while the interpreter happily runs the program.
+    # reject it anyway.
     program = assemble("""
     _start:
         j _exit
@@ -123,7 +146,6 @@ def test_validation_is_eager_not_lazy():
         ecall
     """, name="dead-code")
     program.instructions[1].mnemonic = "bogus.op"
-    assert execute(program).exit_code == 0  # interpreter never notices
     with pytest.raises(CompileError):
         compile_program(program, cache=False)
 
