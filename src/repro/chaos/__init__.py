@@ -13,7 +13,8 @@ The layer has three parts:
 - :mod:`repro.chaos.campaign` — the end-to-end campaign behind
   ``repro-tma chaos``: runs the sweep and service layers under an
   active plan, checks the end-state invariants (zero job loss, exact
-  dedup, fault-free-identical merged results, bounded retries), and
+  dedup, fault-free-identical merged results, exact quarantine of
+  corrupted cache entries, bounded service executions), and
   emits a byte-deterministic report.
 """
 

@@ -4,19 +4,20 @@ The campaign attacks the stack at its real seams and then checks the
 *end-state invariants* that the reliability layer promises survive any
 schedule of those faults:
 
-**Sweep phases** (process-pool grid sweeps):
+**Sweep phases** (the ``repro-tma sweep`` engine,
+:func:`~repro.tools.tma_tool.run_grid` with a process-pool fan-out):
 
 1. *Oracle* — the grid runs chaos-free in an isolated cache directory;
    its merged results are digested as the ground truth.
 2. *Chaos pass 1* — the same grid runs under the plan in a second
-   isolated directory: pool workers are killed mid-shard, cache writes
+   isolated directory: pool workers are killed mid-grid, cache writes
    are truncated/bit-flipped/ENOSPC'd.  Every pair must still complete
-   (parent-side recovery) and the merged results must digest
-   identically to the oracle.
+   (the fan-out re-runs a dead worker's point in the parent) and the
+   merged results must digest identically to the oracle.
 3. *Chaos pass 2* — the grid runs again in the same directory, so this
-   pass *reads* the cache entries pass 1 corrupted: checksums must
-   catch every mangled entry (quarantine + re-run), and the digest
-   must again equal the oracle's.
+   pass *reads* the cache entries pass 1 corrupted: the batch engine
+   must quarantine exactly the mangled entries (verify in the parent,
+   delete, re-run), and the digest must again equal the oracle's.
 
 **Service phase**: a real HTTP service (thread executor) takes a
 duplicate-heavy burst from a chaotic client (refused/reset/delayed
@@ -29,9 +30,12 @@ object itself.
 **Determinism.** The report holds only values that are pure functions
 of ``(seed, grid)``: verdict booleans, plan-*enumerated* fault counts
 (never runtime counters, which shift with scheduling), submission
-counts fixed by construction, and result digests.  Two runs with the
-same seed must produce byte-identical reports — the chaos smoke test
-enforces exactly that.
+counts fixed by construction, and result digests.  The sweep's fault
+decisions are keyed on each entry's logical identity (workload, scale,
+config), never on a source fingerprint, so editing the simulator does
+not redraw the schedule (:func:`planned_sweep_faults`).  Two runs with
+the same seed must produce byte-identical reports — the chaos smoke
+test enforces exactly that.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..cores import config_by_name
+from ..cores.batch import BatchResult, GridPoint, parse_grid, point_task_key
 from ..reliability.retry import RetryPolicy
-from ..reliability.runner import ResilientRunner, SweepReport
 from ..tools import cache
 from ..workloads import trace_cache
 from . import injector
@@ -58,7 +62,7 @@ DEFAULT_WORKLOADS = ("median", "qsort", "towers")
 DEFAULT_CONFIGS = ("rocket", "large-boom")
 DEFAULT_SCALE = 0.2
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 _CACHE_ENV = "REPRO_CACHE_DIR"
 
@@ -98,26 +102,20 @@ def _isolated_cache_dir(root: str, name: str) -> Iterator[str]:
         trace_cache.clear_memory()
 
 
-def _result_digest(report: SweepReport) -> str:
+def _result_digest(batches: Sequence[BatchResult]) -> str:
     """Canonical digest of a sweep's merged results.
 
-    Folds, per pair in grid order: identity, status, and the exact
-    serialized :class:`CoreResult`.  Deliberately excludes attempt
-    counts, trace-cache counters, and quarantine flags — those describe
-    *how* the sweep got there, which chaos legitimately changes; the
-    digest captures *what* it produced, which chaos must not.
+    Folds, per pair in grid order: identity and the exact serialized
+    :class:`CoreResult`.  Deliberately excludes fan-out modes, cache
+    hits, and quarantines — those describe *how* the sweep got there,
+    which chaos legitimately changes; the digest captures *what* it
+    produced, which chaos must not.
     """
-    pairs: List[Dict[str, Any]] = []
-    for outcome in report.outcomes:
-        measurement = outcome.measurement
-        pairs.append({
-            "workload": outcome.workload,
-            "config": outcome.config_name,
-            "status": outcome.status,
-            "result": (cache.serialize_result(measurement.result)
-                       if measurement is not None
-                       and measurement.result is not None else None),
-        })
+    pairs: List[Dict[str, Any]] = [
+        {"workload": batch.workload, "config": point.key,
+         "result": cache.serialize_result(result)}
+        for batch in batches
+        for point, result in zip(batch.points, batch.results)]
     canonical = json.dumps(pairs, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
 
@@ -186,63 +184,63 @@ class CampaignReport:
 # Sweep phases
 
 
-def _make_runner(scale: float, seed: int) -> ResilientRunner:
-    return ResilientRunner(
-        scale=scale,
-        retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0, seed=seed))
+def planned_sweep_faults(plan: ChaosPlan, workloads: Sequence[str],
+                         points: Sequence[GridPoint],
+                         scale: float) -> Dict[str, Any]:
+    """The sweep phase's fault schedule, enumerated without running.
+
+    Every key is a logical identity — the fan-out task key of a grid
+    point, the identity half of a result-cache key, a trace-cache
+    (workload, scale) — so the schedule depends on ``(seed, grid)``
+    only.  ``corrupting`` lists the ``workload:point`` entries whose
+    result-cache write leaves a damaged entry on disk (``enospc``
+    leaves none), i.e. exactly what pass 2 must quarantine.
+    """
+    pairs = [(w, p) for w in workloads for p in points]
+    entries = {f"result-cache:{cache.entry_identity(w, scale, p.config)}":
+               f"{w}:{p.key}" for w, p in pairs}
+    disk_keys = list(entries) + [
+        f"trace-cache:{trace_cache.entry_identity(w, scale)}"
+        for w in dict.fromkeys(workloads)]
+    disk = plan.planned_faults("disk_fault", disk_keys)
+    return {
+        "worker_kill": plan.planned_faults(
+            "worker_kill", [point_task_key(w, p) for w, p in pairs]),
+        "disk_fault": disk,
+        "corrupting": sorted(entries[key] for key, flavor in disk
+                             if key in entries and flavor != "enospc"),
+    }
 
 
-def _sweep_once(workloads: Sequence[str], configs: Sequence[Any],
-                scale: float, seed: int, workers: int) -> SweepReport:
-    from ..tools.parallel import ParallelSweepRunner
+def _sweep_once(workloads: Sequence[str], points: Sequence[GridPoint],
+                scale: float, workers: int) -> List[BatchResult]:
+    from ..tools.tma_tool import run_grid
 
-    engine = ParallelSweepRunner(runner=_make_runner(scale, seed),
-                                 max_workers=workers, seed=seed)
-    return engine.run_grid(list(workloads), list(configs))
+    return run_grid(list(workloads), points, scale=scale, workers=workers)
 
 
 def _run_sweep_phase(report: CampaignReport, plan: ChaosPlan, root: str,
                      workloads: Sequence[str], config_names: Sequence[str],
                      scale: float, workers: int) -> None:
-    configs = [config_by_name(name) for name in config_names]
-    pairs = [(w, c) for w in workloads for c in configs]
-    policy_cap = _make_runner(scale, plan.seed).retry_policy.max_attempts
-
-    # Plan-enumerated fault schedule over the sweep's known key space —
-    # deterministic, and computable without executing anything.
-    kill_keys = [f"shard:{w}:{c.name}" for w, c in pairs]
-    result_keys = {(w, c.name): cache.cache_key(w, scale, c)
-                   for w, c in pairs}
-    disk_keys = ([f"result-cache:{key}" for key in result_keys.values()]
-                 + [f"trace-cache:{trace_cache.trace_key(w, scale)}"
-                    for w in dict.fromkeys(workloads)])
-    planned_kills = plan.planned_faults("worker_kill", kill_keys)
-    planned_disk = plan.planned_faults("disk_fault", disk_keys)
-    #: Result-cache faults that leave a *corrupt entry on disk* (ENOSPC
-    #: leaves no entry at all), i.e. exactly what pass 2 must detect
-    #: and quarantine.
-    planned_corrupting = [
-        (key, flavor) for key, flavor in planned_disk
-        if key.startswith("result-cache:") and flavor != "enospc"]
+    points = parse_grid(",".join(config_names))
+    planned = planned_sweep_faults(plan, workloads, points, scale)
 
     with _isolated_cache_dir(root, "oracle"):
         injector.deactivate()
-        oracle = _sweep_once(workloads, configs, scale, plan.seed, workers)
+        oracle = _sweep_once(workloads, points, scale, workers)
     oracle_digest = _result_digest(oracle)
 
     with _isolated_cache_dir(root, "chaos"):
         with injector.active(plan):
-            pass1 = _sweep_once(workloads, configs, scale, plan.seed, workers)
-            pass2 = _sweep_once(workloads, configs, scale, plan.seed, workers)
+            pass1 = _sweep_once(workloads, points, scale, workers)
+            pass2 = _sweep_once(workloads, points, scale, workers)
     pass1_digest = _result_digest(pass1)
     pass2_digest = _result_digest(pass2)
 
-    grid_size = len(pairs)
-    attempts_max = max(
-        [o.attempts for o in pass1.outcomes + pass2.outcomes] or [0])
-    detected = sorted(set(pass2.quarantined_keys))
-    expected_corrupt = sorted(
-        {key.split(":", 1)[1] for key, _ in planned_corrupting})
+    grid_size = len(workloads) * len(points)
+    detected = sorted(f"{batch.workload}:{key}" for batch in pass2
+                      for key in batch.stats.quarantined)
+    expected_corrupt = planned["corrupting"]
 
     report.sweep = {
         "pairs": grid_size,
@@ -254,23 +252,20 @@ def _run_sweep_phase(report: CampaignReport, plan: ChaosPlan, root: str,
         "pass2_digest": pass2_digest,
         "pass1_identical": pass1_digest == oracle_digest,
         "pass2_identical": pass2_digest == oracle_digest,
-        "worker_kills_planned": len(planned_kills),
-        "disk_faults_planned": len(planned_disk),
+        "worker_kills_planned": len(planned["worker_kill"]),
+        "disk_faults_planned": len(planned["disk_fault"]),
         "corrupt_entries_planned": len(expected_corrupt),
         "corrupt_entries_detected": len(detected),
         "corruption_detected": detected == expected_corrupt,
-        "attempts_max": attempts_max,
-        "retries_bounded": attempts_max <= policy_cap,
-        "statuses": sorted({o.status
-                            for o in pass1.outcomes + pass2.outcomes}),
     }
 
-    for label, sweep_report in (("oracle", oracle), ("pass1", pass1),
-                                ("pass2", pass2)):
-        if len(sweep_report.outcomes) != grid_size:
+    for label, batches in (("oracle", oracle), ("pass1", pass1),
+                           ("pass2", pass2)):
+        results = sum(len(batch.results) for batch in batches)
+        if results != grid_size:
             report.violations.append(
-                f"sweep/{label}: {len(sweep_report.outcomes)} outcomes "
-                f"for a {grid_size}-pair grid (pairs lost)")
+                f"sweep/{label}: {results} results for a "
+                f"{grid_size}-pair grid (pairs lost)")
     if not report.sweep["pass1_identical"]:
         report.violations.append(
             "sweep/pass1: merged results diverge from the fault-free "
@@ -283,10 +278,6 @@ def _run_sweep_phase(report: CampaignReport, plan: ChaosPlan, root: str,
         report.violations.append(
             f"sweep/pass2: corrupted cache entries not exactly "
             f"quarantined (expected {expected_corrupt}, got {detected})")
-    if not report.sweep["retries_bounded"]:
-        report.violations.append(
-            f"sweep: attempts reached {attempts_max}, above the retry "
-            f"policy cap of {policy_cap}")
 
 
 # ----------------------------------------------------------------------
@@ -367,8 +358,19 @@ def _run_service_phase(report: CampaignReport, plan: ChaosPlan, root: str,
             dedup_exact = False
             break
 
+    # A repeat is served from the result store only when its primary's
+    # entry is intact.  A job whose store write the plan faults (ENOSPC
+    # or a corrupt entry) may run once per submission that arrives
+    # after the previous run finished; every run may be requeued.
+    config = config_by_name(config_name)
+    store_faulted = sum(
+        plan.decide("disk_fault", "result-cache:"
+                    + cache.entry_identity(w, scale, config)) is not None
+        for w in workloads)
     executed = counters.get("jobs_executed", 0)
-    max_executions = len(unique_jobs) * (1 + service.max_requeues)
+    max_executions = ((len(unique_jobs) - store_faulted
+                       + store_faulted * submissions_per_job)
+                      * (1 + service.max_requeues))
     executions_bounded = executed <= max_executions
 
     report.service = {

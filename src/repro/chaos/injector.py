@@ -4,11 +4,11 @@ Production code never imports :class:`~repro.chaos.plan.ChaosPlan`
 directly; it calls the tiny hook functions here, every one of which is
 a no-op costing one global-read when no plan is active.  The seams:
 
-- :func:`maybe_kill_worker` — pool workers (``repro.tools.pool`` /
-  ``repro.service.workers`` / ``repro.tools.parallel`` shards) call
-  this before executing a task; an injected kill is ``os._exit(23)``,
-  indistinguishable from a SIGKILL'd/OOM-killed worker from the
-  parent's point of view.
+- :func:`maybe_kill_worker` — pool workers (every
+  :func:`repro.tools.pool.fan_out` task, and first executions of
+  ``repro.service.workers`` jobs) call this before executing a task;
+  an injected kill is ``os._exit(23)``, indistinguishable from a
+  SIGKILL'd/OOM-killed worker from the parent's point of view.
 - :func:`mangle_write` — the result cache and the trace cache route
   their payload bytes through this before writing; injected faults
   truncate the payload, flip a bit, or raise ``ENOSPC``.
@@ -42,8 +42,8 @@ _lock = threading.Lock()
 _active_plan: Optional[ChaosPlan] = None
 _counters: Dict[str, int] = {}
 
-#: Exit code used for injected worker kills (distinct from the legacy
-#: test hooks' 13, so post-mortems can tell the two apart).
+#: Exit code used for injected worker kills, so post-mortems can tell
+#: them from real crashes.
 KILL_EXIT_CODE = 23
 
 

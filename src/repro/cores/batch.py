@@ -21,9 +21,10 @@ burns it four times per trace.
 - the TAGE fold memos — pure ``history -> (index fold, tag fold)``
   functions — are shared across every same-geometry table in the grid
   (:func:`repro.uarch.branch.share_fold_caches`);
-- on multi-core hosts, grid points fan out over a process pool (fork
-  workers inherit the parent's warm in-memory trace tier), falling
-  back to the inline path on any pool failure.
+- on multi-core hosts, grid points fan out over a process pool through
+  :func:`repro.tools.pool.fan_out` (fork workers inherit the parent's
+  warm in-memory trace tier); a point whose worker fails re-runs in
+  the parent.
 
 What is **never** shared: core state.  Every grid point gets a fresh
 core instance, because predictor/cache/TLB contents evolve under a
@@ -38,9 +39,7 @@ oracle (enforced by ``tests/test_batch_engine.py`` and the
 from __future__ import annotations
 
 import hashlib
-import os
 import time
-from concurrent.futures import as_completed
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -78,13 +77,17 @@ class GridPoint:
 class BatchStats:
     """How a batch run shared (or skipped) work across its grid."""
 
-    mode: str = "inline"  # "inline" | "process" | "mixed"
+    #: The fan-out label (:class:`~repro.tools.pool.FanoutReport`).
+    mode: str = "inline"  # "inline" | "pool" | "mixed"
     workers: int = 1
     points_total: int = 0
     #: Points restored from a sweep checkpoint.
     restored: int = 0
     #: Points served by the on-disk result cache.
     cache_hits: int = 0
+    #: Keys of the points whose result-cache entry failed verification
+    #: (corrupt, truncated, checksum mismatch): deleted and re-run.
+    quarantined: List[str] = field(default_factory=list)
     #: Points actually simulated this run.
     executed: int = 0
     #: Trace fetches paid by this batch (1; a per-config sweep pays N).
@@ -277,12 +280,6 @@ def make_core(config: CoreConfig):
     return BoomCore(config)
 
 
-def _resolve_workers(workers: Optional[int], pending: int) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
-    return max(1, min(int(workers), pending))
-
-
 def _precompile_tables(trace: ColumnarTrace, pending: Sequence[GridPoint]) -> int:
     """Compile each family's descriptor table once; return shares."""
     builders = {"rocket": build_rocket_table, "boom": build_boom_table}
@@ -315,53 +312,17 @@ def _run_inline(
         note(point, core.run(trace))
 
 
-def _run_point(
-    workload: str, scale: float, key: str, config: CoreConfig
-) -> Tuple[str, Dict[str, object]]:
-    """Pool-worker entry: one grid point, fresh core, exact codec."""
-    from ..tools import cache as result_cache
+def point_task_key(workload: str, point: GridPoint) -> str:
+    """Fan-out key of one grid point; also its worker-kill chaos key."""
+    return f"point:{workload}:{point.key}"
+
+
+def _run_point(task: Tuple[str, float, CoreConfig]) -> CoreResult:
+    """Fan-out entry (pool worker or parent): one point, fresh core."""
     from ..workloads import build_trace
 
-    trace = build_trace(workload, scale=scale)
-    result = make_core(config).run(trace)
-    return key, result_cache.serialize_result(result)
-
-
-def _run_process(
-    workload: str,
-    pending: Sequence[GridPoint],
-    scale: float,
-    stats: BatchStats,
-    note: Callable[[GridPoint, CoreResult], None],
-    workers: int,
-    executor_factory,
-) -> None:
-    from ..tools import cache as result_cache
-    from ..tools.pool import EXECUTOR_FACTORIES
-    from ..workloads import build_trace
-
-    # Warm the trace tiers in the parent: forked workers inherit the
-    # in-memory tier, non-fork starts hit the disk tier.
-    build_trace(workload, scale=scale)
-    stats.trace_fetches = 1
-    factory = executor_factory or EXECUTOR_FACTORIES["process"]
-    remaining: Dict[str, GridPoint] = {point.key: point for point in pending}
-    try:
-        with factory(workers) as pool:
-            futures = {
-                pool.submit(_run_point, workload, scale, point.key, point.config): point
-                for point in pending
-            }
-            for future in as_completed(futures):
-                point = futures[future]
-                key, payload = future.result()
-                note(point, result_cache.deserialize_result(payload))
-                remaining.pop(key, None)
-    except Exception as exc:  # noqa: BLE001 - any pool failure: go inline
-        stats.fallback_reason = f"{type(exc).__name__}: {exc}"
-        stats.mode = "mixed" if len(remaining) < len(pending) else "inline"
-        if remaining:
-            _run_inline(workload, list(remaining.values()), scale, stats, note)
+    workload, scale, config = task
+    return make_core(config).run(build_trace(workload, scale=scale))
 
 
 def run_batch(
@@ -372,7 +333,6 @@ def run_batch(
     use_cache: bool = True,
     checkpoint=None,
     workers: Optional[int] = None,
-    executor_factory=None,
     windows: Optional[int] = None,
     warmup: Optional[int] = None,
     sampled: bool = False,
@@ -389,7 +349,8 @@ def run_batch(
     a re-run, so a killed grid resumes instead of restarting; the
     caller owns ``checkpoint.clear()``.  *workers* caps the process
     fan-out (default: the machine's core count; 1 forces the inline
-    shared-trace path).  *executor_factory* is injectable for tests.
+    shared-trace path).  Result-cache entries that fail verification
+    are deleted, re-run, and listed in ``stats.quarantined``.
 
     With *windows*, every pending point runs through the windowed
     engine (:func:`repro.cores.windowed.run_windowed_points`): the pool
@@ -402,6 +363,7 @@ def run_batch(
     from ..core.tma import compute_tma
     from ..tools import cache as result_cache
     from ..tools.checkpoint import point_key
+    from ..tools.pool import fan_out, resolve_workers
 
     if points is None:
         points = parse_grid(DEFAULT_GRID)
@@ -455,8 +417,14 @@ def run_batch(
         for point in points:
             if point.key in done:
                 continue
-            cached = result_cache.load(result_key(point))
-            if cached is not None:
+            key = result_key(point)
+            cached = result_cache.load(key)
+            if cached is None:
+                # ``load`` misses on a damaged entry too; one still on
+                # disk failed verification, so quarantine it.
+                if result_cache.quarantine(key):
+                    stats.quarantined.append(point.key)
+            else:
                 done[point.key] = cached
                 stats.cache_hits += 1
                 if checkpoint is not None:
@@ -477,42 +445,43 @@ def run_batch(
             )
 
     pending = [point for point in points if point.key not in done]
+    report = None
     if pending and windows is not None:
         from .windowed import run_windowed_points
 
-        count = _resolve_workers(workers, len(pending) * max(1, windows))
-        stats.workers = count
-        stats.mode = "process" if count > 1 else "inline"
         stats.trace_fetches = 1
-        run_windowed_points(
+        _, report = run_windowed_points(
             workload,
             pending,
             windows=windows,
             scale=scale,
             warmup=warmup,
             sampled=sampled,
-            workers=count,
+            workers=workers,
             progress=progress,
-            executor_factory=executor_factory,
             note=note,
         )
+    elif resolve_workers(workers, len(pending)) > 1:
+        from ..workloads import build_trace
+
+        # Warm the trace tiers in the parent: forked workers inherit the
+        # in-memory tier, non-fork starts hit the disk tier.
+        build_trace(workload, scale=scale)
+        stats.trace_fetches = 1
+        by_key = {point_task_key(workload, point): point for point in pending}
+        report = fan_out(
+            [(key, (workload, scale, point.config)) for key, point in by_key.items()],
+            _run_point,
+            _run_point,
+            workers,
+            on_result=lambda key, result: note(by_key[key], result),
+        )
     elif pending:
-        count = _resolve_workers(workers, len(pending))
-        stats.workers = count
-        if count > 1:
-            stats.mode = "process"
-            _run_process(
-                workload,
-                pending,
-                scale,
-                stats,
-                note,
-                count,
-                executor_factory,
-            )
-        else:
-            stats.mode = "inline"
-            _run_inline(workload, pending, scale, stats, note)
+        _run_inline(workload, pending, scale, stats, note)
+    if report is not None:
+        stats.mode = report.mode
+        stats.workers = report.workers
+        stats.fallback_reason = report.fallback_reason
 
     stats.wall_s = time.perf_counter() - start
     results = [done[key] for key in keys]

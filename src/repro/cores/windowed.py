@@ -52,15 +52,17 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import as_completed
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..isa.columnar import ColumnarTrace, unpack_window
 from .base import BoomConfig, CoreResult, RocketConfig
 from .batch import GridPoint, make_core
+
+if TYPE_CHECKING:
+    from ..tools.pool import FanoutReport
 
 CoreConfig = Union[RocketConfig, BoomConfig]
 
@@ -505,99 +507,75 @@ def _tick(progress, message: str) -> None:
         print(message, file=sys.stderr, flush=True)
 
 
-def _window_task(tag, static_blob: bytes, window_blob: bytes, warm_len: int,
-                 config: CoreConfig):
-    """Pool-worker entry: one window, run-and-subtract, exact codec.
-
-    *tag* is any picklable identity the caller uses to route the result
-    (a window index, or a ``(point key, index)`` pair for grid runs).
-    The static blob is parsed once per worker and shared across every
-    window of the same trace (digest-keyed cache in the codec).
-    """
-    from ..tools.cache import serialize_result
-
-    begin = time.perf_counter()
-    trace = unpack_window(static_blob, window_blob)
-    result = measure_window(trace, warm_len, config)
-    return tag, serialize_result(result), time.perf_counter() - begin
+#: One window's fan-out task: ``(key, (warm_start, start, stop, config))``.
+WindowTask = Tuple[str, Tuple[int, int, int, CoreConfig]]
 
 
-def _resolve_workers(workers: Optional[int], tasks: int) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
-    return max(1, min(int(workers), tasks))
-
-
-def _run_window_tasks(
-    trace: ColumnarTrace,
-    tasks: Sequence[Tuple[object, int, int, int, CoreConfig]],
-    workers: Optional[int],
-    progress: bool,
-    executor_factory=None,
-    on_result: Optional[Callable[[object, CoreResult, float], None]] = None,
-) -> Tuple[Dict[object, Tuple[CoreResult, float]], Optional[str]]:
-    """Execute window tasks, in a pool when it pays, inline otherwise.
-
-    Each task is ``(tag, warm_start, start, stop, config)``.  Pool
-    failures fall back to finishing the remaining tasks inline, like
-    the batch engine.  Returns ``({tag: (measured result, wall_s)},
-    fallback_reason)``; the reason is None unless the pool failed.
-    """
-    from ..tools import cache as result_cache
-    from ..tools.pool import EXECUTOR_FACTORIES
-
-    done: Dict[object, Tuple[CoreResult, float]] = {}
-    total = len(tasks)
-
-    def note(tag, result: CoreResult, wall: float, start: int,
-             stop: int) -> None:
-        done[tag] = (result, wall)
-        _tick(progress,
-              f"[windowed] window {len(done)}/{total} ({tag}): "
-              f"{stop - start} instr, {wall:.2f}s")
-        if on_result is not None:
-            on_result(tag, result, wall)
-
-    count = _resolve_workers(workers, total)
-    remaining = list(tasks)
-    fallback_reason: Optional[str] = None
-    if count > 1:
-        static_blob = trace.pack_static()
-        factory = executor_factory or EXECUTOR_FACTORIES["process"]
-        try:
-            with factory(count) as pool:
-                futures = {
-                    pool.submit(
-                        _window_task, tag,
-                        static_blob, trace.pack_window(warm_start, stop),
-                        start - warm_start, config): (tag, start, stop)
-                    for tag, warm_start, start, stop, config in tasks
-                }
-                for future in as_completed(futures):
-                    tag, start, stop = futures[future]
-                    _, payload, wall = future.result()
-                    note(tag, result_cache.deserialize_result(payload),
-                         wall, start, stop)
-        except Exception as exc:  # noqa: BLE001 - any pool failure: go inline
-            fallback_reason = f"{type(exc).__name__}: {exc}"
-            remaining = [t for t in tasks if t[0] not in done]
-        else:
-            remaining = []
-    for tag, warm_start, start, stop, config in remaining:
-        begin = time.perf_counter()
-        window_trace = trace.slice(warm_start, stop)
-        result = measure_window(window_trace, start - warm_start, config)
-        note(tag, result, time.perf_counter() - begin, start, stop)
-    return done, fallback_reason
-
-
-def _window_tasks(plan: WindowPlan, config: CoreConfig,
-                  tag: Callable[[int], object]
-                  ) -> List[Tuple[object, int, int, int, CoreConfig]]:
+def _window_tasks(workload: str, plan: WindowPlan, label: str,
+                  config: CoreConfig) -> List[WindowTask]:
+    """One task per window of *plan*; the key names workload, point and
+    window (it is also the pool's worker-kill chaos key)."""
     return [
-        (tag(i), max(0, start - plan.warmup), start, stop, config)
+        (f"window:{workload}:{label}:{i}",
+         (max(0, start - plan.warmup), start, stop, config))
         for i, (start, stop) in enumerate(plan.spans)
     ]
+
+
+def _window_task(task) -> Tuple[CoreResult, float]:
+    """Pool-worker entry: one window, run-and-subtract.
+
+    *task* carries the window's bounds plus the trace's static blob and
+    the window's column blob.  The static blob is parsed once per
+    worker and shared across every window of the same trace
+    (digest-keyed cache in the codec).
+    """
+    warm_start, start, _, config, static_blob, window_blob = task
+    begin = time.perf_counter()
+    trace = unpack_window(static_blob, window_blob)
+    result = measure_window(trace, start - warm_start, config)
+    return result, time.perf_counter() - begin
+
+
+def _measure_windows(
+    trace: ColumnarTrace,
+    tasks: Sequence[WindowTask],
+    workers: Optional[int],
+    progress,
+) -> Tuple[Dict[str, Tuple[CoreResult, float]], FanoutReport]:
+    """Measure every window through :func:`repro.tools.pool.fan_out`.
+
+    Pool tasks ship packed column blobs; inline ones (one worker, or a
+    window whose worker failed) slice the parent's trace.  Returns
+    ``({key: (measured result, wall_s)}, report)``.
+    """
+    from ..tools.pool import fan_out, resolve_workers
+
+    spans = dict(tasks)
+    if resolve_workers(workers, len(tasks)) > 1:
+        static_blob = trace.pack_static()
+        tasks = [(key, span + (static_blob,
+                               trace.pack_window(span[0], span[2])))
+                 for key, span in tasks]
+
+    def inline(task) -> Tuple[CoreResult, float]:
+        warm_start, start, stop, config = task[:4]
+        begin = time.perf_counter()
+        result = measure_window(trace.slice(warm_start, stop),
+                                start - warm_start, config)
+        return result, time.perf_counter() - begin
+
+    done: Dict[str, Tuple[CoreResult, float]] = {}
+
+    def note(key: str, measured: Tuple[CoreResult, float]) -> None:
+        done[key] = measured
+        _, start, stop, _ = spans[key]
+        _tick(progress,
+              f"[windowed] window {len(done)}/{len(spans)} ({key}): "
+              f"{stop - start} instr, {measured[1]:.2f}s")
+
+    report = fan_out(tasks, _window_task, inline, workers, on_result=note)
+    return done, report
 
 
 def windowed_metadata(plan: WindowPlan, walls: Sequence[float]
@@ -617,7 +595,7 @@ def run_windowed(workload: str, config: CoreConfig, *, windows: int,
                  scale: float = 1.0, warmup: Optional[int] = None,
                  sampled: bool = False,
                  use_cache: bool = True, workers: Optional[int] = None,
-                 progress: bool = False, executor_factory=None) -> CoreResult:
+                 progress: bool = False) -> CoreResult:
     """Windowed (or sampled) replacement for a single ``run_core``.
 
     Returns a whole-run :class:`CoreResult` carrying ``windowed``
@@ -643,17 +621,16 @@ def run_windowed(workload: str, config: CoreConfig, *, windows: int,
     plan = plan_windows(len(trace), windows, warmup=warmup, sampled=sampled)
 
     begin = time.perf_counter()
-    done, fallback_reason = _run_window_tasks(
-        trace, _window_tasks(plan, config, tag=lambda i: i), workers,
-        progress, executor_factory)
-    parts = [done[i][0] for i in range(len(plan.spans))]
-    walls = [done[i][1] for i in range(len(plan.spans))]
+    tasks = _window_tasks(workload, plan, config.name, config)
+    done, report = _measure_windows(trace, tasks, workers, progress)
+    parts = [done[key][0] for key, _ in tasks]
+    walls = [done[key][1] for key, _ in tasks]
 
     stitched = stitch_results(workload, parts)
     metadata = windowed_metadata(plan, walls)
     metadata["wall_s"] = round(time.perf_counter() - begin, 6)
-    if fallback_reason is not None:
-        metadata["fallback_reason"] = fallback_reason
+    if report.fallback_reason is not None:
+        metadata["fallback_reason"] = report.fallback_reason
     if plan.sampled:
         result = extrapolate_sampled(stitched, plan, parts)
         metadata["error_bars"] = _error_bars(parts)
@@ -669,41 +646,40 @@ def run_windowed_points(
     workload: str, points: Sequence[GridPoint], *, windows: int,
     scale: float = 1.0, warmup: Optional[int] = None, sampled: bool = False,
     workers: Optional[int] = None,
-    progress: bool = False, executor_factory=None,
+    progress: bool = False,
     note: Optional[Callable[[GridPoint, CoreResult], None]] = None,
-) -> Dict[str, CoreResult]:
+) -> Tuple[Dict[str, CoreResult], FanoutReport]:
     """Grid x windows: every (point, window) pair is one pool work unit.
 
     This is the scheduling unit that finally saturates multi-core
     runners on small grids: a grid of P points over K windows exposes
     P*K independent tasks instead of P, so the pool never idles behind
-    one long serial simulation.  The static blob ships once per worker
-    regardless of P or K.  *note* fires as each point's stitched result
-    completes (the batch engine uses it for cache/checkpoint writes).
+    one long serial simulation.  *note* fires as each point's stitched
+    result completes (the batch engine uses it for cache/checkpoint
+    writes).  Returns ``({point key: result}, fan-out report)``.
     """
     from ..workloads import build_trace
 
     trace = build_trace(workload, scale=scale)
     plan = plan_windows(len(trace), windows, warmup=warmup, sampled=sampled)
-    by_point = {point.key: point for point in points}
-
-    tasks: List[Tuple[object, int, int, int, CoreConfig]] = []
-    for point in points:
-        tasks.extend(_window_tasks(
-            plan, point.config, tag=lambda i, key=point.key: (key, i)))
+    per_point = {point.key: _window_tasks(workload, plan, point.key,
+                                          point.config)
+                 for point in points}
 
     begin = time.perf_counter()
-    done, fallback_reason = _run_window_tasks(trace, tasks, workers,
-                                              progress, executor_factory)
+    done, report = _measure_windows(
+        trace, [task for tasks in per_point.values() for task in tasks],
+        workers, progress)
     results: Dict[str, CoreResult] = {}
     for point in points:
-        parts = [done[(point.key, i)][0] for i in range(len(plan.spans))]
-        walls = [done[(point.key, i)][1] for i in range(len(plan.spans))]
+        keys = [key for key, _ in per_point[point.key]]
+        parts = [done[key][0] for key in keys]
+        walls = [done[key][1] for key in keys]
         stitched = stitch_results(workload, parts)
         metadata = windowed_metadata(plan, walls)
         metadata["wall_s"] = round(time.perf_counter() - begin, 6)
-        if fallback_reason is not None:
-            metadata["fallback_reason"] = fallback_reason
+        if report.fallback_reason is not None:
+            metadata["fallback_reason"] = report.fallback_reason
         if plan.sampled:
             result = extrapolate_sampled(stitched, plan, parts)
             metadata["error_bars"] = _error_bars(parts)
@@ -712,5 +688,5 @@ def run_windowed_points(
         result.windowed = metadata
         results[point.key] = result
         if note is not None:
-            note(by_point[point.key], result)
-    return results
+            note(point, result)
+    return results, report

@@ -67,7 +67,7 @@ class RunOutcome:
     measurement: Optional[Measurement] = None
     tma: Optional[TmaResult] = None
     #: Trace-memoization counter movement attributed to this run
-    #: (mem_hits / disk_hits / misses), so parallel shards and service
+    #: (mem_hits / disk_hits / misses), so pool workers and service
     #: jobs can report cache behaviour across process boundaries.
     trace_cache: Optional[Dict[str, int]] = None
     #: Structured result document for job kinds whose output is not a

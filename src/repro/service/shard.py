@@ -13,18 +13,11 @@ Work cannot be shipped to another machine as a closure, so only
 functions with a registered *remote adapter*
 (:func:`repro.tools.pool.register_remote`) are accepted; anything else
 raises instead of silently running locally.  This module registers the
-two remotable entry points on import:
-
-- :func:`repro.service.workers.execute_job` — one service job; the
-  shard's result document is spliced back verbatim
-  (``payload["kind"] == "remote"``), so remote and local execution
-  produce identical result payloads;
-- :func:`repro.tools.parallel._run_shard` — one sweep-grid shard; each
-  (workload, config) pair becomes a routed job submission, so
-  ``ParallelSweepRunner(executor="shard")`` fans a design-space sweep
-  across the cluster.  Remote sweep outcomes carry their numbers in
-  ``RunOutcome.payload`` (cycles/ipc/TMA), not as ``Measurement``
-  objects — the wire format is the service result document.
+one remotable entry point on import,
+:func:`repro.service.workers.execute_job` — one service job; the
+shard's result document is spliced back verbatim
+(``payload["kind"] == "remote"``), so remote and local execution
+produce identical result payloads.
 
 It also registers the ``shard`` style itself
 (:func:`repro.tools.pool.register_executor`), completing the lazy-load
@@ -41,7 +34,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..reliability.runner import RunOutcome
 from ..tools import pool
@@ -295,34 +288,11 @@ def _remote_execute_job(executor: ShardExecutor, spec: RunnerSpec,
     return _record_to_outcome(record, workload, config_name)
 
 
-def _remote_run_shard(
-    executor: ShardExecutor, spec: RunnerSpec, shard_index: int, seed: int,
-    tasks: Sequence[Tuple[int, str, Any]],
-) -> Tuple[List[Tuple[int, RunOutcome]], List[str]]:
-    """Remote equivalent of :func:`repro.tools.parallel._run_shard`.
-
-    Each sweep task becomes one routed job submission keyed by the
-    config's canonical name, so overlapping sweeps and service clients
-    coalesce on the same shard-side records.  ``seed`` only feeds
-    local chaos jitter and is meaningless remotely.
-    """
-    del shard_index, seed
-    indexed: List[Tuple[int, RunOutcome]] = []
-    for index, workload, config in tasks:
-        indexed.append((index, _remote_execute_job(
-            executor, spec, workload, config.name)))
-    # Quarantine accounting stays shard-server-side (each server runs
-    # its own breakers); nothing to report from here.
-    return indexed, []
-
-
 def _register() -> None:
-    from ..tools import parallel
     from . import workers
 
     pool.register_executor("shard", shard_executor_factory)
     pool.register_remote(workers.execute_job, _remote_execute_job)
-    pool.register_remote(parallel._run_shard, _remote_run_shard)
 
 
 _register()

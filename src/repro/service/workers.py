@@ -10,16 +10,15 @@ parallelism), ``thread``, or ``inline`` (see
 A worker that dies outright (OOM-killed, segfaulted) breaks the whole
 :class:`~concurrent.futures.ProcessPoolExecutor`; the pool detects the
 broken executor, rebuilds it, and reports the crash so the service can
-re-queue the victim job.  The ``REPRO_SERVICE_CRASH_WORKLOAD`` test
-hook mirrors the sweep engine's: a pool worker about to execute that
-workload exits hard instead — but only on a job's first execution
-(re-queued jobs run with the hook disabled), so recovery is testable
-deterministically.
+re-queue the victim job.  The chaos worker-kill seam
+(:func:`repro.chaos.maybe_kill_worker`, e.g. under
+``ChaosPlan(worker_kill_rate=1.0)``) fires only on a job's first
+execution (re-queued jobs run with it disabled), so recovery is
+testable deterministically.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import BrokenExecutor, Future
@@ -31,10 +30,6 @@ from ..reliability.retry import RetryPolicy
 from ..reliability.runner import RunOutcome
 from ..tools.pool import (ExecutorFactory, RunnerSpec, executor_factory,
                           in_worker)
-
-#: Test hook: a pool worker about to execute this workload dies with
-#: ``os._exit``, simulating a segfaulting/OOM-killed worker process.
-CRASH_ENV = "REPRO_SERVICE_CRASH_WORKLOAD"
 
 #: Submission-path retry schedule: one rebuild-and-resubmit per broken
 #: executor, no backoff (a fresh pool is immediately usable).
@@ -59,8 +54,6 @@ def execute_job(spec: RunnerSpec, workload: str, config_name: str,
     it only on same-process executors; see :meth:`WorkerPool.submit`.
     """
     if allow_crash_hook and in_worker():
-        if os.environ.get(CRASH_ENV) == workload:
-            os._exit(13)
         # Chaos worker-kill seam: first execution only (re-queued jobs
         # run with the hook disabled), so injected kills always recover.
         chaos.maybe_kill_worker(f"job:{workload}:{config_name}")

@@ -4,7 +4,10 @@ Cycle-level simulation is the expensive step of the pipeline, so results
 are cached as JSON keyed by (workload, scale, config, model fingerprint).
 The fingerprint hashes the source of every module in the packages that
 influence timing (:data:`MODEL_PACKAGES`), so editing the simulator
-invalidates stale results automatically.
+invalidates stale results automatically.  A key reads
+``<identity>-<fingerprint>``: the identity hashes only what the entry
+*is* (:func:`entry_identity`), and the chaos disk seam decides on it
+alone, so a seeded fault schedule survives source edits.
 
 Integrity: every entry written by :func:`store` embeds a checksum of its
 payload, so silent on-disk corruption (a flipped byte that is still
@@ -113,14 +116,19 @@ def _config_key(config: Union[RocketConfig, BoomConfig]) -> str:
     return json.dumps(payload, sort_keys=True, default=str)
 
 
-def cache_key(workload: str, scale: float,
-              config: Union[RocketConfig, BoomConfig]) -> str:
+def entry_identity(workload: str, scale: float,
+                   config: Union[RocketConfig, BoomConfig]) -> str:
+    """What a plain run's entry is: (workload, scale, config), no source."""
     digest = hashlib.sha256()
-    digest.update(model_fingerprint().encode())
     digest.update(workload.encode())
     digest.update(f"{scale:.6f}".encode())
     digest.update(_config_key(config).encode())
-    return digest.hexdigest()[:24]
+    return digest.hexdigest()[:16]
+
+
+def cache_key(workload: str, scale: float,
+              config: Union[RocketConfig, BoomConfig]) -> str:
+    return f"{entry_identity(workload, scale, config)}-{model_fingerprint()}"
 
 
 def windowed_cache_key(workload: str, scale: float,
@@ -129,16 +137,16 @@ def windowed_cache_key(workload: str, scale: float,
                        sampled: bool) -> str:
     """Cache key for a windowed/sampled run of (workload, scale, config).
 
-    Folds the window plan on top of :func:`cache_key` so a stitched (or
-    extrapolated) result can never collide with the plain full-run
+    Folds the window plan into the plain run's identity so a stitched
+    (or extrapolated) result can never collide with the plain full-run
     entry, another window count, or the other mode — exact and sampled
     results live in distinct slots by construction.
     """
     digest = hashlib.sha256()
-    digest.update(cache_key(workload, scale, config).encode())
+    digest.update(entry_identity(workload, scale, config).encode())
     digest.update(
         f"windows={windows};warmup={warmup};sampled={int(sampled)}".encode())
-    return digest.hexdigest()[:24]
+    return f"{digest.hexdigest()[:16]}-{model_fingerprint()}"
 
 
 def _serialize(result: CoreResult) -> Dict[str, Any]:
@@ -300,6 +308,12 @@ def store(key: str, result: CoreResult) -> bool:
     return _write_entry(key, payload)
 
 
+def _identity(key: str) -> str:
+    """*key* without its model-fingerprint suffix (see the module note)."""
+    suffix = f"-{model_fingerprint()}"
+    return key[:-len(suffix)] if key.endswith(suffix) else key
+
+
 def _write_entry(key: str, payload: Dict[str, Any]) -> bool:
     """Checksum, atomically write, and LRU-prune one entry document."""
     from ..chaos import injector as chaos
@@ -314,7 +328,7 @@ def _write_entry(key: str, payload: Dict[str, Any]) -> bool:
     # clobber each other's in-flight writes before the atomic replace.
     tmp_path = path.with_suffix(f".{os.getpid()}.tmp")
     try:
-        data = chaos.mangle_write("result-cache", key, data)
+        data = chaos.mangle_write("result-cache", _identity(key), data)
         directory.mkdir(parents=True, exist_ok=True)
         with open(tmp_path, "wb") as handle:
             handle.write(data)

@@ -69,12 +69,9 @@ def grid_signature(
 def point_key(workload: str, config_name: str) -> str:
     """Canonical checkpoint key for one (workload, config) pair.
 
-    Every sweep flavour (suite, parallel grid, batched grid) keys its
-    checkpoint entries through this one helper, so the key format can
-    never drift between them.  (Payload codecs still differ per
-    flavour — :func:`serialize_outcome` for parallel sweeps,
-    :func:`repro.tools.cache.serialize_result` for suite/batch — which
-    is why each flavour also embeds its own grid signature.)
+    Every sweep flavour (suite, batched grid) keys its checkpoint
+    entries through this one helper, so the key format can never drift
+    between them.
     """
     return f"{workload}:{config_name}"
 
@@ -197,84 +194,3 @@ class SweepCheckpoint:
             os.remove(self.path)
         except OSError:
             pass
-
-
-# ----------------------------------------------------------------------
-# RunOutcome codec (parallel-sweep checkpoints)
-
-
-def serialize_outcome(outcome: Any) -> Dict[str, Any]:
-    """JSON-encode a :class:`~repro.reliability.runner.RunOutcome`.
-
-    The measurement's :class:`CoreResult` rides through the result
-    cache's exact codec; the TMA classification is *recomputed* on
-    load (it is a pure function of the measurement), so the checkpoint
-    stays small and schema drift in TmaResult can't strand progress.
-    """
-    measurement = outcome.measurement
-    payload: Dict[str, Any] = {
-        "workload": outcome.workload,
-        "config_name": outcome.config_name,
-        "status": outcome.status,
-        "attempts": outcome.attempts,
-        "quarantined": outcome.quarantined,
-        "error_class": outcome.error_class,
-        "error": outcome.error,
-        "trace_cache": outcome.trace_cache,
-        "measurement": None,
-    }
-    if measurement is not None:
-        payload["measurement"] = {
-            "workload": measurement.workload,
-            "config_name": measurement.config_name,
-            "core": measurement.core,
-            "events": dict(measurement.events),
-            "cycles": measurement.cycles,
-            "instret": measurement.instret,
-            "passes": measurement.passes,
-            "increment_mode": measurement.increment_mode,
-            "result": (
-                cache.serialize_result(measurement.result)
-                if measurement.result is not None
-                else None
-            ),
-        }
-    return payload
-
-
-def deserialize_outcome(payload: Dict[str, Any]) -> Any:
-    """Inverse of :func:`serialize_outcome` (TMA recomputed)."""
-    from ..core.tma import compute_tma
-    from ..pmu.harness import Measurement
-    from ..reliability.runner import RunOutcome
-
-    outcome = RunOutcome(
-        workload=payload["workload"],
-        config_name=payload["config_name"],
-        status=payload["status"],
-        attempts=payload["attempts"],
-        quarantined=payload.get("quarantined", False),
-        error_class=payload.get("error_class"),
-        error=payload.get("error"),
-        trace_cache=payload.get("trace_cache"),
-    )
-    raw = payload.get("measurement")
-    if raw is not None:
-        outcome.measurement = Measurement(
-            workload=raw["workload"],
-            config_name=raw["config_name"],
-            core=raw["core"],
-            events={k: int(v) for k, v in raw["events"].items()},
-            cycles=raw["cycles"],
-            instret=raw["instret"],
-            passes=raw["passes"],
-            increment_mode=raw.get("increment_mode", "adders"),
-            result=(
-                cache.deserialize_result(raw["result"])
-                if raw.get("result") is not None
-                else None
-            ),
-        )
-        if outcome.status == "ok":
-            outcome.tma = compute_tma(outcome.measurement)
-    return outcome

@@ -204,6 +204,7 @@ def _render_grid_matrix(batch) -> str:
     stats = batch.stats
     shared = (f"mode={stats.mode} workers={stats.workers} "
               f"executed={stats.executed} cache_hits={stats.cache_hits} "
+              f"quarantined={len(stats.quarantined)} "
               f"restored={stats.restored} trace_fetches={stats.trace_fetches} "
               f"tables_shared={stats.tables_shared} "
               f"folds_shared={stats.fold_caches_shared} "

@@ -1,16 +1,27 @@
-"""Shared worker-pool plumbing: runner specs and the executor ladder.
+"""Shared worker-pool plumbing: fan-out, runner specs, executor ladder.
 
-Both the batch sweep engine (:mod:`repro.tools.parallel`) and the
-long-running analysis service (:mod:`repro.service`) execute
-:class:`~repro.reliability.runner.ResilientRunner` work behind one
-executor interface.  This module is the single home for the pieces
-that setup requires, so neither side copy-pastes pool wiring:
+Every process fan-out in the repo goes through :func:`fan_out`: the
+batch grid engine (:func:`repro.cores.batch.run_batch`) and the
+windowed engine (:mod:`repro.cores.windowed`) hand it their tasks and
+get results back in completion order.  Its one contract:
+
+- a task whose pool future raises (a killed worker, a broken pool, a
+  pickling error) is re-run in the parent through the caller's
+  ``inline_fn``; if no pool can be built, every task runs inline;
+- the :class:`FanoutReport` labels the mode (``pool`` / ``inline`` /
+  ``mixed``) and keeps the first failure as ``fallback_reason``;
+- inside a pool worker it calls :func:`repro.chaos.maybe_kill_worker`
+  once per task, so every fan-out path carries the worker-kill seam.
+
+The long-running analysis service (:mod:`repro.service`) runs
+:class:`~repro.reliability.runner.ResilientRunner` jobs on the same
+executors.  This module also holds the pieces that setup requires:
 
 - :class:`RunnerSpec` — a picklable recipe for rebuilding a resilient
   runner inside a worker process (the runner itself may hold
   unpicklable harness state such as fault injectors);
 - :func:`worker_init` / :func:`in_worker` — pool-worker marking, used
-  to confine crash-injection test hooks to real pool workers;
+  to confine the worker-kill seam to real pool workers;
 - the **executor ladder**: every execution style a caller can ask for
   sits behind the same ``submit``/``shutdown``/context-manager
   contract, so swapping ``inline`` → ``process`` → ``shard`` is a
@@ -24,7 +35,10 @@ that setup requires, so neither side copy-pastes pool wiring:
   thread    a thread pool — cheap concurrency for I/O-light service
             deployments and tests (:class:`ThreadExecutor`)
   process   a process pool — true parallelism with crash isolation
-            (:class:`ProcessExecutor`)
+            (:class:`ProcessExecutor`); :func:`fan_out` builds its
+            pools from this rung, so tests substitute a broken pool
+            with ``monkeypatch.setitem(EXECUTOR_FACTORIES, "process",
+            ...)``
   shard     a multi-node shard cluster over HTTP, routed by consistent
             hash of the canonical job key
             (:class:`repro.service.shard.ShardExecutor`)
@@ -39,10 +53,26 @@ unregistered instead of silently running it locally.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+import os
+from concurrent.futures import (
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    as_completed,
+)
 from dataclasses import dataclass
-from typing import Callable, ContextManager, Dict, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    Hashable,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from ..chaos import injector as chaos
 from ..reliability.runner import DEFAULT_MAX_CYCLES, ResilientRunner
 
 _IN_WORKER = False
@@ -57,13 +87,11 @@ def worker_init() -> None:
     """
     global _IN_WORKER
     _IN_WORKER = True
-    from ..chaos import injector as chaos
-
     chaos.activate_from_env()
 
 
 def in_worker() -> bool:
-    """True inside a process-pool worker (used to gate crash hooks)."""
+    """True inside a process-pool worker (gates the worker-kill seam)."""
     return _IN_WORKER
 
 
@@ -274,3 +302,106 @@ def register_remote(fn: Callable, adapter: Callable) -> None:
 def remote_adapter(fn: Callable) -> Optional[Callable]:
     """The registered remote adapter for *fn*, or None."""
     return _REMOTE_ADAPTERS.get(fn)
+
+
+# ---------------------------------------------------------------------------
+# Fan-out with inline fallback
+
+#: One fan-out task: a unique key (also the worker-kill seam's chaos
+#: key) and the picklable argument handed to ``worker_fn``/``inline_fn``.
+Task = Tuple[Hashable, Any]
+
+
+def resolve_workers(workers: Optional[int], tasks: int) -> int:
+    """Pool size for *tasks* tasks: *workers* (default: CPU count),
+    clamped to ``[1, tasks]``."""
+    if workers is None:
+        workers = os.cpu_count() or 1
+    return max(1, min(int(workers), tasks))
+
+
+@dataclass
+class FanoutReport:
+    """How one :func:`fan_out` call ran its tasks."""
+
+    #: "pool" (every task ran in the pool), "inline" (every task ran in
+    #: the parent) or "mixed".
+    mode: str = "inline"
+    workers: int = 1
+    #: The first pool failure, as ``"ExcType: message"``; None when the
+    #: pool ran every task (or no pool was asked for).
+    fallback_reason: Optional[str] = None
+
+    def _fail(self, exc: BaseException) -> None:
+        if self.fallback_reason is None:
+            self.fallback_reason = f"{type(exc).__name__}: {exc}"
+
+
+def _pool_call(worker_fn: Callable[[Any], Any], key: Hashable, task: Any) -> Any:
+    """Pool-side task wrapper: the one home of the worker-kill seam."""
+    if in_worker():
+        chaos.maybe_kill_worker(str(key))
+    return worker_fn(task)
+
+
+def fan_out(
+    tasks: Sequence[Task],
+    worker_fn: Callable[[Any], Any],
+    inline_fn: Callable[[Any], Any],
+    workers: Optional[int],
+    on_result: Optional[Callable[[Hashable, Any], None]] = None,
+) -> FanoutReport:
+    """Run *tasks* on a process pool, re-running failures inline.
+
+    With more than one worker, each ``(key, task)`` runs as
+    ``worker_fn(task)`` in a pool built by
+    ``EXECUTOR_FACTORIES["process"]``; *worker_fn* and its results must
+    pickle.  Every task whose future raises (a killed worker, a broken
+    pool, an unpicklable task) runs again in the parent as
+    ``inline_fn(task)``, which must return the same value; if the pool
+    cannot be built or refuses submissions, every task without a
+    result runs inline.  One worker runs every task inline with no
+    pool.  ``on_result(key, value)`` fires once per task in completion
+    order (pool results first, then inline ones in task order); an
+    exception it raises propagates.
+    """
+    tasks = list(tasks)
+    count = resolve_workers(workers, len(tasks))
+    report = FanoutReport(workers=count)
+    pending = {key for key, _ in tasks}
+    if len(pending) != len(tasks):
+        raise ValueError("fan_out task keys must be unique")
+
+    def deliver(key: Hashable, value: Any) -> None:
+        pending.discard(key)
+        if on_result is not None:
+            on_result(key, value)
+
+    if count > 1:
+        try:
+            pool = EXECUTOR_FACTORIES["process"](count)
+        except Exception as exc:  # noqa: BLE001 - no pool: all inline
+            report._fail(exc)
+            pool = None
+        if pool is not None:
+            with pool:
+                futures: Dict[Future, Hashable] = {}
+                try:
+                    for key, task in tasks:
+                        futures[pool.submit(_pool_call, worker_fn, key, task)] = key
+                except Exception as exc:  # noqa: BLE001 - pool refused work
+                    report._fail(exc)
+                for future in as_completed(futures):
+                    try:
+                        value = future.result()
+                    except Exception as exc:  # noqa: BLE001 - re-run inline
+                        report._fail(exc)
+                        continue
+                    deliver(futures[future], value)
+
+    if count > 1 and len(pending) < len(tasks):
+        report.mode = "mixed" if pending else "pool"
+    for key, task in tasks:
+        if key in pending:
+            deliver(key, inline_fn(task))
+    return report

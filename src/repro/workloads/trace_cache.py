@@ -121,6 +121,12 @@ def trace_key(workload: str, scale: float) -> str:
     return digest.hexdigest()[:24]
 
 
+def entry_identity(workload: str, scale: float) -> str:
+    """What an entry is, without the fingerprint: the chaos disk seam
+    decides on this, so a seeded fault schedule survives source edits."""
+    return f"{workload}:{scale:.6f}"
+
+
 def entry_path(workload: str, scale: float) -> Path:
     return trace_dir() / f"{trace_key(workload, scale)}.ctrc"
 
@@ -215,7 +221,7 @@ def _disk_put(workload: str, scale: float, trace: ColumnarTrace) -> None:
     directory = trace_dir()
     try:
         data = chaos.mangle_write("trace-cache",
-                                  trace_key(workload, scale),
+                                  entry_identity(workload, scale),
                                   _seal(trace.pack()))
         directory.mkdir(parents=True, exist_ok=True)
         path = entry_path(workload, scale)
@@ -279,23 +285,6 @@ def get(workload: str, scale: float,
     _disk_put(workload, scale, trace)
     _mem_put(key, trace)
     return trace
-
-
-def warm(workload: str, scale: float,
-         builder: Callable[[], ColumnarTrace]) -> bool:
-    """Ensure the disk tier holds ``(workload, scale)``.
-
-    Used by the parallel sweep engine: the parent executes each unique
-    workload functionally once and publishes the packed bytes, so pool
-    workers unpack instead of re-executing.  Returns True when the
-    entry is (now) on disk.
-    """
-    if not disk_enabled():
-        return False
-    if entry_path(workload, scale).exists():
-        return True
-    get(workload, scale, builder)
-    return entry_path(workload, scale).exists()
 
 
 def clear_memory() -> None:

@@ -23,11 +23,11 @@ import time
 import pytest
 
 from repro.cores import LARGE_BOOM, ROCKET, SMALL_BOOM
-from repro.cores.batch import (DEFAULT_GRID, GridPoint, canonical_grid_key,
-                               make_core, parse_grid, point_from_key,
-                               resolve_config_spec, run_batch)
+from repro.cores.batch import (DEFAULT_GRID, canonical_grid_key, parse_grid,
+                               point_from_key, resolve_config_spec, run_batch)
 from repro.cores.boom import BoomCore
 from repro.cores.rocket import RocketCore
+from repro.tools import cache, pool
 from repro.tools.checkpoint import SweepCheckpoint, point_key
 from repro.tools.tma_tool import run_core
 from repro.uarch.branch import share_fold_caches
@@ -113,25 +113,48 @@ def test_process_pool_matches_inline():
                        workers=1)
     pooled = run_batch("median", GRID, scale=SCALE, use_cache=False,
                        workers=2)
-    assert pooled.stats.mode == "process"
+    assert pooled.stats.mode == "pool"
     assert pooled.stats.fallback_reason is None
     for point in GRID:
         assert result_digest(pooled.result_for(point.key)) == \
             result_digest(inline.result_for(point.key))
 
 
-def test_pool_failure_falls_back_inline():
+def test_pool_failure_falls_back_inline(monkeypatch):
     def broken_factory(workers):
         raise OSError("no pool for you")
 
+    monkeypatch.setitem(pool.EXECUTOR_FACTORIES, "process", broken_factory)
     batch = run_batch("vvadd", GRID, scale=SCALE, use_cache=False,
-                      workers=2, executor_factory=broken_factory)
-    assert batch.stats.fallback_reason is not None
+                      workers=2)
+    assert batch.stats.fallback_reason == "OSError: no pool for you"
     assert batch.stats.mode == "inline"
     oracle = run_core("vvadd", GRID[0].config, scale=SCALE,
                       use_cache=False)
     assert result_digest(batch.result_for(GRID[0].key)) == \
         result_digest(oracle)
+
+
+def test_corrupt_cache_entry_is_quarantined_and_labeled():
+    from repro.tools.cli import _render_grid_matrix
+
+    points = GRID[:2]
+    first = run_batch("vvadd", points, scale=SCALE, workers=1)
+    key = cache.cache_key("vvadd", SCALE, points[0].config)
+    path = cache.entry_path(key)
+    path.write_bytes(path.read_bytes()[:40])  # a torn write
+    again = run_batch("vvadd", points, scale=SCALE, workers=1)
+    assert again.stats.quarantined == [points[0].key]
+    assert again.stats.cache_hits == 1
+    assert again.stats.executed == 1
+    assert "quarantined=1" in _render_grid_matrix(again)
+    for point in points:
+        assert result_digest(again.result_for(point.key)) == \
+            result_digest(first.result_for(point.key))
+    assert cache.load(key) is not None  # repopulated intact
+    third = run_batch("vvadd", points, scale=SCALE, workers=1)
+    assert third.stats.quarantined == []
+    assert third.stats.cache_hits == 2
 
 
 # ----------------------------------------------------------------------

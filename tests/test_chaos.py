@@ -13,10 +13,12 @@ import pytest
 from repro.chaos import injector
 from repro.chaos.plan import (CLIENT_FLAVORS, DISK_FLAVORS, PLAN_ENV,
                               SEAMS, ChaosPlan)
-from repro.cores import ROCKET, SMALL_BOOM
-from repro.reliability import ResilientRunner, RetryPolicy
+from repro.chaos.campaign import campaign_plan, planned_sweep_faults
+from repro.cores import ROCKET
+from repro.cores.batch import parse_grid, run_batch
+from repro.reliability import ResilientRunner
 from repro.tools import cache
-from repro.tools.parallel import ParallelSweepRunner
+from repro.tools.tma_tool import run_core
 from repro.workloads import trace_cache
 
 
@@ -160,11 +162,13 @@ def test_corrupt_result_cache_write_is_quarantined_on_next_run():
     runner = ResilientRunner(scale=0.2)
     plan = ChaosPlan(seed=11, disk_fault_rate=1.0)
     key = cache.cache_key("median", 0.2, ROCKET)
-    # Only exercise a *corrupting* flavor here (enospc leaves no entry).
-    flavor = plan.decide("disk_fault", f"result-cache:{key}")
+    # The seam decides on the entry's identity, not its full key.  Only
+    # exercise a *corrupting* flavor here (enospc leaves no entry).
+    chaos_key = f"result-cache:{cache.entry_identity('median', 0.2, ROCKET)}"
+    flavor = plan.decide("disk_fault", chaos_key)
     if flavor == "enospc":
         plan = ChaosPlan(seed=12, disk_fault_rate=1.0)
-        flavor = plan.decide("disk_fault", f"result-cache:{key}")
+        flavor = plan.decide("disk_fault", chaos_key)
     assert flavor in ("truncate", "bitflip")
 
     with injector.active(plan):
@@ -208,31 +212,48 @@ def test_corrupt_trace_cache_entry_is_a_counted_miss():
     assert len(final) == len(built)
 
 
+def test_sweep_fault_schedule_ignores_source_fingerprints(monkeypatch):
+    """Editing the simulator must not redraw a seeded fault schedule."""
+    plan = campaign_plan(1234)
+    workloads = ["median", "qsort", "towers"]
+    points = parse_grid("rocket,large-boom")
+    sample = run_core("vvadd", ROCKET, scale=0.1, use_cache=False)
+
+    def corrupted_by_the_seam():
+        # Entries whose result-cache write the plan leaves damaged.
+        damaged = []
+        with injector.active(plan):
+            for workload in workloads:
+                for point in points:
+                    key = cache.cache_key(workload, 0.2, point.config)
+                    if cache.store(key, sample) and cache.load(key) is None:
+                        damaged.append(f"{workload}:{point.key}")
+        return sorted(damaged)
+
+    planned = planned_sweep_faults(plan, workloads, points, 0.2)
+    seam = corrupted_by_the_seam()
+    assert seam == planned["corrupting"]
+    monkeypatch.setattr(cache, "model_fingerprint", lambda: "0" * 16)
+    monkeypatch.setattr(trace_cache, "fingerprint", lambda: "f" * 16)
+    assert planned_sweep_faults(plan, workloads, points, 0.2) == planned
+    assert corrupted_by_the_seam() == seam
+
+
 # ---------------------------------------------------------------------------
 # worker kills: a chaos-killed pool sweep still completes every pair
 # ---------------------------------------------------------------------------
 
 def test_parallel_sweep_survives_injected_worker_kills():
-    runner = ResilientRunner(
-        scale=0.1, retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0))
-    engine = ParallelSweepRunner(runner=runner, max_workers=2)
-    workloads = ["vvadd", "median"]
-    configs = [ROCKET, SMALL_BOOM]
-    plan = ChaosPlan(seed=1, worker_kill_rate=1.0)
+    points = parse_grid("rocket,small-boom")
+    baseline = run_batch("vvadd", points, scale=0.1, use_cache=False,
+                         workers=2)
+    with injector.active(ChaosPlan(seed=1, worker_kill_rate=1.0)):
+        chaotic = run_batch("vvadd", points, scale=0.1, use_cache=False,
+                            workers=2)
 
-    baseline = ParallelSweepRunner(runner=runner, max_workers=2) \
-        .run_grid(workloads, configs)
-    with injector.active(plan):
-        chaotic = engine.run_grid(workloads, configs)
-
-    assert len(chaotic.outcomes) == len(baseline.outcomes)
-    assert [o.status for o in chaotic.outcomes] == ["ok"] * 4
-    expected = [cache.serialize_result(o.measurement.result)
-                for o in baseline.outcomes]
-    actual = [cache.serialize_result(o.measurement.result)
-              for o in chaotic.outcomes]
-    assert actual == expected
-    if chaotic.engine == "parallel":
-        # Every shard's first pair drew a kill: the parent recovered.
-        assert chaotic.worker_crashes >= 1
-        assert chaotic.recovered_indices
+    assert baseline.stats.mode == "pool"
+    # Every pool task drew a kill; the parent re-ran each point.
+    assert chaotic.stats.mode == "inline"
+    assert chaotic.stats.fallback_reason.startswith("BrokenProcessPool")
+    assert ([cache.serialize_result(r) for r in chaotic.results]
+            == [cache.serialize_result(r) for r in baseline.results])

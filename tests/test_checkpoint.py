@@ -1,7 +1,7 @@
 """Tests for crash-safe sweep checkpoints and resume.
 
 Covers the checkpoint file itself (atomicity, checksums, signature
-guards), the RunOutcome codec, suite/parallel resume bit-exactness, and
+guards), suite/grid resume bit-exactness, and
 the end-to-end acceptance: SIGKILL a ``repro-tma suite`` run mid-sweep,
 resume with ``--resume``, and get output identical to an uninterrupted
 run.
@@ -17,14 +17,12 @@ import time
 import pytest
 
 from repro.core import to_json
-from repro.cores import ROCKET, SMALL_BOOM
-from repro.reliability import ResilientRunner
+from repro.cores import ROCKET
+from repro.cores.batch import parse_grid
 from repro.tools import cache
 from repro.tools.checkpoint import (SweepCheckpoint, checkpoint_dir,
-                                    deserialize_outcome, grid_signature,
-                                    serialize_outcome)
-from repro.tools.parallel import ParallelSweepRunner
-from repro.tools.tma_tool import run_suite
+                                    grid_signature)
+from repro.tools.tma_tool import run_grid, run_suite
 from repro.workloads import trace_cache
 
 
@@ -105,28 +103,7 @@ def test_grid_signature_distinguishes_grids():
 
 
 # ---------------------------------------------------------------------------
-# RunOutcome codec
-# ---------------------------------------------------------------------------
-
-def test_outcome_round_trip_recomputes_tma():
-    runner = ResilientRunner(scale=0.1)
-    outcome = runner.run_one("vvadd", ROCKET)
-    assert outcome.status == "ok"
-
-    clone = deserialize_outcome(
-        json.loads(json.dumps(serialize_outcome(outcome))))
-    assert clone.workload == outcome.workload
-    assert clone.config_name == outcome.config_name
-    assert clone.attempts == outcome.attempts
-    assert (cache.serialize_result(clone.measurement.result)
-            == cache.serialize_result(outcome.measurement.result))
-    assert clone.measurement.events == outcome.measurement.events
-    assert clone.tma is not None
-    assert to_json([clone.tma]) == to_json([outcome.tma])
-
-
-# ---------------------------------------------------------------------------
-# suite + parallel resume are bit-exact
+# suite + grid resume are bit-exact
 # ---------------------------------------------------------------------------
 
 def test_suite_resume_skips_completed_and_matches_uninterrupted():
@@ -149,50 +126,45 @@ def test_suite_resume_skips_completed_and_matches_uninterrupted():
 
 def test_parallel_resume_restores_recorded_pairs():
     workloads = ["vvadd", "median"]
-    configs = [ROCKET, SMALL_BOOM]
-    runner = ResilientRunner(scale=0.1)
-    signature = grid_signature(workloads, [c.name for c in configs], 0.1)
+    points = parse_grid("rocket,small-boom")
+    signature = grid_signature(workloads, [p.key for p in points], 0.1)
 
-    full = ParallelSweepRunner(runner=runner, max_workers=2) \
-        .run_grid(workloads, configs)
-    assert [o.status for o in full.outcomes] == ["ok"] * 4
+    full = run_grid(workloads, points, scale=0.1, use_cache=False,
+                    workers=2)
+    assert [batch.stats.mode for batch in full] == ["pool", "pool"]
 
     # Simulate a sweep killed after two pairs: checkpoint holds them.
     checkpoint = SweepCheckpoint(tag="sweep", signature=signature)
     checkpoint.record_many({
-        f"{o.workload}:{o.config_name}": serialize_outcome(o)
-        for o in full.outcomes[:2]})
+        f"vvadd:{point.key}": cache.serialize_result(result)
+        for point, result in zip(points, full[0].results)})
 
-    resumed = ParallelSweepRunner(runner=runner, max_workers=2).run_grid(
-        workloads, configs,
+    resumed = run_grid(
+        workloads, points, scale=0.1, use_cache=False, workers=2,
         checkpoint=SweepCheckpoint(tag="sweep", signature=signature))
-    assert len(resumed.resumed_indices) == 2
-    assert [o.status for o in resumed.outcomes] == ["ok"] * 4
-    assert ([cache.serialize_result(o.measurement.result)
-             for o in resumed.outcomes]
-            == [cache.serialize_result(o.measurement.result)
-                for o in full.outcomes])
-    assert "resumed=2" in resumed.summary()
+    assert [batch.stats.restored for batch in resumed] == [2, 0]
+    assert [batch.stats.executed for batch in resumed] == [0, 2]
+    assert ([cache.serialize_result(r) for b in resumed for r in b.results]
+            == [cache.serialize_result(r) for b in full for r in b.results])
 
 
 def test_parallel_resume_ignores_failed_entries():
-    workloads = ["vvadd"]
-    configs = [ROCKET]
-    runner = ResilientRunner(scale=0.1)
-    signature = grid_signature(workloads, [ROCKET.name], 0.1)
+    # An entry that fails to decode is re-run, never restored.
+    points = parse_grid("rocket")
+    signature = grid_signature(["vvadd"], ["rocket"], 0.1)
     checkpoint = SweepCheckpoint(tag="sweep", signature=signature)
-    failed = {"workload": "vvadd", "config_name": ROCKET.name,
-              "status": "failed", "attempts": 3, "quarantined": False,
-              "error_class": "RunTimeout", "error": "injected",
-              "trace_cache": None, "measurement": None}
-    checkpoint.record(f"vvadd:{ROCKET.name}", failed)
+    checkpoint.record("vvadd:rocket", {"status": "failed",
+                                       "error": "injected"})
 
-    report = ParallelSweepRunner(runner=runner, max_workers=1).run_grid(
-        workloads, configs,
+    [batch] = run_grid(
+        ["vvadd"], points, scale=0.1, use_cache=False, workers=2,
         checkpoint=SweepCheckpoint(tag="sweep", signature=signature))
-    # The failed pair was re-run (and now succeeds), not resumed.
-    assert report.resumed_indices == []
-    assert report.outcomes[0].status == "ok"
+    assert batch.stats.restored == 0
+    assert batch.stats.executed == 1
+    oracle = run_grid(["vvadd"], points, scale=0.1, use_cache=False,
+                      workers=1)
+    assert (cache.serialize_result(batch.results[0])
+            == cache.serialize_result(oracle[0].results[0]))
 
 
 # ---------------------------------------------------------------------------

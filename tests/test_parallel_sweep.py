@@ -1,10 +1,10 @@
-"""Parallel sweep engine: equivalence, crash recovery, degradation.
+"""Parallel sweeps through ``pool.fan_out``: equivalence and recovery.
 
-The engine's contract is that parallelism is *invisible* in the
-results: a sharded sweep must merge to exactly what the serial
-resilient runner produces, pair for pair, and every failure mode —
-timed-out runs, dead workers, unpicklable grids, platforms without
-process pools — must degrade to that same answer.
+Parallelism must be *invisible* in the results: a grid fanned out over
+a process pool must merge to exactly what the inline path produces,
+point for point, and every failure mode — dead workers, unpicklable
+tasks, platforms without process pools — must degrade to that same
+answer with the fallback labeled.
 """
 
 import dataclasses
@@ -12,113 +12,135 @@ import pickle
 
 import pytest
 
-from repro.cores.configs import ROCKET, SMALL_BOOM
+from repro.chaos import injector
+from repro.chaos.plan import ChaosPlan
+from repro.cores.base import RocketConfig
+from repro.cores.batch import GridPoint, parse_grid, point_task_key, run_batch
+from repro.cores.configs import ROCKET
+from repro.cores.windowed import run_windowed, run_windowed_points
 from repro.pmu.harness import PerfHarness
 from repro.reliability.runner import ResilientRunner
-from repro.tools.parallel import (ParallelSweepRunner, RunnerSpec,
-                                  _CRASH_ENV)
+from repro.tools import pool
+from repro.tools.pool import FanoutReport, RunnerSpec, fan_out
 
 WORKLOADS = ["dhrystone", "median", "qsort", "towers"]
-CONFIGS = [ROCKET, SMALL_BOOM]
-SCALE = 0.3
+GRID = parse_grid("rocket,small-boom")
+SCALE = 0.1
 
 
-def make_runner(**kwargs):
-    kwargs.setdefault("harness", PerfHarness(core="rocket"))
-    kwargs.setdefault("scale", SCALE)
-    kwargs.setdefault("use_cache", False)
-    return ResilientRunner(**kwargs)
+@pytest.fixture(autouse=True)
+def isolated_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    yield tmp_path
 
 
-def outcome_digest(outcome):
-    measurement = outcome.measurement
+def result_digest(result):
     return (
-        outcome.workload, outcome.config_name, outcome.status,
-        outcome.attempts, outcome.error_class,
-        None if measurement is None else (
-            tuple(sorted(measurement.events.items())),
-            measurement.cycles, measurement.instret, measurement.passes),
-        None if outcome.tma is None else dataclasses.astuple(outcome.tma),
+        result.events,
+        result.lane_events,
+        result.cycles,
+        result.instret,
+        dataclasses.astuple(result.l1i_stats),
+        dataclasses.astuple(result.l1d_stats),
+        dataclasses.astuple(result.l2_stats),
+        dataclasses.astuple(result.predictor_stats),
+        result.extra,
     )
 
 
+def batch_digests(workload, points=GRID, **kwargs):
+    batch = run_batch(workload, points, scale=SCALE, use_cache=False,
+                      **kwargs)
+    return [result_digest(result) for result in batch.results], batch.stats
+
+
 @pytest.fixture(scope="module")
-def serial_digests():
-    report = ParallelSweepRunner(runner=make_runner(),
-                                 max_workers=1).run_grid(WORKLOADS,
-                                                         CONFIGS)
-    assert report.engine == "serial"
-    return [outcome_digest(o) for o in report.outcomes]
+def inline_digests():
+    return {workload: batch_digests(workload, workers=1)[0]
+            for workload in WORKLOADS}
 
 
-def test_parallel_merges_bit_identical_to_serial(serial_digests):
-    report = ParallelSweepRunner(runner=make_runner(),
-                                 max_workers=4).run_grid(WORKLOADS,
-                                                         CONFIGS)
-    assert report.engine == "parallel"
-    assert report.workers == 4
-    assert report.worker_crashes == 0
-    assert [outcome_digest(o) for o in report.outcomes] == serial_digests
+def _square(x):
+    return x * x
+
+
+# ----------------------------------------------------------------------
+# fan_out itself
+
+
+def test_fan_out_runs_every_task_once_and_labels_the_mode():
+    tasks = [(f"t{i}", i) for i in range(6)]
+    seen = []
+    report = fan_out(tasks, _square, _square, 2,
+                     on_result=lambda key, value: seen.append((key, value)))
+    assert report == FanoutReport(mode="pool", workers=2)
+    assert sorted(seen) == sorted((f"t{i}", i * i) for i in range(6))
+
+    seen.clear()
+    report = fan_out(tasks, _square, _square, 1,
+                     on_result=lambda key, value: seen.append((key, value)))
+    assert report == FanoutReport(mode="inline", workers=1)
+    assert seen == [(f"t{i}", i * i) for i in range(6)]  # task order
+    with pytest.raises(ValueError, match="unique"):
+        fan_out([("k", 1), ("k", 2)], _square, _square, 2)
+
+
+def test_fan_out_reruns_failed_futures_inline():
+    # A lambda cannot be pickled into a pool worker: every future
+    # raises, and every task re-runs through inline_fn in the parent.
+    results = {}
+    report = fan_out([("a", 2), ("b", 3)], lambda x: x * x, _square, 2,
+                     on_result=results.__setitem__)
+    assert results == {"a": 4, "b": 9}
+    assert report.mode == "inline"
+    assert report.fallback_reason is not None
+
+
+# ----------------------------------------------------------------------
+# run_batch over the pool
+
+
+def test_parallel_merges_bit_identical_to_serial(inline_digests):
+    for workload in WORKLOADS:
+        digests, stats = batch_digests(workload, workers=2)
+        assert stats.mode == "pool"
+        assert stats.workers == 2
+        assert stats.fallback_reason is None
+        assert digests == inline_digests[workload], workload
 
 
 def test_parallel_repeats_deterministically():
-    first = ParallelSweepRunner(runner=make_runner(), max_workers=3,
-                                seed=7).run_grid(WORKLOADS, CONFIGS)
-    second = ParallelSweepRunner(runner=make_runner(), max_workers=3,
-                                 seed=7).run_grid(WORKLOADS, CONFIGS)
-    assert [outcome_digest(o) for o in first.outcomes] \
-        == [outcome_digest(o) for o in second.outcomes]
+    first, _ = batch_digests("qsort", workers=2)
+    second, _ = batch_digests("qsort", workers=2)
+    assert first == second
 
 
-def test_worker_crash_recovers_serially(serial_digests, monkeypatch):
-    monkeypatch.setenv(_CRASH_ENV, "qsort")
-    report = ParallelSweepRunner(runner=make_runner(),
-                                 max_workers=4).run_grid(WORKLOADS,
-                                                         CONFIGS)
-    assert report.engine == "parallel"
-    assert report.worker_crashes >= 1
-    assert report.recovered_indices
-    # Recovery re-runs the dead workers' pairs in the parent; the merge
-    # is still bit-identical to the serial sweep.
-    assert [outcome_digest(o) for o in report.outcomes] == serial_digests
+def test_worker_crash_recovers_serially(inline_digests):
+    # Kill only the qsort points' workers; the parent re-runs whatever
+    # the broken pool took down with them.
+    plan = ChaosPlan(seed=3, worker_kill_rate=0.5)
+    keys = [point_task_key("qsort", point) for point in GRID]
+    assert any(plan.decide("worker_kill", key) for key in keys)
+    with injector.active(plan):
+        digests, stats = batch_digests("qsort", workers=2)
+    assert stats.mode in ("inline", "mixed")
+    assert stats.fallback_reason.startswith("BrokenProcessPool")
+    assert digests == inline_digests["qsort"]
 
 
-def test_timeout_kills_the_run_not_the_pool():
-    """A pair that blows its cycle budget fails alone; the rest of the
-    grid still completes in the same (unbroken) pool."""
-    harness = PerfHarness(core="rocket")
-    cycles = {
-        workload: harness.measure(workload, ROCKET, scale=SCALE).cycles
-        for workload in ("coremark", "vvadd")}
-    budget = (min(cycles.values()) + max(cycles.values())) // 2
-    victim = max(cycles, key=cycles.get)
-
-    runner = make_runner(max_cycles=budget, max_attempts=1)
-    report = ParallelSweepRunner(runner=runner, max_workers=2).run_grid(
-        ["coremark", "vvadd"], [ROCKET])
-
-    assert report.engine == "parallel"
-    assert report.worker_crashes == 0
-    by_name = {o.workload: o for o in report.outcomes}
-    assert by_name[victim].status == "failed"
-    assert by_name[victim].error_class == "RunTimeout"
-    survivor = min(cycles, key=cycles.get)
-    assert by_name[survivor].ok
-
-
-def test_serial_fallback_when_pool_unavailable(serial_digests):
+def test_serial_fallback_when_pool_unavailable(inline_digests,
+                                               monkeypatch):
     def no_pool(workers):
         raise OSError("fork unavailable")
 
-    report = ParallelSweepRunner(runner=make_runner(), max_workers=4,
-                                 executor_factory=no_pool).run_grid(
-                                     WORKLOADS, CONFIGS)
-    assert report.engine == "serial-fallback"
-    assert "fork unavailable" in report.fallback_reason
-    assert [outcome_digest(o) for o in report.outcomes] == serial_digests
+    monkeypatch.setitem(pool.EXECUTOR_FACTORIES, "process", no_pool)
+    digests, stats = batch_digests("median", workers=2)
+    assert stats.mode == "inline"
+    assert stats.fallback_reason == "OSError: fork unavailable"
+    assert digests == inline_digests["median"]
 
 
-class UnpicklableRocketConfig(ROCKET.__class__):
+class UnpicklableRocketConfig(RocketConfig):
     """Functionally ROCKET, but refuses to cross a process boundary."""
 
     def __reduce__(self):
@@ -126,18 +148,66 @@ class UnpicklableRocketConfig(ROCKET.__class__):
 
 
 def test_serial_fallback_on_unpicklable_grid():
-    config = UnpicklableRocketConfig()
-    report = ParallelSweepRunner(runner=make_runner(),
-                                 max_workers=4).run_grid(
-                                     ["dhrystone", "median"], [config])
-    assert report.engine == "serial-fallback"
-    assert "unpicklable" in report.fallback_reason
-    assert all(o.ok for o in report.outcomes)
+    points = [GridPoint("rocket", ROCKET),
+              GridPoint("odd-rocket", UnpicklableRocketConfig())]
+    digests, stats = batch_digests("median", points, workers=2)
+    assert stats.mode == "mixed"
+    assert "config cannot be pickled" in stats.fallback_reason
+    assert digests[0] == digests[1]  # the same core, run inline
+
+
+# ----------------------------------------------------------------------
+# pool-kill property: every fan-out path, every worker killed
+
+
+def _batch_path(workers, windows=None):
+    batch = run_batch("towers", GRID, scale=SCALE, use_cache=False,
+                      workers=workers, windows=windows)
+    digests = [result_digest(result) for result in batch.results]
+    return digests, batch.stats.fallback_reason
+
+
+def _windowed_path(workers):
+    result = run_windowed("towers", ROCKET, windows=2, scale=SCALE,
+                          use_cache=False, workers=workers)
+    return [result_digest(result)], result.windowed.get("fallback_reason")
+
+
+def _windowed_points_path(workers):
+    results, report = run_windowed_points("towers", GRID, windows=2,
+                                          scale=SCALE, workers=workers)
+    digests = [result_digest(results[point.key]) for point in GRID]
+    return digests, report.fallback_reason
+
+
+FANOUT_PATHS = {
+    "run_batch": _batch_path,
+    "run_batch-windows": lambda workers: _batch_path(workers, windows=2),
+    "run_windowed": _windowed_path,
+    "run_windowed_points": _windowed_points_path,
+}
+
+
+@pytest.mark.parametrize("path", sorted(FANOUT_PATHS))
+def test_pool_kill_matches_inline(path):
+    run = FANOUT_PATHS[path]
+    inline, reason = run(1)
+    assert reason is None
+    with injector.active(ChaosPlan(seed=7, worker_kill_rate=1.0)):
+        killed, reason = run(2)
+    assert killed == inline
+    assert reason.startswith("BrokenProcessPool")
+
+
+# ----------------------------------------------------------------------
+# runner specs (shared with the service's worker pool)
 
 
 def test_runner_spec_round_trip():
-    runner = make_runner(scale=0.7, max_attempts=2, max_cycles=123_456,
-                         event_names=["slots_issued", "slots_retired"])
+    runner = ResilientRunner(harness=PerfHarness(core="rocket"), scale=0.7,
+                             max_attempts=2, max_cycles=123_456,
+                             use_cache=False,
+                             event_names=["slots_issued", "slots_retired"])
     spec = RunnerSpec.from_runner(runner)
     rebuilt = pickle.loads(pickle.dumps(spec)).build()
     assert rebuilt.harness.core == "rocket"
@@ -146,8 +216,3 @@ def test_runner_spec_round_trip():
     assert rebuilt.max_cycles == 123_456
     assert rebuilt.event_names == ["slots_issued", "slots_retired"]
     assert rebuilt.use_cache is False
-
-
-def test_max_workers_validation():
-    with pytest.raises(ValueError):
-        ParallelSweepRunner(max_workers=0)

@@ -6,8 +6,10 @@ import pytest
 
 from repro.service import (JobRejected, ServiceClient, ServiceError,
                            TMAService, serve_in_thread)
+from repro.chaos import injector
+from repro.chaos.plan import ChaosPlan
+from repro.service import workers as service_workers
 from repro.tools.pool import RunnerSpec
-from repro.tools.parallel import RunnerSpec as ParallelRunnerSpec
 
 
 @pytest.fixture(autouse=True)
@@ -386,23 +388,25 @@ def test_stale_crash_report_never_kills_rebuilt_executor():
 # Worker-crash recovery (real process pool)
 
 
-def test_crashed_worker_requeues_job(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVICE_CRASH_WORKLOAD", "median")
-    service = TMAService(workers=1, executor="process",
-                         queue_capacity=8).start()
-    try:
-        receipt = service.submit_payload(
-            {"workload": "median", "scale": 0.1, "config": "rocket"})
-        assert receipt.accepted
-        wait_done(service, [receipt.record.id], timeout=120.0)
-        payload = service.status(receipt.record.id)
-        assert payload["state"] == "done"
-        assert payload["requeues"] >= 1
-        assert service.metrics.counter("worker_crashes") >= 1
-        assert service.metrics.counter("jobs_requeued") >= 1
-        assert service.pool.rebuilds >= 1
-    finally:
-        service.drain()
+def test_crashed_worker_requeues_job():
+    # Every first execution in a pool worker draws a chaos kill; the
+    # requeued run skips the seam, so the job still completes.
+    with injector.active(ChaosPlan(worker_kill_rate=1.0)):
+        service = TMAService(workers=1, executor="process",
+                             queue_capacity=8).start()
+        try:
+            receipt = service.submit_payload(
+                {"workload": "median", "scale": 0.1, "config": "rocket"})
+            assert receipt.accepted
+            wait_done(service, [receipt.record.id], timeout=120.0)
+            payload = service.status(receipt.record.id)
+            assert payload["state"] == "done"
+            assert payload["requeues"] >= 1
+            assert service.metrics.counter("worker_crashes") >= 1
+            assert service.metrics.counter("jobs_requeued") >= 1
+            assert service.pool.rebuilds >= 1
+        finally:
+            service.drain()
 
 
 def test_repeated_crashes_fail_after_max_requeues():
@@ -490,7 +494,7 @@ def test_http_backpressure_maps_to_429():
 
 
 def test_runner_spec_shared_between_parallel_and_service():
-    assert RunnerSpec is ParallelRunnerSpec
+    assert service_workers.RunnerSpec is RunnerSpec
 
 
 def test_job_runner_spec_reflects_options():

@@ -31,6 +31,7 @@ from repro.reliability import TmaInvariantChecker
 from repro.service.job import TMAJob, JobValidationError, outcome_payload
 from repro.service.workers import execute_job
 from repro.tools import cache as result_cache
+from repro.tools import pool
 from repro.tools.tma_tool import run_core
 from repro.workloads import build_trace, workload_names
 
@@ -163,23 +164,31 @@ class _BrokenPool:
         raise RuntimeError("pool is gone")
 
 
-def test_pool_fallback_is_labeled_and_exact():
+def test_pool_fallback_is_labeled_and_exact(monkeypatch):
     inline = run_windowed("towers", ROCKET, windows=3, scale=SCALE,
                           use_cache=False, workers=1)
     assert "fallback_reason" not in inline.windowed
+    monkeypatch.setitem(pool.EXECUTOR_FACTORIES, "process", _BrokenPool)
     fallen = run_windowed("towers", ROCKET, windows=3, scale=SCALE,
-                          use_cache=False, workers=2,
-                          executor_factory=_BrokenPool)
+                          use_cache=False, workers=2)
     assert result_digest(fallen) == result_digest(inline)
     assert fallen.windowed["fallback_reason"] == \
         "RuntimeError: pool is gone"
     points = parse_grid("rocket,small-boom")
-    fallen_points = run_windowed_points("towers", points, windows=2,
-                                        scale=SCALE, workers=2,
-                                        executor_factory=_BrokenPool)
+    fallen_points, report = run_windowed_points(
+        "towers", points, windows=2, scale=SCALE, workers=2)
+    assert report.mode == "inline"
     for point in points:
         assert fallen_points[point.key].windowed["fallback_reason"] == \
             "RuntimeError: pool is gone"
+    # The batch engine's windowed route labels the same fallback.
+    batch = run_batch("towers", points, scale=SCALE, windows=2,
+                      use_cache=False, workers=2)
+    assert batch.stats.mode == "inline"
+    assert batch.stats.fallback_reason == "RuntimeError: pool is gone"
+    for point in points:
+        assert result_digest(batch.result_for(point.key)) == \
+            result_digest(fallen_points[point.key])
 
 
 def test_gate_event_classes():
@@ -389,9 +398,11 @@ def test_batch_windowed_cache_hits_skip_simulation():
 
 def test_run_windowed_points_fans_out_pairs():
     seen = []
-    results = run_windowed_points(
+    results, report = run_windowed_points(
         "towers", GRID, windows=3, scale=SCALE, workers=1,
         note=lambda point, result: seen.append(point.key))
+    assert report.mode == "inline"
+    assert report.fallback_reason is None
     assert sorted(seen) == sorted(p.key for p in GRID)
     for point in GRID:
         oracle = run_windowed("towers", point.config, windows=3, scale=SCALE,
