@@ -48,7 +48,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..cores import config_by_name
 from ..cores.batch import BatchResult, GridPoint, parse_grid, point_task_key
 from ..reliability.retry import RetryPolicy
 from ..tools import cache
@@ -190,18 +189,17 @@ def planned_sweep_faults(plan: ChaosPlan, workloads: Sequence[str],
     """The sweep phase's fault schedule, enumerated without running.
 
     Every key is a logical identity — the fan-out task key of a grid
-    point, the identity half of a result-cache key, a trace-cache
-    (workload, scale) — so the schedule depends on ``(seed, grid)``
-    only.  ``corrupting`` lists the ``workload:point`` entries whose
-    result-cache write leaves a damaged entry on disk (``enospc``
-    leaves none), i.e. exactly what pass 2 must quarantine.
+    point, the fault key of a result-cache or trace-cache entry — so
+    the schedule depends on ``(seed, grid)`` only.  ``corrupting``
+    lists the ``workload:point`` entries whose result-cache write
+    leaves a damaged entry on disk (``enospc`` leaves none), i.e.
+    exactly what pass 2 must quarantine.
     """
     pairs = [(w, p) for w in workloads for p in points]
-    entries = {f"result-cache:{cache.entry_identity(w, scale, p.config)}":
+    entries = {cache.fault_key(cache.cache_key(w, scale, p.config)):
                f"{w}:{p.key}" for w, p in pairs}
-    disk_keys = list(entries) + [
-        f"trace-cache:{trace_cache.entry_identity(w, scale)}"
-        for w in dict.fromkeys(workloads)]
+    disk_keys = list(entries) + [trace_cache.fault_key(w, scale)
+                                 for w in dict.fromkeys(workloads)]
     disk = plan.planned_faults("disk_fault", disk_keys)
     return {
         "worker_kill": plan.planned_faults(
@@ -358,19 +356,8 @@ def _run_service_phase(report: CampaignReport, plan: ChaosPlan, root: str,
             dedup_exact = False
             break
 
-    # A repeat is served from the result store only when its primary's
-    # entry is intact.  A job whose store write the plan faults (ENOSPC
-    # or a corrupt entry) may run once per submission that arrives
-    # after the previous run finished; every run may be requeued.
-    config = config_by_name(config_name)
-    store_faulted = sum(
-        plan.decide("disk_fault", "result-cache:"
-                    + cache.entry_identity(w, scale, config)) is not None
-        for w in workloads)
     executed = counters.get("jobs_executed", 0)
-    max_executions = ((len(unique_jobs) - store_faulted
-                       + store_faulted * submissions_per_job)
-                      * (1 + service.max_requeues))
+    max_executions = len(unique_jobs) * (1 + service.max_requeues)
     executions_bounded = executed <= max_executions
 
     report.service = {

@@ -147,24 +147,26 @@ def maybe_kill_worker(key: str) -> None:
         os._exit(KILL_EXIT_CODE)
 
 
-def mangle_write(kind: str, key: str, data: bytes) -> bytes:
+def mangle_write(key: str, data: bytes) -> bytes:
     """Corrupt payload bytes bound for disk, or raise ENOSPC.
 
-    *kind* namespaces the key space (``result-cache`` /
-    ``trace-cache``) so the same logical key draws independent
+    *key* is the decision key the writing store built
+    (:func:`repro.tools.cache.fault_key`,
+    :func:`repro.workloads.trace_cache.fault_key`); each namespaces it
+    with its store so the same logical entry draws independent
     decisions per store.  Returns the (possibly mangled) bytes;
     ``enospc`` raises :class:`OSError` exactly like a full disk.
     """
     current = _active_plan
     if current is None:
         return data
-    flavor = current.decide("disk_fault", f"{kind}:{key}")
+    flavor = current.decide("disk_fault", key)
     if flavor is None:
         return data
     _bump(f"disk_{flavor}")
     if flavor == "enospc":
         raise OSError(errno.ENOSPC,
-                      f"chaos-injected ENOSPC writing {kind}:{key}")
+                      f"chaos-injected ENOSPC writing {key}")
     if flavor == "truncate":
         return data[:max(1, len(data) // 3)]
     # bitflip: flip one bit somewhere past any magic/header prefix.

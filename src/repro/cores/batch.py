@@ -418,13 +418,10 @@ def run_batch(
             if point.key in done:
                 continue
             key = result_key(point)
-            cached = result_cache.load(key)
-            if cached is None:
-                # ``load`` misses on a damaged entry too; one still on
-                # disk failed verification, so quarantine it.
-                if result_cache.quarantine(key):
-                    stats.quarantined.append(point.key)
-            else:
+            cached, damage = result_cache.load_or_quarantine(key)
+            if damage is not None:
+                stats.quarantined.append(point.key)
+            elif cached is not None:
                 done[point.key] = cached
                 stats.cache_hits += 1
                 if checkpoint is not None:

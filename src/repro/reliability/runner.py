@@ -37,7 +37,7 @@ from ..pmu.harness import Measurement, PerfHarness
 from ..tools import cache
 from ..workloads import trace_cache
 from .breaker import CircuitBreaker
-from .errors import CacheIntegrityError, ReliabilityError
+from .errors import ReliabilityError
 from .invariants import TmaInvariantChecker
 from .retry import RetryPolicy
 
@@ -212,13 +212,11 @@ class ResilientRunner:
         if not self.use_cache:
             return
         key = cache.cache_key(workload, self.scale, config)
-        try:
-            cache.verify_entry(key)
-        except CacheIntegrityError as exc:
-            cache.quarantine(key)
+        _, damage = cache.load_or_quarantine(key)
+        if damage is not None:
             outcome.quarantined = True
-            outcome.error_class = type(exc).__name__
-            outcome.error = str(exc)
+            outcome.error_class = type(damage).__name__
+            outcome.error = str(damage)
             if report is not None:
                 report.quarantined_keys.append(key)
 

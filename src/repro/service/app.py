@@ -309,6 +309,10 @@ class TMAService:
                  result: Optional[Dict[str, Any]] = None,
                  error: Optional[str] = None) -> None:
         """Complete a primary and fan its result out to followers."""
+        if state == "done" and result is not None:
+            # Before the primary retires: a repeat arriving afterwards
+            # must be served this result even if its cache write failed.
+            self.store.remember(record.job, result)
         followers = self.scheduler.resolve(record)
         now = time.time()
         for target in [record] + followers:

@@ -12,9 +12,10 @@ The scheduler is the service's front door.  Its contract:
   primary does (one execution, N completions).  Dedup therefore
   *relieves* backpressure — duplicate-heavy bursts coalesce instead of
   filling the queue.  With no primary in flight, an optional result
-  lookup runs under the same lock: a primary stores its result before
-  it is retired, so a repeat that just missed the store cannot slip
-  past its finished primary into a second execution.
+  lookup runs under the same lock: a primary's result reaches the
+  store (on disk, and in the store's memory should the disk write
+  fail) before it is retired, so a repeat that just missed the store
+  cannot slip past its finished primary into a second execution.
 - **Priority then fair-share.**  Dispatch order is priority class
   ascending (0 first); within a class, clients are served round-robin
   so one chatty client cannot starve the rest.  Within one client's

@@ -5,7 +5,11 @@ checksummed, atomically-written, size-bounded disk cache of core
 results.  A repeat request whose underlying core result is already on
 disk is answered straight from the store (TMA recomputed from the
 cached :class:`~repro.cores.base.CoreResult`, which is cheap) without
-ever touching the worker pool.
+ever touching the worker pool.  When that entry is missing or damaged
+(the primary's cache write hit a full disk, or was corrupted), the
+repeat is answered from the finished primary's result, which the store
+keeps in memory for the last :data:`RECENT_RESULTS` jobs — a failed
+write costs durability, never a second execution.
 
 Serving from the core-result cache is only *exact* for the default
 harness options: the ``adders`` counter architecture is an exact
@@ -27,6 +31,8 @@ from __future__ import annotations
 
 import json
 import os
+import threading
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -41,6 +47,9 @@ from .job import MulticoreJob, TMAJob, outcome_payload
 #: must not treat it as an evictable entry.
 PENDING_FILE = "pending-jobs.state"
 
+#: Finished results kept in memory for repeats the disk cache misses.
+RECENT_RESULTS = 256
+
 
 class ResultStore:
     """Cache-backed result serving and pending-job persistence.
@@ -54,6 +63,9 @@ class ResultStore:
 
     def __init__(self, instance: Optional[str] = None) -> None:
         self.instance = instance
+        self._lock = threading.Lock()
+        #: job key -> served payload of the job's last finished run.
+        self._recent: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 
     def pending_path(self) -> Path:
         if self.instance:
@@ -72,12 +84,53 @@ class ResultStore:
                 and job.mode == "baremetal"
                 and job.events is None)
 
-    def lookup(self, job: TMAJob) -> Optional[Dict[str, Any]]:
-        """Result payload for *job* if served straight from the cache."""
+    def _cacheable(self, job: TMAJob) -> bool:
         if isinstance(job, MulticoreJob):
-            return self._lookup_multicore(job)
-        if not self.servable(job):
+            return job.use_cache
+        return self.servable(job)
+
+    def lookup(self, job: TMAJob) -> Optional[Dict[str, Any]]:
+        """Result payload for *job* if served without a run.
+
+        The disk cache answers first; a job whose entry is missing or
+        damaged is answered from its last :meth:`remember`-ed result.
+        """
+        if not self._cacheable(job):
             return None
+        if isinstance(job, MulticoreJob):
+            payload = self._lookup_multicore(job)
+        else:
+            payload = self._lookup_core(job)
+        if payload is not None:
+            return payload
+        with self._lock:
+            payload = self._recent.get(job.job_key())
+        return None if payload is None else dict(payload)
+
+    def remember(self, job: TMAJob, payload: Dict[str, Any]) -> None:
+        """Keep a finished run's result for repeats the disk misses.
+
+        The service calls this before it retires the primary, so a
+        repeat that arrives afterwards is served even when the
+        primary's cache write failed.  The served copy reads like a
+        disk hit: no attempts, ``from_cache``, no recovered-error note.
+        """
+        if not self._cacheable(job):
+            return
+        served = {key: value for key, value in payload.items()
+                  if key not in ("error_class", "error")}
+        served.update(attempts=0, from_cache=True)
+        if isinstance(served.get("multicore"), dict):
+            served["multicore"] = dict(served["multicore"], from_cache=True)
+        key = job.job_key()
+        with self._lock:
+            self._recent[key] = served
+            self._recent.move_to_end(key)
+            while len(self._recent) > RECENT_RESULTS:
+                self._recent.popitem(last=False)
+
+    def _lookup_core(self, job: TMAJob) -> Optional[Dict[str, Any]]:
+        """Serve a single-core job from its cached core result."""
         result = cache.load(job.cache_key())
         if result is None:
             return None
@@ -103,8 +156,6 @@ class ResultStore:
         :func:`repro.multicore.run_scenario_payload`), so a repeat
         request reconstructs the job result verbatim — no recompute.
         """
-        if not job.use_cache:
-            return None
         cached = cache.load_payload(job.cache_key())
         if cached is None:
             return None

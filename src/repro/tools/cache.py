@@ -7,16 +7,18 @@ influence timing (:data:`MODEL_PACKAGES`), so editing the simulator
 invalidates stale results automatically.  A key reads
 ``<identity>-<fingerprint>``: the identity hashes only what the entry
 *is* (:func:`entry_identity`), and the chaos disk seam decides on it
-alone, so a seeded fault schedule survives source edits.
+alone (:func:`fault_key`), so a seeded fault schedule survives source
+edits.
 
 Integrity: every entry written by :func:`store` embeds a checksum of its
 payload, so silent on-disk corruption (a flipped byte that is still
 valid JSON) is detectable.  :func:`load` treats any unreadable, corrupt,
 or checksum-failing entry as a miss; :func:`verify_entry` classifies the
 same conditions strictly, raising
-:class:`~repro.isa.errors.CacheIntegrityError` so the resilient runner
-can quarantine poisoned entries (verify, delete, re-run) instead of
-serving them.
+:class:`~repro.isa.errors.CacheIntegrityError`, and
+:func:`load_or_quarantine` deletes such an entry and says why, so the
+batch engine and the resilient runner quarantine poisoned entries
+(verify, delete, re-run) instead of serving them.
 
 Configuration is environment-driven so service instances and CI runs
 can isolate their stores:
@@ -248,20 +250,44 @@ def _read_verified(path: Path) -> Optional[CoreResult]:
             invariant="cache-schema", observed=str(exc)) from exc
 
 
-def load(key: str) -> Optional[CoreResult]:
+def _load_strict(key: str) -> Optional[CoreResult]:
+    """The entry for *key*, None when absent; raises on damage."""
     path = entry_path(key)
     if not path.exists():
         return None
-    try:
-        result = _read_verified(path)
-    except CacheIntegrityError:
-        return None  # treat corrupt entries as misses
+    result = _read_verified(path)
     try:
         # Touch hits so size-bounded eviction is LRU rather than FIFO.
         os.utime(path)
     except OSError:
         pass
     return result
+
+
+def load(key: str) -> Optional[CoreResult]:
+    try:
+        return _load_strict(key)
+    except CacheIntegrityError:
+        return None  # treat corrupt entries as misses
+
+
+def load_or_quarantine(
+    key: str,
+) -> Tuple[Optional[CoreResult], Optional[CacheIntegrityError]]:
+    """Load the entry for *key*, deleting it when it is damaged.
+
+    Returns ``(result, None)`` on a hit and ``(None, None)`` when no
+    entry exists.  An entry that is present but unreadable,
+    checksum-failing or schema-broken is quarantined and comes back as
+    ``(None, error)``; the caller re-runs and can report why.  Damage
+    is judged on the entry actually read, so an entry that is merely
+    absent is never reported.
+    """
+    try:
+        return _load_strict(key), None
+    except CacheIntegrityError as exc:
+        quarantine(key)
+        return None, exc
 
 
 def verify_entry(key: str) -> bool:
@@ -308,10 +334,17 @@ def store(key: str, result: CoreResult) -> bool:
     return _write_entry(key, payload)
 
 
-def _identity(key: str) -> str:
-    """*key* without its model-fingerprint suffix (see the module note)."""
+def fault_key(key: str) -> str:
+    """The key the chaos disk seam decides on when writing entry *key*.
+
+    Keys from :func:`cache_key` and :func:`windowed_cache_key` drop
+    their ``-<model fingerprint>`` suffix, so the decision depends on
+    what the entry is and not on the simulator's source; any other key
+    (e.g. a multicore scenario key) is used whole.
+    """
     suffix = f"-{model_fingerprint()}"
-    return key[:-len(suffix)] if key.endswith(suffix) else key
+    identity = key[: -len(suffix)] if key.endswith(suffix) else key
+    return f"result-cache:{identity}"
 
 
 def _write_entry(key: str, payload: Dict[str, Any]) -> bool:
@@ -328,7 +361,7 @@ def _write_entry(key: str, payload: Dict[str, Any]) -> bool:
     # clobber each other's in-flight writes before the atomic replace.
     tmp_path = path.with_suffix(f".{os.getpid()}.tmp")
     try:
-        data = chaos.mangle_write("result-cache", _identity(key), data)
+        data = chaos.mangle_write(fault_key(key), data)
         directory.mkdir(parents=True, exist_ok=True)
         with open(tmp_path, "wb") as handle:
             handle.write(data)

@@ -121,10 +121,13 @@ def trace_key(workload: str, scale: float) -> str:
     return digest.hexdigest()[:24]
 
 
-def entry_identity(workload: str, scale: float) -> str:
-    """What an entry is, without the fingerprint: the chaos disk seam
-    decides on this, so a seeded fault schedule survives source edits."""
-    return f"{workload}:{scale:.6f}"
+def fault_key(workload: str, scale: float) -> str:
+    """The key the chaos disk seam decides on when writing an entry.
+
+    It names what the entry is, without the fingerprint, so a seeded
+    fault schedule survives source edits.
+    """
+    return f"trace-cache:{workload}:{scale:.6f}"
 
 
 def entry_path(workload: str, scale: float) -> Path:
@@ -220,8 +223,7 @@ def _disk_put(workload: str, scale: float, trace: ColumnarTrace) -> None:
 
     directory = trace_dir()
     try:
-        data = chaos.mangle_write("trace-cache",
-                                  entry_identity(workload, scale),
+        data = chaos.mangle_write(fault_key(workload, scale),
                                   _seal(trace.pack()))
         directory.mkdir(parents=True, exist_ok=True)
         path = entry_path(workload, scale)

@@ -98,7 +98,7 @@ def test_plan_round_trips_through_json_and_env(monkeypatch):
 
 def test_hooks_are_noops_without_an_active_plan():
     data = b"payload-bytes" * 4
-    assert injector.mangle_write("result-cache", "k", data) == data
+    assert injector.mangle_write("result-cache:k", data) == data
     assert injector.client_fault("GET:/metrics:req-0") is None
     assert injector.maybe_stall() == 0.0
     injector.maybe_kill_worker("shard:x:y")  # must not exit
@@ -125,19 +125,17 @@ def test_mangle_write_flavors():
     flavors = {}
     with injector.active(plan):
         for i in range(64):
-            key = f"entry-{i}"
-            # mangle_write namespaces the decision key with its kind.
-            flavor = plan.decide("disk_fault", f"result-cache:{key}")
+            key = f"result-cache:entry-{i}"
+            flavor = plan.decide("disk_fault", key)
             if flavor in flavors:
                 continue
             if flavor == "enospc":
                 with pytest.raises(OSError) as excinfo:
-                    injector.mangle_write("result-cache", key, data)
+                    injector.mangle_write(key, data)
                 assert excinfo.value.errno == errno.ENOSPC
                 flavors[flavor] = None
             else:
-                flavors[flavor] = injector.mangle_write(
-                    "result-cache", key, data)
+                flavors[flavor] = injector.mangle_write(key, data)
     assert set(flavors) == set(DISK_FLAVORS)
     truncated = flavors["truncate"]
     assert 0 < len(truncated) < len(data)
@@ -164,7 +162,7 @@ def test_corrupt_result_cache_write_is_quarantined_on_next_run():
     key = cache.cache_key("median", 0.2, ROCKET)
     # The seam decides on the entry's identity, not its full key.  Only
     # exercise a *corrupting* flavor here (enospc leaves no entry).
-    chaos_key = f"result-cache:{cache.entry_identity('median', 0.2, ROCKET)}"
+    chaos_key = cache.fault_key(key)
     flavor = plan.decide("disk_fault", chaos_key)
     if flavor == "enospc":
         plan = ChaosPlan(seed=12, disk_fault_rate=1.0)

@@ -121,6 +121,37 @@ def test_repeat_request_served_from_cache_without_pool():
         service.drain()
 
 
+@pytest.mark.parametrize("damage", ["enospc", "corrupt"])
+def test_repeat_served_when_the_primary_store_write_failed(
+        isolated_cache, monkeypatch, damage):
+    """A failed or damaged cache write costs durability, not a re-run."""
+    from repro.tools import cache
+
+    if damage == "enospc":
+        monkeypatch.setattr(cache, "store", lambda key, result: False)
+    service = make_service().start()
+    body = {"workload": "vvadd", "scale": 0.2, "config": "rocket"}
+    try:
+        first = service.submit_payload(body)
+        wait_done(service, [first.record.id])
+        if damage == "corrupt":
+            for entry in isolated_cache.glob("*.json"):
+                entry.write_text("{truncated")
+        assert not list(isolated_cache.glob("*.json")) or damage == "corrupt"
+        again = service.submit_payload(body)
+        assert again.record.state == "done"
+        assert service.metrics.counter("jobs_executed") == 1
+        assert service.metrics.counter("cache_hits") == 1
+        served = dict(again.record.result)
+        primary = dict(service.status(first.record.id)["result"])
+        assert (served.pop("from_cache"), served.pop("attempts")) == (True, 0)
+        primary.pop("from_cache")
+        primary.pop("attempts")
+        assert served == primary
+    finally:
+        service.drain()
+
+
 def _race_primary_past_lookup(service, monkeypatch, primary_ids):
     """Hook between a repeat's store lookup and its scheduler submit.
 

@@ -9,8 +9,8 @@ from repro.isa.errors import CacheIntegrityError
 from repro.tools import rocket_with_l1d, run_core, run_tma
 from repro.tools.cache import (cache_dir, cache_key, cache_limit_bytes,
                                cache_limit_entries, entry_path, load,
-                               model_fingerprint, prune, quarantine, store,
-                               usage, verify_entry)
+                               load_or_quarantine, model_fingerprint, prune,
+                               quarantine, store, usage, verify_entry)
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +87,20 @@ def test_verify_and_quarantine_lifecycle(isolated_cache):
     assert verify_entry(key) is True       # intact
     assert quarantine(key) is True
     assert not entry_path(key).exists()
+
+
+def test_load_or_quarantine_reports_only_damage_it_read(isolated_cache):
+    key = cache_key("median", 0.2, ROCKET)
+    assert load_or_quarantine(key) == (None, None)      # absent: no label
+    result = run_core("median", ROCKET, scale=0.2, use_cache=False)
+    store(key, result)
+    hit, damage = load_or_quarantine(key)
+    assert damage is None and hit.cycles == result.cycles
+    entry_path(key).write_text("{truncated")
+    hit, damage = load_or_quarantine(key)
+    assert hit is None
+    assert damage.invariant == "cache-readable"
+    assert not entry_path(key).exists()                 # quarantined
 
 
 def test_store_leaves_no_tmp_files(isolated_cache):
