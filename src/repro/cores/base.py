@@ -13,15 +13,19 @@ Each core has one cycle loop, which accumulates the core's own event
 totals in place without building any per-cycle record.  The record is
 built only when it is needed: attached :class:`SignalObserver` instances
 (counter-architecture hardware models, the cycle tracer, AutoCounter)
-receive it at the end of every cycle, and a :class:`CoreFaultHook` is
-consulted at the top of every cycle.  A plain run pays two tests of
-one flag per cycle for this hook and no per-instruction work.
+receive it at the end of every cycle.  A *stepped* loop is a
+coroutine (:data:`CycleSteps`): it yields the cycle number at the top
+of every cycle and takes back whether that cycle stalls.  ``run``
+answers each yield from the core's :class:`CoreFaultHook`, and the
+multicore harness steps several cores one cycle at a time in one
+thread.  A plain run pays two tests of one flag per cycle for this
+hook and no per-instruction work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Protocol
+from typing import Dict, Generator, List, Mapping, Optional, Protocol
 
 from ..isa.errors import RunTimeout
 from ..uarch.branch import PredictorStats
@@ -48,6 +52,28 @@ class CoreFaultHook(Protocol):
 
     def stall_cycle(self, cycle: int) -> bool:
         ...  # pragma: no cover - protocol
+
+
+#: A core's cycle loop as a coroutine: it yields each cycle number at
+#: the top of that cycle, takes back whether the cycle stalls, and
+#: returns the run's :class:`CoreResult`.
+CycleSteps = Generator[int, bool, "CoreResult"]
+
+
+def run_steps(steps: CycleSteps,
+              hook: Optional[CoreFaultHook]) -> "CoreResult":
+    """Drive *steps* to its result, answering every cycle from *hook*.
+
+    A loop started unstepped never yields, so it finishes in the first
+    ``next`` and *hook* may be ``None``.
+    """
+    try:
+        cycle = next(steps)
+        stall_cycle = hook.stall_cycle
+        while True:
+            cycle = steps.send(stall_cycle(cycle))
+    except StopIteration as stop:
+        return stop.value
 
 
 def check_cycle_budget(cycle: int, max_cycles: Optional[int], *,

@@ -20,8 +20,9 @@ with the pre-existing Basic/Microarchitectural/Memory events.
 There is one cycle loop.  It reads the trace columns through a compiled
 descriptor table, keeps µops in a slab of parallel arrays, and
 accumulates event counters and lane histograms in place; attached
-observers and a fault hook are served by an optional per-cycle hook in
-the same loop (see :meth:`BoomCore.run`).
+observers and a stepped run (a fault hook, or the multicore lockstep)
+are served by an optional per-cycle hook in the same loop (see
+:meth:`BoomCore.run` and :meth:`BoomCore.steps`).
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from ...uarch.branch import BoomBranchPredictor
 from ...uarch.cache import MemorySystem, NonBlockingCache
 from ...uarch.prefetch import StridePrefetcher
 from ...uarch.tlb import L2_TLB_HIT_LATENCY, PTW_LATENCY, TlbHierarchy
-from ..base import (BoomConfig, CoreFaultHook, CoreResult, SignalObserver,
-                    check_cycle_budget, check_run_completed)
+from ..base import (BoomConfig, CoreFaultHook, CoreResult, CycleSteps,
+                    SignalObserver, check_cycle_budget, check_run_completed,
+                    run_steps)
 from ..configs import LARGE_BOOM
 from ..descriptors import INT_QUEUE, MEM_QUEUE, build_boom_table
 
@@ -96,12 +98,27 @@ class BoomCore:
         until the internal safety stop silently truncates the run.
 
         Observers and a fault hook ride the same loop as a plain run,
-        exactly as on :meth:`repro.cores.rocket.RocketCore.run`: the
-        hook is consulted at the top of every cycle, and observers
-        receive each cycle's ``{event: lane_mask}`` record at its end.
+        exactly as on :meth:`repro.cores.rocket.RocketCore.run`: with a
+        fault hook the loop runs stepped (see :meth:`steps`) and the
+        hook answers each cycle's yield, and observers receive each
+        cycle's ``{event: lane_mask}`` record at its end.
+        """
+        hook = self.fault_hook
+        self.reset_run_state()
+        return run_steps(
+            self._run_columnar(trace, max_cycles, stepped=hook is not None),
+            hook)
+
+    def steps(self, trace: ColumnarTrace,
+              max_cycles: Optional[int] = None) -> CycleSteps:
+        """The cycle loop of one run of *trace*, as a coroutine.
+
+        Same contract as :meth:`repro.cores.rocket.RocketCore.steps`:
+        yields each cycle number, takes back whether it stalls, returns
+        the :class:`CoreResult`; ``fault_hook`` is not consulted.
         """
         self.reset_run_state()
-        return self._run_columnar(trace, max_cycles)
+        return self._run_columnar(trace, max_cycles, stepped=True)
 
     def reset_run_state(self) -> None:
         """Clear every field :meth:`run` treats as per-run scratch.
@@ -125,8 +142,8 @@ class BoomCore:
     # the cycle loop: descriptor table + slab-allocated µop pool
     # ------------------------------------------------------------------
 
-    def _run_columnar(self, trace: ColumnarTrace,
-                      max_cycles: Optional[int]) -> CoreResult:
+    def _run_columnar(self, trace: ColumnarTrace, max_cycles: Optional[int],
+                      stepped: bool) -> CycleSteps:
         """The pipeline model over trace columns and a µop slab.
 
         - static facts come from the :class:`~repro.cores.descriptors
@@ -147,7 +164,8 @@ class BoomCore:
 
         The per-cycle observer record is rebuilt from the same state:
         the counters that moved, the commit prefix, the issued lanes,
-        and the bubble/blocked suffixes.
+        and the bubble/blocked suffixes.  A *stepped* loop yields at the
+        top of every cycle; an unstepped one never reaches the yield.
         """
         config = self.config
         w_c = config.decode_width
@@ -313,8 +331,7 @@ class BoomCore:
         # Per-cycle hook state.  On a plain run ``hooked`` is False and
         # the hook costs two tests of it per cycle.
         observers = self.observers or None
-        fault_hook = self.fault_hook
-        hooked = observers is not None or fault_hook is not None
+        hooked = observers is not None or stepped
         stalled = 0
         all_lanes = (1 << w_c) - 1
 
@@ -373,8 +390,8 @@ class BoomCore:
                                    workload=trace.program_name,
                                    retired=retired, total=total)
             if hooked:
-                if fault_hook is not None and fault_hook.stall_cycle(cycle):
-                    # Injected stall: the whole core freezes this cycle.
+                if stepped and (yield cycle):
+                    # Stalled cycle: the whole core freezes this cycle.
                     stalled += 1
                     cycle += 1
                     continue

@@ -18,8 +18,9 @@ trace, not the PMU) are all produced here.
 
 There is one cycle loop.  It reads the trace columns through a compiled
 descriptor table and accumulates event totals in place; attached
-observers and a fault hook are served by an optional per-cycle hook in
-the same loop (see :meth:`RocketCore.run`).
+observers and a stepped run (a fault hook, or the multicore lockstep)
+are served by an optional per-cycle hook in the same loop (see
+:meth:`RocketCore.run` and :meth:`RocketCore.steps`).
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from ...isa.columnar import ColumnarTrace
 from ...uarch.branch import RocketBranchPredictor
 from ...uarch.cache import Cache, MemorySystem
 from ...uarch.tlb import L2_TLB_HIT_LATENCY, PTW_LATENCY, TlbHierarchy
-from ..base import (CoreFaultHook, CoreResult, RocketConfig, SignalObserver,
-                    check_cycle_budget, check_run_completed)
+from ..base import (CoreFaultHook, CoreResult, CycleSteps, RocketConfig,
+                    SignalObserver, check_cycle_budget, check_run_completed,
+                    run_steps)
 from ..descriptors import build_rocket_table
 
 _SAFETY_CYCLES_PER_INST = 400
@@ -83,14 +85,31 @@ class RocketCore:
         until the internal safety stop silently truncates the run.
 
         With no observer and no fault hook the loop does nothing per
-        cycle beyond the model itself.  Otherwise the fault hook's
-        ``stall_cycle`` is consulted at the top of every cycle (a stalled
-        cycle passes with no activity and no signals), and at the end of
-        every cycle the observers receive the ``{event: lane_mask}``
-        record of the events asserted in it.
+        cycle beyond the model itself.  With a fault hook the loop runs
+        stepped (see :meth:`steps`) and each yield is answered by the
+        hook's ``stall_cycle`` (a stalled cycle passes with no activity
+        and no signals).  At the end of every cycle the observers
+        receive the ``{event: lane_mask}`` record of the events
+        asserted in it.
+        """
+        hook = self.fault_hook
+        self.reset_run_state()
+        return run_steps(
+            self._run_columnar(trace, max_cycles, stepped=hook is not None),
+            hook)
+
+    def steps(self, trace: ColumnarTrace,
+              max_cycles: Optional[int] = None) -> CycleSteps:
+        """The cycle loop of one run of *trace*, as a coroutine.
+
+        It yields the cycle number at the top of every cycle, takes
+        back whether that cycle stalls, and returns the
+        :class:`CoreResult`.  ``fault_hook`` is not consulted: whoever
+        sends the answers owns the cycle, which is how the multicore
+        harness steps several cores in one thread.
         """
         self.reset_run_state()
-        return self._run_columnar(trace, max_cycles)
+        return self._run_columnar(trace, max_cycles, stepped=True)
 
     def reset_run_state(self) -> None:
         """Clear per-run scratch state (audited batch-path contract).
@@ -108,8 +127,8 @@ class RocketCore:
     # the cycle loop: descriptor table + trace columns
     # ------------------------------------------------------------------
 
-    def _run_columnar(self, trace: ColumnarTrace,
-                      max_cycles: Optional[int]) -> CoreResult:
+    def _run_columnar(self, trace: ColumnarTrace, max_cycles: Optional[int],
+                      stepped: bool) -> CycleSteps:
         """The pipeline model over trace columns.
 
         Every static fact comes from the :class:`~repro.cores.descriptors
@@ -120,6 +139,9 @@ class RocketCore:
         (``l2_tlb_miss``, ``recovering``) are deduplicated with per-cycle
         flags, so every event moves by at most one per cycle and the
         per-cycle observer record is the set of totals that moved.
+
+        A *stepped* loop yields at the top of every cycle; an unstepped
+        one never reaches the yield and returns in its first ``next``.
         """
         config = self.config
         total = len(trace)
@@ -160,8 +182,7 @@ class RocketCore:
         # Per-cycle hook state.  On a plain run ``hooked`` is False and
         # the hook costs two tests of it per cycle.
         observers = self.observers or None
-        fault_hook = self.fault_hook
-        hooked = observers is not None or fault_hook is not None
+        hooked = observers is not None or stepped
         stalled = 0
 
         fetch_idx = 0
@@ -204,8 +225,8 @@ class RocketCore:
                                    workload=trace.program_name,
                                    retired=retired, total=total)
             if hooked:
-                if fault_hook is not None and fault_hook.stall_cycle(cycle):
-                    # Injected stall: the whole core freezes this cycle.
+                if stepped and (yield cycle):
+                    # Stalled cycle: the whole core freezes this cycle.
                     stalled += 1
                     cycle += 1
                     continue

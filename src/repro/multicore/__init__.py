@@ -23,8 +23,8 @@ from .harness import (
     run_scenario_payload,
     scenario_cache_key,
 )
-from .lockstep import ARBITRATIONS, CycleTurnstile, LockstepError, TurnstileHook
 from .scenarios import (
+    ARBITRATIONS,
     MAX_CORES,
     SCENARIOS,
     CoreSlot,
@@ -40,9 +40,7 @@ __all__ = [
     "COLOR_SHIFT",
     "CoreInterference",
     "CoreSlot",
-    "CycleTurnstile",
     "L2View",
-    "LockstepError",
     "MAX_CORES",
     "MulticoreError",
     "MulticoreResult",
@@ -50,7 +48,6 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "SharedUncore",
-    "TurnstileHook",
     "attribute_mem_bound",
     "get_scenario",
     "multicore_fingerprint",

@@ -7,31 +7,30 @@ TMA and the self-vs-neighbor Memory-Bound split.
 
 Two execution paths:
 
-- **One active core** (every other slot idle): no threads, no turnstile
-  — the core is built exactly the way the single-core pipeline builds
-  it.  This path is *bit-identical* to
-  :func:`repro.tools.tma_tool.run_core` by construction and is what the
-  solo-oracle tests pin.  ``force_lockstep=True`` instead routes the
-  single core through the full uncore + turnstile stack, which the
-  equivalence tests use to pin the shared path itself against the solo
-  oracle.
-- **Multiple active cores**: one thread per core, each attached to a
-  :class:`~repro.multicore.lockstep.TurnstileHook` (the cycle loop's
-  per-cycle fault hook), sharing one uncore.  Deterministic by
-  construction: the turnstile serializes cycles in arbitration order,
-  so repeated runs are identical.
+- **One active core** (every other slot idle): no shared uncore — the
+  core is built exactly the way the single-core pipeline builds it.
+  This path is *bit-identical* to :func:`repro.tools.tma_tool.run_core`
+  by construction and is what the solo-oracle tests pin.
+  ``force_lockstep=True`` instead routes the single core through the
+  full uncore + lockstep stack, which the equivalence tests use to pin
+  the shared path itself against the solo oracle.
+- **Multiple active cores**: each core's cycle loop is a coroutine
+  (:meth:`~repro.cores.rocket.RocketCore.steps`), and
+  :func:`run_lockstep` steps them one cycle at a time in the calling
+  thread, in arbitration order, over one shared uncore.  Shared-uncore
+  state (bus cursor, shared LRU) is therefore mutated in one fixed
+  global cycle order, so repeated runs are identical.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.tma import TmaResult, compute_tma
-from ..cores.base import CoreResult, RocketConfig
+from ..cores.base import CoreResult, CycleSteps, RocketConfig
 from ..cores.boom import BoomCore
 from ..cores.batch import resolve_config_spec
 from ..cores.rocket import RocketCore
@@ -46,7 +45,6 @@ from ..uarch.cache import (
 )
 from ..workloads import build_trace
 from .attribution import Attribution, attribute_mem_bound
-from .lockstep import CycleTurnstile, LockstepError, TurnstileHook
 from .scenarios import CoreSlot, Scenario, get_scenario
 from .uncore import RequestorMetrics, SharedUncore
 
@@ -167,16 +165,60 @@ def _shared_memory(uncore: SharedUncore, requestor: int,
 
 
 def _solo_metrics(result: CoreResult) -> RequestorMetrics:
-    """Uncore metrics equivalent for the threadless solo fast path."""
+    """Uncore metrics equivalent for the solo fast path."""
     stats = result.l2_stats
     return RequestorMetrics(accesses=stats.accesses, misses=stats.misses,
                             self_misses=stats.misses)
 
 
+def run_lockstep(steps: Sequence[Tuple[str, CycleSteps]],
+                 arbitration: str) -> List[CoreResult]:
+    """Step every ``(label, steps)`` core loop to its result, in lockstep.
+
+    Each simulated cycle, every unfinished core runs that one cycle in
+    the arbitration order, which decides who goes first *within* the
+    cycle: ``fcfs`` is core order, ``round-robin`` rotates the first
+    slot so core ``(ordinal - cycle) % n == 0`` leads.  A finished core
+    drops out.  An exception from a core closes the other loops and
+    raises :class:`MulticoreError`, naming the core by its label.
+    Results come back in the order of *steps*.
+    """
+    n = len(steps)
+    if arbitration == "round-robin":
+        orders = [[(first + k) % n for k in range(n)]
+                  for first in range(n)]
+    else:
+        orders = [list(range(n))]
+    results: List[Any] = [None] * n
+    live = set(range(n))
+
+    def step(ordinal: int, stall: Optional[bool]) -> None:
+        label, gen = steps[ordinal]
+        try:
+            gen.send(stall)
+        except StopIteration as stop:
+            results[ordinal] = stop.value
+            live.discard(ordinal)
+        except Exception as exc:
+            for _, other in steps:
+                other.close()
+            raise MulticoreError(f"{label} failed: {exc}") from exc
+
+    # Run every loop's set-up up to its first cycle, then the cycles.
+    for ordinal in range(n):
+        step(ordinal, None)
+    cycle = 0
+    while live:
+        for ordinal in orders[cycle % len(orders)]:
+            if ordinal in live:
+                step(ordinal, False)
+        cycle += 1
+    return results
+
+
 def run_scenario(scenario: Union[str, Scenario], *,
                  max_cycles: Optional[int] = None,
-                 force_lockstep: bool = False,
-                 lockstep_timeout: float = 300.0) -> MulticoreResult:
+                 force_lockstep: bool = False) -> MulticoreResult:
     """Run *scenario* (a name or a :class:`Scenario`) to completion."""
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -184,8 +226,8 @@ def run_scenario(scenario: Union[str, Scenario], *,
     active = scenario.active_slots()
     started = time.monotonic()
 
-    # The threadless shortcut runs the stock single-core hierarchy, so
-    # it only serves scenarios with the stock L2 geometry.
+    # The solo shortcut runs the stock single-core hierarchy, so it
+    # only serves scenarios with the stock L2 geometry.
     if len(active) == 1 and not force_lockstep and scenario.l2_kib is None:
         index, slot = active[0]
         trace = build_trace(slot.workload, scale=scenario.scale)
@@ -205,60 +247,20 @@ def run_scenario(scenario: Union[str, Scenario], *,
             slots=list(scenario.slots), cores=cores,
             wall_s=time.monotonic() - started)
 
-    # Traces are built up front (and cached), so no thread ever blocks
-    # the turnstile on functional execution.
-    traces = {i: build_trace(slot.workload, scale=scenario.scale)
-              for i, slot in active}
     uncore = SharedUncore(len(scenario.slots),
                           l2_config=_l2_config(scenario),
                           shared_bus=scenario.shared_bus)
-    turnstile = CycleTurnstile(len(active),
-                               arbitration=scenario.arbitration,
-                               timeout=lockstep_timeout)
-    results: Dict[int, CoreResult] = {}
-    errors: Dict[int, BaseException] = {}
-
-    def drive(ordinal: int, index: int, slot: CoreSlot) -> None:
-        try:
-            core = _make_core(slot, memory=_shared_memory(uncore, index,
-                                                          slot))
-            core.fault_hook = TurnstileHook(turnstile, ordinal)
-            results[index] = core.run(traces[index],
-                                      max_cycles=max_cycles)
-        except BaseException as exc:  # noqa: BLE001 - relayed below
-            errors[index] = exc
-            turnstile.fail(ordinal, exc)
-        finally:
-            turnstile.finish(ordinal)
-
-    threads = [
-        threading.Thread(target=drive, args=(ordinal, index, slot),
-                         name=f"mc-{scenario.name}-core{index}",
-                         daemon=True)
-        for ordinal, (index, slot) in enumerate(active)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-    if errors:
-        index = min(errors)
-        first = errors[index]
-        # A LockstepError is collateral damage from another core's
-        # failure; prefer reporting a root cause when one exists.
-        for i in sorted(errors):
-            if not isinstance(errors[i], LockstepError):
-                index, first = i, errors[i]
-                break
-        raise MulticoreError(
-            f"scenario {scenario.name!r} core {index} "
-            f"({scenario.slots[index].workload}) failed: {first}"
-        ) from first
+    steps = []
+    for index, slot in active:
+        core = _make_core(slot, memory=_shared_memory(uncore, index, slot))
+        trace = build_trace(slot.workload, scale=scenario.scale)
+        steps.append((f"scenario {scenario.name!r} core {index} "
+                      f"({slot.workload})",
+                      core.steps(trace, max_cycles=max_cycles)))
+    results = run_lockstep(steps, scenario.arbitration)
 
     cores = []
-    for index, slot in active:
-        result = results[index]
+    for (index, slot), result in zip(active, results):
         tma = compute_tma(result)
         metrics = uncore.metrics[index]
         attribution = attribute_mem_bound(tma, metrics,

@@ -25,9 +25,13 @@ from typing import Dict, List, Optional, Tuple
 from ..cores.batch import resolve_config_spec
 from ..workloads.registry import IDLE_WORKLOAD, get_workload, is_idle
 
-#: Hard cap on scenario width (the harness steps cores in lockstep on
-#: threads; beyond 4 the turnstile overhead swamps simulation).
+#: Hard cap on scenario width: the widest socket the registry's
+#: interference studies model.
 MAX_CORES = 4
+
+#: Within-cycle core order at the shared uncore: ``round-robin``
+#: rotates the first slot every cycle, ``fcfs`` is fixed core order.
+ARBITRATIONS = ("round-robin", "fcfs")
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,10 @@ class Scenario:
         if self.l2_kib is not None and self.l2_kib < 1:
             raise ValueError(
                 f"scenario {self.name!r}: l2_kib must be positive")
+        if self.arbitration not in ARBITRATIONS:
+            raise ValueError(
+                f"scenario {self.name!r}: unknown arbitration "
+                f"{self.arbitration!r}; expected one of {ARBITRATIONS}")
         for slot in self.slots:
             slot.validate()
 

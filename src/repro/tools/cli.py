@@ -26,6 +26,7 @@ from ..core import (compute_tma, render_breakdown_table, render_result,
                     to_csv, to_json)
 from ..cores import CONFIGS_BY_NAME, config_by_name
 from ..cores.base import RocketConfig
+from ..multicore.scenarios import ARBITRATIONS
 from ..pmu import PerfHarness
 from ..pmu.harness import make_core
 from ..trace import (boom_tma_bundle, capture_trace, find_first,
@@ -865,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--scale", type=float, default=None,
                       help="workload scale override")
     p_mc.add_argument("--arbitration", default=None,
-                      choices=["round-robin", "fcfs"],
+                      choices=ARBITRATIONS,
                       help="uncore bus arbitration override")
     p_mc.add_argument("--no-shared-bus", action="store_true",
                       help="give each core a private DRAM bus "

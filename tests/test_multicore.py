@@ -3,24 +3,26 @@
 The load-bearing guarantees:
 
 - **Solo-oracle identity**: a scenario with one active core — via the
-  threadless shortcut or the full uncore + turnstile lockstep stack —
-  is bit-identical to :func:`repro.tools.tma_tool.run_core`, and an
-  idle neighbor induces exactly zero neighbor attribution.
+  solo shortcut or the full uncore + lockstep stack — is
+  bit-identical to :func:`repro.tools.tma_tool.run_core`, and an idle
+  neighbor induces exactly zero neighbor attribution.
 - **Slot conservation under sharing**: per-core level-1 TMA slots sum
   to 1.0 and ``self + neighbor == mem_bound`` exactly (as floats) on
   every scenario in the registry, and every per-core result passes the
   ``TmaInvariantChecker`` audit.
-- **Determinism**: the turnstile serializes cycles, so repeated runs
-  are bit-identical.
+- **Determinism**: :func:`run_lockstep` steps the cores' cycles in one
+  fixed arbitration order, so repeated runs are bit-identical.
 """
 
 import dataclasses
+import threading
 import time
 
 import pytest
 
 from repro.core.tma import split_slots
 from repro.cores import config_by_name
+from repro.isa.errors import RunTimeout
 from repro.multicore import (
     CoreSlot,
     MulticoreError,
@@ -32,6 +34,7 @@ from repro.multicore import (
     scenario_cache_key,
     scenario_names,
 )
+from repro.multicore.harness import run_lockstep
 from repro.reliability import TmaInvariantChecker
 from repro.tools.tma_tool import run_core
 from repro.uarch.cache import Cache, L1D_32K, NonBlockingCache
@@ -85,9 +88,9 @@ def test_threadless_solo_is_bit_identical_to_run_core(workload, config):
 
 
 @pytest.mark.parametrize("config", ["rocket", "large-boom"])
-@pytest.mark.parametrize("workload", ["median", "spmv"])
+@pytest.mark.parametrize("workload", ORACLE_WORKLOADS)
 def test_lockstep_solo_with_idle_neighbor_matches_oracle(workload, config):
-    """One active core through the full uncore + turnstile stack."""
+    """One active core through the full uncore + lockstep stack."""
     scenario = solo_scenario(workload, config, idle_neighbor=True)
     result = run_scenario(scenario, force_lockstep=True)
     core = result.core_at(0)
@@ -207,12 +210,67 @@ def test_scenario_validation_rejects_bad_specs():
                  slots=(CoreSlot("no-such-workload", "rocket"),)).validate()
     with pytest.raises(KeyError):
         get_scenario("no-such-scenario")
+    with pytest.raises(ValueError):
+        get_scenario("noisy-neighbor").with_overrides(
+            arbitration="lottery").validate()
 
 
 def test_core_failure_surfaces_as_multicore_error():
     scenario = get_scenario("noisy-neighbor").with_overrides(scale=SCALE)
-    with pytest.raises(MulticoreError):
+    threads = threading.active_count()
+    with pytest.raises(MulticoreError) as info:
         run_scenario(scenario, max_cycles=10)
+    # Round-robin gives core 1 the first slot of cycle 9, so it is the
+    # first to reach the 10-cycle budget.
+    assert "core 1 (spmv)" in str(info.value)
+    assert isinstance(info.value.__cause__, RunTimeout)
+    assert threading.active_count() == threads
+
+
+# ----------------------------------------------------------------------
+# Lockstep stepping order
+
+
+def stub_core(core, cycles, log, fail_at=None):
+    """A cycle loop that logs ``(cycle, core)`` for every cycle it runs."""
+    for cycle in range(cycles):
+        stall = yield cycle
+        assert stall is False
+        if cycle == fail_at:
+            raise RuntimeError(f"core {core} broke")
+        log.append((cycle, core))
+    return f"result {core}"
+
+
+@pytest.mark.parametrize("arbitration, expected", [
+    ("fcfs", [(0, 0), (0, 1), (0, 2),
+              (1, 0), (1, 1), (1, 2),
+              (2, 1), (2, 2),
+              (3, 1)]),
+    ("round-robin", [(0, 0), (0, 1), (0, 2),
+                     (1, 1), (1, 2), (1, 0),
+                     (2, 2), (2, 1),
+                     (3, 1)]),
+])
+def test_lockstep_steps_cores_in_arbitration_order(arbitration, expected):
+    log = []
+    steps = [(f"core {core}", stub_core(core, cycles, log))
+             for core, cycles in enumerate((2, 4, 3))]
+    results = run_lockstep(steps, arbitration)
+    assert log == expected
+    assert results == ["result 0", "result 1", "result 2"]
+
+
+def test_lockstep_failure_closes_every_core_loop():
+    log = []
+    steps = [(f"core {core}", stub_core(core, 5, log, fail_at=fail_at))
+             for core, fail_at in enumerate((None, 2, None))]
+    with pytest.raises(MulticoreError, match="core 1 failed: core 1 broke"
+                       ) as info:
+        run_lockstep(steps, "fcfs")
+    assert isinstance(info.value.__cause__, RuntimeError)
+    assert log == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)]
+    assert all(gen.gi_frame is None for _, gen in steps)
 
 
 # ----------------------------------------------------------------------
@@ -412,6 +470,9 @@ def test_service_rejects_bad_multicore_payloads():
     with pytest.raises(JobValidationError):
         service.submit_multicore_payload({"scenario": "symmetric",
                                           "bogus_field": 1})
+    with pytest.raises(JobValidationError):
+        service.submit_multicore_payload({"scenario": "noisy-neighbor",
+                                          "arbitration": "lottery"})
     with pytest.raises(JobValidationError):
         service.submit_multicore_payload({})
 
