@@ -32,8 +32,8 @@ config-dependent interleaving of predict-at-fetch and
 resolve-at-execute — sharing them would leak state between configs.
 Each point's :class:`~repro.cores.base.CoreResult` is therefore
 bit-identical to a standalone single-config run, which remains the
-oracle (enforced by ``tests/test_batch_engine.py`` and the
-``batch-equivalence`` CI job).
+oracle (enforced by ``tests/test_batch_engine.py`` in the tier-1
+suite).
 """
 
 from __future__ import annotations

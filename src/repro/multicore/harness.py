@@ -171,6 +171,11 @@ def _solo_metrics(result: CoreResult) -> RequestorMetrics:
                             self_misses=stats.misses)
 
 
+def _core_label(scenario: Scenario, index: int, slot: CoreSlot) -> str:
+    """How a core's failure names it: scenario, core index, workload."""
+    return f"scenario {scenario.name!r} core {index} ({slot.workload})"
+
+
 def run_lockstep(steps: Sequence[Tuple[str, CycleSteps]],
                  arbitration: str) -> List[CoreResult]:
     """Step every ``(label, steps)`` core loop to its result, in lockstep.
@@ -232,7 +237,12 @@ def run_scenario(scenario: Union[str, Scenario], *,
         index, slot = active[0]
         trace = build_trace(slot.workload, scale=scenario.scale)
         core = _make_core(slot)
-        result = core.run(trace, max_cycles=max_cycles)
+        try:
+            result = core.run(trace, max_cycles=max_cycles)
+        except Exception as exc:
+            raise MulticoreError(
+                f"{_core_label(scenario, index, slot)} failed: {exc}"
+            ) from exc
         tma = compute_tma(result)
         metrics = _solo_metrics(result)
         attribution = attribute_mem_bound(tma, metrics, DRAM_LATENCY)
@@ -254,8 +264,7 @@ def run_scenario(scenario: Union[str, Scenario], *,
     for index, slot in active:
         core = _make_core(slot, memory=_shared_memory(uncore, index, slot))
         trace = build_trace(slot.workload, scale=scenario.scale)
-        steps.append((f"scenario {scenario.name!r} core {index} "
-                      f"({slot.workload})",
+        steps.append((_core_label(scenario, index, slot),
                       core.steps(trace, max_cycles=max_cycles)))
     results = run_lockstep(steps, scenario.arbitration)
 

@@ -41,7 +41,7 @@ from .job import (GridJob, JobRecord, JobValidationError, MulticoreJob,
 from .metrics import Histogram, MetricsRegistry, merge_snapshots
 from .scheduler import JobScheduler, SubmitReceipt
 from .server import ServiceServer, make_server, serve_in_thread
-from .shard import ShardExecutor, ShardInfo, make_shard_service
+from .shard import ShardInfo, make_shard_service
 from .store import ResultStore
 from .stream import EventJournal, JobEvent, parse_sse, sse_encode
 from .workers import WorkerPool, execute_job
@@ -65,7 +65,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceServer",
-    "ShardExecutor",
     "ShardInfo",
     "SubmitReceipt",
     "TMAJob",

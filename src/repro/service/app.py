@@ -206,8 +206,8 @@ class TMAService:
                                            + record.job.deadline_seconds))
         # Windowed jobs stream per-window ticks when the executor keeps
         # the work in-process; progress callbacks cannot cross process
-        # or shard boundaries, so those deployments stream lifecycle
-        # events only.
+        # boundaries, so those deployments stream lifecycle events
+        # only.
         progress = None
         if spec.windows is not None and self.pool.supports_callbacks:
             record_id = record.id

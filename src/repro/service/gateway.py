@@ -55,6 +55,10 @@ from .hashring import HashRing, parse_shard_spec
 from .job import GridJob, JobValidationError, MulticoreJob, TMAJob
 from .metrics import MetricsRegistry, merge_snapshots
 
+#: Cluster spec default for ``repro-tma gateway --shards``:
+#: ``REPRO_SHARDS="s1=http://h:p,s2=http://h:p"``.
+SHARDS_ENV = "REPRO_SHARDS"
+
 #: Bound on retained job routes (terminal routes are pruned oldest
 #: first past this; live routes always survive).
 DEFAULT_ROUTE_RETENTION = 4096
@@ -885,6 +889,7 @@ __all__ = [
     "GridPart",
     "GridRoute",
     "JobRoute",
+    "SHARDS_ENV",
     "make_gateway_server",
     "serve_gateway_in_thread",
 ]

@@ -530,20 +530,11 @@ def outcome_payload(outcome: RunOutcome,
         # Payload-carried flavours: windowed runs label themselves with
         # kind="windowed" (and always surface the sampled flag — a
         # sampled extrapolation must never masquerade as an exact run);
-        # kind="remote" is a result document that already went through
-        # this function on a shard server (ShardExecutor dispatch), so
-        # it splices back in verbatim — remote and local execution
-        # produce byte-identical result payloads; anything else is a
-        # multicore scenario payload.
+        # anything else is a multicore scenario payload.
         if (isinstance(outcome.payload, dict)
                 and outcome.payload.get("kind") == "windowed"):
             payload["windowed"] = outcome.payload
             payload["sampled"] = bool(outcome.payload.get("sampled", False))
-        elif (isinstance(outcome.payload, dict)
-                and outcome.payload.get("kind") == "remote"):
-            inner = {key: value for key, value in outcome.payload.items()
-                     if key != "kind"}
-            payload.update(inner)
         else:
             payload["multicore"] = outcome.payload
     return payload

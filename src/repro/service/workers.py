@@ -170,8 +170,6 @@ class WorkerPool:
             raise ValueError("workers must be >= 1")
         self.workers = workers
         self.style = style
-        # executor_factory() raises ValueError on unknown styles and
-        # lazily imports registered-on-first-use rungs ("shard").
         self._factory = factory or executor_factory(style)
         self.retry_policy = retry_policy or SUBMIT_RETRY_POLICY
         self._lock = threading.Lock()
@@ -202,9 +200,9 @@ class WorkerPool:
     def supports_callbacks(self) -> bool:
         """True when submissions stay in-process (callables can ride).
 
-        Process and shard executors ship arguments across process or
-        machine boundaries, so live progress callbacks cannot follow;
-        thread and inline executors share the interpreter.
+        Process executors ship arguments across process boundaries, so
+        live progress callbacks cannot follow; thread and inline
+        executors share the interpreter.
         """
         return self.kind in ("thread", "inline")
 

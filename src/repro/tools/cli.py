@@ -33,6 +33,7 @@ from ..trace import (boom_tma_bundle, capture_trace, find_first,
                      render_raster, rocket_tma_bundle)
 from ..vlsi import ARCHITECTURES, sweep
 from ..workloads import build_trace, get_workload, workload_names
+from . import pool
 from .tma_tool import run_suite
 
 
@@ -638,8 +639,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_gateway(args: argparse.Namespace) -> int:
     import os
 
-    from ..service.gateway import Gateway, make_gateway_server
-    from ..service.shard import SHARDS_ENV
+    from ..service.gateway import SHARDS_ENV, Gateway, make_gateway_server
 
     shards = args.shards or os.environ.get(SHARDS_ENV, "")
     if not shards:
@@ -936,9 +936,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--queue-size", type=int, default=256,
                          help="admission-queue bound (backpressure above)")
     p_serve.add_argument("--executor", default="process",
-                         choices=["process", "thread", "inline", "shard"],
-                         help="worker execution style (shard: forward "
-                              "jobs to the REPRO_SHARDS cluster)")
+                         choices=sorted(pool.EXECUTOR_FACTORIES),
+                         help="worker execution style")
     p_serve.add_argument("--shard-id", default=None,
                          help="serve as one member of a shard cluster: "
                               "sets the shard identity reported by "

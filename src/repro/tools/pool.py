@@ -24,7 +24,7 @@ executors.  This module also holds the pieces that setup requires:
   to confine the worker-kill seam to real pool workers;
 - the **executor ladder**: every execution style a caller can ask for
   sits behind the same ``submit``/``shutdown``/context-manager
-  contract, so swapping ``inline`` → ``process`` → ``shard`` is a
+  contract, so swapping ``inline`` → ``thread`` → ``process`` is a
   one-word configuration change, never a code change:
 
   ========= ==========================================================
@@ -39,16 +39,11 @@ executors.  This module also holds the pieces that setup requires:
             pools from this rung, so tests substitute a broken pool
             with ``monkeypatch.setitem(EXECUTOR_FACTORIES, "process",
             ...)``
-  shard     a multi-node shard cluster over HTTP, routed by consistent
-            hash of the canonical job key
-            (:class:`repro.service.shard.ShardExecutor`)
   ========= ==========================================================
 
-The ``shard`` rung cannot ship arbitrary closures to another machine,
-so remotable entry points register a *remote adapter* via
-:func:`register_remote`; a shard executor looks the adapter up by
-function identity and dispatches through it, and refuses anything
-unregistered instead of silently running it locally.
+Work reaches more than one node only through the service gateway
+(:mod:`repro.service.gateway`), which routes jobs to shard servers that
+each run one of these rungs.
 """
 
 from __future__ import annotations
@@ -252,56 +247,21 @@ def inline_executor_factory(workers: int) -> InlineExecutor:
 ExecutorFactory = Callable[[int], ContextManager]
 
 #: Executor styles selectable by name (``repro-tma serve --executor``).
-#: The ``shard`` rung registers itself on import of
-#: :mod:`repro.service.shard`; :func:`executor_factory` triggers that
-#: import lazily so ``tools`` never hard-depends on the service tier.
 EXECUTOR_FACTORIES: Dict[str, ExecutorFactory] = {
     "process": process_executor_factory,
     "thread": thread_executor_factory,
     "inline": inline_executor_factory,
 }
 
-#: Styles provided by modules that register on first use.
-_LAZY_STYLES = {"shard": "repro.service.shard"}
-
-
-def register_executor(style: str, factory: ExecutorFactory) -> None:
-    """Register a ladder rung under *style* (idempotent overwrite)."""
-    EXECUTOR_FACTORIES[style] = factory
-
 
 def executor_factory(style: str) -> ExecutorFactory:
-    if style not in EXECUTOR_FACTORIES and style in _LAZY_STYLES:
-        import importlib
-
-        importlib.import_module(_LAZY_STYLES[style])
     try:
         return EXECUTOR_FACTORIES[style]
     except KeyError:
-        known = sorted(set(EXECUTOR_FACTORIES) | set(_LAZY_STYLES))
+        known = sorted(EXECUTOR_FACTORIES)
         raise ValueError(
             f"unknown executor style {style!r}; choose from {known}"
         ) from None
-
-
-# ---------------------------------------------------------------------------
-# Remote dispatch registry (the shard rung's contract)
-
-#: function → adapter.  An adapter has the signature
-#: ``adapter(executor, *args, **kwargs)`` and performs the remote
-#: equivalent of ``fn(*args, **kwargs)`` through the shard executor's
-#: routing/client machinery, returning the same result type.
-_REMOTE_ADAPTERS: Dict[Callable, Callable] = {}
-
-
-def register_remote(fn: Callable, adapter: Callable) -> None:
-    """Mark *fn* as remotable through the given adapter."""
-    _REMOTE_ADAPTERS[fn] = adapter
-
-
-def remote_adapter(fn: Callable) -> Optional[Callable]:
-    """The registered remote adapter for *fn*, or None."""
-    return _REMOTE_ADAPTERS.get(fn)
 
 
 # ---------------------------------------------------------------------------

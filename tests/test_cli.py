@@ -208,6 +208,20 @@ def test_submit_unreachable_server(capsys):
     assert "submit failed" in err
 
 
+def test_executor_ladder_is_closed(capsys):
+    from repro.tools import pool
+
+    with pytest.raises(ValueError) as info:
+        pool.executor_factory("shard")
+    assert str(info.value).endswith("['inline', 'process', 'thread']")
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["serve", "--executor", "shard"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err
+    assert "'shard'" in err
+
+
 def test_multicore_list(capsys):
     code, out, _ = run_cli(capsys, "multicore", "--list")
     assert code == 0

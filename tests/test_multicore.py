@@ -216,15 +216,18 @@ def test_scenario_validation_rejects_bad_specs():
 
 
 def test_core_failure_surfaces_as_multicore_error():
-    scenario = get_scenario("noisy-neighbor").with_overrides(scale=SCALE)
-    threads = threading.active_count()
-    with pytest.raises(MulticoreError) as info:
-        run_scenario(scenario, max_cycles=10)
     # Round-robin gives core 1 the first slot of cycle 9, so it is the
-    # first to reach the 10-cycle budget.
-    assert "core 1 (spmv)" in str(info.value)
-    assert isinstance(info.value.__cause__, RunTimeout)
-    assert threading.active_count() == threads
+    # first to reach the 10-cycle budget; with one core the solo
+    # shortcut runs core 0 alone and must fail the same way.
+    for cores, culprit in ((None, "core 1 (spmv)"), (1, "core 0 (median)")):
+        scenario = get_scenario("noisy-neighbor").with_overrides(
+            scale=SCALE, cores=cores)
+        threads = threading.active_count()
+        with pytest.raises(MulticoreError) as info:
+            run_scenario(scenario, max_cycles=10)
+        assert culprit in str(info.value)
+        assert isinstance(info.value.__cause__, RunTimeout)
+        assert threading.active_count() == threads
 
 
 # ----------------------------------------------------------------------

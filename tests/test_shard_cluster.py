@@ -1,4 +1,4 @@
-"""Multi-node service tier tests: shards, gateway, executor ladder.
+"""Multi-node service tier tests: shards and the gateway.
 
 Covers the tentpole guarantees with a real in-process cluster (three
 shard servers on loopback HTTP sharing one result store):
@@ -8,24 +8,25 @@ shard servers on loopback HTTP sharing one result store):
   dedup;
 - grid fan-out — a ``POST /grids`` splits into per-shard sub-grids
   whose points route by their *point job's* key;
-- failure handling — a dead shard is evicted after repeated transport
-  failures and its routes re-home with zero loss;
-- the executor ladder — ``TMAService(executor="shard")`` runs a
-  front service whose "workers" are the cluster, producing results
-  bit-identical to a single-node oracle;
-- the shard rung refuses unremotable work instead of running it
-  locally.
+- failure handling — a submission whose ring owner is already dead
+  lands on the next owner in failover order, and a dead shard is
+  evicted after repeated transport failures and its routes re-home
+  with zero loss.
+
+The gateway is the one path by which jobs reach a cluster;
+``scripts/shard_smoke.py`` gates its results bit-identical to a
+single-node oracle.
 """
 
 import time
 
 import pytest
 
-from repro.service import (Gateway, ServiceClient, TMAService,
-                           make_shard_service, serve_in_thread)
+from repro.service import (Gateway, ServiceClient, make_shard_service,
+                           serve_in_thread)
 from repro.service.hashring import HashRing, ring_position
 from repro.service.job import TMAJob
-from repro.service.shard import SHARDS_ENV, ShardExecutor, ShardInfo
+from repro.service.shard import ShardInfo
 
 
 @pytest.fixture(autouse=True)
@@ -245,6 +246,18 @@ def test_grid_points_dedup_against_direct_submissions(cluster):
 # Failure handling: eviction + re-routing, zero loss
 
 
+def test_gateway_submit_walks_failover_order_past_dead_owner(cluster):
+    payload = {"workload": "vvadd", "config": "rocket", "scale": 0.1}
+    key = TMAJob.from_payload(payload).job_key()
+    # owners() lists distinct shards: the owner, then its successor.
+    owner, successor = HashRing(cluster.urls).owners(key, 2)
+    cluster.kill(owner)
+    gateway = Gateway(cluster.spec())
+    receipt = gateway.submit_payload(payload)
+    assert receipt["shard"] == successor
+    assert wait_status(gateway, receipt["id"])["state"] == "done"
+
+
 def test_dead_shard_is_evicted_and_routes_rehome_with_zero_loss(cluster):
     gateway = Gateway(cluster.spec(), evict_threshold=2)
     payloads = [{"workload": "vvadd", "config": "rocket",
@@ -318,90 +331,6 @@ def test_join_extends_the_ring_for_future_submissions(cluster, tmp_path):
         server.shutdown()
         server.server_close()
         joiner.drain()
-
-
-# ----------------------------------------------------------------------
-# Executor ladder: the shard rung
-
-
-def test_front_service_with_shard_executor_matches_oracle(
-        cluster, monkeypatch, tmp_path):
-    monkeypatch.setenv(SHARDS_ENV, cluster.spec())
-    front = TMAService(workers=2, executor="shard",
-                       queue_capacity=16).start()
-    payload = {"workload": "towers", "config": "small-boom", "scale": 0.3}
-    try:
-        receipt = front.submit_payload(payload)
-        deadline = time.time() + 120.0
-        while time.time() < deadline:
-            record = front.status(receipt.record.id)
-            if record["state"] in ("done", "failed"):
-                break
-            time.sleep(0.05)
-        assert record["state"] == "done"
-        remote_result = record["result"]
-        assert front.pool.kind == "shard"
-        # The work really ran on the cluster, not the front.
-        assert sum(s.metrics.counter("jobs_executed")
-                   for s in cluster.services.values()) == 1
-    finally:
-        front.drain()
-    # Single-node oracle in a fresh, isolated store.
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "oracle"))
-    oracle = TMAService(workers=1, executor="thread").start()
-    try:
-        oracle_receipt = oracle.submit_payload(payload)
-        deadline = time.time() + 120.0
-        while time.time() < deadline:
-            oracle_record = oracle.status(oracle_receipt.record.id)
-            if oracle_record["state"] in ("done", "failed"):
-                break
-            time.sleep(0.05)
-        assert oracle_record["state"] == "done"
-        oracle_result = oracle_record["result"]
-    finally:
-        oracle.drain()
-
-    def canonical(result):
-        return {key: value for key, value in result.items()
-                if key not in ("from_cache", "attempts", "trace_cache")}
-
-    assert canonical(remote_result) == canonical(oracle_result)
-
-
-def test_shard_executor_walks_failover_order_past_dead_owner(cluster):
-    ring = HashRing(cluster.urls)
-    # Find a payload whose ring owner we can kill.
-    for i in range(64):
-        payload = {"workload": "vvadd", "config": "rocket",
-                   "scale": round(0.1 + 0.01 * i, 2)}
-        key = TMAJob.from_payload(payload).job_key()
-        owner = ring.owner(key)
-        if owner != ring.owners(key, 2)[1]:
-            break
-    cluster.kill(owner)
-    executor = ShardExecutor(workers=1, shards=cluster.urls,
-                             job_timeout=120.0)
-    try:
-        record = executor.dispatch("/jobs", payload, key)
-        assert record["state"] == "done"
-    finally:
-        executor.shutdown()
-
-
-def test_shard_executor_refuses_unregistered_functions(cluster):
-    executor = ShardExecutor(workers=1, shards=cluster.urls)
-    try:
-        with pytest.raises(RuntimeError, match="remote adapter"):
-            executor.submit(sorted, [3, 1, 2])
-    finally:
-        executor.shutdown()
-
-
-def test_shard_executor_requires_members(monkeypatch):
-    monkeypatch.delenv(SHARDS_ENV, raising=False)
-    with pytest.raises(ValueError, match="cluster members"):
-        ShardExecutor(workers=1)
 
 
 # ----------------------------------------------------------------------
