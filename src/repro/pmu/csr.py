@@ -14,17 +14,23 @@ the counter architectures of :mod:`repro.pmu.counters`:
   software read needs the ×2^N post-processing.
 
 The CSR file is itself a :class:`~repro.cores.base.SignalObserver`, so
-attaching it to a core models in-band counting end to end.
+attaching it to a core models in-band counting end to end.  ``adders``
+readings are exact popcounts, so they equal the core's own event totals;
+:meth:`CsrFile.credit` adds a finished run's totals instead of stepping
+the counters cycle by cycle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from ..isa.csrs import (FIRST_HPM_INDEX, LAST_HPM_INDEX, MCOUNTINHIBIT,
                         MCYCLE, MINSTRET, mhpmcounter_addr, mhpmevent_addr)
 from .counters import _DistributedEventState, _validate_event_set
 from .events import Event, decode_selector
+
+if TYPE_CHECKING:
+    from ..cores.base import CoreResult
 
 #: Inhibit-register bit positions: bit 0 = mcycle, bit 2 = minstret,
 #: bits 3..31 = the programmable counters (bit 1 is reserved, as in the
@@ -45,6 +51,10 @@ class _ProgrammableCounter:
         self.events: List[Event] = []
         self.value = 0
         self._distributed: Optional[_DistributedEventState] = None
+        #: One cycle of this counter's increment logic, bound once to
+        #: the architecture's step so the per-cycle call skips a mode
+        #: dispatch.
+        self.step = getattr(self, f"_step_{mode}")
 
     def program(self, selector: int, core: str) -> None:
         self.selector = selector
@@ -57,31 +67,29 @@ class _ProgrammableCounter:
         self.value = 0
         self._distributed = None
 
-    def step(self, signals: Mapping[str, int]) -> None:
-        if not self.events:
-            return
-        if self.mode == "classic":
-            for event in self.events:
-                if signals.get(event.name, 0):
-                    self.value += 1
-                    return
-            return
-        if self.mode == "adders":
-            # The adder chain sums every source wire of every mapped
-            # event; narrower increment signals are zero-padded to the
-            # widest (the padding complication of §IV-B), which leaves
-            # the arithmetic an exact popcount.
-            increment = 0
-            for event in self.events:
-                increment += signals.get(event.name, 0).bit_count()
-            self.value += increment
-            return
-        # distributed: mapped events share the per-source local counters,
-        # so their lane masks OR together before counting.
+    def _step_classic(self, signals: Mapping[str, int]) -> None:
+        # Fig. 1 OR: +1 when any mapped event fires this cycle.
+        for event in self.events:
+            if signals.get(event.name, 0):
+                self.value += 1
+                return
+
+    def _step_adders(self, signals: Mapping[str, int]) -> None:
+        # The adder chain sums every source wire of every mapped event;
+        # narrower increment signals are zero-padded to the widest (the
+        # padding complication of §IV-B), which leaves the arithmetic an
+        # exact popcount.
+        increment = 0
+        for event in self.events:
+            increment += signals.get(event.name, 0).bit_count()
+        self.value += increment
+
+    def _step_distributed(self, signals: Mapping[str, int]) -> None:
+        # Mapped events share the per-source local counters, so their
+        # lane masks OR together before counting.
         combined = 0
         for event in self.events:
             combined |= signals.get(event.name, 0)
-        # distributed
         if self._distributed is None or \
                 combined.bit_length() > self._distributed.sources:
             sources = max(1, combined.bit_length())
@@ -139,6 +147,14 @@ class CsrFile:
         self.counters: Dict[int, _ProgrammableCounter] = {
             index: _ProgrammableCounter(index, increment_mode)
             for index in range(FIRST_HPM_INDEX, LAST_HPM_INDEX + 1)}
+        self._selector_at = {mhpmevent_addr(index): counter
+                             for index, counter in self.counters.items()}
+        self._counter_at = {mhpmcounter_addr(index): counter
+                            for index, counter in self.counters.items()}
+        #: Programmed, uninhibited counters in index order: the only
+        #: ones a cycle or a credited run can move.  Rebuilt on every
+        #: selector or ``mcountinhibit`` write.
+        self._active: List[_ProgrammableCounter] = []
         self.enabled = False
 
     # ------------------------------------------------------------------
@@ -148,6 +164,7 @@ class CsrFile:
     def write(self, addr: int, value: int) -> None:
         if addr == MCOUNTINHIBIT:
             self.mcountinhibit = value
+            self._rebuild_active()
             return
         if addr == MCYCLE:
             self.mcycle = value
@@ -155,13 +172,14 @@ class CsrFile:
         if addr == MINSTRET:
             self.minstret = value
             return
-        for index, counter in self.counters.items():
-            if addr == mhpmevent_addr(index):
-                counter.program(value, self.core)
-                return
-            if addr == mhpmcounter_addr(index):
-                counter.value = value
-                return
+        counter = self._selector_at.get(addr)
+        if counter is not None:
+            counter.program(value, self.core)
+            self._rebuild_active()
+            return
+        counter = self._counter_at.get(addr)
+        if counter is not None:
+            counter.value = value
         # Unknown CSRs are ignored (WARL behaviour).
 
     def read(self, addr: int) -> int:
@@ -171,12 +189,17 @@ class CsrFile:
             return self.mcycle
         if addr == MINSTRET:
             return self.minstret
-        for index, counter in self.counters.items():
-            if addr == mhpmevent_addr(index):
-                return counter.selector
-            if addr == mhpmcounter_addr(index):
-                return counter.software_value()
+        counter = self._selector_at.get(addr)
+        if counter is not None:
+            return counter.selector
+        counter = self._counter_at.get(addr)
+        if counter is not None:
+            return counter.software_value()
         return 0
+
+    def _rebuild_active(self) -> None:
+        self._active = [counter for index, counter in self.counters.items()
+                        if counter.events and not self.inhibited(index)]
 
     def inhibited(self, bit: int) -> bool:
         return bool((self.mcountinhibit >> bit) & 1)
@@ -193,9 +216,30 @@ class CsrFile:
         if not self.inhibited(_INSTRET_BIT) \
                 and signals.get("instr_retired", 0):
             self.minstret += signals["instr_retired"].bit_count()
-        for index, counter in self.counters.items():
-            if not self.inhibited(index):
-                counter.step(signals)
+        for counter in self._active:
+            counter.step(signals)
+
+    def credit(self, result: "CoreResult") -> None:
+        """Count a finished run from its totals instead of per cycle.
+
+        Exact for the ``adders`` architecture: a counter's per-cycle
+        increment is the popcount of its events' lane masks, so its
+        reading over a run is the sum of those events' totals, and
+        ``mcycle``/``minstret`` are the run's cycle and retire counts.
+        Selectors and inhibit bits apply as they do per cycle.  Refused
+        for the other architectures and under a fault injector, whose
+        readings are not a function of the totals.
+        """
+        if self.increment_mode != "adders" or self.fault_injector is not None:
+            raise ValueError(
+                "credit() is exact only for fault-free adders counters")
+        if not self.inhibited(_CYCLE_BIT):
+            self.mcycle += result.cycles
+        if not self.inhibited(_INSTRET_BIT):
+            self.minstret += result.instret
+        for counter in self._active:
+            counter.value += sum(result.event(event.name)
+                                 for event in counter.events)
 
     # ------------------------------------------------------------------
     # convenience used by the harness

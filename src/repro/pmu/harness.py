@@ -18,6 +18,12 @@ Two modes mirror the paper:
 When a workload needs more events than the 29 programmable counters, the
 harness multiplexes by re-running the (deterministic) workload in
 multiple passes, one counter set per pass.
+
+The exact ``adders`` counters without a fault injector are read from
+the run's own event totals (:meth:`~repro.pmu.csr.CsrFile.credit`):
+one plain run serves every pass, and no counter is stepped per cycle.
+The ``classic`` and ``distributed`` architectures and injected runs
+attach the CSR file as a per-cycle observer, one run per pass.
 """
 
 from __future__ import annotations
@@ -26,8 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cores.base import BoomConfig, CoreResult, RocketConfig
-from ..cores.boom import BoomCore
-from ..cores.rocket import RocketCore
+from ..cores.batch import make_core
 from ..isa import assemble, execute
 from ..isa.csrs import (FIRST_HPM_INDEX, LAST_HPM_INDEX, MCOUNTINHIBIT,
                         mhpmcounter_addr, mhpmevent_addr)
@@ -38,13 +43,6 @@ from .events import encode_selector, events_for_core
 NUM_PROGRAMMABLE = LAST_HPM_INDEX - FIRST_HPM_INDEX + 1
 
 CoreConfig = Union[RocketConfig, BoomConfig]
-
-
-def make_core(config: CoreConfig):
-    """Instantiate the right timing model for a Table IV config."""
-    if isinstance(config, RocketConfig):
-        return RocketCore(config)
-    return BoomCore(config)
 
 
 @dataclass
@@ -202,6 +200,8 @@ class PerfHarness:
 
         The deterministic simulator makes multiplexed passes exact: each
         pass replays the identical trace with a different counter set.
+        Fault-free ``adders`` passes all read from one run's totals;
+        ``passes`` still reports the plan's count.
 
         *max_cycles* arms the per-pass watchdog of the core models (see
         :meth:`~repro.cores.boom.BoomCore.run`); the resilient runner
@@ -214,36 +214,18 @@ class PerfHarness:
                 "measure() needs at least one event name; an empty list "
                 "would silently return zero passes and stale counters")
         passes = self.plan(event_names)
-        trace = build_trace(workload, scale=scale)
-        injector = self.fault_injector
-        if injector is not None:
-            trace = injector.perturb_trace(trace)
+        trace = self._trace(workload, scale)
         values: Dict[str, int] = {}
-        cycles = 0
-        instret = 0
-        last_result: Optional[CoreResult] = None
+        result: Optional[CoreResult] = None
         for assignment in passes:
-            core_model = make_core(config)
-            core_model.fault_hook = injector
-            csr = CsrFile(core=self.core,
-                          increment_mode=self.increment_mode,
-                          fault_injector=injector)
-            if self.mode == "linux":
-                self.apply_boot_sequence(csr, assignment)
-            else:
-                self.setup(csr, assignment)
-            core_model.add_observer(csr)
-            result = core_model.run(trace, max_cycles=max_cycles)
-            csr.drain()
+            readings, csr, result = self._run_pass(
+                config, trace, assignment, max_cycles, result)
             for index, names in assignment.slots:
-                values[names[0]] = csr.corrected_value_for(index)
-            cycles = csr.mcycle
-            instret = csr.minstret
-            last_result = result
+                values[names[0]] = readings[index]
         return Measurement(
             workload=workload, config_name=config.name, core=self.core,
-            events=values, cycles=cycles, instret=instret,
-            passes=len(passes), result=last_result,
+            events=values, cycles=csr.mcycle, instret=csr.minstret,
+            passes=len(passes), result=result,
             increment_mode=self.increment_mode)
 
     def measure_grouped(self, workload: str, config: CoreConfig,
@@ -264,12 +246,48 @@ class PerfHarness:
                 raise ValueError("more groups than hardware counters")
             assignment.slots.append((counter, list(group)))
             counter += 1
-        trace = build_trace(workload, scale=scale)
-        core_model = make_core(config)
-        csr = CsrFile(core=self.core, increment_mode=self.increment_mode)
-        self.setup(csr, assignment)
-        core_model.add_observer(csr)
-        core_model.run(trace)
-        csr.drain()
-        return {"+".join(names): csr.corrected_value_for(index)
+        readings, _, _ = self._run_pass(
+            config, self._trace(workload, scale), assignment)
+        return {"+".join(names): readings[index]
                 for index, names in assignment.slots}
+
+    def _trace(self, workload: str, scale: float):
+        trace = build_trace(workload, scale=scale)
+        if self.fault_injector is not None:
+            trace = self.fault_injector.perturb_trace(trace)
+        return trace
+
+    def _run_pass(self, config: CoreConfig, trace,
+                  assignment: CounterAssignment,
+                  max_cycles: Optional[int] = None,
+                  totals: Optional[CoreResult] = None,
+                  ) -> Tuple[Dict[int, int], CsrFile, CoreResult]:
+        """Program one pass's counters, count one run, read them back.
+
+        Returns ``(readings, csr, result)`` with readings keyed by
+        counter index.  Fault-free ``adders`` counters are credited
+        from *totals* — an earlier pass's run, which a replay of the
+        deterministic trace would only repeat — or from one plain run;
+        every other pass runs the core with the CSR file attached.
+        """
+        injector = self.fault_injector
+        csr = CsrFile(core=self.core, increment_mode=self.increment_mode,
+                      fault_injector=injector)
+        if self.mode == "linux":
+            self.apply_boot_sequence(csr, assignment)
+        else:
+            self.setup(csr, assignment)
+        if self.increment_mode == "adders" and injector is None:
+            result = totals
+            if result is None:
+                result = make_core(config).run(trace, max_cycles=max_cycles)
+            csr.credit(result)
+        else:
+            core_model = make_core(config)
+            core_model.fault_hook = injector
+            core_model.add_observer(csr)
+            result = core_model.run(trace, max_cycles=max_cycles)
+            csr.drain()
+        readings = {index: csr.corrected_value_for(index)
+                    for index, _ in assignment.slots}
+        return readings, csr, result

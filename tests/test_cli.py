@@ -183,8 +183,19 @@ def test_serve_and_submit_round_trip(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     from repro.service import TMAService, serve_in_thread
 
-    service = TMAService(workers=1, executor="thread",
-                         queue_capacity=8).start()
+    service = TMAService(workers=1, executor="thread", queue_capacity=8)
+    submit = service.submit_payload
+
+    def submit_then_start(payload):
+        # The dispatcher starts once both submissions are in, so the
+        # repeat always finds its primary queued, however fast the
+        # primary would have finished.
+        receipt = submit(payload)
+        if service.metrics.counter("jobs_submitted") == 2:
+            service.start()
+        return receipt
+
+    monkeypatch.setattr(service, "submit_payload", submit_then_start)
     server, _thread = serve_in_thread(service)
     url = f"http://127.0.0.1:{server.server_address[1]}"
     try:
