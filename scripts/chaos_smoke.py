@@ -10,6 +10,8 @@ seed and hard-fails unless:
 - the chosen seed actually lit every seam (worker kills, disk faults
   including at least one corrupting flavor, client faults) — a chaos
   gate that injects nothing is a green light worth nothing;
+- the model phase's clean control passed on every config, and every
+  model fault class fired and was caught by the invariant checker;
 - the two reports are byte-identical — the campaign's fault schedule
   and verdicts are a pure function of the seed, so any divergence
   means nondeterminism leaked into the harness itself.
@@ -36,6 +38,7 @@ def check(condition, message):
 
 def main():
     from repro.chaos.campaign import run_campaign
+    from repro.chaos.model import MODEL_FAULTS
 
     started = time.time()
     print(f"chaos campaign, run 1 (seed={SEED})...")
@@ -63,11 +66,25 @@ def main():
           f"client connection faults injected "
           f"({first.service.get('client_faults_planned')} planned)")
 
+    model = first.model
+    for config in model.get("configs", []):
+        check(model["clean"].get(config),
+              f"model clean control passed on {config}")
+    for kind in MODEL_FAULTS:
+        trials = [trial for trial in model.get("trials", [])
+                  if trial["kind"] == kind]
+        check(len(trials) == len(model.get("configs", [])) and all(
+                  trial["injections"] > 0 and trial["caught"]
+                  for trial in trials),
+              f"{kind} fired and was caught on every config "
+              f"({[trial['error'] for trial in trials]})")
+
     check(first.to_json() == second.to_json(),
           "reports byte-identical across runs (deterministic campaign)")
 
     print(f"\nCHAOS SMOKE PASS in {time.time() - started:.1f}s — "
           f"{sweep.get('pairs')} pairs × 3 sweeps, "
+          f"{len(model.get('trials', []))} model faults, "
           f"{first.service.get('submissions')} service submissions, "
           f"seed {SEED} reproduced exactly")
 

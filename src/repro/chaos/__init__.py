@@ -1,6 +1,6 @@
-"""repro.chaos: deterministic, seeded chaos engineering for the stack.
+"""repro.chaos: deterministic, seeded fault injection for the stack.
 
-The layer has three parts:
+The one way this repository injects a fault.  The layer has four parts:
 
 - :mod:`repro.chaos.plan` — :class:`ChaosPlan`, a frozen declarative
   value (seed + per-seam rates) from which every fault decision is a
@@ -10,12 +10,18 @@ The layer has three parts:
   consult (worker kills, disk-write mangling, client connection faults,
   scheduler stalls).  Every hook is a one-global-read no-op when no
   plan is active.
+- :mod:`repro.chaos.model` — the model faults (dropped counter
+  increments, counter bit-flips, truncated traces, stalled cores),
+  whose parameters are drawn by the same pure hash as the plan's
+  decisions, and the :class:`~repro.chaos.model.FaultInjector` hooks
+  the CSR file, the cores and the PMU harness consult.
 - :mod:`repro.chaos.campaign` — the end-to-end campaign behind
   ``repro-tma chaos``: runs the sweep and service layers under an
   active plan, checks the end-state invariants (zero job loss, exact
   dedup, fault-free-identical merged results, exact quarantine of
-  corrupted cache entries, bounded service executions), and
-  emits a byte-deterministic report.
+  corrupted cache entries, bounded service executions), demands that
+  the invariant checker refutes every model fault, and emits a
+  byte-deterministic report.
 """
 
 from .injector import (ChaosConnectionError, KILL_EXIT_CODE, activate,

@@ -19,6 +19,15 @@ schedule of those faults:
    must quarantine exactly the mangled entries (verify in the parent,
    delete, re-run), and the digest must again equal the oracle's.
 
+**Model phase**: with no plan active, in its own isolated cache
+directory, the campaign's first workload runs on every config.  A
+clean control (multiplex agreement, every single-run invariant, scale
+monotonicity) must report zero violations, then one run per model
+fault class (:mod:`repro.chaos.model`) must be refuted by the
+invariant checker with its class's error family: ``CounterCorruption``
+for a dropped increment, a flipped counter bit or a truncated trace,
+``RunTimeout`` for a stalled core.
+
 **Service phase**: a real HTTP service (thread executor) takes a
 duplicate-heavy burst from a chaotic client (refused/reset/delayed
 requests) while the scheduler suffers injected stalls; after a drain,
@@ -30,10 +39,12 @@ object itself.
 **Determinism.** The report holds only values that are pure functions
 of ``(seed, grid)``: verdict booleans, plan-*enumerated* fault counts
 (never runtime counters, which shift with scheduling), submission
-counts fixed by construction, and result digests.  The sweep's fault
-decisions are keyed on each entry's logical identity (workload, scale,
-config), never on a source fingerprint, so editing the simulator does
-not redraw the schedule (:func:`planned_sweep_faults`).  Two runs with
+counts fixed by construction, result digests, and the model trials'
+drawn faults and injection counts (single-threaded simulations).  The
+sweep's fault decisions are keyed on each entry's logical identity
+(workload, scale, config), never on a source fingerprint, so editing
+the simulator does not redraw the schedule
+(:func:`planned_sweep_faults`).  Two runs with
 the same seed must produce byte-identical reports — the chaos smoke
 test enforces exactly that.
 """
@@ -46,13 +57,23 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
+from ..cores.base import BoomConfig, RocketConfig
 from ..cores.batch import BatchResult, GridPoint, parse_grid, point_task_key
+from ..cores.configs import config_by_name
+from ..pmu.harness import Measurement, PerfHarness
+from ..reliability.errors import (CounterCorruption, ReliabilityError,
+                                  RunTimeout)
+from ..reliability.invariants import TmaInvariantChecker
 from ..reliability.retry import RetryPolicy
 from ..tools import cache
 from ..workloads import trace_cache
 from . import injector
+from .model import (BITFLIP_COUNTER, DROP_INCREMENTS, MODEL_FAULTS,
+                    STALL_CORE, TRUNCATE_TRACE, FaultInjector, FaultSpec,
+                    draw_fault)
 from .plan import ChaosPlan
 
 #: Default campaign grid: small, fast, and wide enough that the
@@ -61,26 +82,25 @@ DEFAULT_WORKLOADS = ("median", "qsort", "towers")
 DEFAULT_CONFIGS = ("rocket", "large-boom")
 DEFAULT_SCALE = 0.2
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
+
+CoreConfig = Union[RocketConfig, BoomConfig]
 
 _CACHE_ENV = "REPRO_CACHE_DIR"
 
 
 def campaign_plan(seed: int) -> ChaosPlan:
-    """The default campaign plan: rates sized for the small grid.
+    """The default campaign plan: every seam lit on the small grid.
 
-    :meth:`ChaosPlan.standard` rates are tuned for long-running soak
-    grids; on the campaign's ~6-pair grid they can draw zero faults on
-    a given seam for a given seed.  The campaign wants every seam lit,
-    so its default plan runs hotter — the fault schedule is still a
-    pure function of the seed.
+    The rates run hot because the campaign's grid is ~6 pairs, where
+    moderate rates can draw zero faults on a seam for a given seed.
+    The fault schedule is still a pure function of the seed.
     """
-    from dataclasses import replace
-
-    return replace(ChaosPlan.standard(seed),
-                   worker_kill_rate=0.45,
-                   disk_fault_rate=0.6,
-                   client_fault_rate=0.35)
+    return ChaosPlan(seed=seed,
+                     worker_kill_rate=0.45,
+                     disk_fault_rate=0.6,
+                     client_fault_rate=0.35,
+                     sched_stall_rate=0.20)
 
 
 @contextmanager
@@ -127,6 +147,7 @@ class CampaignReport:
     seed: int = 0
     plan: Dict[str, Any] = field(default_factory=dict)
     sweep: Dict[str, Any] = field(default_factory=dict)
+    model: Dict[str, Any] = field(default_factory=dict)
     service: Dict[str, Any] = field(default_factory=dict)
     violations: List[str] = field(default_factory=list)
 
@@ -140,6 +161,7 @@ class CampaignReport:
             "seed": self.seed,
             "plan": self.plan,
             "sweep": self.sweep,
+            "model": self.model,
             "service": self.service,
             "violations": list(self.violations),
             "passed": self.passed,
@@ -159,6 +181,13 @@ class CampaignReport:
             f"oracle match pass1={sweep.get('pass1_identical')} "
             f"pass2={sweep.get('pass2_identical')}, "
             f"corrupt entries detected={sweep.get('corruption_detected')}")
+        model = self.model
+        lines.append(
+            f"  model: {model.get('workload')} on "
+            f"{', '.join(model.get('configs', []))}, "
+            f"clean control={all(model.get('clean', {}).values())}, "
+            f"caught {model.get('caught')}/{len(model.get('trials', []))} "
+            f"model faults")
         service = self.service
         if service:
             lines.append(
@@ -276,6 +305,128 @@ def _run_sweep_phase(report: CampaignReport, plan: ChaosPlan, root: str,
         report.violations.append(
             f"sweep/pass2: corrupted cache entries not exactly "
             f"quarantined (expected {expected_corrupt}, got {detected})")
+
+
+# ----------------------------------------------------------------------
+# Model phase
+
+#: High-frequency events per core: every one fires often enough that a
+#: dropped-increment fault is guaranteed to actually perturb the run,
+#: and the list is exactly the set of counters the bitflip fault may
+#: target (counters 3 .. 3+len-1).
+CAMPAIGN_EVENTS = {
+    "boom": ("cycles", "uops_issued", "uops_retired", "fetch_bubbles",
+             "recovering"),
+    "rocket": ("cycles", "instr_issued", "instr_retired", "fetch_bubbles",
+               "recovering"),
+}
+
+#: The error family the checker must refute each model fault with.
+EXPECTED_ERRORS = {
+    DROP_INCREMENTS: CounterCorruption,
+    BITFLIP_COUNTER: CounterCorruption,
+    TRUNCATE_TRACE: CounterCorruption,
+    STALL_CORE: RunTimeout,
+}
+
+#: Watchdog budget of every model-phase run, and so the length of a
+#: stall-core trial: ~20x a clean run of the campaign's workloads at
+#: their default scale.
+MODEL_MAX_CYCLES = 100_000
+
+
+def _clean_control(checker: TmaInvariantChecker, workload: str,
+                   config: CoreConfig,
+                   events: Sequence[str], scale: float) -> Measurement:
+    """Fault-free audit of one pair; returns the reference measurement."""
+    harness = PerfHarness(core=config.core)
+    reference = checker.check_multiplex_agreement(
+        harness, workload, config, events, scale=scale,
+        max_cycles=MODEL_MAX_CYCLES)
+    checker.check_measurement(reference)
+    smaller = harness.measure(workload, config, event_names=list(events),
+                              scale=scale * 0.6, max_cycles=MODEL_MAX_CYCLES)
+    checker.check_measurement(smaller)
+    checker.check_monotonic([smaller, reference])
+    return reference
+
+
+def _model_trial(spec: FaultSpec, checker: TmaInvariantChecker,
+                 reference: Measurement, workload: str,
+                 config: CoreConfig,
+                 events: Sequence[str], scale: float) -> Dict[str, Any]:
+    """One faulted run, which the checker must refute."""
+    fault = FaultInjector(spec)
+    harness = PerfHarness(core=config.core, fault_injector=fault)
+    error: Optional[ReliabilityError] = None
+    try:
+        measurement = harness.measure(workload, config,
+                                      event_names=list(events), scale=scale,
+                                      max_cycles=MODEL_MAX_CYCLES)
+        checker.check_measurement(measurement)
+        checker.check_matches_reference(measurement, reference)
+    except ReliabilityError as exc:
+        error = exc
+    return {
+        "kind": spec.kind,
+        "fault": spec.describe(),
+        "injections": fault.injections,
+        "error": None if error is None else type(error).__name__,
+        "caught": isinstance(error, EXPECTED_ERRORS[spec.kind]),
+    }
+
+
+def run_model_phase(report: CampaignReport, seed: int, root: str,
+                    workload: str, config_names: Sequence[str],
+                    scale: float) -> None:
+    """Clean control, then one refuted trial per model fault, per config.
+
+    Each trial's fault is :func:`~repro.chaos.model.draw_fault` of
+    ``(seed, class, workload, config)``, so it does not depend on which
+    other pairs or classes the phase runs.
+    """
+    checker = TmaInvariantChecker()
+    clean: Dict[str, bool] = {}
+    trials: List[Dict[str, Any]] = []
+    with _isolated_cache_dir(root, "model"):
+        injector.deactivate()
+        for name in config_names:
+            config = config_by_name(name)
+            events = CAMPAIGN_EVENTS[config.core]
+            try:
+                reference = _clean_control(checker, workload, config,
+                                           events, scale)
+            except ReliabilityError as exc:
+                clean[name] = False
+                report.violations.append(
+                    f"model/{name}: clean control flagged a fault-free "
+                    f"run: {exc}")
+                continue
+            clean[name] = True
+            for kind in MODEL_FAULTS:
+                spec = draw_fault(seed, kind, workload, name, events)
+                trial = _model_trial(spec, checker, reference, workload,
+                                     config, events, scale)
+                trials.append({"config": name, **trial})
+                if trial["caught"]:
+                    continue
+                if not trial["injections"]:
+                    why = "fault never fired (vacuous trial)"
+                elif trial["error"] is None:
+                    why = "fault escaped detection"
+                else:
+                    why = (f"refuted as {trial['error']}, expected "
+                           f"{EXPECTED_ERRORS[kind].__name__}")
+                report.violations.append(
+                    f"model/{name}: {spec.describe()}: {why}")
+    report.model = {
+        "workload": workload,
+        "configs": list(config_names),
+        "scale": scale,
+        "clean": clean,
+        "trials": trials,
+        "caught": sum(1 for trial in trials if trial["caught"]),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -407,6 +558,8 @@ def run_campaign(seed: int = 1234,
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as root:
         _run_sweep_phase(report, plan, root, workloads, config_names,
                          scale, workers)
+        run_model_phase(report, plan.seed, root, workloads[0],
+                        config_names, scale)
         if not skip_service:
             _run_service_phase(report, plan, root, workloads,
                                config_names[0], scale, submissions_per_job)

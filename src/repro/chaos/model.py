@@ -1,9 +1,10 @@
-"""Deterministic fault injection: the fault model and its hooks.
+"""Model faults: broken counters, cut traces and hung cores.
 
-A :class:`FaultSpec` names one concrete fault; a :class:`FaultPlan`
-samples a campaign of specs deterministically from a seed; a
-:class:`FaultInjector` turns one spec into the runtime hooks the
-instrumented layers consult:
+The system seams (:mod:`repro.chaos.injector`) attack the stack around
+the simulator; the model faults here attack the measurement itself, so
+the invariant checker has something to refute.  A :class:`FaultSpec`
+names one concrete fault and a :class:`FaultInjector` turns it into the
+hooks the instrumented layers consult:
 
 ===================  ============================================
 fault class          injection point
@@ -18,36 +19,38 @@ fault class          injection point
 ``truncate-trace``   :meth:`FaultInjector.perturb_trace` — the
                      trace is cut short before replay (a
                      truncated TracerV dump).
-``corrupt-cache``    :meth:`FaultInjector.corrupt_cache_file` —
-                     bytes of an on-disk result entry are flipped
-                     (bit rot / torn write).
 ``stall-core``       :meth:`FaultInjector.stall_cycle` — from a
                      chosen cycle on, the core freezes forever (a
                      hung memory system); only a watchdog ends it.
 ===================  ============================================
 
-Every decision is drawn from ``random.Random(spec.seed)``, so a
-campaign is exactly reproducible from ``(seed, count)``.
+:func:`draw_fault` picks a spec's parameters the way
+:meth:`~repro.chaos.plan.ChaosPlan.decide` picks a seam fault: every
+field is a pure ``sha256`` draw keyed by ``(seed, class, workload,
+config, field)``, so a trial depends on nothing but its own identity.
+The drop-increments coin is the one stateful draw, a
+``random.Random(spec.seed)`` stream private to one injector.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Mapping, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Sequence
 
-from ..isa.columnar import ColumnarTrace
+from .plan import decision_fraction
+
+if TYPE_CHECKING:
+    from ..isa.columnar import ColumnarTrace
 
 DROP_INCREMENTS = "drop-increments"
 BITFLIP_COUNTER = "bitflip-counter"
 TRUNCATE_TRACE = "truncate-trace"
-CORRUPT_CACHE = "corrupt-cache"
 STALL_CORE = "stall-core"
 
-#: Every fault class the campaign can draw, in injection order.
-FAULT_CLASSES = (DROP_INCREMENTS, BITFLIP_COUNTER, TRUNCATE_TRACE,
-                 CORRUPT_CACHE, STALL_CORE)
+#: Every model fault class, in campaign order.
+MODEL_FAULTS = (DROP_INCREMENTS, BITFLIP_COUNTER, TRUNCATE_TRACE,
+                STALL_CORE)
 
 
 @dataclass(frozen=True)
@@ -83,53 +86,37 @@ class FaultSpec:
         if self.kind == TRUNCATE_TRACE:
             return (f"{self.kind}: keep first "
                     f"{self.keep_fraction:.0%} of the trace")
-        if self.kind == CORRUPT_CACHE:
-            return f"{self.kind}: flip bytes of the on-disk entry"
         if self.kind == STALL_CORE:
             return f"{self.kind}: freeze the core from cycle {self.stall_at}"
         return self.kind
 
 
-class FaultPlan:
-    """Deterministically sample *count* fault specs from *seed*.
+def draw_fault(seed: int, kind: str, workload: str, config: str,
+               events: Sequence[str]) -> FaultSpec:
+    """The *kind* fault for one (workload, config) pair under *seed*.
 
-    Classes are covered round-robin (so ``count >= len(classes)``
-    guarantees every class appears); per-fault parameters are drawn
-    from a seed-derived RNG.  ``counter_event_names`` bounds the
-    bitflip target to a counter that will actually be programmed.
+    *events* are the counters the trial programs, in counter order
+    (``mhpmcounter3`` upward): the dropped event is one of them and the
+    flipped counter is one that is programmed.
     """
+    if kind not in MODEL_FAULTS:
+        raise ValueError(f"unknown model fault {kind!r}; "
+                         f"choose from {MODEL_FAULTS}")
 
-    def __init__(self, seed: int = 0, count: int = 5,
-                 classes: Sequence[str] = FAULT_CLASSES,
-                 counter_event_names: Sequence[str] = ()) -> None:
-        for kind in classes:
-            if kind not in FAULT_CLASSES:
-                raise ValueError(f"unknown fault class {kind!r}; "
-                                 f"choose from {FAULT_CLASSES}")
-        self.seed = seed
-        self.count = count
-        self.classes = tuple(classes)
-        self.counter_event_names = tuple(counter_event_names)
+    def draw(name: str) -> float:
+        return decision_fraction(seed, "model",
+                                 f"{kind}:{workload}:{config}:{name}")
 
-    def specs(self) -> List[FaultSpec]:
-        rng = random.Random(self.seed)
-        n_counters = max(1, len(self.counter_event_names) or 4)
-        specs: List[FaultSpec] = []
-        for i in range(self.count):
-            kind = self.classes[i % len(self.classes)]
-            spec = FaultSpec(
-                kind=kind,
-                seed=rng.randrange(1 << 30),
-                event=(rng.choice(list(self.counter_event_names))
-                       if self.counter_event_names else "uops_retired"),
-                drop_rate=rng.uniform(0.3, 0.7),
-                counter_index=3 + rng.randrange(n_counters),
-                bit=rng.randrange(33, 48),
-                keep_fraction=rng.uniform(0.3, 0.8),
-                stall_at=rng.randrange(16, 256),
-            )
-            specs.append(spec)
-        return specs
+    return FaultSpec(
+        kind=kind,
+        seed=int(draw("seed") * (1 << 30)),
+        event=events[int(draw("event") * len(events))],
+        drop_rate=0.3 + 0.4 * draw("drop_rate"),
+        counter_index=3 + int(draw("counter_index") * len(events)),
+        bit=33 + int(draw("bit") * 15),
+        keep_fraction=0.3 + 0.5 * draw("keep_fraction"),
+        stall_at=16 + int(draw("stall_at") * 240),
+    )
 
 
 class FaultInjector:
@@ -190,7 +177,7 @@ class FaultInjector:
     # trace hook
     # ------------------------------------------------------------------
 
-    def perturb_trace(self, trace: ColumnarTrace) -> ColumnarTrace:
+    def perturb_trace(self, trace: "ColumnarTrace") -> "ColumnarTrace":
         """Cut the trace short before it reaches the core.
 
         The cut is a column slice, so the truncated trace stays
@@ -208,21 +195,3 @@ class FaultInjector:
         truncated.program_name = trace.program_name
         truncated.halt_reason = "truncated"
         return truncated
-
-    # ------------------------------------------------------------------
-    # cache hook
-    # ------------------------------------------------------------------
-
-    def corrupt_cache_file(self, path: Path) -> None:
-        """Flip bytes of an on-disk cache entry in place."""
-        spec = self.spec
-        if spec.kind != CORRUPT_CACHE:
-            return
-        raw = bytearray(Path(path).read_bytes())
-        if not raw:
-            return
-        for _ in range(max(1, len(raw) // 64)):
-            offset = self.rng.randrange(len(raw))
-            raw[offset] ^= 1 << self.rng.randrange(8)
-        Path(path).write_bytes(bytes(raw))
-        self.injections += 1

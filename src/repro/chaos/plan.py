@@ -44,7 +44,7 @@ DISK_FLAVORS = ("truncate", "bitflip", "enospc")
 CLIENT_FLAVORS = ("refuse", "reset", "delay")
 
 
-def _decision_fraction(seed: int, seam: str, key: str) -> float:
+def decision_fraction(seed: int, seam: str, key: str) -> float:
     """Uniform [0, 1) fraction, a pure function of (seed, seam, key)."""
     digest = hashlib.sha256(
         f"chaos:{seed}:{seam}:{key}".encode("utf-8")).digest()
@@ -108,7 +108,7 @@ class ChaosPlan:
         rate = self._rate(seam)
         if rate <= 0.0:
             return None
-        if _decision_fraction(self.seed, seam, key) >= rate:
+        if decision_fraction(self.seed, seam, key) >= rate:
             return None
         if seam == "disk_fault":
             return _flavor_pick(self.seed, seam, key, DISK_FLAVORS)
@@ -174,12 +174,3 @@ class ChaosPlan:
     def quiet(cls, seed: int = 0) -> "ChaosPlan":
         """The explicit no-faults plan (oracle runs)."""
         return cls(seed=seed)
-
-    @classmethod
-    def standard(cls, seed: int) -> "ChaosPlan":
-        """The default campaign mix: every seam lit at moderate rates."""
-        return cls(seed=seed,
-                   worker_kill_rate=0.25,
-                   disk_fault_rate=0.35,
-                   client_fault_rate=0.30,
-                   sched_stall_rate=0.20)

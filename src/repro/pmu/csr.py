@@ -133,7 +133,7 @@ class CsrFile:
                 f"choose from {INCREMENT_MODES}")
         self.core = core
         self.increment_mode = increment_mode
-        #: Optional :class:`repro.reliability.faults.FaultInjector`-style
+        #: Optional :class:`repro.chaos.model.FaultInjector`-style
         #: hook.  ``on_signals`` may perturb the per-cycle lane masks
         #: before they reach the counters (dropped increments);
         #: ``on_counter_read`` may perturb values at read time

@@ -92,7 +92,7 @@ class PerfHarness:
         self.core = core
         self.increment_mode = increment_mode
         self.mode = mode
-        #: Optional :class:`repro.reliability.faults.FaultInjector`.
+        #: Optional :class:`repro.chaos.model.FaultInjector`.
         #: When set, every run is perturbed through the injector's
         #: hooks (trace truncation, core stalls, counter corruption).
         self.fault_injector = fault_injector

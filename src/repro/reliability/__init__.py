@@ -1,11 +1,9 @@
-"""Reliability layer: fault injection, invariant checking, resilience.
+"""Reliability layer: invariant checking, detection and recovery.
 
 The subsystem that proves the rest of the pipeline trustworthy:
 
-- :mod:`repro.reliability.faults` — a deterministic, seed-driven fault
-  model (dropped counter increments, counter bit-flips, truncated
-  traces, corrupted cache entries, stalled cores) injected through
-  small hooks in the CSR file, the cores, and the result cache.
+- :mod:`repro.reliability.errors` — the structured error taxonomy
+  every check raises.
 - :mod:`repro.reliability.invariants` — the TMA invariant catalog
   (slot conservation, PMU-vs-core agreement, multiplex agreement,
   scale monotonicity) raising a structured error taxonomy.
@@ -16,56 +14,38 @@ The subsystem that proves the rest of the pipeline trustworthy:
 - :mod:`repro.reliability.breaker` — per-key
   :class:`CircuitBreaker` registry (closed / open / half-open) so
   repeatedly-failing pairs are quarantined instead of re-executed.
-- :mod:`repro.reliability.runner` — a resilient (workload x config)
-  batch runner with watchdogs, policy-driven retry, deadlines, circuit
-  breaking, cache quarantine, and partial-result reporting.
-- :mod:`repro.reliability.campaign` — the end-to-end fault-injection
-  campaign: inject faults, demand the checker catches 100% of them.
-  (System-level chaos campaigns live in :mod:`repro.chaos`.)
+- :mod:`repro.reliability.runner` — a resilient runner for one
+  (workload, config) pair with watchdogs, policy-driven retry,
+  deadlines, circuit breaking and cache quarantine.
+
+Faults are injected by :mod:`repro.chaos` alone: its model faults
+(:mod:`repro.chaos.model`) break the counters, the trace and the core,
+and its campaign (``repro-tma chaos``) demands that the checker here
+refutes every one of them.
 """
 
 from .breaker import BreakerState, CircuitBreaker
-from .campaign import (CAMPAIGN_EVENTS, CampaignReport, FaultTrial,
-                       run_campaign)
 from .errors import (CacheIntegrityError, CounterCorruption,
                      DeadlineExceeded, ReliabilityError, RunTimeout,
                      SlotConservationViolation)
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from .faults import (BITFLIP_COUNTER, CORRUPT_CACHE, DROP_INCREMENTS,
-                     FAULT_CLASSES, FaultInjector, FaultPlan, FaultSpec,
-                     STALL_CORE, TRUNCATE_TRACE)
 from .invariants import EXACT_INCREMENT_MODES, TmaInvariantChecker
-from .runner import (DEFAULT_MAX_CYCLES, ResilientRunner, RunOutcome,
-                     SweepReport)
+from .runner import DEFAULT_MAX_CYCLES, ResilientRunner, RunOutcome
 
 __all__ = [
-    "BITFLIP_COUNTER",
     "BreakerState",
-    "CAMPAIGN_EVENTS",
-    "CORRUPT_CACHE",
     "CacheIntegrityError",
-    "CampaignReport",
     "CircuitBreaker",
     "DEFAULT_RETRY_POLICY",
     "CounterCorruption",
     "DEFAULT_MAX_CYCLES",
-    "DROP_INCREMENTS",
     "DeadlineExceeded",
     "EXACT_INCREMENT_MODES",
-    "FAULT_CLASSES",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultTrial",
     "ReliabilityError",
     "ResilientRunner",
     "RetryPolicy",
     "RunOutcome",
     "RunTimeout",
-    "STALL_CORE",
     "SlotConservationViolation",
-    "SweepReport",
-    "TRUNCATE_TRACE",
     "TmaInvariantChecker",
-    "run_campaign",
 ]

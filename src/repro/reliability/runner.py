@@ -1,8 +1,8 @@
-"""Resilient batch runner: sweeps that degrade instead of dying.
+"""Resilient runner: one measurement that degrades instead of dying.
 
-:class:`ResilientRunner` wraps :meth:`PerfHarness.measure` over a
-(workload x config) grid with the guard rails a production-scale sweep
-needs:
+:class:`ResilientRunner` wraps :meth:`PerfHarness.measure` for one
+(workload, config) pair — each service job is one — with these guard
+rails:
 
 - a per-run cycle-budget watchdog (a hung or truncated run raises
   :class:`~repro.isa.errors.RunTimeout` instead of spinning),
@@ -11,24 +11,24 @@ needs:
 - bounded retry through the shared
   :class:`~repro.reliability.retry.RetryPolicy` (capped exponential
   backoff, deterministic jitter, injectable sleeper),
-- wall-clock **deadline propagation**: a deadline stamped by the CLI or
-  a service job is checked before every attempt, so a pair nobody is
-  still waiting for fails fast with
+- wall-clock **deadline propagation**: a deadline stamped by a service
+  job is checked before every attempt, so a pair nobody is still
+  waiting for fails fast with
   :class:`~repro.isa.errors.DeadlineExceeded` instead of burning time,
 - an optional per-(workload, config) **circuit breaker**: a pair that
   keeps failing trips open and is reported ``quarantined`` instead of
   re-executing (see :mod:`repro.reliability.breaker`),
 - quarantine of poisoned cache entries — verified, deleted, re-run —
   via the checksummed result cache,
-- partial-result reporting: one bad pair marks its own outcome failed
-  and the sweep continues.
+- a structured :class:`RunOutcome` instead of an exception: a pair that
+  fails every attempt is reported failed, with its error class.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from ..core.tma import TmaResult, compute_tma
 from ..cores.base import BoomConfig, RocketConfig
@@ -50,7 +50,7 @@ DEFAULT_MAX_CYCLES = 2_000_000
 
 @dataclass
 class RunOutcome:
-    """What happened to one (workload, config) pair of a sweep.
+    """What happened to one (workload, config) pair.
 
     ``status == "quarantined"`` means the pair never executed because
     its circuit breaker was open — the pair is skipped, not failed on
@@ -81,60 +81,8 @@ class RunOutcome:
         return self.status == "ok"
 
 
-@dataclass
-class SweepReport:
-    """Partial-result report of a whole grid sweep."""
-
-    outcomes: List[RunOutcome] = field(default_factory=list)
-    quarantined_keys: List[str] = field(default_factory=list)
-
-    @property
-    def completed(self) -> List[RunOutcome]:
-        return [o for o in self.outcomes if o.ok]
-
-    @property
-    def failed(self) -> List[RunOutcome]:
-        return [o for o in self.outcomes if not o.ok]
-
-    @property
-    def quarantined_pairs(self) -> List[RunOutcome]:
-        """Pairs skipped because their circuit breaker was open."""
-        return [o for o in self.outcomes if o.status == "quarantined"]
-
-    def trace_cache_stats(self) -> Dict[str, int]:
-        """Trace-memoization counters summed across all outcomes."""
-        total: Dict[str, int] = {}
-        for outcome in self.outcomes:
-            for key, value in (outcome.trace_cache or {}).items():
-                total[key] = total.get(key, 0) + value
-        return total
-
-    @property
-    def trace_cache_hit_rate(self) -> float:
-        return trace_cache.hit_rate(self.trace_cache_stats())
-
-    def summary(self) -> str:
-        lines = [f"sweep: {len(self.completed)}/{len(self.outcomes)} "
-                 f"pairs completed, {len(self.quarantined_keys)} cache "
-                 f"entries quarantined"]
-        for outcome in self.outcomes:
-            if outcome.status == "quarantined":
-                flag = "OPEN"
-            else:
-                flag = "ok " if outcome.ok else "FAIL"
-            extra = ""
-            if outcome.quarantined:
-                extra += " [quarantined+rerun]"
-            if outcome.error_class:
-                extra += f" [{outcome.error_class}: {outcome.error}]"
-            lines.append(f"  {flag} {outcome.workload:<14s} "
-                         f"{outcome.config_name:<14s} "
-                         f"attempts={outcome.attempts}{extra}")
-        return "\n".join(lines)
-
-
 class ResilientRunner:
-    """Fault-tolerant (workload x config) measurement sweeps.
+    """Fault-tolerant measurement of one (workload, config) pair.
 
     Retries follow ``retry_policy`` (the shared
     :class:`~repro.reliability.retry.RetryPolicy`); the legacy
@@ -143,7 +91,7 @@ class ResilientRunner:
     behaviour.  ``sleep`` is injectable for testing.
 
     ``deadline`` is an absolute ``time.time()`` epoch: once it lapses,
-    remaining attempts (and remaining grid pairs) fail fast with
+    remaining attempts fail fast with
     :class:`~repro.isa.errors.DeadlineExceeded`.  ``breaker`` is an
     optional :class:`~repro.reliability.breaker.CircuitBreaker`; pairs
     whose circuit is open are reported ``quarantined`` without
@@ -206,8 +154,7 @@ class ResilientRunner:
         return None
 
     def _quarantine_if_poisoned(self, workload: str, config: CoreConfig,
-                                outcome: RunOutcome,
-                                report: Optional[SweepReport]) -> None:
+                                outcome: RunOutcome) -> None:
         """Verify the pair's cache entry; delete it if it is poisoned."""
         if not self.use_cache:
             return
@@ -217,15 +164,12 @@ class ResilientRunner:
             outcome.quarantined = True
             outcome.error_class = type(damage).__name__
             outcome.error = str(damage)
-            if report is not None:
-                report.quarantined_keys.append(key)
 
     def pair_key(self, workload: str, config: CoreConfig) -> str:
         """Circuit-breaker / jitter-salt key for one grid pair."""
         return f"{workload}:{config.name}"
 
-    def run_one(self, workload: str, config: CoreConfig,
-                report: Optional[SweepReport] = None) -> RunOutcome:
+    def run_one(self, workload: str, config: CoreConfig) -> RunOutcome:
         """Measure one pair with watchdog, validation, and retries."""
         outcome = RunOutcome(workload=workload, config_name=config.name)
         pair = self.pair_key(workload, config)
@@ -235,7 +179,7 @@ class ResilientRunner:
             outcome.error = (f"circuit open for {pair} "
                              f"({self.breaker.state(pair)}); skipped")
             return outcome
-        self._quarantine_if_poisoned(workload, config, outcome, report)
+        self._quarantine_if_poisoned(workload, config, outcome)
         harness = self._harness_for(config)
         event_names = self._events_for(config)
         cache_before = trace_cache.stats()
@@ -283,13 +227,3 @@ class ResilientRunner:
         if self.breaker is not None:
             self.breaker.record_failure(pair)
         return outcome
-
-    def run_grid(self, workloads: Sequence[str],
-                 configs: Sequence[CoreConfig]) -> SweepReport:
-        """Sweep the full grid; failures degrade, never abort."""
-        report = SweepReport()
-        for workload in workloads:
-            for config in configs:
-                report.outcomes.append(
-                    self.run_one(workload, config, report))
-        return report

@@ -10,7 +10,7 @@ Mirrors the artifact's ``tma_tool`` commands::
     python -m repro.tools.cli vlsi
     python -m repro.tools.cli perf --workload coremark --events \
         uops_issued,uops_retired --counter-arch distributed
-    python -m repro.tools.cli reliability --faults 5 --seed 0
+    python -m repro.tools.cli chaos --seed 1234
 
 (Installed as the ``repro-tma`` console script.)
 """
@@ -770,17 +770,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_reliability(args: argparse.Namespace) -> int:
-    from ..reliability import run_campaign
-
-    config = config_by_name(args.config)
-    report = run_campaign(seed=args.seed, faults=args.faults,
-                          workload=args.workload, config=config,
-                          scale=args.scale, max_cycles=args.max_cycles)
-    print(report.render())
-    return 0 if report.passed else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tma_tool", description=__doc__,
@@ -1009,26 +998,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--sched-stall-rate", type=float, default=None,
                          help="override the plan's scheduler-stall rate")
     p_chaos.add_argument("--skip-service", action="store_true",
-                         help="run only the sweep phases")
+                         help="run only the sweep and model phases")
     p_chaos.add_argument("--report", default=None,
                          help="also write the JSON report here")
     p_chaos.set_defaults(func=_cmd_chaos)
 
-    p_rel = sub.add_parser(
-        "reliability",
-        help="fault-injection campaign + TMA invariant audit")
-    p_rel.add_argument("--faults", type=int, default=5,
-                       help="number of faults to inject (>=5 covers "
-                            "every fault class)")
-    p_rel.add_argument("--seed", type=int, default=0,
-                       help="campaign seed (faults are deterministic)")
-    p_rel.add_argument("--workload", default="median")
-    p_rel.add_argument("--config", default="large-boom",
-                       choices=sorted(CONFIGS_BY_NAME))
-    p_rel.add_argument("--scale", type=float, default=0.3)
-    p_rel.add_argument("--max-cycles", type=int, default=200_000,
-                       help="per-run watchdog budget (cycles)")
-    p_rel.set_defaults(func=_cmd_reliability)
     return parser
 
 

@@ -183,7 +183,7 @@ def pmu_doc(workload: str, config_name: str, mode: str,
 
 
 def _fault(kind: str):
-    from repro.reliability.faults import FaultInjector, FaultSpec
+    from repro.chaos.model import FaultInjector, FaultSpec
     return FaultInjector(FaultSpec(kind=kind, seed=1234,
                                    event="instr_retired", drop_rate=0.4,
                                    keep_fraction=0.45, stall_at=150))

@@ -1,5 +1,7 @@
 """Unit tests for the tma_tool command-line interface."""
 
+import json
+
 import pytest
 
 from repro.tools.cli import build_parser, main
@@ -11,14 +13,26 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_reliability_smoke_campaign(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    code, out, _ = run_cli(capsys, "reliability", "--faults", "1",
-                           "--seed", "0", "--scale", "0.15",
-                           "--max-cycles", "100000")
+def test_chaos_campaign_reports_every_model_fault_caught(capsys, tmp_path):
+    report_path = tmp_path / "chaos.json"
+    code, out, _ = run_cli(capsys, "chaos", "--skip-service",
+                           "--workers", "1", "--report", str(report_path))
     assert code == 0
-    assert "campaign PASSED" in out
-    assert "detected 1/1" in out
+    assert "PASSED" in out
+    report = json.loads(report_path.read_text())
+    assert report["passed"] and report["violations"] == []
+    assert report["service"] == {}
+    model = report["model"]
+    assert model["clean"] == {"rocket": True, "large-boom": True}
+    assert model["caught"] == len(model["trials"]) == 8
+    assert all(trial["caught"] for trial in model["trials"])
+
+
+def test_reliability_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["reliability"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'reliability'" in capsys.readouterr().err
 
 
 def test_parser_requires_command():

@@ -15,7 +15,7 @@ from repro.isa.errors import RunTimeout
 from repro.pmu import CsrFile, PerfHarness, encode_selector
 from repro.pmu.events import events_for_core
 from repro.pmu.harness import make_core
-from repro.reliability.faults import FaultInjector, FaultSpec
+from repro.chaos.model import FaultInjector, FaultSpec
 from repro.workloads import build_trace, workload_names
 
 IDENTITY_SCALE = 0.05

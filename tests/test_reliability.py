@@ -1,19 +1,22 @@
-"""Tests for the reliability layer: faults, invariants, runner, campaign."""
+"""Tests for the reliability layer: model faults, invariants, runner."""
 
 import pytest
 
+from repro.chaos import injector
+from repro.chaos.campaign import (CAMPAIGN_EVENTS, CampaignReport,
+                                  run_model_phase)
+from repro.chaos.model import (BITFLIP_COUNTER, DROP_INCREMENTS,
+                               MODEL_FAULTS, STALL_CORE, TRUNCATE_TRACE,
+                               FaultInjector, FaultSpec, draw_fault)
+from repro.chaos.plan import ChaosPlan
 from repro.cores import LARGE_BOOM, ROCKET
 from repro.cores.boom import BoomCore
 from repro.cores.rocket import RocketCore
 from repro.pmu import PerfHarness
-from repro.reliability import (BITFLIP_COUNTER, CORRUPT_CACHE,
-                               CacheIntegrityError, CounterCorruption,
-                               DROP_INCREMENTS, FAULT_CLASSES,
-                               FaultInjector, FaultPlan, FaultSpec,
+from repro.reliability import (CacheIntegrityError, CounterCorruption,
                                ReliabilityError, ResilientRunner,
-                               RunTimeout, STALL_CORE,
-                               SlotConservationViolation, TRUNCATE_TRACE,
-                               TmaInvariantChecker, run_campaign)
+                               RunTimeout, SlotConservationViolation,
+                               TmaInvariantChecker)
 from repro.tools import cache
 from repro.workloads import build_trace
 
@@ -35,23 +38,62 @@ def measure(**kwargs):
 
 
 # ---------------------------------------------------------------------------
-# fault plan determinism
+# model-fault planner: pure hash draws
 # ---------------------------------------------------------------------------
 
+PAIRS = [(w, c) for w in ("median", "qsort", "towers")
+         for c in ("rocket", "large-boom")]
+
+
+def _events(config):
+    return CAMPAIGN_EVENTS["rocket" if config == "rocket" else "boom"]
+
+
 def test_fault_plan_is_deterministic():
-    a = FaultPlan(seed=3, count=7, counter_event_names=EVENTS).specs()
-    b = FaultPlan(seed=3, count=7, counter_event_names=EVENTS).specs()
+    a = [draw_fault(3, kind, w, c, _events(c))
+         for kind in MODEL_FAULTS for w, c in PAIRS]
+    b = [draw_fault(3, kind, w, c, _events(c))
+         for kind in MODEL_FAULTS for w, c in PAIRS]
     assert a == b
+    stall = draw_fault(3, STALL_CORE, "median", "rocket", _events("rocket"))
+    assert stall in a
+    assert draw_fault(4, STALL_CORE, "median", "rocket",
+                      _events("rocket")) != stall
 
 
 def test_fault_plan_covers_every_class():
-    specs = FaultPlan(seed=0, count=5).specs()
-    assert {spec.kind for spec in specs} == set(FAULT_CLASSES)
+    for seed in range(20):
+        for kind in MODEL_FAULTS:
+            for workload, config in PAIRS:
+                events = _events(config)
+                spec = draw_fault(seed, kind, workload, config, events)
+                assert spec.kind == kind
+                assert spec.event in events
+                assert 0.3 <= spec.drop_rate < 0.7
+                # The flipped counter is one the trial programs.
+                assert 3 <= spec.counter_index < 3 + len(events)
+                assert 33 <= spec.bit < 48
+                assert 0.3 <= spec.keep_fraction < 0.8
+                assert 16 <= spec.stall_at < 256
 
 
 def test_fault_plan_rejects_unknown_class():
     with pytest.raises(ValueError):
-        FaultPlan(classes=("gamma-ray",))
+        draw_fault(0, "gamma-ray", "median", "rocket", _events("rocket"))
+
+
+def test_fault_plan_draw_ignores_other_pairs_and_classes():
+    """A pair's fault is the same however many trials are planned."""
+    def plan(classes, pairs):
+        return {(kind, w, c): draw_fault(7, kind, w, c, _events(c))
+                for kind in classes for w, c in pairs}
+
+    alone = plan([BITFLIP_COUNTER], [("median", "large-boom")])
+    everything = plan(MODEL_FAULTS, PAIRS)
+    reordered = plan(MODEL_FAULTS[::-1], PAIRS[::-1])
+    key = (BITFLIP_COUNTER, "median", "large-boom")
+    assert alone[key] == everything[key] == reordered[key]
+    assert everything == reordered
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +196,20 @@ def test_stalled_core_detected_as_run_timeout():
 def test_corrupted_cache_detected_and_quarantined(isolated_cache):
     reference = measure()
     key = cache.cache_key("median", 0.2, LARGE_BOOM)
-    cache.store(key, reference.result)
-    assert cache.verify_entry(key)
-    injector = FaultInjector(FaultSpec(kind=CORRUPT_CACHE, seed=1))
-    injector.corrupt_cache_file(cache.entry_path(key))
-    with pytest.raises(CacheIntegrityError):
-        cache.verify_entry(key)
-    assert cache.load(key) is None  # lenient path: corrupt == miss
-    assert cache.quarantine(key)
-    assert not cache.entry_path(key).exists()
+    chaos_key = cache.fault_key(key)
+    for flavor in ("truncate", "bitflip"):
+        # The first seed whose disk seam draws this corrupting flavor.
+        plan = next(plan for plan in (ChaosPlan(seed=seed,
+                                                disk_fault_rate=1.0)
+                                      for seed in range(100))
+                    if plan.decide("disk_fault", chaos_key) == flavor)
+        with injector.active(plan):
+            assert cache.store(key, reference.result)
+        with pytest.raises(CacheIntegrityError):
+            cache.verify_entry(key)
+        assert cache.load(key) is None  # lenient path: corrupt == miss
+        assert cache.quarantine(key)
+        assert not cache.entry_path(key).exists()
 
 
 def test_slot_conservation_violation_on_inflated_event():
@@ -200,26 +247,25 @@ def test_budget_off_by_default_runs_to_completion():
 # ---------------------------------------------------------------------------
 
 def test_runner_sweep_reports_partial_results(isolated_cache):
-    # A stalled core makes one pair fail every attempt; the other pair
-    # (and the sweep) must still complete.
-    injector = FaultInjector(FaultSpec(kind=STALL_CORE, seed=1,
-                                       stall_at=32))
-    harness = PerfHarness(core="boom", fault_injector=injector)
+    # A stalled core makes the pair fail every attempt; the runner
+    # reports the failure instead of raising it.
+    fault = FaultInjector(FaultSpec(kind=STALL_CORE, seed=1, stall_at=32))
+    harness = PerfHarness(core="boom", fault_injector=fault)
     runner = ResilientRunner(harness=harness, event_names=EVENTS,
                              scale=0.2, max_attempts=2, max_cycles=20_000)
-    report = runner.run_grid(["median"], [LARGE_BOOM])
-    assert len(report.failed) == 1
-    outcome = report.failed[0]
+    outcome = runner.run_one("median", LARGE_BOOM)
+    assert outcome.status == "failed"
     assert outcome.error_class == "RunTimeout"
     assert outcome.attempts == 2
+    assert outcome.measurement is None
 
     clean = ResilientRunner(harness=PerfHarness(core="boom"),
                             event_names=EVENTS, scale=0.2,
                             max_cycles=20_000)
-    clean_report = clean.run_grid(["median"], [LARGE_BOOM])
-    assert [o.ok for o in clean_report.outcomes] == [True]
-    assert clean_report.outcomes[0].tma is not None
-    assert "sweep:" in clean_report.summary()
+    clean_outcome = clean.run_one("median", LARGE_BOOM)
+    assert clean_outcome.ok
+    assert clean_outcome.attempts == 1
+    assert clean_outcome.tma is not None
 
 
 def test_runner_quarantines_poisoned_entry_and_recovers(isolated_cache):
@@ -231,19 +277,17 @@ def test_runner_quarantines_poisoned_entry_and_recovers(isolated_cache):
     path.write_text('{"workload": "median"}')
     runner = ResilientRunner(harness=PerfHarness(core="boom"),
                              event_names=EVENTS, scale=0.2)
-    report = runner.run_grid(["median"], [LARGE_BOOM])
-    outcome = report.outcomes[0]
+    outcome = runner.run_one("median", LARGE_BOOM)
     assert outcome.quarantined
     assert outcome.ok  # re-run succeeded after quarantine
-    assert report.quarantined_keys == [key]
+    assert outcome.error_class == "CacheIntegrityError"  # names the damage
     assert cache.verify_entry(key)  # repopulated with a good entry
 
 
 def test_runner_backoff_is_bounded_and_deterministic():
     sleeps = []
-    injector = FaultInjector(FaultSpec(kind=STALL_CORE, seed=1,
-                                       stall_at=32))
-    harness = PerfHarness(core="boom", fault_injector=injector)
+    fault = FaultInjector(FaultSpec(kind=STALL_CORE, seed=1, stall_at=32))
+    harness = PerfHarness(core="boom", fault_injector=fault)
     runner = ResilientRunner(harness=harness, event_names=EVENTS,
                              scale=0.2, max_attempts=3,
                              max_cycles=20_000, backoff_base=0.5,
@@ -256,24 +300,33 @@ def test_runner_backoff_is_bounded_and_deterministic():
 def test_runner_retargets_harness_for_rocket_configs(isolated_cache):
     runner = ResilientRunner(harness=PerfHarness(core="boom"),
                              event_names=EVENTS, scale=0.2)
-    report = runner.run_grid(["vvadd"], [ROCKET])
-    assert report.outcomes[0].ok
+    outcome = runner.run_one("vvadd", ROCKET)
+    assert outcome.ok
+    assert outcome.measurement.core == "rocket"
 
 
 # ---------------------------------------------------------------------------
-# the campaign acceptance gate
+# the campaign's model phase: every model fault refuted
 # ---------------------------------------------------------------------------
 
 def test_campaign_seed0_catches_every_fault_class(isolated_cache):
-    report = run_campaign(seed=0, faults=5, workload="median",
-                          scale=0.2, max_cycles=100_000)
-    assert report.clean_ok
-    assert len(report.fault_classes) == len(FAULT_CLASSES)
-    assert report.caught == len(report.trials) == 5
-    assert report.passed
-    rendered = report.render()
-    assert "campaign PASSED" in rendered
-    assert "5/5" in rendered
+    report = CampaignReport(seed=0)
+    run_model_phase(report, 0, str(isolated_cache), "median",
+                    ("rocket", "large-boom"), 0.2)
+    model = report.model
+    assert report.violations == []
+    assert model["clean"] == {"rocket": True, "large-boom": True}
+    expected = {DROP_INCREMENTS: "CounterCorruption",
+                BITFLIP_COUNTER: "CounterCorruption",
+                TRUNCATE_TRACE: "CounterCorruption",
+                STALL_CORE: "RunTimeout"}
+    assert [(t["config"], t["kind"]) for t in model["trials"]] == [
+        (config, kind) for config in ("rocket", "large-boom")
+        for kind in MODEL_FAULTS]
+    for trial in model["trials"]:
+        assert trial["caught"] and trial["injections"] > 0
+        assert trial["error"] == expected[trial["kind"]]
+    assert model["caught"] == 8
 
 
 def test_reliability_error_payload_is_structured():

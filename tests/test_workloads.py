@@ -17,9 +17,7 @@ def test_registry_lists_all_categories():
     assert len(workload_names("micro")) == 12   # incl. coremark
     assert len(workload_names("spec")) == 10
     assert len(workload_names("case-study")) == 3
-    # >= rather than ==: examples/tests may register extra workloads
-    # (e.g. the custom_workload example) within the same process.
-    assert len(workload_names()) >= 25
+    assert len(workload_names()) == 25
 
 
 def test_unknown_workload_raises_with_suggestions():
