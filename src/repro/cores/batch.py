@@ -81,8 +81,6 @@ class BatchStats:
     mode: str = "inline"  # "inline" | "pool" | "mixed"
     workers: int = 1
     points_total: int = 0
-    #: Points restored from a sweep checkpoint.
-    restored: int = 0
     #: Points served by the on-disk result cache.
     cache_hits: int = 0
     #: Keys of the points whose result-cache entry failed verification
@@ -105,7 +103,7 @@ class BatchStats:
         """Fraction of points that skipped simulation entirely."""
         if not self.points_total:
             return 0.0
-        return (self.restored + self.cache_hits) / self.points_total
+        return self.cache_hits / self.points_total
 
 
 @dataclass
@@ -331,7 +329,6 @@ def run_batch(
     *,
     scale: float = 1.0,
     use_cache: bool = True,
-    checkpoint=None,
     workers: Optional[int] = None,
     windows: Optional[int] = None,
     warmup: Optional[int] = None,
@@ -344,25 +341,24 @@ def run_batch(
     :func:`repro.tools.tma_tool.run_core` of the same (workload,
     config, scale) — the standalone run stays the oracle.
 
-    *checkpoint* (a :class:`~repro.tools.checkpoint.SweepCheckpoint`)
-    records each point as it completes and restores completed points on
-    a re-run, so a killed grid resumes instead of restarting; the
-    caller owns ``checkpoint.clear()``.  *workers* caps the process
-    fan-out (default: the machine's core count; 1 forces the inline
-    shared-trace path).  Result-cache entries that fail verification
-    are deleted, re-run, and listed in ``stats.quarantined``.
+    With *use_cache*, every point is stored in the result cache as it
+    completes and cached points are served instead of re-run, so
+    re-running a killed grid finishes only what is missing.  *workers*
+    caps the process fan-out (default: the machine's core count; 1
+    forces the inline shared-trace path).  Result-cache entries that
+    fail verification are deleted, re-run, and listed in
+    ``stats.quarantined``.
 
     With *windows*, every pending point runs through the windowed
     engine (:func:`repro.cores.windowed.run_windowed_points`): the pool
     work unit becomes one (grid point, window) pair, so a grid of P
     points over K windows exposes P*K tasks and keeps every worker busy
-    even on small grids.  Windowed results use their own cache and
-    checkpoint keys (the window plan is folded in), so they never
-    satisfy — or poison — plain batch entries.
+    even on small grids.  Windowed results use their own cache keys
+    (the window plan is folded in), so they never satisfy — or poison —
+    plain batch entries.
     """
     from ..core.tma import compute_tma
     from ..tools import cache as result_cache
-    from ..tools.checkpoint import point_key
     from ..tools.pool import fan_out, resolve_workers
 
     if points is None:
@@ -388,58 +384,25 @@ def run_batch(
                 workload, scale, point.config, windows, warm, sampled
             )
 
-        def ckpt_key(point: GridPoint) -> str:
-            return (
-                point_key(workload, point.key)
-                + f";windows={windows};warmup={warm};sampled={int(sampled)}"
-            )
-
     else:
 
         def result_key(point: GridPoint) -> str:
             return result_cache.cache_key(workload, scale, point.config)
 
-        def ckpt_key(point: GridPoint) -> str:
-            return point_key(workload, point.key)
-
-    if checkpoint is not None:
-        for point in points:
-            payload = checkpoint.get(ckpt_key(point))
-            if payload is None:
-                continue
-            try:
-                done[point.key] = result_cache.deserialize_result(payload)
-                stats.restored += 1
-            except Exception:  # noqa: BLE001 - damaged entry: re-run
-                pass
-
     if use_cache:
         for point in points:
-            if point.key in done:
-                continue
-            key = result_key(point)
-            cached, damage = result_cache.load_or_quarantine(key)
+            cached, damage = result_cache.load_or_quarantine(result_key(point))
             if damage is not None:
                 stats.quarantined.append(point.key)
             elif cached is not None:
                 done[point.key] = cached
                 stats.cache_hits += 1
-                if checkpoint is not None:
-                    checkpoint.record(
-                        ckpt_key(point),
-                        result_cache.serialize_result(cached),
-                    )
 
     def note(point: GridPoint, result: CoreResult) -> None:
         done[point.key] = result
         stats.executed += 1
         if use_cache:
             result_cache.store(result_key(point), result)
-        if checkpoint is not None:
-            checkpoint.record(
-                ckpt_key(point),
-                result_cache.serialize_result(result),
-            )
 
     pending = [point for point in points if point.key not in done]
     report = None

@@ -49,7 +49,6 @@ tests bound their TMA level-1 error against the oracle.
 from __future__ import annotations
 
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -65,11 +64,6 @@ if TYPE_CHECKING:
     from ..tools.pool import FanoutReport
 
 CoreConfig = Union[RocketConfig, BoomConfig]
-
-#: Environment defaults picked up by ``run_core`` when no explicit
-#: window arguments are given (lets CI force a windowed tier-1 pass).
-ENV_WINDOWS = "REPRO_WINDOWS"
-ENV_WARMUP = "REPRO_WINDOW_WARMUP"
 
 #: Default warmup length (instructions) prepended to every window that
 #: does not start at the beginning of the trace.  See docs/windowed.md
@@ -146,29 +140,13 @@ class WindowPlan:
         return self.measured_instructions / self.n if self.n else 0.0
 
 
-def resolve_windows_env() -> Tuple[Optional[int], Optional[int]]:
-    """(windows, warmup) defaults from the environment, or ``None``s."""
-
-    def read(name: str) -> Optional[int]:
-        raw = os.environ.get(name)
-        if raw is None or not raw.strip():
-            return None
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
-        return value
-
-    return read(ENV_WINDOWS), read(ENV_WARMUP)
-
-
 def normalized_warmup(windows: int, warmup: Optional[int],
                       sampled: bool) -> int:
     """The warmup a plan will resolve ``warmup=None`` to.
 
-    Pure function of the request (no trace length), so cache and
-    checkpoint keys can be computed before any trace is built and stay
-    consistent between :func:`run_windowed` and the batch engine.
+    Pure function of the request (no trace length), so cache keys can
+    be computed before any trace is built and stay consistent between
+    :func:`run_windowed` and the batch engine.
     """
     if warmup is not None:
         return int(warmup)
@@ -655,8 +633,8 @@ def run_windowed_points(
     runners on small grids: a grid of P points over K windows exposes
     P*K independent tasks instead of P, so the pool never idles behind
     one long serial simulation.  *note* fires as each point's stitched
-    result completes (the batch engine uses it for cache/checkpoint
-    writes).  Returns ``({point key: result}, fan-out report)``.
+    result completes (the batch engine uses it for cache writes).
+    Returns ``({point key: result}, fan-out report)``.
     """
     from ..workloads import build_trace
 

@@ -172,20 +172,9 @@ class ResultStore:
     def persist_pending(self, jobs: List[TMAJob]) -> Path:
         """Atomically write undone-but-accepted jobs for the next boot."""
         path = self.pending_path()
-        path.parent.mkdir(parents=True, exist_ok=True)
         document = {"version": 1,
                     "jobs": [job.to_payload() for job in jobs]}
-        tmp_path = path.with_suffix(f".{os.getpid()}.tmp")
-        try:
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                json.dump(document, handle)
-            os.replace(tmp_path, path)
-        finally:
-            if tmp_path.exists():
-                try:
-                    os.remove(tmp_path)
-                except OSError:
-                    pass
+        cache.atomic_write(path, json.dumps(document).encode("utf-8"))
         return path
 
     def load_pending(self) -> List[TMAJob]:

@@ -151,7 +151,8 @@ def windowed_cache_key(workload: str, scale: float,
     return f"{digest.hexdigest()[:16]}-{model_fingerprint()}"
 
 
-def _serialize(result: CoreResult) -> Dict[str, Any]:
+def serialize_result(result: CoreResult) -> Dict[str, Any]:
+    """JSON codec for :class:`CoreResult`: the payload of an entry."""
     return {
         "workload": result.workload,
         "config_name": result.config_name,
@@ -172,7 +173,8 @@ def _serialize(result: CoreResult) -> Dict[str, Any]:
     }
 
 
-def _deserialize(payload: Dict[str, Any]) -> CoreResult:
+def deserialize_result(payload: Dict[str, Any]) -> CoreResult:
+    """Inverse of :func:`serialize_result` (exact round-trip)."""
     return CoreResult(
         workload=payload["workload"],
         config_name=payload["config_name"],
@@ -193,16 +195,6 @@ def _deserialize(payload: Dict[str, Any]) -> CoreResult:
         sampled=bool(payload.get("sampled", False)),
         windowed=payload.get("windowed"),
     )
-
-
-def serialize_result(result: CoreResult) -> Dict[str, Any]:
-    """Public JSON codec for :class:`CoreResult` (checkpoints reuse it)."""
-    return _serialize(result)
-
-
-def deserialize_result(payload: Dict[str, Any]) -> CoreResult:
-    """Inverse of :func:`serialize_result` (exact round-trip)."""
-    return _deserialize(payload)
 
 
 #: Top-level key holding the payload checksum in on-disk entries.
@@ -243,7 +235,7 @@ def _read_verified(path: Path) -> Optional[CoreResult]:
                 invariant="cache-checksum",
                 observed=actual, expected=stored_sum)
     try:
-        return _deserialize(document)
+        return deserialize_result(document)
     except (KeyError, TypeError, ValueError) as exc:
         raise CacheIntegrityError(
             f"cache entry {path.name} has a broken schema: {exc}",
@@ -330,8 +322,7 @@ def store(key: str, result: CoreResult) -> bool:
     embedded checksum is what makes those mangled entries *detectable*
     on the next read.
     """
-    payload = _serialize(result)
-    return _write_entry(key, payload)
+    return _write_entry(key, serialize_result(result))
 
 
 def fault_key(key: str) -> str:
@@ -347,6 +338,28 @@ def fault_key(key: str) -> str:
     return f"result-cache:{identity}"
 
 
+def atomic_write(path: Path, data: bytes) -> None:
+    """Replace *path* with *data* whole, or leave it as it was.
+
+    The bytes go to a per-process tmp file beside *path* (concurrent
+    writers never clobber each other's in-flight file), which
+    ``os.replace`` then swaps in.  The tmp file never outlives the
+    call; any ``OSError`` (ENOSPC, permissions) is re-raised for the
+    caller to decide whether the write mattered.
+    """
+    tmp_path = path.with_suffix(f".{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp_path, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_path, path)
+    finally:
+        try:
+            os.remove(tmp_path)
+        except OSError:
+            pass
+
+
 def _write_entry(key: str, payload: Dict[str, Any]) -> bool:
     """Checksum, atomically write, and LRU-prune one entry document."""
     from ..chaos import injector as chaos
@@ -355,25 +368,11 @@ def _write_entry(key: str, payload: Dict[str, Any]) -> bool:
     payload[_CHECKSUM_KEY] = _payload_checksum(
         {k: v for k, v in payload.items() if k != _CHECKSUM_KEY})
     data = json.dumps(payload).encode("utf-8")
-    directory = cache_dir()
-    path = directory / f"{key}.json"
-    # Per-process tmp name: concurrent benchmark processes must not
-    # clobber each other's in-flight writes before the atomic replace.
-    tmp_path = path.with_suffix(f".{os.getpid()}.tmp")
     try:
-        data = chaos.mangle_write(fault_key(key), data)
-        directory.mkdir(parents=True, exist_ok=True)
-        with open(tmp_path, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_path, path)
+        atomic_write(entry_path(key),
+                     chaos.mangle_write(fault_key(key), data))
     except OSError:
         return False
-    finally:
-        if tmp_path.exists():
-            try:
-                os.remove(tmp_path)
-            except OSError:
-                pass
     limit_bytes = cache_limit_bytes()
     limit_entries = cache_limit_entries()
     if limit_bytes is not None or limit_entries is not None:

@@ -34,7 +34,6 @@ from ..trace import (boom_tma_bundle, capture_trace, find_first,
 from ..vlsi import ARCHITECTURES, sweep
 from ..workloads import build_trace, get_workload, workload_names
 from . import pool
-from .tma_tool import run_suite
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -50,13 +49,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_windowing(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--windows", type=int, default=None,
                         help="shard the trace into K windows simulated in "
-                             "parallel and stitched (default: REPRO_WINDOWS "
-                             "env, else unwindowed); required for 'huge' "
-                             "tier workloads")
+                             "parallel and stitched (default: unwindowed); "
+                             "required for 'huge' tier workloads")
     parser.add_argument("--warmup", type=int, default=None,
                         help="per-window warmup overlap in instructions "
-                             "(default: REPRO_WINDOW_WARMUP env, else the "
-                             "engine default; see docs/windowed.md)")
+                             "(default: the engine default; see "
+                             "docs/windowed.md)")
     parser.add_argument("--sampled", action="store_true",
                         help="sample one span per window period and "
                              "extrapolate (results are always labeled "
@@ -117,11 +115,18 @@ def _cmd_tma(args: argparse.Namespace) -> int:
     return 0
 
 
+def _deadline_hint(args: argparse.Namespace) -> str:
+    """How to finish a run whose --deadline lapsed."""
+    if args.no_cache:
+        return "--no-cache kept no results: a re-run starts over"
+    return "re-run the same command to finish from the result cache"
+
+
 def _cmd_suite(args: argparse.Namespace) -> int:
     import time
 
-    from .checkpoint import SweepCheckpoint, grid_signature
-    from .tma_tool import SuiteDeadlineExceeded
+    from ..cores.batch import GridPoint
+    from .tma_tool import SuiteDeadlineExceeded, run_grid
 
     config = config_by_name(args.config)
     names = workload_names(args.category)
@@ -130,46 +135,31 @@ def _cmd_suite(args: argparse.Namespace) -> int:
               "(optionally --sampled); see docs/windowed.md",
               file=sys.stderr)
         return 2
-    # Crash-safe progress: every finished workload is checkpointed, so
-    # a killed run (or a lapsed --deadline) resumes with --resume
-    # instead of starting over.  The signature ties the checkpoint to
-    # this exact grid + code fingerprint; any mismatch discards it.
-    # Window parameters fold into both tag and signature, so a windowed
-    # suite never resumes from (or poisons) a plain suite's checkpoint.
-    window_tag = (f"-w{args.windows}-u{args.warmup}-s{int(args.sampled)}"
-                  if args.windows is not None else "")
-    checkpoint = SweepCheckpoint(
-        tag=(f"suite-{args.category or 'all'}-{args.config}-{args.scale:g}"
-             f"{window_tag}"),
-        signature=grid_signature(names, [config.name], args.scale,
-                                 extra=window_tag))
-    if not args.resume:
-        checkpoint.clear()
     deadline = (time.time() + args.deadline
                 if args.deadline is not None else None)
     if args.sampled:
         print("SAMPLED suite: totals are extrapolated, never exact",
               file=sys.stderr)
     try:
-        results = run_suite(names, config, scale=args.scale,
-                            use_cache=not args.no_cache,
-                            checkpoint=checkpoint, deadline=deadline,
-                            windows=args.windows, warmup=args.warmup,
-                            sampled=args.sampled, progress=args.progress)
+        batches = run_grid(names, [GridPoint(config.name, config)],
+                           scale=args.scale, use_cache=not args.no_cache,
+                           deadline=deadline,
+                           windows=args.windows, warmup=args.warmup,
+                           sampled=args.sampled, progress=args.progress)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except SuiteDeadlineExceeded as exc:
         if exc.results:
             print(render_breakdown_table(
-                exc.results,
+                [batch.tma[0] for batch in exc.results],
                 title=f"{args.category or 'all'} suite on {config.name} "
                       f"(partial: deadline lapsed)"))
         print(f"deadline lapsed: {len(exc.remaining)} workload(s) "
               f"remaining ({', '.join(exc.remaining)}); "
-              "re-run with --resume to finish", file=sys.stderr)
+              f"{_deadline_hint(args)}", file=sys.stderr)
         return 3
-    checkpoint.clear()
+    results = [batch.tma[0] for batch in batches]
     suite_title = f"{args.category or 'all'} suite on {config.name}"
     if args.sampled:
         suite_title += " (SAMPLED: extrapolated)"
@@ -207,7 +197,7 @@ def _render_grid_matrix(batch) -> str:
     shared = (f"mode={stats.mode} workers={stats.workers} "
               f"executed={stats.executed} cache_hits={stats.cache_hits} "
               f"quarantined={len(stats.quarantined)} "
-              f"restored={stats.restored} trace_fetches={stats.trace_fetches} "
+              f"trace_fetches={stats.trace_fetches} "
               f"tables_shared={stats.tables_shared} "
               f"folds_shared={stats.fold_caches_shared} "
               f"wall={stats.wall_s:.3f}s")
@@ -264,8 +254,7 @@ def _grid_json_payload(points, batches, scale: float) -> dict:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import time
 
-    from ..cores.batch import DEFAULT_GRID, canonical_grid_key, parse_grid
-    from .checkpoint import SweepCheckpoint, grid_signature
+    from ..cores.batch import DEFAULT_GRID, parse_grid
     from .tma_tool import SuiteDeadlineExceeded, run_grid
 
     try:
@@ -289,22 +278,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               "--windows (optionally --sampled); see docs/windowed.md",
               file=sys.stderr)
         return 2
-    # One checkpoint spans the whole (workloads x points) sweep; the
-    # signature folds the canonical grid key, so a checkpoint from a
-    # different grid (or an edited simulator) is discarded, and the
-    # deterministic tag lets --resume find it again.  Window parameters
-    # fold in too: a windowed sweep and a plain sweep of the same grid
-    # are different experiments and must never share progress.
-    window_tag = (f"w{args.windows}-u{args.warmup}-s{int(args.sampled)}"
-                  if args.windows is not None else "")
-    signature = grid_signature(
-        names, [point.key for point in points], args.scale,
-        extra=canonical_grid_key("+".join(sorted(names)), points, args.scale)
-        + window_tag)
-    checkpoint = SweepCheckpoint(tag=f"sweep-{signature[:12]}",
-                                 signature=signature)
-    if not args.resume:
-        checkpoint.clear()
     deadline = (time.time() + args.deadline
                 if args.deadline is not None else None)
     if args.sampled:
@@ -313,8 +286,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         batches = run_grid(names, points, scale=args.scale,
                            use_cache=not args.no_cache,
-                           workers=args.workers,
-                           checkpoint=checkpoint, deadline=deadline,
+                           workers=args.workers, deadline=deadline,
                            windows=args.windows, warmup=args.warmup,
                            sampled=args.sampled, progress=args.progress)
     except ValueError as exc:
@@ -335,9 +307,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"wrote {args.json} (partial)")
         print(f"deadline lapsed: {len(exc.remaining)} workload(s) "
               f"remaining ({', '.join(exc.remaining)}); "
-              "re-run with --resume to finish", file=sys.stderr)
+              f"{_deadline_hint(args)}", file=sys.stderr)
         return 3
-    checkpoint.clear()
     for batch in batches:
         print(_render_grid_matrix(batch))
         print()
@@ -795,12 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write the results as JSON")
     p_suite.add_argument("--csv", default=None,
                          help="also write the results as CSV")
-    p_suite.add_argument("--resume", action="store_true",
-                         help="resume from the suite checkpoint left by "
-                              "a killed or deadline-lapsed run")
     p_suite.add_argument("--deadline", type=float, default=None,
-                         help="wall-clock budget in seconds; progress is "
-                              "checkpointed, exit code 3 when it lapses")
+                         help="wall-clock budget in seconds; exit code 3 "
+                              "when it lapses (finished workloads stay "
+                              "in the result cache)")
     _add_common(p_suite)
     _add_windowing(p_suite)
     p_suite.set_defaults(func=_cmd_suite)
@@ -832,12 +801,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "shared-trace path)")
     p_sweep.add_argument("--json", default=None,
                          help="also write the result matrix as JSON")
-    p_sweep.add_argument("--resume", action="store_true",
-                         help="resume from the sweep checkpoint left by "
-                              "a killed or deadline-lapsed run")
     p_sweep.add_argument("--deadline", type=float, default=None,
-                         help="wall-clock budget in seconds; progress is "
-                              "checkpointed, exit code 3 when it lapses")
+                         help="wall-clock budget in seconds; exit code 3 "
+                              "when it lapses (finished points stay in "
+                              "the result cache)")
     _add_windowing(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 

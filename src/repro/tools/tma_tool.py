@@ -20,7 +20,6 @@ from ..isa.errors import DeadlineExceeded
 from ..uarch.cache import CacheConfig
 from ..workloads import build_trace, workload_names
 from . import cache
-from .checkpoint import SweepCheckpoint, point_key
 
 CoreConfig = Union[RocketConfig, BoomConfig]
 
@@ -28,13 +27,13 @@ CoreConfig = Union[RocketConfig, BoomConfig]
 class SuiteDeadlineExceeded(DeadlineExceeded):
     """A suite ran out of wall-clock budget; partial results attached.
 
-    ``results`` holds every workload finished (or restored from the
-    checkpoint) before the deadline lapsed; ``remaining`` names the
-    workloads left undone.  With a checkpoint in play, a later
-    ``--resume`` run completes only ``remaining``.
+    ``results`` holds every workload finished before the deadline
+    lapsed; ``remaining`` names the workloads left undone.  Finished
+    points stay in the result cache (unless it was bypassed), so
+    re-running the same command simulates only ``remaining``.
     """
 
-    def __init__(self, message: str, results: List[TmaResult],
+    def __init__(self, message: str, results: List["BatchResult"],
                  remaining: List[str]) -> None:
         super().__init__(message)
         self.results = results
@@ -56,21 +55,15 @@ def run_core(workload: str, config: CoreConfig, scale: float = 1.0,
     *windows* shards the trace into K instruction windows simulated in
     parallel and stitched (:mod:`repro.cores.windowed`); *warmup* sets
     the per-window warmup overlap, *sampled* switches to extrapolated
-    SimPoint-style sampling (result labeled ``sampled=True``).  With no
-    explicit *windows*, the ``REPRO_WINDOWS`` / ``REPRO_WINDOW_WARMUP``
-    environment knobs supply defaults.  Windowed results use their own
-    cache keys (:func:`repro.tools.cache.windowed_cache_key`), so they
-    never collide with plain runs.  Workloads in the ``huge`` registry
+    SimPoint-style sampling (result labeled ``sampled=True``).
+    Windowed results use their own cache keys
+    (:func:`repro.tools.cache.windowed_cache_key`), so they never
+    collide with plain runs.  Workloads in the ``huge`` registry
     tier are *only* runnable through the windowed/sampled paths.
     """
-    from ..cores.windowed import resolve_windows_env, run_windowed
+    from ..cores.windowed import run_windowed
     from ..workloads.registry import HUGE_CATEGORY, workload_category
 
-    if windows is None:
-        env_windows, env_warmup = resolve_windows_env()
-        windows = env_windows
-        if warmup is None:
-            warmup = env_warmup
     if windows is not None:
         return run_windowed(
             workload, config, windows=windows, scale=scale, warmup=warmup,
@@ -114,65 +107,10 @@ def run_tma(workload: str, config: CoreConfig = LARGE_BOOM,
                                 progress=progress))
 
 
-def run_suite(workloads: Sequence[str], config: CoreConfig,
-              scale: float = 1.0,
-              use_cache: bool = True,
-              checkpoint: Optional[SweepCheckpoint] = None,
-              deadline: Optional[float] = None,
-              windows: Optional[int] = None,
-              warmup: Optional[int] = None,
-              sampled: bool = False,
-              workers: Optional[int] = None,
-              progress: bool = False) -> List[TmaResult]:
-    """TMA for a list of workloads on one configuration.
-
-    With a *checkpoint*, workloads it already holds are restored (the
-    stored :class:`CoreResult` round-trips bit-exactly; the TMA
-    classification is recomputed) and every freshly computed workload
-    is recorded as it completes — so a killed run resumes from its
-    last finished workload.  The caller owns ``checkpoint.clear()``.
-
-    *deadline* is an absolute ``time.time()`` epoch; when it lapses
-    between workloads, :class:`SuiteDeadlineExceeded` is raised
-    carrying the partial results (everything completed so far stays
-    checkpointed).
-    """
-    results: List[TmaResult] = []
-    for position, name in enumerate(workloads):
-        key = point_key(name, config.name)
-        if windows is not None:
-            # Windowed runs must never satisfy (or poison) a plain
-            # run's checkpoint entry: fold the window parameters in.
-            key += f";windows={windows};warmup={warmup};sampled={int(sampled)}"
-        if checkpoint is not None:
-            payload = checkpoint.get(key)
-            if payload is not None:
-                try:
-                    results.append(
-                        compute_tma(cache.deserialize_result(payload)))
-                    continue
-                except Exception:  # noqa: BLE001 - damaged entry: re-run
-                    pass
-        if deadline is not None and time.time() >= deadline:
-            remaining = list(workloads[position:])
-            raise SuiteDeadlineExceeded(
-                f"suite deadline lapsed with {len(remaining)} of "
-                f"{len(workloads)} workloads remaining",
-                results=results, remaining=remaining)
-        result = run_core(name, config, scale=scale, use_cache=use_cache,
-                          windows=windows, warmup=warmup,
-                          sampled=sampled, workers=workers, progress=progress)
-        if checkpoint is not None:
-            checkpoint.record(key, cache.serialize_result(result))
-        results.append(compute_tma(result))
-    return results
-
-
 def run_grid(workloads: Sequence[str], points: Sequence["GridPoint"],
              scale: float = 1.0,
              use_cache: bool = True,
              workers: Optional[int] = None,
-             checkpoint: Optional[SweepCheckpoint] = None,
              deadline: Optional[float] = None,
              windows: Optional[int] = None,
              warmup: Optional[int] = None,
@@ -184,11 +122,12 @@ def run_grid(workloads: Sequence[str], points: Sequence["GridPoint"],
     which pays the trace fetch, descriptor-table compiles, and TAGE
     fold derivations once per workload instead of once per (workload,
     config) pair — with every per-point result bit-identical to
-    :func:`run_core`.  Checkpoint/resume and deadline semantics mirror
-    :func:`run_suite`: the deadline is checked between workloads, and
+    :func:`run_core`.  *deadline* is an absolute ``time.time()`` epoch
+    checked between workloads; when it lapses,
     :class:`SuiteDeadlineExceeded` carries the finished
-    :class:`~repro.cores.batch.BatchResult` list (points completed
-    inside an interrupted workload stay checkpointed).
+    :class:`~repro.cores.batch.BatchResult` list.  With *use_cache*,
+    every finished point (also inside an interrupted workload) is in
+    the result cache, so re-running the same sweep resumes it.
     """
     from ..cores.batch import run_batch
 
@@ -202,7 +141,7 @@ def run_grid(workloads: Sequence[str], points: Sequence["GridPoint"],
                 results=results, remaining=remaining)
         results.append(run_batch(
             name, points, scale=scale, use_cache=use_cache,
-            checkpoint=checkpoint, workers=workers, windows=windows,
+            workers=workers, windows=windows,
             warmup=warmup, sampled=sampled, progress=progress))
     return results
 

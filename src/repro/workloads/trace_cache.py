@@ -220,16 +220,12 @@ def _disk_put(workload: str, scale: float, trace: ColumnarTrace) -> None:
     if not disk_enabled():
         return
     from ..chaos import injector as chaos
+    from ..tools.cache import atomic_write
 
-    directory = trace_dir()
     try:
-        data = chaos.mangle_write(fault_key(workload, scale),
-                                  _seal(trace.pack()))
-        directory.mkdir(parents=True, exist_ok=True)
-        path = entry_path(workload, scale)
-        tmp_path = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp_path.write_bytes(data)
-        os.replace(tmp_path, path)
+        atomic_write(entry_path(workload, scale),
+                     chaos.mangle_write(fault_key(workload, scale),
+                                        _seal(trace.pack())))
     except OSError:
         return  # the disk tier is an optimization, never a failure
     prune(max_entries=_env_int(_DISK_LIMIT_ENV, _DEFAULT_DISK_ENTRIES))

@@ -6,10 +6,10 @@ columns, per-family descriptor tables, TAGE fold memos).  The oracle is
 a standalone ``run_core`` of the same (workload, config, scale): these
 tests pin the full ``CoreResult`` surface for the whole workload
 registry across the default grid-of-4, the grid-spec parser and its
-canonical point keys, fold-cache sharing safety, checkpoint restore,
-and the end-to-end acceptance — SIGKILL a ``repro-tma sweep --grid``
-run mid-grid, ``--resume`` it, and require the matrix to match an
-uninterrupted oracle run exactly.
+canonical point keys, fold-cache sharing safety, and the end-to-end
+acceptance — SIGKILL a ``repro-tma sweep --grid`` run mid-grid (or let
+its deadline lapse), re-run the same command, and require the matrix
+to match an uninterrupted oracle run exactly.
 """
 
 import dataclasses
@@ -28,7 +28,6 @@ from repro.cores.batch import (DEFAULT_GRID, canonical_grid_key, parse_grid,
 from repro.cores.boom import BoomCore
 from repro.cores.rocket import RocketCore
 from repro.tools import cache, pool
-from repro.tools.checkpoint import SweepCheckpoint, point_key
 from repro.tools.tma_tool import run_core
 from repro.uarch.branch import share_fold_caches
 from repro.workloads import build_trace, workload_names
@@ -265,89 +264,67 @@ def test_batch_rerun_and_cache_hits_are_bit_identical():
 
 
 # ----------------------------------------------------------------------
-# checkpoint restore
-
-
-def test_checkpoint_restores_completed_points():
-    checkpoint = SweepCheckpoint(tag="batch-test", signature="sig")
-    partial = run_batch("median", GRID[:2], scale=SCALE, use_cache=False,
-                        checkpoint=checkpoint)
-    assert partial.stats.executed == 2
-    resumed = run_batch("median", GRID, scale=SCALE, use_cache=False,
-                        checkpoint=checkpoint)
-    assert resumed.stats.restored == 2
-    assert resumed.stats.executed == len(GRID) - 2
-    oracle = run_batch("median", GRID, scale=SCALE, use_cache=False)
-    for point in GRID:
-        assert result_digest(resumed.result_for(point.key)) == \
-            result_digest(oracle.result_for(point.key))
-
-
-def test_checkpoint_keys_are_namespaced_by_workload():
-    checkpoint = SweepCheckpoint(tag="batch-ns", signature="sig")
-    run_batch("vvadd", GRID[:1], scale=SCALE, use_cache=False,
-              checkpoint=checkpoint)
-    assert checkpoint.get(point_key("vvadd", GRID[0].key)) is not None
-    # A different workload over the same grid restores nothing.
-    other = run_batch("towers", GRID[:1], scale=SCALE, use_cache=False,
-                      checkpoint=checkpoint)
-    assert other.stats.restored == 0
-    assert other.stats.executed == 1
-
-
+# acceptance: SIGKILL mid-grid (or a lapsed deadline), then re-run
 # ----------------------------------------------------------------------
-# acceptance: SIGKILL mid-grid, then --resume
-# ----------------------------------------------------------------------
+
+SWEEP_ARGS = ["sweep", "--grid", "rocket,small-boom",
+              "--workloads", "towers,vvadd,median", "--scale", "0.3",
+              "--workers", "1"]
+
+
+def _sweep_env(cache_dir):
+    return dict(os.environ, REPRO_CACHE_DIR=str(cache_dir),
+                PYTHONPATH="src", PYTHONUNBUFFERED="1")
 
 
 def _run_sweep_cli(cache_dir, json_path, *extra, check=True):
-    env = dict(os.environ, REPRO_CACHE_DIR=str(cache_dir),
-               PYTHONPATH="src", PYTHONUNBUFFERED="1")
     process = subprocess.run(
-        [sys.executable, "-m", "repro.tools.cli", "sweep",
-         "--grid", "rocket,small-boom",
-         "--workloads", "towers,vvadd,median", "--scale", "0.3",
-         "--workers", "1", "--no-cache", "--json", str(json_path),
-         *extra],
-        capture_output=True, text=True, env=env, timeout=300)
+        [sys.executable, "-m", "repro.tools.cli", *SWEEP_ARGS,
+         "--json", str(json_path), *extra],
+        capture_output=True, text=True, env=_sweep_env(cache_dir),
+        timeout=300)
     if check:
         assert process.returncode == 0, process.stderr
     return process
 
 
-def _matrix(json_path):
-    """The simulated quantities only (stats differ on a resumed run)."""
+def _load(json_path):
     with open(json_path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        return json.load(handle)
+
+
+def _matrix(json_path):
+    """The simulated quantities only (stats differ on a re-run)."""
     return {
         workload: section["points"]
-        for workload, section in payload["workloads"].items()
+        for workload, section in _load(json_path)["workloads"].items()
     }
 
 
-def test_sigkill_mid_grid_then_resume_is_bit_identical(tmp_path):
-    oracle_dir = tmp_path / "oracle"
-    victim_dir = tmp_path / "victim"
-    oracle_dir.mkdir()
-    victim_dir.mkdir()
-    oracle_json = tmp_path / "oracle.json"
+def _stat_total(json_path, name):
+    return sum(section["stats"][name]
+               for section in _load(json_path)["workloads"].values())
+
+
+@pytest.fixture(scope="module")
+def sweep_oracle(tmp_path_factory):
+    """The matrix of one uninterrupted sweep in its own cache."""
+    root = tmp_path_factory.mktemp("sweep-oracle")
+    _run_sweep_cli(root, root / "oracle.json")
+    return _matrix(root / "oracle.json")
+
+
+def test_sigkill_mid_grid_then_resume_is_bit_identical(tmp_path,
+                                                       sweep_oracle):
     victim_json = tmp_path / "victim.json"
-
-    _run_sweep_cli(oracle_dir, oracle_json)
-
-    env = dict(os.environ, REPRO_CACHE_DIR=str(victim_dir),
-               PYTHONPATH="src", PYTHONUNBUFFERED="1")
     victim = subprocess.Popen(
-        [sys.executable, "-m", "repro.tools.cli", "sweep",
-         "--grid", "rocket,small-boom",
-         "--workloads", "towers,vvadd,median", "--scale", "0.3",
-         "--workers", "1", "--no-cache"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    # Give it long enough to checkpoint some grid points, then SIGKILL.
+        [sys.executable, "-m", "repro.tools.cli", *SWEEP_ARGS],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_sweep_env(tmp_path))
+    # Wait for the first finished point's cache entry, then SIGKILL.
     deadline = time.time() + 30
-    ckpt = victim_dir / "checkpoints"
     while time.time() < deadline and victim.poll() is None:
-        if ckpt.is_dir() and any(ckpt.glob("*.ckpt")):
+        if any(tmp_path.glob("*.json")):
             break
         time.sleep(0.02)
     mid_flight = victim.poll() is None
@@ -357,8 +334,25 @@ def test_sigkill_mid_grid_then_resume_is_bit_identical(tmp_path):
         pytest.skip("sweep finished before SIGKILL landed")
     assert victim.returncode == -signal.SIGKILL
 
-    resumed = _run_sweep_cli(victim_dir, victim_json, "--resume")
-    assert "restored" in resumed.stdout
-    assert _matrix(victim_json) == _matrix(oracle_json)
-    # A clean finish clears the checkpoint.
-    assert not any((victim_dir / "checkpoints").glob("*.ckpt"))
+    _run_sweep_cli(tmp_path, victim_json)
+    assert _matrix(victim_json) == sweep_oracle
+    # The re-run served what the killed run finished, ran the rest.
+    hits = _stat_total(victim_json, "cache_hits")
+    assert hits >= 1
+    assert (_stat_total(victim_json, "executed") + hits
+            == _stat_total(victim_json, "points_total"))
+
+
+def test_deadline_lapsed_sweep_finishes_on_rerun(tmp_path, sweep_oracle):
+    sweep_json = tmp_path / "sweep.json"
+    lapsed = _run_sweep_cli(tmp_path, sweep_json, "--deadline", "0",
+                            check=False)
+    assert lapsed.returncode == 3, lapsed.stderr
+    assert "re-run the same command" in lapsed.stderr
+    partial = _load(sweep_json)
+    assert partial["partial"] is True
+    assert partial["remaining"] == ["towers", "vvadd", "median"]
+
+    _run_sweep_cli(tmp_path, sweep_json)
+    assert "partial" not in _load(sweep_json)
+    assert _matrix(sweep_json) == sweep_oracle

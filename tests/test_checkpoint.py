@@ -1,10 +1,14 @@
-"""Tests for crash-safe sweep checkpoints and resume.
+"""Re-running a killed or lapsed suite resumes it from the result cache.
 
-Covers the checkpoint file itself (atomicity, checksums, signature
-guards), suite/grid resume bit-exactness, and
-the end-to-end acceptance: SIGKILL a ``repro-tma suite`` run mid-sweep,
-resume with ``--resume``, and get output identical to an uninterrupted
-run.
+Every finished (workload, config) point is stored in the checksummed
+result cache as it completes, so the record of finished work is the
+cache itself: a re-run of the same command serves those points and
+simulates only the rest.  Covers the exact ``CoreResult`` codec of an
+entry, bit-exactness of such a re-run on the inline and the pool paths,
+re-running (never serving) a damaged entry or one cached by other
+simulator source, the end-to-end acceptance (SIGKILL a ``repro-tma
+suite`` run mid-suite, re-run it, get output identical to an
+uninterrupted run), and the removal of ``--resume``.
 """
 
 import json
@@ -18,12 +22,11 @@ import pytest
 
 from repro.core import to_json
 from repro.cores import ROCKET
-from repro.cores.batch import parse_grid
+from repro.cores.batch import GridPoint, parse_grid
 from repro.tools import cache
-from repro.tools.checkpoint import (SweepCheckpoint, checkpoint_dir,
-                                    grid_signature)
-from repro.tools.tma_tool import run_grid, run_suite
-from repro.workloads import trace_cache
+from repro.tools.cli import main
+from repro.tools.tma_tool import run_grid
+from repro.workloads import trace_cache, workload_names
 
 
 @pytest.fixture(autouse=True)
@@ -35,114 +38,64 @@ def isolated_cache(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the checkpoint file
+# a re-run resumes from the result cache, bit-exactly
 # ---------------------------------------------------------------------------
 
 def test_record_load_round_trip():
-    checkpoint = SweepCheckpoint(tag="t", signature="sig")
-    assert checkpoint.load() == {}
-    checkpoint.record("a:Rocket", {"value": 1})
-    checkpoint.record_many({"b:Rocket": {"value": 2}})
+    [batch] = run_grid(["vvadd"], parse_grid("rocket"), scale=0.1,
+                       use_cache=False)
+    result = batch.results[0]
+    payload = json.loads(json.dumps(cache.serialize_result(result)))
+    assert cache.deserialize_result(payload) == result
 
-    fresh = SweepCheckpoint(tag="t", signature="sig")
-    assert fresh.load() == {"a:Rocket": {"value": 1},
-                            "b:Rocket": {"value": 2}}
-    assert fresh.completed_keys() == {"a:Rocket", "b:Rocket"}
-    assert fresh.get("a:Rocket") == {"value": 1}
-    assert fresh.get("missing") is None
+    key = cache.cache_key("vvadd", 0.1, ROCKET)
+    assert cache.store(key, result)
+    assert cache.load(key) == result
 
 
-def test_corrupt_checkpoint_is_ignored_wholesale():
-    checkpoint = SweepCheckpoint(tag="t", signature="sig")
-    checkpoint.record("a", {"value": 1})
-    raw = checkpoint.path.read_text(encoding="utf-8")
+def test_signature_mismatch_discards_progress(monkeypatch):
+    points = parse_grid("rocket")
+    run_grid(["vvadd"], points, scale=0.1)
+    [again] = run_grid(["vvadd"], points, scale=0.1)
+    assert again.stats.cache_hits == 1
 
-    # Truncation.
-    checkpoint.path.write_text(raw[: len(raw) // 2], encoding="utf-8")
-    assert SweepCheckpoint(tag="t", signature="sig").load() == {}
+    # An edited simulator has a new model fingerprint: progress cached
+    # by the old source is never served.
+    monkeypatch.setattr(cache, "model_fingerprint", lambda: "0" * 16)
+    [edited] = run_grid(["vvadd"], points, scale=0.1)
+    assert edited.stats.cache_hits == 0
+    assert edited.stats.executed == 1
 
-    # Valid JSON, broken checksum.
-    document = json.loads(raw)
-    document["entries"]["a"] = {"value": 999}
-    checkpoint.path.write_text(json.dumps(document), encoding="utf-8")
-    assert SweepCheckpoint(tag="t", signature="sig").load() == {}
-
-
-def test_signature_mismatch_discards_progress():
-    checkpoint = SweepCheckpoint(tag="t", signature="grid-one")
-    checkpoint.record("a", {"value": 1})
-    assert SweepCheckpoint(tag="t", signature="grid-two").load() == {}
-    assert SweepCheckpoint(tag="t", signature="grid-one").load() != {}
-
-
-def test_clear_removes_the_file():
-    checkpoint = SweepCheckpoint(tag="t", signature="sig")
-    checkpoint.record("a", 1)
-    assert checkpoint.path.exists()
-    checkpoint.clear()
-    assert not checkpoint.path.exists()
-    assert SweepCheckpoint(tag="t", signature="sig").load() == {}
-
-
-def test_checkpoint_survives_result_cache_prune():
-    checkpoint = SweepCheckpoint(tag="t", signature="sig")
-    checkpoint.record("a", {"value": 1})
-    # An aggressive prune of the surrounding result cache must not be
-    # able to evict sweep progress (checkpoints are not *.json entries).
-    cache.prune(max_entries=0)
-    assert SweepCheckpoint(tag="t", signature="sig").load() != {}
-    assert checkpoint.path.parent == checkpoint_dir()
-
-
-def test_grid_signature_distinguishes_grids():
-    base = grid_signature(["a", "b"], ["Rocket"], 0.5)
-    assert base == grid_signature(["b", "a"], ["Rocket"], 0.5)  # order-free
-    assert base != grid_signature(["a"], ["Rocket"], 0.5)
-    assert base != grid_signature(["a", "b"], ["Rocket"], 0.6)
-    assert base != grid_signature(["a", "b"], ["Rocket"], 0.5, extra="x")
-
-
-# ---------------------------------------------------------------------------
-# suite + grid resume are bit-exact
-# ---------------------------------------------------------------------------
 
 def test_suite_resume_skips_completed_and_matches_uninterrupted():
     names = ["vvadd", "median", "towers"]
-    signature = grid_signature(names, [ROCKET.name], 0.1)
-    oracle = run_suite(names, ROCKET, scale=0.1)
+    suite = [GridPoint(ROCKET.name, ROCKET)]
+    oracle = run_grid(names, suite, scale=0.1, use_cache=False)
 
-    # A "killed" first run: only the first workload got checkpointed.
-    partial = SweepCheckpoint(tag="suite", signature=signature)
-    run_suite(names[:1], ROCKET, scale=0.1, checkpoint=partial)
-    assert partial.completed_keys() == {f"vvadd:{ROCKET.name}"}
+    # A "killed" first run: only the first workload finished.
+    run_grid(names[:1], suite, scale=0.1)
 
-    resumed_checkpoint = SweepCheckpoint(tag="suite", signature=signature)
-    resumed = run_suite(names, ROCKET, scale=0.1, use_cache=False,
-                        checkpoint=resumed_checkpoint)
-    assert to_json(resumed) == to_json(oracle)
-    assert (resumed_checkpoint.completed_keys()
-            == {f"{n}:{ROCKET.name}" for n in names})
+    resumed = run_grid(names, suite, scale=0.1)
+    assert [batch.stats.cache_hits for batch in resumed] == [1, 0, 0]
+    assert [batch.stats.executed for batch in resumed] == [0, 1, 1]
+    assert (to_json([batch.tma[0] for batch in resumed])
+            == to_json([batch.tma[0] for batch in oracle]))
 
 
 def test_parallel_resume_restores_recorded_pairs():
     workloads = ["vvadd", "median"]
     points = parse_grid("rocket,small-boom")
-    signature = grid_signature(workloads, [p.key for p in points], 0.1)
 
     full = run_grid(workloads, points, scale=0.1, use_cache=False,
                     workers=2)
     assert [batch.stats.mode for batch in full] == ["pool", "pool"]
 
-    # Simulate a sweep killed after two pairs: checkpoint holds them.
-    checkpoint = SweepCheckpoint(tag="sweep", signature=signature)
-    checkpoint.record_many({
-        f"vvadd:{point.key}": cache.serialize_result(result)
-        for point, result in zip(points, full[0].results)})
+    # Simulate a sweep killed after two pairs: the cache holds them.
+    for point, result in zip(points, full[0].results):
+        cache.store(cache.cache_key("vvadd", 0.1, point.config), result)
 
-    resumed = run_grid(
-        workloads, points, scale=0.1, use_cache=False, workers=2,
-        checkpoint=SweepCheckpoint(tag="sweep", signature=signature))
-    assert [batch.stats.restored for batch in resumed] == [2, 0]
+    resumed = run_grid(workloads, points, scale=0.1, workers=2)
+    assert [batch.stats.cache_hits for batch in resumed] == [2, 0]
     assert [batch.stats.executed for batch in resumed] == [0, 2]
     assert ([cache.serialize_result(r) for b in resumed for r in b.results]
             == [cache.serialize_result(r) for b in full for r in b.results])
@@ -151,15 +104,13 @@ def test_parallel_resume_restores_recorded_pairs():
 def test_parallel_resume_ignores_failed_entries():
     # An entry that fails to decode is re-run, never restored.
     points = parse_grid("rocket")
-    signature = grid_signature(["vvadd"], ["rocket"], 0.1)
-    checkpoint = SweepCheckpoint(tag="sweep", signature=signature)
-    checkpoint.record("vvadd:rocket", {"status": "failed",
-                                       "error": "injected"})
+    path = cache.entry_path(cache.cache_key("vvadd", 0.1, ROCKET))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text('{"status": "failed", "error": "injected"}')
 
-    [batch] = run_grid(
-        ["vvadd"], points, scale=0.1, use_cache=False, workers=2,
-        checkpoint=SweepCheckpoint(tag="sweep", signature=signature))
-    assert batch.stats.restored == 0
+    [batch] = run_grid(["vvadd"], points, scale=0.1, workers=2)
+    assert batch.stats.cache_hits == 0
+    assert batch.stats.quarantined == ["rocket"]
     assert batch.stats.executed == 1
     oracle = run_grid(["vvadd"], points, scale=0.1, use_cache=False,
                       workers=1)
@@ -167,21 +118,39 @@ def test_parallel_resume_ignores_failed_entries():
             == cache.serialize_result(oracle[0].results[0]))
 
 
+def test_resume_flag_is_gone(capsys):
+    for command in ("suite", "sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--resume"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
-# acceptance: SIGKILL mid-suite, then --resume
+# acceptance: SIGKILL mid-suite, then re-run the same command
 # ---------------------------------------------------------------------------
 
-def _run_suite_cli(cache_dir, *extra, check=True):
-    env = dict(os.environ, REPRO_CACHE_DIR=str(cache_dir),
-               PYTHONPATH="src", PYTHONUNBUFFERED="1")
+SUITE_ARGS = ["suite", "--category", "micro", "--config", "rocket",
+              "--scale", "0.3"]
+
+
+def _suite_env(cache_dir):
+    return dict(os.environ, REPRO_CACHE_DIR=str(cache_dir),
+                PYTHONPATH="src", PYTHONUNBUFFERED="1")
+
+
+def _run_suite_cli(cache_dir):
     process = subprocess.run(
-        [sys.executable, "-m", "repro.tools.cli", "suite",
-         "--category", "micro", "--config", "rocket", "--scale", "0.3",
-         *extra],
-        capture_output=True, text=True, env=env, timeout=300)
-    if check:
-        assert process.returncode == 0, process.stderr
+        [sys.executable, "-m", "repro.tools.cli", *SUITE_ARGS],
+        capture_output=True, text=True, env=_suite_env(cache_dir),
+        timeout=300)
+    assert process.returncode == 0, process.stderr
     return process
+
+
+def _entry_inodes(cache_dir):
+    return {path.name: path.stat().st_ino
+            for path in cache_dir.glob("*.json")}
 
 
 def test_sigkill_then_resume_is_bit_identical(tmp_path):
@@ -192,17 +161,14 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path):
 
     oracle = _run_suite_cli(oracle_dir)
 
-    env = dict(os.environ, REPRO_CACHE_DIR=str(victim_dir),
-               PYTHONPATH="src", PYTHONUNBUFFERED="1")
     victim = subprocess.Popen(
-        [sys.executable, "-m", "repro.tools.cli", "suite",
-         "--category", "micro", "--config", "rocket", "--scale", "0.3"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    # Give it long enough to checkpoint some pairs, then kill it hard.
+        [sys.executable, "-m", "repro.tools.cli", *SUITE_ARGS],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_suite_env(victim_dir))
+    # Wait for the first finished workload's cache entry, then kill hard.
     deadline = time.time() + 30
-    ckpt = (victim_dir / "checkpoints")
     while time.time() < deadline and victim.poll() is None:
-        if ckpt.is_dir() and any(ckpt.glob("*.ckpt")):
+        if any(victim_dir.glob("*.json")):
             break
         time.sleep(0.02)
     mid_flight = victim.poll() is None
@@ -212,9 +178,14 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path):
         pytest.skip("suite finished before SIGKILL landed; nothing to kill")
     assert victim.returncode == -signal.SIGKILL
 
-    # Progress survived the kill...
-    resumed = _run_suite_cli(victim_dir, "--resume")
-    # ...and the resumed output is bit-identical to the oracle's.
+    # Progress survived the kill as result-cache entries...
+    survivors = _entry_inodes(victim_dir)
+    assert survivors
+    resumed = _run_suite_cli(victim_dir)
+    # ...the re-run's output is bit-identical to the oracle's...
     assert resumed.stdout == oracle.stdout
-    # A clean finish clears the checkpoint.
-    assert not any((victim_dir / "checkpoints").glob("*.ckpt"))
+    # ...it served every surviving entry (a hit never rewrites the file,
+    # a simulation replaces it) and simulated exactly the rest.
+    after = _entry_inodes(victim_dir)
+    assert {name: after[name] for name in survivors} == survivors
+    assert len(after) == len(workload_names("micro"))

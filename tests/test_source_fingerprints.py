@@ -1,9 +1,9 @@
 """Source fingerprints must cover every module the cached work runs.
 
 Three caches key their entries by a hash of simulator source: the
-trace cache (``trace_cache.fingerprint``), the result cache and sweep
-checkpoints (``cache.model_fingerprint``) and the multicore scenario
-cache (``multicore_fingerprint``).  An edit to any module a cached run
+trace cache (``trace_cache.fingerprint``), the result cache
+(``cache.model_fingerprint``) and the multicore scenario cache
+(``multicore_fingerprint``).  An edit to any module a cached run
 imported must change the fingerprint, or stale entries are served.
 
 The check runs in a child process over a copy of the ``repro`` package:

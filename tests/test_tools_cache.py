@@ -111,6 +111,32 @@ def test_store_leaves_no_tmp_files(isolated_cache):
     assert leftovers == []
 
 
+def test_failed_replace_leaves_no_tmp_in_any_store(isolated_cache,
+                                                   monkeypatch):
+    import errno
+
+    from repro.service.store import ResultStore
+    from repro.workloads import build_trace, trace_cache
+
+    result = run_core("vvadd", ROCKET, scale=0.2, use_cache=False)
+    trace = build_trace("vvadd", scale=0.2)
+    trace_cache.clear_memory()
+    # Force the disk-tier write below.
+    trace_cache.entry_path("vvadd", 0.2).unlink(missing_ok=True)
+
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    # The two caches swallow the error; the pending-job file raises.
+    assert store(cache_key("vvadd", 0.2, ROCKET), result) is False
+    trace_cache.get("vvadd", 0.2, lambda: trace)
+    with pytest.raises(OSError):
+        ResultStore().persist_pending([])
+    assert sorted(isolated_cache.rglob("*.tmp")) == []
+    trace_cache.clear_memory()
+
+
 def test_run_core_uses_cache(isolated_cache):
     first = run_core("median", ROCKET, scale=0.2)
     assert (isolated_cache / f"{cache_key('median', 0.2, ROCKET)}.json"

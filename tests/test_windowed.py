@@ -25,8 +25,8 @@ from repro.cores.windowed import (ABS_PER_WINDOW, DEFAULT_WARMUP,
                                   EXACT_EVENTS, GATE_WARMUP, REL_TOL,
                                   RETIRE_EDGE_SLACK, RETIRE_EVENTS,
                                   assert_stitch_equivalent, normalized_warmup,
-                                  plan_windows, resolve_windows_env,
-                                  run_windowed, run_windowed_points)
+                                  plan_windows, run_windowed,
+                                  run_windowed_points)
 from repro.reliability import TmaInvariantChecker
 from repro.service.job import TMAJob, JobValidationError, outcome_payload
 from repro.service.workers import execute_job
@@ -111,18 +111,6 @@ def test_normalized_warmup_is_trace_independent():
     assert normalized_warmup(1, None, True) == DEFAULT_WARMUP
     assert normalized_warmup(4, 123, False) == 123
     assert normalized_warmup(4, 0, True) == 0
-
-
-def test_resolve_windows_env(monkeypatch):
-    monkeypatch.delenv("REPRO_WINDOWS", raising=False)
-    monkeypatch.delenv("REPRO_WINDOW_WARMUP", raising=False)
-    assert resolve_windows_env() == (None, None)
-    monkeypatch.setenv("REPRO_WINDOWS", "3")
-    monkeypatch.setenv("REPRO_WINDOW_WARMUP", "128")
-    assert resolve_windows_env() == (3, 128)
-    monkeypatch.setenv("REPRO_WINDOWS", "many")
-    with pytest.raises(ValueError):
-        resolve_windows_env()
 
 
 # ----------------------------------------------------------------------
@@ -329,15 +317,6 @@ def test_run_core_windows_delegates():
     via_run_core = run_core("towers", ROCKET, scale=SCALE, windows=2,
                             use_cache=False, workers=1)
     assert result_digest(via_run_core) == result_digest(direct)
-
-
-def test_run_core_honours_window_env(monkeypatch):
-    monkeypatch.setenv("REPRO_WINDOWS", "3")
-    monkeypatch.setenv("REPRO_WINDOW_WARMUP", "128")
-    result = run_core("towers", ROCKET, scale=SCALE, use_cache=False,
-                      workers=1)
-    assert result.windowed["windows"] == 3
-    assert result.windowed["warmup"] == 128
 
 
 def test_huge_tier_only_runs_windowed():
