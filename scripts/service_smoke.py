@@ -10,6 +10,9 @@ and audits the books:
 - every duplicate was served without re-execution (in-flight dedup or
   the O(1) result store) — executions == unique jobs;
 - /metrics reports queue depth, dedup hits, and p50/p99 job latency;
+- windowed (exact and sampled) and multicore jobs complete, and each
+  repeat is served without an execution with the executed result
+  document, the ``sampled`` label included;
 - graceful drain: /healthz reports drained, zero accepted-but-lost.
 
 Exits non-zero on the first violated expectation.
@@ -26,6 +29,15 @@ CONFIGS = ("rocket", "small-boom")
 SCALES = (0.1, 0.15)
 QUEUE_CAPACITY = 16
 WORKERS = 4
+#: Every other job kind: (route, body).  Each runs once, then repeats.
+OTHER_KINDS = (
+    ("jobs", {"workload": "median", "config": "rocket", "scale": 0.1,
+              "windows": 2}),
+    ("jobs", {"workload": "median", "config": "rocket", "scale": 0.1,
+              "windows": 2, "sampled": True}),
+    ("multicore", {"scenario": "noisy-neighbor", "scale": 0.1}),
+)
+PROVENANCE = ("attempts", "from_cache")
 
 
 def fail(message):
@@ -37,6 +49,36 @@ def check(condition, message):
     if not condition:
         fail(message)
     print(f"  ok: {message}")
+
+
+def submit_and_wait(client, route, body):
+    body = dict(body)
+    if route == "multicore":
+        receipt = client.submit_multicore(body.pop("scenario"), retries=50,
+                                          **body)
+    else:
+        receipt = client.submit(body.pop("workload"), retries=50, **body)
+    return client.wait(receipt["id"], timeout=300.0)
+
+
+def check_repeat_served(client, route, body):
+    """One job kind: it runs once, and its repeat is a store hit with
+    the executed result document."""
+    executed_before = client.metrics()["counters"]["jobs_executed"]
+    first = submit_and_wait(client, route, body)
+    check(first["state"] == "done", f"{route} {body} completed")
+    repeat = submit_and_wait(client, route, body)
+    executed = client.metrics()["counters"]["jobs_executed"]
+    check(repeat["state"] == "done" and repeat["result"]["from_cache"]
+          and executed == executed_before + 1,
+          f"{route} {body} repeat served without an execution")
+    if body.get("windows"):
+        check(repeat["result"]["sampled"] is bool(body.get("sampled")),
+              f"served sampled label is {bool(body.get('sampled'))}")
+    stripped = [{key: value for key, value in record["result"].items()
+                 if key not in PROVENANCE} for record in (first, repeat)]
+    check(stripped[0] == stripped[1],
+          "served result equals the executed one")
 
 
 def main():
@@ -120,6 +162,10 @@ def main():
           f"p50={latency.get('p50')}s p99={latency.get('p99')}s reported")
     check(counters.get("jobs_rejected", 0) == retries_taken,
           f"each retry maps to one 429 rejection ({retries_taken})")
+
+    for route, body in OTHER_KINDS:
+        check_repeat_served(client, route, body)
+    counters = client.metrics()["counters"]
 
     report = client.drain()
     check(report["state"] == "drained", "drain completed")

@@ -296,6 +296,7 @@ def _run_inline(
     scale: float,
     stats: BatchStats,
     note: Callable[[GridPoint, CoreResult], None],
+    max_cycles: Optional[int],
 ) -> None:
     from ..workloads import build_trace
 
@@ -307,7 +308,7 @@ def _run_inline(
         getattr(core, "predictor", None) for core in cores
     )
     for point, core in zip(pending, cores):
-        note(point, core.run(trace))
+        note(point, core.run(trace, max_cycles=max_cycles))
 
 
 def point_task_key(workload: str, point: GridPoint) -> str:
@@ -315,12 +316,13 @@ def point_task_key(workload: str, point: GridPoint) -> str:
     return f"point:{workload}:{point.key}"
 
 
-def _run_point(task: Tuple[str, float, CoreConfig]) -> CoreResult:
+def _run_point(task: Tuple[str, float, CoreConfig, Optional[int]]) -> CoreResult:
     """Fan-out entry (pool worker or parent): one point, fresh core."""
     from ..workloads import build_trace
 
-    workload, scale, config = task
-    return make_core(config).run(build_trace(workload, scale=scale))
+    workload, scale, config, max_cycles = task
+    trace = build_trace(workload, scale=scale)
+    return make_core(config).run(trace, max_cycles=max_cycles)
 
 
 def run_batch(
@@ -334,6 +336,7 @@ def run_batch(
     warmup: Optional[int] = None,
     sampled: bool = False,
     progress: bool = False,
+    max_cycles: Optional[int] = None,
 ) -> BatchResult:
     """Run one workload across a whole config grid in a single pass.
 
@@ -356,6 +359,9 @@ def run_batch(
     even on small grids.  Windowed results use their own cache keys
     (the window plan is folded in), so they never satisfy — or poison —
     plain batch entries.
+
+    *max_cycles* arms every core run's cycle watchdog (``core.run``'s
+    meaning; a windowed point gives each window run the budget).
     """
     from ..core.tma import compute_tma
     from ..tools import cache as result_cache
@@ -420,6 +426,7 @@ def run_batch(
             workers=workers,
             progress=progress,
             note=note,
+            max_cycles=max_cycles,
         )
     elif resolve_workers(workers, len(pending)) > 1:
         from ..workloads import build_trace
@@ -430,14 +437,17 @@ def run_batch(
         stats.trace_fetches = 1
         by_key = {point_task_key(workload, point): point for point in pending}
         report = fan_out(
-            [(key, (workload, scale, point.config)) for key, point in by_key.items()],
+            [
+                (key, (workload, scale, point.config, max_cycles))
+                for key, point in by_key.items()
+            ],
             _run_point,
             _run_point,
             workers,
             on_result=lambda key, result: note(by_key[key], result),
         )
     elif pending:
-        _run_inline(workload, pending, scale, stats, note)
+        _run_inline(workload, pending, scale, stats, note, max_cycles)
     if report is not None:
         stats.mode = report.mode
         stats.workers = report.workers

@@ -276,20 +276,23 @@ def _pin_retire_counts(result: CoreResult, n_instr: int) -> CoreResult:
 
 
 def measure_window(window_trace: ColumnarTrace, warm_len: int,
-                   config: CoreConfig) -> CoreResult:
+                   config: CoreConfig,
+                   max_cycles: Optional[int] = None) -> CoreResult:
     """Measure one window whose first *warm_len* instructions are warmup.
 
     *window_trace* spans ``[start - warm_len, stop)`` of the parent
     trace.  Both runs use fresh cores (state is never shared between
-    windows) over the same shared columns.
+    windows) over the same shared columns.  *max_cycles* is each run's
+    cycle watchdog (``core.run``'s meaning; None disarms it).
     """
     full = _pin_retire_counts(
-        make_core(config).run(window_trace), len(window_trace))
+        make_core(config).run(window_trace, max_cycles=max_cycles),
+        len(window_trace))
     if warm_len <= 0:
         return full
     warm_trace = window_trace.slice(0, warm_len)
     warm = _pin_retire_counts(
-        make_core(config).run(warm_trace), warm_len)
+        make_core(config).run(warm_trace, max_cycles=max_cycles), warm_len)
     return subtract_results(full, warm)
 
 
@@ -485,17 +488,19 @@ def _tick(progress, message: str) -> None:
         print(message, file=sys.stderr, flush=True)
 
 
-#: One window's fan-out task: ``(key, (warm_start, start, stop, config))``.
-WindowTask = Tuple[str, Tuple[int, int, int, CoreConfig]]
+#: One window's fan-out task:
+#: ``(key, (warm_start, start, stop, config, max_cycles))``.
+WindowTask = Tuple[str, Tuple[int, int, int, CoreConfig, Optional[int]]]
 
 
 def _window_tasks(workload: str, plan: WindowPlan, label: str,
-                  config: CoreConfig) -> List[WindowTask]:
+                  config: CoreConfig,
+                  max_cycles: Optional[int]) -> List[WindowTask]:
     """One task per window of *plan*; the key names workload, point and
     window (it is also the pool's worker-kill chaos key)."""
     return [
         (f"window:{workload}:{label}:{i}",
-         (max(0, start - plan.warmup), start, stop, config))
+         (max(0, start - plan.warmup), start, stop, config, max_cycles))
         for i, (start, stop) in enumerate(plan.spans)
     ]
 
@@ -508,10 +513,10 @@ def _window_task(task) -> Tuple[CoreResult, float]:
     worker and shared across every window of the same trace
     (digest-keyed cache in the codec).
     """
-    warm_start, start, _, config, static_blob, window_blob = task
+    warm_start, start, _, config, max_cycles, static_blob, window_blob = task
     begin = time.perf_counter()
     trace = unpack_window(static_blob, window_blob)
-    result = measure_window(trace, start - warm_start, config)
+    result = measure_window(trace, start - warm_start, config, max_cycles)
     return result, time.perf_counter() - begin
 
 
@@ -537,17 +542,17 @@ def _measure_windows(
                  for key, span in tasks]
 
     def inline(task) -> Tuple[CoreResult, float]:
-        warm_start, start, stop, config = task[:4]
+        warm_start, start, stop, config, max_cycles = task[:5]
         begin = time.perf_counter()
         result = measure_window(trace.slice(warm_start, stop),
-                                start - warm_start, config)
+                                start - warm_start, config, max_cycles)
         return result, time.perf_counter() - begin
 
     done: Dict[str, Tuple[CoreResult, float]] = {}
 
     def note(key: str, measured: Tuple[CoreResult, float]) -> None:
         done[key] = measured
-        _, start, stop, _ = spans[key]
+        start, stop = spans[key][1:3]
         _tick(progress,
               f"[windowed] window {len(done)}/{len(spans)} ({key}): "
               f"{stop - start} instr, {measured[1]:.2f}s")
@@ -573,51 +578,25 @@ def run_windowed(workload: str, config: CoreConfig, *, windows: int,
                  scale: float = 1.0, warmup: Optional[int] = None,
                  sampled: bool = False,
                  use_cache: bool = True, workers: Optional[int] = None,
-                 progress: bool = False) -> CoreResult:
+                 progress: bool = False,
+                 max_cycles: Optional[int] = None) -> CoreResult:
     """Windowed (or sampled) replacement for a single ``run_core``.
 
-    Returns a whole-run :class:`CoreResult` carrying ``windowed``
-    metadata (plan, per-window wall times, coverage; error bars when
-    sampled).  Results are cached under
-    :func:`repro.tools.cache.windowed_cache_key`, which folds the
+    A one-point windowed :func:`~repro.cores.batch.run_batch`: returns a
+    whole-run :class:`CoreResult` carrying ``windowed`` metadata (plan,
+    per-window wall times, coverage; error bars when sampled), cached
+    under :func:`repro.tools.cache.windowed_cache_key`, which folds the
     window plan so windowed entries never collide with plain runs or
-    with each other across plans/modes.
+    with each other across plans/modes.  *max_cycles* is every window
+    run's cycle watchdog.
     """
-    from ..tools import cache as result_cache
-    from ..workloads import build_trace
+    from .batch import run_batch
 
-    # The key normalizes the request without touching the trace, so a
-    # cache hit skips even the functional-execution/trace-fetch cost.
-    key = result_cache.windowed_cache_key(
-        workload, scale, config, windows,
-        normalized_warmup(windows, warmup, sampled), sampled)
-    if use_cache:
-        cached = result_cache.load(key)
-        if cached is not None:
-            return cached
-    trace = build_trace(workload, scale=scale)
-    plan = plan_windows(len(trace), windows, warmup=warmup, sampled=sampled)
-
-    begin = time.perf_counter()
-    tasks = _window_tasks(workload, plan, config.name, config)
-    done, report = _measure_windows(trace, tasks, workers, progress)
-    parts = [done[key][0] for key, _ in tasks]
-    walls = [done[key][1] for key, _ in tasks]
-
-    stitched = stitch_results(workload, parts)
-    metadata = windowed_metadata(plan, walls)
-    metadata["wall_s"] = round(time.perf_counter() - begin, 6)
-    if report.fallback_reason is not None:
-        metadata["fallback_reason"] = report.fallback_reason
-    if plan.sampled:
-        result = extrapolate_sampled(stitched, plan, parts)
-        metadata["error_bars"] = _error_bars(parts)
-    else:
-        result = stitched
-    result.windowed = metadata
-    if use_cache:
-        result_cache.store(key, result)
-    return result
+    return run_batch(
+        workload, [GridPoint(config.name, config)], scale=scale,
+        use_cache=use_cache, workers=workers, windows=windows,
+        warmup=warmup, sampled=sampled, progress=progress,
+        max_cycles=max_cycles).results[0]
 
 
 def run_windowed_points(
@@ -626,6 +605,7 @@ def run_windowed_points(
     workers: Optional[int] = None,
     progress: bool = False,
     note: Optional[Callable[[GridPoint, CoreResult], None]] = None,
+    max_cycles: Optional[int] = None,
 ) -> Tuple[Dict[str, CoreResult], FanoutReport]:
     """Grid x windows: every (point, window) pair is one pool work unit.
 
@@ -641,7 +621,7 @@ def run_windowed_points(
     trace = build_trace(workload, scale=scale)
     plan = plan_windows(len(trace), windows, warmup=warmup, sampled=sampled)
     per_point = {point.key: _window_tasks(workload, plan, point.key,
-                                          point.config)
+                                          point.config, max_cycles)
                  for point in points}
 
     begin = time.perf_counter()

@@ -78,9 +78,10 @@ class CacheIntegrityError(ReliabilityError):
 class DeadlineExceeded(ReliabilityError):
     """A run's wall-clock deadline lapsed before (or between) attempts.
 
-    Deadlines propagate from the CLI or a service job through
-    :class:`~repro.tools.pool.RunnerSpec` into the resilient runner,
-    which checks them between retry attempts: a pair that cannot start
-    (or restart) before its deadline fails with this error instead of
+    Deadlines propagate from the CLI or a service job into
+    :meth:`ResilientRunner.run_one
+    <repro.reliability.runner.ResilientRunner.run_one>`, which checks
+    them before every attempt: a request that cannot start (or
+    restart) before its deadline fails with this error instead of
     burning pool time on work nobody is still waiting for.
     """

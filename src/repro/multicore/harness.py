@@ -325,7 +325,7 @@ def run_scenario_payload(scenario: Union[str, Scenario], *,
     scenario.validate()
     key = scenario_cache_key(scenario)
     if use_cache:
-        cached = cache.load_payload(key)
+        cached, _ = cache.load_payload_or_quarantine(key)
         if cached is not None:
             return dict(cached, from_cache=True)
     payload = run_scenario(scenario, max_cycles=max_cycles).to_payload()

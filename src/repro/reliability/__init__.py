@@ -14,9 +14,13 @@ The subsystem that proves the rest of the pipeline trustworthy:
 - :mod:`repro.reliability.breaker` — per-key
   :class:`CircuitBreaker` registry (closed / open / half-open) so
   repeatedly-failing pairs are quarantined instead of re-executed.
-- :mod:`repro.reliability.runner` — a resilient runner for one
-  (workload, config) pair with watchdogs, policy-driven retry,
-  deadlines, circuit breaking and cache quarantine.
+- :mod:`repro.reliability.request` — the run requests
+  (:class:`TMAJob`, :class:`MulticoreJob`): frozen, picklable,
+  validated values with their cache and dedup keys.
+- :mod:`repro.reliability.runner` — the one execution seam,
+  :meth:`ResilientRunner.run_one`: cache lookup with quarantine,
+  deadline, watchdog, invariant check, policy-driven retry and cache
+  store, for every kind of request.
 
 Faults are injected by :mod:`repro.chaos` alone: its model faults
 (:mod:`repro.chaos.model`) break the counters, the trace and the core,
@@ -30,7 +34,9 @@ from .errors import (CacheIntegrityError, CounterCorruption,
                      SlotConservationViolation)
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from .invariants import EXACT_INCREMENT_MODES, TmaInvariantChecker
-from .runner import DEFAULT_MAX_CYCLES, ResilientRunner, RunOutcome
+from .request import (DEFAULT_MAX_CYCLES, JobValidationError, MulticoreJob,
+                      RunRequest, TMAJob)
+from .runner import ResilientRunner, RunOutcome
 
 __all__ = [
     "BreakerState",
@@ -41,11 +47,15 @@ __all__ = [
     "DEFAULT_MAX_CYCLES",
     "DeadlineExceeded",
     "EXACT_INCREMENT_MODES",
+    "JobValidationError",
+    "MulticoreJob",
     "ReliabilityError",
     "ResilientRunner",
     "RetryPolicy",
     "RunOutcome",
+    "RunRequest",
     "RunTimeout",
     "SlotConservationViolation",
+    "TMAJob",
     "TmaInvariantChecker",
 ]

@@ -20,8 +20,8 @@ the single value object they all share now:
   attempt that no caller is still waiting for.
 - **Injectable clock and sleeper**, so unit tests never really sleep.
 
-The policy is frozen (hashable, picklable): it can ride inside a
-:class:`~repro.tools.pool.RunnerSpec` across a process boundary.
+The policy is frozen (hashable, picklable): it can cross a process
+boundary with the work it governs.
 """
 
 from __future__ import annotations

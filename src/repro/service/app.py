@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .. import __version__
@@ -198,28 +198,22 @@ class TMAService:
         self.metrics.inc("jobs_executed")
         self._emit(record, "running")
         allow_crash_hook = record.requeues == 0
-        spec = record.job.runner_spec()
+        deadline = None
         if record.job.deadline_seconds is not None:
             # Relative budget -> absolute deadline, stamped at launch
             # so queue wait does not eat into the execution budget.
-            spec = replace(spec, deadline=(record.started_at
-                                           + record.job.deadline_seconds))
+            deadline = record.started_at + record.job.deadline_seconds
         # Windowed jobs stream per-window ticks when the executor keeps
         # the work in-process; progress callbacks cannot cross process
-        # boundaries, so those deployments stream lifecycle events
-        # only.
-        progress = None
-        if spec.windows is not None and self.pool.supports_callbacks:
-            record_id = record.id
-            progress = (lambda message:
-                        self.events.append(record_id, "progress",
-                                           {"message": message}))
+        # boundaries, so the pool drops them there and those
+        # deployments stream lifecycle events only.
+        record_id = record.id
+        progress = (lambda message:
+                    self.events.append(record_id, "progress",
+                                       {"message": message}))
         try:
-            future = self.pool.submit(spec,
-                                      record.job.workload,
-                                      record.job.config,
-                                      allow_crash_hook,
-                                      progress=progress)
+            future = self.pool.submit(record.job, deadline,
+                                      allow_crash_hook, progress=progress)
         except Exception as exc:  # noqa: BLE001 - submission itself died
             self._finish_execution(record, error=exc)
             return

@@ -2,21 +2,21 @@
 
 The store layers the service onto :mod:`repro.tools.cache` — the
 checksummed, atomically-written, size-bounded disk cache of core
-results.  A repeat request whose underlying core result is already on
-disk is answered straight from the store (TMA recomputed from the
-cached :class:`~repro.cores.base.CoreResult`, which is cheap) without
-ever touching the worker pool.  When that entry is missing or damaged
-(the primary's cache write hit a full disk, or was corrupted), the
-repeat is answered from the finished primary's result, which the store
-keeps in memory for the last :data:`RECENT_RESULTS` jobs — a failed
-write costs durability, never a second execution.
+results and scenario payloads.  A repeat request whose result is
+already on disk is answered straight from the store without ever
+touching the worker pool: the hit comes from the runner seam's own
+lookup step (:func:`repro.reliability.runner.lookup`, which quarantines
+a damaged entry) and is rendered by
+:func:`~repro.service.job.outcome_payload` exactly like an executed
+result.  When that entry is missing or damaged (the primary's cache
+write hit a full disk, or was corrupted), the repeat is answered from
+the finished primary's result, which the store keeps in memory for the
+last :data:`RECENT_RESULTS` jobs — a failed write costs durability,
+never a second execution.
 
-Serving from the core-result cache is only *exact* for the default
-harness options: the ``adders`` counter architecture is an exact
-popcount (PMU readings equal the core's own totals) and ``baremetal``
-adds no measurement passes.  Jobs that ask for ``classic`` /
-``distributed`` counters or ``linux`` mode measure through multi-pass
-or perturbed harness paths, so those always execute.
+Only jobs whose cache entry is an *exact* stand-in for a run are
+served (``job.servable()``): ``classic``/``distributed`` counters,
+``linux`` mode or an explicit event list always execute.
 
 The store also owns the drain persistence file: accepted jobs that a
 shutdown could not finish are written (atomically) to
@@ -36,8 +36,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..core.tma import compute_tma
-from ..reliability.runner import RunOutcome
+from ..reliability import runner
 from ..tools import cache
 from .job import MulticoreJob, TMAJob, outcome_payload
 
@@ -76,33 +75,17 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Repeat-request serving
 
-    @staticmethod
-    def servable(job: TMAJob) -> bool:
-        """True when the disk cache is an exact stand-in for a run."""
-        return (job.use_cache
-                and job.increment_mode == "adders"
-                and job.mode == "baremetal"
-                and job.events is None)
-
-    def _cacheable(self, job: TMAJob) -> bool:
-        if isinstance(job, MulticoreJob):
-            return job.use_cache
-        return self.servable(job)
-
     def lookup(self, job: TMAJob) -> Optional[Dict[str, Any]]:
         """Result payload for *job* if served without a run.
 
         The disk cache answers first; a job whose entry is missing or
         damaged is answered from its last :meth:`remember`-ed result.
         """
-        if not self._cacheable(job):
+        if not job.servable():
             return None
-        if isinstance(job, MulticoreJob):
-            payload = self._lookup_multicore(job)
-        else:
-            payload = self._lookup_core(job)
-        if payload is not None:
-            return payload
+        served, _ = runner.lookup(job)
+        if served is not None:
+            return outcome_payload(served, from_cache=True)
         with self._lock:
             payload = self._recent.get(job.job_key())
         return None if payload is None else dict(payload)
@@ -115,56 +98,17 @@ class ResultStore:
         primary's cache write failed.  The served copy reads like a
         disk hit: no attempts, ``from_cache``, no recovered-error note.
         """
-        if not self._cacheable(job):
+        if not job.servable():
             return
         served = {key: value for key, value in payload.items()
                   if key not in ("error_class", "error")}
         served.update(attempts=0, from_cache=True)
-        if isinstance(served.get("multicore"), dict):
-            served["multicore"] = dict(served["multicore"], from_cache=True)
         key = job.job_key()
         with self._lock:
             self._recent[key] = served
             self._recent.move_to_end(key)
             while len(self._recent) > RECENT_RESULTS:
                 self._recent.popitem(last=False)
-
-    def _lookup_core(self, job: TMAJob) -> Optional[Dict[str, Any]]:
-        """Serve a single-core job from its cached core result."""
-        result = cache.load(job.cache_key())
-        if result is None:
-            return None
-        tma = compute_tma(result)
-        outcome = RunOutcome(workload=job.workload,
-                             config_name=result.config_name,
-                             status="ok", attempts=0)
-        payload = outcome_payload(outcome, from_cache=True)
-        payload["cycles"] = result.cycles
-        payload["instret"] = result.instret
-        payload["ipc"] = round(result.ipc, 6)
-        payload["tma"] = {
-            "level1": {k: round(v, 6) for k, v in tma.level1.items()},
-            "level2": {k: round(v, 6) for k, v in tma.level2.items()},
-            "dominant": tma.dominant_class(),
-        }
-        return payload
-
-    def _lookup_multicore(self, job: MulticoreJob) -> Optional[Dict[str, Any]]:
-        """Serve a scenario job from the cached scenario payload.
-
-        Scenario runs cache their whole result document (see
-        :func:`repro.multicore.run_scenario_payload`), so a repeat
-        request reconstructs the job result verbatim — no recompute.
-        """
-        cached = cache.load_payload(job.cache_key())
-        if cached is None:
-            return None
-        return {
-            "status": "ok",
-            "attempts": 0,
-            "from_cache": True,
-            "multicore": dict(cached, from_cache=True),
-        }
 
     # ------------------------------------------------------------------
     # Durable requeue across restarts

@@ -1,11 +1,14 @@
 """Worker pool: job execution with crash isolation and recovery.
 
-Jobs execute through :class:`~repro.reliability.runner.ResilientRunner`
-(watchdog, invariant checks, bounded retry, cache quarantine) rebuilt
-from a picklable :class:`~repro.tools.pool.RunnerSpec` inside whatever
-executor the deployment chose — ``process`` (crash isolation, true
-parallelism), ``thread``, or ``inline`` (see
-:mod:`repro.tools.pool`, shared with the batch sweep engine).
+Every job — a point, a windowed run or a multicore scenario — executes
+through :meth:`ResilientRunner.run_one
+<repro.reliability.runner.ResilientRunner.run_one>` (cache lookup with
+quarantine, deadline, watchdog, invariant check, retry, cache store)
+inside whatever executor the deployment chose — ``process`` (crash
+isolation, true parallelism), ``thread``, or ``inline`` (see
+:mod:`repro.tools.pool`, shared with the batch sweep engine).  The job
+object itself is the picklable request: the pool ships
+``(job, absolute deadline)``.
 
 A worker that dies outright (OOM-killed, segfaulted) breaks the whole
 :class:`~concurrent.futures.ProcessPoolExecutor`; the pool detects the
@@ -25,18 +28,17 @@ from concurrent.futures import BrokenExecutor, Future
 from typing import Callable, Optional
 
 from ..chaos import injector as chaos
-from ..cores import resolve_config_spec
+from ..reliability.request import RunRequest
 from ..reliability.retry import RetryPolicy
-from ..reliability.runner import RunOutcome
-from ..tools.pool import (ExecutorFactory, RunnerSpec, executor_factory,
-                          in_worker)
+from ..reliability.runner import ResilientRunner, RunOutcome
+from ..tools.pool import ExecutorFactory, executor_factory, in_worker
 
 #: Submission-path retry schedule: one rebuild-and-resubmit per broken
 #: executor, no backoff (a fresh pool is immediately usable).
 SUBMIT_RETRY_POLICY = RetryPolicy(max_attempts=2, base_delay=0.0)
 
 
-def execute_job(spec: RunnerSpec, workload: str, config_name: str,
+def execute_job(job: RunRequest, deadline: Optional[float] = None,
                 allow_crash_hook: bool = True,
                 progress: Optional[Callable[[str], None]] = None
                 ) -> RunOutcome:
@@ -56,102 +58,8 @@ def execute_job(spec: RunnerSpec, workload: str, config_name: str,
     if allow_crash_hook and in_worker():
         # Chaos worker-kill seam: first execution only (re-queued jobs
         # run with the hook disabled), so injected kills always recover.
-        chaos.maybe_kill_worker(f"job:{workload}:{config_name}")
-    if spec.scenario is not None:
-        return _execute_multicore(spec)
-    if spec.windows is not None:
-        return _execute_windowed(spec, workload, config_name,
-                                 progress=progress)
-    # Accept grid point keys ("rocket+l1d=8KiB") as well as registry
-    # names, so fanned-out grid jobs run through the same path.
-    config = resolve_config_spec(config_name)
-    runner = spec.build()
-    return runner.run_one(workload, config)
-
-
-def _execute_windowed(spec: RunnerSpec, workload: str, config_name: str,
-                      progress: Optional[Callable[[str], None]] = None
-                      ) -> RunOutcome:
-    """Run one windowed job; the result summary rides the outcome.
-
-    The job already executes inside a service pool worker, so the
-    windowed engine runs its windows serially here (``workers=1``)
-    rather than nesting a second process pool; service-level
-    parallelism comes from many jobs in flight.  The outcome payload is
-    labeled ``kind="windowed"`` and always carries the ``sampled`` flag
-    so :func:`repro.service.job.outcome_payload` can surface it.
-    """
-    from ..core.tma import compute_tma
-    from ..cores.windowed import run_windowed
-    from ..isa.errors import DeadlineExceeded
-
-    assert spec.windows is not None
-    config = resolve_config_spec(config_name)
-    try:
-        if spec.deadline is not None and time.time() >= spec.deadline:
-            raise DeadlineExceeded(
-                f"windowed job {workload!r} deadline lapsed before start")
-        result = run_windowed(
-            workload, config, windows=spec.windows, scale=spec.scale,
-            warmup=spec.windows_warmup, sampled=spec.windows_sampled,
-            use_cache=spec.use_cache, workers=1,
-            progress=progress if progress is not None else False)
-        tma = compute_tma(result)
-    except Exception as exc:  # noqa: BLE001 - reported on the outcome
-        return RunOutcome(workload=workload, config_name=config_name,
-                          status="failed", attempts=1,
-                          error_class=type(exc).__name__,
-                          error=str(exc))
-    payload = {
-        "kind": "windowed",
-        "sampled": result.sampled,
-        "windowed": result.windowed,
-        "cycles": result.cycles,
-        "instret": result.instret,
-        "ipc": round(result.instret / result.cycles, 6)
-        if result.cycles else 0.0,
-        "tma": {
-            "level1": {k: round(v, 6) for k, v in tma.level1.items()},
-            "level2": {k: round(v, 6) for k, v in tma.level2.items()},
-            "dominant": tma.dominant_class(),
-        },
-    }
-    return RunOutcome(workload=workload, config_name=config_name,
-                      status="ok", attempts=1, payload=payload)
-
-
-def _execute_multicore(spec: RunnerSpec) -> RunOutcome:
-    """Run one multicore scenario job; the payload rides the outcome.
-
-    Scenario runs have no Measurement/TMA pair of their own — the
-    per-core documents live inside the scenario payload — so the
-    outcome carries the whole payload for
-    :func:`repro.service.job.outcome_payload` to pass through.
-    """
-    from ..isa.errors import DeadlineExceeded
-    from ..multicore import run_scenario_payload
-
-    assert spec.scenario is not None
-    try:
-        if spec.deadline is not None and time.time() >= spec.deadline:
-            raise DeadlineExceeded(
-                f"scenario {spec.scenario!r} deadline lapsed before start")
-        payload = run_scenario_payload(
-            spec.scenario,
-            cores=spec.scenario_cores,
-            scale=spec.scenario_scale,
-            shared_bus=spec.scenario_shared_bus,
-            arbitration=spec.scenario_arbitration,
-            max_cycles=spec.max_cycles,
-            use_cache=spec.use_cache)
-    except Exception as exc:  # noqa: BLE001 - reported on the outcome
-        return RunOutcome(workload=spec.scenario,
-                          config_name="multicore",
-                          status="failed", attempts=1,
-                          error_class=type(exc).__name__,
-                          error=str(exc))
-    return RunOutcome(workload=spec.scenario, config_name="multicore",
-                      status="ok", attempts=1, payload=payload)
+        chaos.maybe_kill_worker(f"job:{job.workload}:{job.config}")
+    return ResilientRunner().run_one(job, deadline, progress=progress)
 
 
 class WorkerPool:
@@ -206,7 +114,7 @@ class WorkerPool:
         """
         return self.kind in ("thread", "inline")
 
-    def submit(self, spec: RunnerSpec, workload: str, config_name: str,
+    def submit(self, job: RunRequest, deadline: Optional[float] = None,
                allow_crash_hook: bool = True,
                progress=None) -> Future:
         # Submission retries follow the shared RetryPolicy: the pool
@@ -218,17 +126,14 @@ class WorkerPool:
             executor = self._ensure_executor()
             if attempt:
                 pause = self.retry_policy.delay(
-                    attempt - 1, salt=f"submit:{workload}:{config_name}")
+                    attempt - 1, salt=f"submit:{job.workload}:{job.config}")
                 if pause > 0:
                     time.sleep(pause)
+            if not self.supports_callbacks:
+                progress = None
             try:
-                if progress is not None and self.supports_callbacks:
-                    future = executor.submit(execute_job, spec, workload,
-                                             config_name, allow_crash_hook,
-                                             progress)
-                else:
-                    future = executor.submit(execute_job, spec, workload,
-                                             config_name, allow_crash_hook)
+                future = executor.submit(execute_job, job, deadline,
+                                         allow_crash_hook, progress)
             except (BrokenExecutor, RuntimeError) as exc:
                 last_exc = exc
                 with self._lock:

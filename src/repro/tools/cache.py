@@ -211,8 +211,8 @@ def _payload_checksum(payload: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _read_verified(path: Path) -> Optional[CoreResult]:
-    """Read + validate one entry; raises CacheIntegrityError on damage."""
+def _read_document(path: Path) -> Dict[str, Any]:
+    """Read + checksum one entry; raises CacheIntegrityError on damage."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
@@ -234,26 +234,39 @@ def _read_verified(path: Path) -> Optional[CoreResult]:
                 f"cache entry {path.name} failed its checksum",
                 invariant="cache-checksum",
                 observed=actual, expected=stored_sum)
+    return document
+
+
+def _result_of(document: Dict[str, Any], name: str) -> CoreResult:
     try:
         return deserialize_result(document)
     except (KeyError, TypeError, ValueError) as exc:
         raise CacheIntegrityError(
-            f"cache entry {path.name} has a broken schema: {exc}",
+            f"cache entry {name} has a broken schema: {exc}",
             invariant="cache-schema", observed=str(exc)) from exc
 
 
-def _load_strict(key: str) -> Optional[CoreResult]:
-    """The entry for *key*, None when absent; raises on damage."""
+def _payload_of(document: Dict[str, Any], name: str) -> Dict[str, Any]:
+    payload = document.get(_PAYLOAD_WRAPPER_KEY)
+    if not isinstance(payload, dict):
+        raise CacheIntegrityError(
+            f"cache entry {name} holds no payload document",
+            invariant="cache-schema", observed=type(payload).__name__)
+    return payload
+
+
+def _load_strict(key: str, parse=_result_of):
+    """The parsed entry for *key*, None when absent; raises on damage."""
     path = entry_path(key)
     if not path.exists():
         return None
-    result = _read_verified(path)
+    value = parse(_read_document(path), path.name)
     try:
         # Touch hits so size-bounded eviction is LRU rather than FIFO.
         os.utime(path)
     except OSError:
         pass
-    return result
+    return value
 
 
 def load(key: str) -> Optional[CoreResult]:
@@ -275,8 +288,20 @@ def load_or_quarantine(
     is judged on the entry actually read, so an entry that is merely
     absent is never reported.
     """
+    return _load_or_quarantine(key, _result_of)
+
+
+def load_payload_or_quarantine(
+    key: str,
+) -> Tuple[Optional[Dict[str, Any]], Optional[CacheIntegrityError]]:
+    """:func:`load_or_quarantine` for a :func:`store_payload` entry."""
+    return _load_or_quarantine(key, _payload_of)
+
+
+def _load_or_quarantine(key: str, parse
+                        ) -> Tuple[Any, Optional[CacheIntegrityError]]:
     try:
-        return _load_strict(key), None
+        return _load_strict(key, parse), None
     except CacheIntegrityError as exc:
         quarantine(key)
         return None, exc
@@ -293,7 +318,7 @@ def verify_entry(key: str) -> bool:
     path = entry_path(key)
     if not path.exists():
         return False
-    _read_verified(path)
+    _result_of(_read_document(path), path.name)
     return True
 
 
@@ -394,33 +419,11 @@ _PAYLOAD_WRAPPER_KEY = "__payload__"
 
 
 def store_payload(key: str, payload: Dict[str, Any]) -> bool:
-    """Write an arbitrary JSON *payload* under *key* (best-effort)."""
+    """Write an arbitrary JSON *payload* under *key* (best-effort).
+
+    :func:`load_payload_or_quarantine` reads it back.
+    """
     return _write_entry(key, {_PAYLOAD_WRAPPER_KEY: payload})
-
-
-def load_payload(key: str) -> Optional[Dict[str, Any]]:
-    """Read a payload entry; any damage or schema mismatch is a miss."""
-    path = entry_path(key)
-    if not path.exists():
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(document, dict):
-        return None
-    stored_sum = document.pop(_CHECKSUM_KEY, None)
-    if stored_sum is None or _payload_checksum(document) != stored_sum:
-        return None
-    payload = document.get(_PAYLOAD_WRAPPER_KEY)
-    if not isinstance(payload, dict):
-        return None
-    try:
-        os.utime(path)
-    except OSError:
-        pass
-    return payload
 
 
 # ----------------------------------------------------------------------

@@ -698,15 +698,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                              deadline=wait_deadline)
         result = record.get("result") or {}
         if record["state"] == "done":
-            tma = result.get("tma", {})
-            windowed = result.get("windowed") or {}
-            if windowed:
-                tma = windowed.get("tma", tma)
             label = " SAMPLED" if result.get("sampled") else ""
             print(f"{record['id']} done{label} "
                   f"workload={record['job']['workload']} "
-                  f"ipc={result.get('ipc', windowed.get('ipc'))} "
-                  f"dominant={tma.get('dominant')} "
+                  f"ipc={result.get('ipc')} "
+                  f"dominant={result.get('tma', {}).get('dominant')} "
                   f"from_cache={result.get('from_cache')} "
                   f"latency={record.get('latency_seconds')}s")
         else:

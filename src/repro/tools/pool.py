@@ -1,4 +1,4 @@
-"""Shared worker-pool plumbing: fan-out, runner specs, executor ladder.
+"""Shared worker-pool plumbing: fan-out and the executor ladder.
 
 Every process fan-out in the repo goes through :func:`fan_out`: the
 batch grid engine (:func:`repro.cores.batch.run_batch`) and the
@@ -13,13 +13,13 @@ get results back in completion order.  Its one contract:
 - inside a pool worker it calls :func:`repro.chaos.maybe_kill_worker`
   once per task, so every fan-out path carries the worker-kill seam.
 
-The long-running analysis service (:mod:`repro.service`) runs
-:class:`~repro.reliability.runner.ResilientRunner` jobs on the same
-executors.  This module also holds the pieces that setup requires:
+The long-running analysis service (:mod:`repro.service`) runs its jobs
+on the same executors: each job is a picklable run request
+(:mod:`repro.reliability.request`) that a worker hands to
+:meth:`ResilientRunner.run_one
+<repro.reliability.runner.ResilientRunner.run_one>`.  This module also
+holds the pieces that setup requires:
 
-- :class:`RunnerSpec` — a picklable recipe for rebuilding a resilient
-  runner inside a worker process (the runner itself may hold
-  unpicklable harness state such as fault injectors);
 - :func:`worker_init` / :func:`in_worker` — pool-worker marking, used
   to confine the worker-kill seam to real pool workers;
 - the **executor ladder**: every execution style a caller can ask for
@@ -68,7 +68,6 @@ from typing import (
 )
 
 from ..chaos import injector as chaos
-from ..reliability.runner import DEFAULT_MAX_CYCLES, ResilientRunner
 
 _IN_WORKER = False
 
@@ -88,88 +87,6 @@ def worker_init() -> None:
 def in_worker() -> bool:
     """True inside a process-pool worker (gates the worker-kill seam)."""
     return _IN_WORKER
-
-
-@dataclass(frozen=True)
-class RunnerSpec:
-    """Picklable recipe for rebuilding a :class:`ResilientRunner`.
-
-    Worker processes cannot receive the runner itself (its harness may
-    carry fault injectors or other unpicklable state), so pool callers
-    ship this value object instead.  Components that fall outside the
-    spec — custom invariant checkers, fault injectors, backoff sleepers
-    — are deliberately serial-only: campaigns that need them should run
-    through :class:`ResilientRunner` directly.
-    """
-
-    core: str = "boom"
-    increment_mode: str = "adders"
-    mode: str = "baremetal"
-    event_names: Optional[Tuple[str, ...]] = None
-    scale: float = 1.0
-    max_attempts: int = 3
-    max_cycles: Optional[int] = DEFAULT_MAX_CYCLES
-    backoff_base: float = 0.0
-    use_cache: bool = True
-    #: Absolute ``time.time()`` wall-clock deadline carried from the
-    #: CLI / service job into the worker-side runner: attempts that
-    #: cannot start before it fail fast with ``DeadlineExceeded``.
-    deadline: Optional[float] = None
-    #: Multicore dispatch: a named scenario routes
-    #: :func:`repro.service.workers.execute_job` through the lockstep
-    #: harness instead of the single-core runner.  The override fields
-    #: mirror :meth:`repro.multicore.Scenario.with_overrides`; None
-    #: means "use the scenario's own value".
-    scenario: Optional[str] = None
-    scenario_cores: Optional[int] = None
-    scenario_scale: Optional[float] = None
-    scenario_shared_bus: Optional[bool] = None
-    scenario_arbitration: Optional[str] = None
-    #: Windowed dispatch: a window count routes
-    #: :func:`repro.service.workers.execute_job` through the windowed
-    #: engine (:mod:`repro.cores.windowed`) instead of the single-shot
-    #: runner.  ``windows_warmup=None`` defers to the engine default;
-    #: ``windows_sampled`` switches to extrapolated sampling (results
-    #: are always labeled ``sampled=True``).
-    windows: Optional[int] = None
-    windows_warmup: Optional[int] = None
-    windows_sampled: bool = False
-
-    @classmethod
-    def from_runner(cls, runner: ResilientRunner) -> "RunnerSpec":
-        harness = runner.harness
-        event_names = tuple(runner.event_names) if runner.event_names else None
-        return cls(
-            core=harness.core,
-            increment_mode=harness.increment_mode,
-            mode=harness.mode,
-            event_names=event_names,
-            scale=runner.scale,
-            max_attempts=runner.max_attempts,
-            max_cycles=runner.max_cycles,
-            backoff_base=runner.backoff_base,
-            use_cache=runner.use_cache,
-            deadline=runner.deadline,
-        )
-
-    def build(self) -> ResilientRunner:
-        from ..pmu.harness import PerfHarness
-
-        harness = PerfHarness(
-            core=self.core,
-            increment_mode=self.increment_mode,
-            mode=self.mode,
-        )
-        return ResilientRunner(
-            harness=harness,
-            event_names=self.event_names,
-            scale=self.scale,
-            max_attempts=self.max_attempts,
-            max_cycles=self.max_cycles,
-            backoff_base=self.backoff_base,
-            use_cache=self.use_cache,
-            deadline=self.deadline,
-        )
 
 
 # ---------------------------------------------------------------------------

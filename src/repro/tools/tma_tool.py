@@ -13,13 +13,10 @@ from typing import List, Optional, Sequence, Union
 
 from ..core.tma import TmaResult, compute_tma
 from ..cores.base import BoomConfig, CoreResult, RocketConfig
-from ..cores.boom import BoomCore
 from ..cores.configs import LARGE_BOOM, ROCKET
-from ..cores.rocket import RocketCore
 from ..isa.errors import DeadlineExceeded
 from ..uarch.cache import CacheConfig
-from ..workloads import build_trace, workload_names
-from . import cache
+from ..workloads import workload_names
 
 CoreConfig = Union[RocketConfig, BoomConfig]
 
@@ -49,8 +46,10 @@ def run_core(workload: str, config: CoreConfig, scale: float = 1.0,
              progress: bool = False) -> CoreResult:
     """Replay *workload* through the timing model for *config*.
 
-    Results are cached on disk keyed by a fingerprint of every module
-    that influences timing, so repeated benchmark runs are cheap.
+    A one-point :func:`repro.cores.batch.run_batch`: results are cached
+    on disk keyed by a fingerprint of every module that influences
+    timing, so repeated benchmark runs are cheap, and a damaged entry
+    is quarantined and re-run.
 
     *windows* shards the trace into K instruction windows simulated in
     parallel and stitched (:mod:`repro.cores.windowed`); *warmup* sets
@@ -61,35 +60,21 @@ def run_core(workload: str, config: CoreConfig, scale: float = 1.0,
     collide with plain runs.  Workloads in the ``huge`` registry
     tier are *only* runnable through the windowed/sampled paths.
     """
-    from ..cores.windowed import run_windowed
+    from ..cores.batch import GridPoint, run_batch
     from ..workloads.registry import HUGE_CATEGORY, workload_category
 
-    if windows is not None:
-        return run_windowed(
-            workload, config, windows=windows, scale=scale, warmup=warmup,
-            sampled=sampled, use_cache=use_cache,
-            workers=workers, progress=progress)
-    if sampled:
-        raise ValueError("sampled=True requires windows= to be set")
-    if workload_category(workload) == HUGE_CATEGORY:
-        raise ValueError(
-            f"workload {workload!r} is in the {HUGE_CATEGORY!r} tier and "
-            f"is only runnable windowed: pass windows= (or --windows), "
-            f"optionally with sampled=True")
-    key = cache.cache_key(workload, scale, config)
-    if use_cache:
-        cached = cache.load(key)
-        if cached is not None:
-            return cached
-    trace = build_trace(workload, scale=scale)
-    if isinstance(config, RocketConfig):
-        core = RocketCore(config)
-    else:
-        core = BoomCore(config)
-    result = core.run(trace)
-    if use_cache:
-        cache.store(key, result)
-    return result
+    if windows is None:
+        if sampled:
+            raise ValueError("sampled=True requires windows= to be set")
+        if workload_category(workload) == HUGE_CATEGORY:
+            raise ValueError(
+                f"workload {workload!r} is in the {HUGE_CATEGORY!r} tier "
+                f"and is only runnable windowed: pass windows= (or "
+                f"--windows), optionally with sampled=True")
+    return run_batch(
+        workload, [GridPoint(config.name, config)], scale=scale,
+        use_cache=use_cache, workers=workers, windows=windows,
+        warmup=warmup, sampled=sampled, progress=progress).results[0]
 
 
 def run_tma(workload: str, config: CoreConfig = LARGE_BOOM,

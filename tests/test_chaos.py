@@ -16,7 +16,7 @@ from repro.chaos.plan import (CLIENT_FLAVORS, DISK_FLAVORS, PLAN_ENV,
 from repro.chaos.campaign import campaign_plan, planned_sweep_faults
 from repro.cores import ROCKET
 from repro.cores.batch import parse_grid, run_batch
-from repro.reliability import ResilientRunner
+from repro.reliability import ResilientRunner, TMAJob
 from repro.tools import cache
 from repro.tools.tma_tool import run_core
 from repro.workloads import trace_cache
@@ -157,9 +157,11 @@ def test_connection_error_carries_errno():
 # ---------------------------------------------------------------------------
 
 def test_corrupt_result_cache_write_is_quarantined_on_next_run():
-    runner = ResilientRunner(scale=0.2)
+    runner = ResilientRunner()
+    job = TMAJob(workload="median", config="rocket", scale=0.2)
     plan = ChaosPlan(seed=11, disk_fault_rate=1.0)
     key = cache.cache_key("median", 0.2, ROCKET)
+    assert job.cache_key() == key
     # The seam decides on the entry's identity, not its full key.  Only
     # exercise a *corrupting* flavor here (enospc leaves no entry).
     chaos_key = cache.fault_key(key)
@@ -170,12 +172,12 @@ def test_corrupt_result_cache_write_is_quarantined_on_next_run():
     assert flavor in ("truncate", "bitflip")
 
     with injector.active(plan):
-        first = runner.run_one("median", ROCKET)
+        first = runner.run_one(job)
     assert first.status == "ok"
     # The stored entry is damaged; a plain load must refuse it...
     assert cache.load(key) is None
     # ...and the next chaos-free run quarantines and recomputes.
-    second = runner.run_one("median", ROCKET)
+    second = runner.run_one(job)
     assert second.status == "ok"
     assert second.quarantined is True
     assert (cache.serialize_result(first.measurement.result)

@@ -18,10 +18,8 @@ from repro.cores.base import RocketConfig
 from repro.cores.batch import GridPoint, parse_grid, point_task_key, run_batch
 from repro.cores.configs import ROCKET
 from repro.cores.windowed import run_windowed, run_windowed_points
-from repro.pmu.harness import PerfHarness
-from repro.reliability.runner import ResilientRunner
 from repro.tools import pool
-from repro.tools.pool import FanoutReport, RunnerSpec, fan_out
+from repro.tools.pool import FanoutReport, fan_out
 
 WORKLOADS = ["dhrystone", "median", "qsort", "towers"]
 GRID = parse_grid("rocket,small-boom")
@@ -197,22 +195,3 @@ def test_pool_kill_matches_inline(path):
         killed, reason = run(2)
     assert killed == inline
     assert reason.startswith("BrokenProcessPool")
-
-
-# ----------------------------------------------------------------------
-# runner specs (shared with the service's worker pool)
-
-
-def test_runner_spec_round_trip():
-    runner = ResilientRunner(harness=PerfHarness(core="rocket"), scale=0.7,
-                             max_attempts=2, max_cycles=123_456,
-                             use_cache=False,
-                             event_names=["slots_issued", "slots_retired"])
-    spec = RunnerSpec.from_runner(runner)
-    rebuilt = pickle.loads(pickle.dumps(spec)).build()
-    assert rebuilt.harness.core == "rocket"
-    assert rebuilt.scale == 0.7
-    assert rebuilt.max_attempts == 2
-    assert rebuilt.max_cycles == 123_456
-    assert rebuilt.event_names == ["slots_issued", "slots_retired"]
-    assert rebuilt.use_cache is False

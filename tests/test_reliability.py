@@ -1,5 +1,7 @@
 """Tests for the reliability layer: model faults, invariants, runner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import injector
@@ -14,9 +16,12 @@ from repro.cores.boom import BoomCore
 from repro.cores.rocket import RocketCore
 from repro.pmu import PerfHarness
 from repro.reliability import (CacheIntegrityError, CounterCorruption,
-                               ReliabilityError, ResilientRunner,
-                               RunTimeout, SlotConservationViolation,
+                               MulticoreJob, ReliabilityError,
+                               ResilientRunner, RetryPolicy, RunTimeout,
+                               SlotConservationViolation, TMAJob,
                                TmaInvariantChecker)
+from repro.reliability import runner as runner_module
+from repro.reliability.runner import lookup
 from repro.tools import cache
 from repro.workloads import build_trace
 
@@ -246,63 +251,157 @@ def test_budget_off_by_default_runs_to_completion():
 # resilient runner
 # ---------------------------------------------------------------------------
 
+MEDIAN = TMAJob(workload="median", scale=0.2, events=tuple(EVENTS),
+                max_cycles=20_000)
+
+
 def test_runner_sweep_reports_partial_results(isolated_cache):
-    # A stalled core makes the pair fail every attempt; the runner
+    # A stalled core makes the job fail every attempt; the runner
     # reports the failure instead of raising it.
     fault = FaultInjector(FaultSpec(kind=STALL_CORE, seed=1, stall_at=32))
-    harness = PerfHarness(core="boom", fault_injector=fault)
-    runner = ResilientRunner(harness=harness, event_names=EVENTS,
-                             scale=0.2, max_attempts=2, max_cycles=20_000)
-    outcome = runner.run_one("median", LARGE_BOOM)
+    runner = ResilientRunner(retry_policy=RetryPolicy(max_attempts=2),
+                             fault_injector=fault)
+    outcome = runner.run_one(MEDIAN)
     assert outcome.status == "failed"
     assert outcome.error_class == "RunTimeout"
     assert outcome.attempts == 2
     assert outcome.measurement is None
 
-    clean = ResilientRunner(harness=PerfHarness(core="boom"),
-                            event_names=EVENTS, scale=0.2,
-                            max_cycles=20_000)
-    clean_outcome = clean.run_one("median", LARGE_BOOM)
+    clean_outcome = ResilientRunner().run_one(MEDIAN)
     assert clean_outcome.ok
     assert clean_outcome.attempts == 1
     assert clean_outcome.tma is not None
+    assert clean_outcome.result is clean_outcome.measurement.result
 
 
 def test_runner_quarantines_poisoned_entry_and_recovers(isolated_cache):
     reference = measure()
-    key = cache.cache_key("median", 0.2, LARGE_BOOM)
+    job = TMAJob(workload="median", scale=0.2)
+    key = job.cache_key()
+    assert key == cache.cache_key("median", 0.2, LARGE_BOOM)
     cache.store(key, reference.result)
     # Valid JSON, valid checksum key removed -> schema damage.
     path = cache.entry_path(key)
     path.write_text('{"workload": "median"}')
-    runner = ResilientRunner(harness=PerfHarness(core="boom"),
-                             event_names=EVENTS, scale=0.2)
-    outcome = runner.run_one("median", LARGE_BOOM)
+    outcome = ResilientRunner().run_one(job)
     assert outcome.quarantined
     assert outcome.ok  # re-run succeeded after quarantine
+    assert outcome.attempts == 1
     assert outcome.error_class == "CacheIntegrityError"  # names the damage
     assert cache.verify_entry(key)  # repopulated with a good entry
+    # The repaired entry is now served without a run.
+    served = ResilientRunner().run_one(job)
+    assert served.ok and served.attempts == 0 and not served.quarantined
+    assert served.result == outcome.result
 
 
 def test_runner_backoff_is_bounded_and_deterministic():
     sleeps = []
     fault = FaultInjector(FaultSpec(kind=STALL_CORE, seed=1, stall_at=32))
-    harness = PerfHarness(core="boom", fault_injector=fault)
-    runner = ResilientRunner(harness=harness, event_names=EVENTS,
-                             scale=0.2, max_attempts=3,
-                             max_cycles=20_000, backoff_base=0.5,
-                             sleep=sleeps.append, use_cache=False)
-    outcome = runner.run_one("median", LARGE_BOOM)
+    runner = ResilientRunner(
+        retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5),
+        fault_injector=fault, sleep=sleeps.append)
+    outcome = runner.run_one(MEDIAN)
     assert not outcome.ok
     assert sleeps == [0.5, 1.0]
 
 
 def test_runner_retargets_harness_for_rocket_configs(isolated_cache):
-    runner = ResilientRunner(harness=PerfHarness(core="boom"),
-                             event_names=EVENTS, scale=0.2)
-    outcome = runner.run_one("vvadd", ROCKET)
+    # The harness is built from the job's own core.
+    outcome = ResilientRunner().run_one(
+        TMAJob(workload="vvadd", config="rocket", scale=0.2,
+               increment_mode="distributed"))
     assert outcome.ok
     assert outcome.measurement.core == "rocket"
+
+
+# ---------------------------------------------------------------------------
+# the one seam: every request kind gets watchdog, retry and invariants
+# ---------------------------------------------------------------------------
+
+WINDOWED = TMAJob(workload="median", config="rocket", scale=0.2, windows=2)
+SCENARIO = MulticoreJob(scenario="noisy-neighbor", scale=0.1)
+KINDS = {"point": TMAJob(workload="median", config="rocket", scale=0.2),
+         "windowed": WINDOWED,
+         "sampled": replace(WINDOWED, sampled=True),
+         "multicore": SCENARIO}
+
+
+@pytest.mark.parametrize("kind", ["windowed", "sampled"])
+def test_seam_watchdog_bounds_every_window(kind):
+    job = replace(KINDS[kind], max_cycles=50)
+    outcome = ResilientRunner().run_one(job)
+    assert outcome.status == "failed"
+    assert outcome.error_class == "RunTimeout"
+    assert outcome.attempts == 3
+
+
+def test_seam_watchdog_bounds_every_scenario_core(monkeypatch):
+    monkeypatch.setattr(runner_module, "DEFAULT_MAX_CYCLES", 50)
+    outcome = ResilientRunner().run_one(SCENARIO)
+    assert outcome.status == "failed"
+    assert "exceeded" in outcome.error
+    assert outcome.attempts == 3
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_seam_retries_a_transient_failure(kind, monkeypatch):
+    # The first check of each run raises once; the retry succeeds.
+    calls = []
+    real = TmaInvariantChecker.check_core_result
+
+    def flaky(self, result):
+        calls.append(result)
+        if len(calls) == 1:
+            raise RunTimeout("transient", invariant="watchdog")
+        real(self, result)
+
+    monkeypatch.setattr(TmaInvariantChecker, "check_core_result", flaky)
+    monkeypatch.setattr(TmaInvariantChecker, "check_measurement",
+                        lambda self, m: flaky(self, m.result))
+    outcome = ResilientRunner().run_one(KINDS[kind])
+    assert outcome.ok
+    assert outcome.attempts == 2
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_seam_checks_invariants_of_every_kind(kind, monkeypatch):
+    checked = []
+
+    def refuse(self, result):
+        checked.append(result.workload)
+        raise SlotConservationViolation("forced", invariant="forced")
+
+    monkeypatch.setattr(TmaInvariantChecker, "check_core_result", refuse)
+    monkeypatch.setattr(TmaInvariantChecker, "check_measurement",
+                        lambda self, m: refuse(self, m))
+    outcome = ResilientRunner().run_one(KINDS[kind])
+    assert outcome.status == "failed"
+    assert outcome.error_class == "SlotConservationViolation"
+    assert outcome.attempts == 3 and checked
+    # A refuted result is never stored, so nothing is served later.
+    monkeypatch.undo()
+    assert lookup(KINDS[kind]) == (None, None)
+
+
+def test_seam_deadline_is_checked_before_each_attempt():
+    outcome = ResilientRunner().run_one(SCENARIO, deadline=0.0)
+    assert outcome.status == "failed"
+    assert outcome.error_class == "DeadlineExceeded"
+    assert outcome.attempts == 0
+
+
+def test_seam_quarantines_and_labels_damaged_scenario_entries():
+    first = ResilientRunner().run_one(SCENARIO)
+    assert first.ok and first.attempts == 1
+    cache.entry_path(SCENARIO.cache_key()).write_text("{not json")
+    again = ResilientRunner().run_one(SCENARIO)
+    assert again.ok and again.attempts == 1
+    assert again.quarantined
+    assert again.error_class == "CacheIntegrityError"
+    assert again.payload["cores"] == first.payload["cores"]
+    served = ResilientRunner().run_one(SCENARIO)
+    assert served.attempts == 0 and served.payload == again.payload
 
 
 # ---------------------------------------------------------------------------

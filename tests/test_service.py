@@ -8,8 +8,6 @@ from repro.service import (JobRejected, ServiceClient, ServiceError,
                            TMAService, serve_in_thread)
 from repro.chaos import injector
 from repro.chaos.plan import ChaosPlan
-from repro.service import workers as service_workers
-from repro.tools.pool import RunnerSpec
 
 
 @pytest.fixture(autouse=True)
@@ -379,19 +377,19 @@ def _fake_pool():
     return WorkerPool(workers=1, factory=factory), created
 
 
-def _spec():
+def _job():
     from repro.service import TMAJob
 
-    return TMAJob(workload="vvadd", scale=0.2, config="rocket").runner_spec()
+    return TMAJob(workload="vvadd", scale=0.2, config="rocket")
 
 
 def test_worker_pool_refuses_submit_after_shutdown():
     pool, created = _fake_pool()
-    pool.submit(_spec(), "vvadd", "rocket")
+    pool.submit(_job())
     assert len(created) == 1
     pool.shutdown()
     with pytest.raises(RuntimeError):
-        pool.submit(_spec(), "vvadd", "rocket")
+        pool.submit(_job())
     assert len(created) == 1  # no executor resurrected after shutdown
 
 
@@ -399,20 +397,62 @@ def test_stale_crash_report_never_kills_rebuilt_executor():
     from concurrent.futures import BrokenExecutor
 
     pool, created = _fake_pool()
-    stale = pool.submit(_spec(), "vvadd", "rocket")  # from executor A
+    stale = pool.submit(_job())  # from executor A
     assert pool.note_broken(BrokenExecutor("worker died"), stale)
     assert created[0].shut is True  # A torn down, pool rebuilt
     assert pool.rebuilds == 1
-    pool.submit(_spec(), "vvadd", "rocket")  # from executor B
+    pool.submit(_job())  # from executor B
     assert len(created) == 2
     # A late crash report for executor A must not tear down healthy B.
     assert pool.note_broken(BrokenExecutor("worker died"), stale)
     assert created[1].shut is False
     assert pool.rebuilds == 1
-    pool.submit(_spec(), "vvadd", "rocket")
+    pool.submit(_job())
     assert len(created) == 2  # B still current
     pool.shutdown()
     assert created[1].shut is True
+
+
+# ----------------------------------------------------------------------
+# Every job kind crosses a real process boundary
+
+
+def _without_wall_times(document):
+    if isinstance(document, dict):
+        return {key: _without_wall_times(value)
+                for key, value in document.items()
+                if key not in ("wall_s", "window_wall_s")}
+    if isinstance(document, list):
+        return [_without_wall_times(value) for value in document]
+    return document
+
+
+def test_process_executor_runs_every_job_kind_like_inline():
+    # The job objects themselves are shipped to pool workers, so each
+    # kind must pickle and come back with the inline executor's result.
+    jobs = [("job", {"workload": "vvadd", "scale": 0.2, "config": "rocket",
+                     "use_cache": False}),
+            ("job", {"workload": "median", "scale": 0.2, "config": "rocket",
+                     "windows": 2, "sampled": True, "use_cache": False}),
+            ("multicore", {"scenario": "noisy-neighbor", "scale": 0.1,
+                           "use_cache": False})]
+    results = {}
+    for executor in ("inline", "process"):
+        service = make_service(workers=2, executor=executor).start()
+        try:
+            ids = []
+            for kind, payload in jobs:
+                submit = (service.submit_multicore_payload
+                          if kind == "multicore" else service.submit_payload)
+                ids.append(submit(dict(payload)).record.id)
+            assert wait_done(service, ids, timeout=120.0) == ["done"] * 3
+            results[executor] = [
+                _without_wall_times(service.status(i)["result"])
+                for i in ids]
+        finally:
+            service.drain()
+    assert results["process"] == results["inline"]
+    assert results["process"][1]["sampled"] is True
 
 
 # ----------------------------------------------------------------------
@@ -518,28 +558,6 @@ def test_http_backpressure_maps_to_429():
     finally:
         server.shutdown()
         service.drain(timeout=0.1)
-
-
-# ----------------------------------------------------------------------
-# Shared pool plumbing
-
-
-def test_runner_spec_shared_between_parallel_and_service():
-    assert service_workers.RunnerSpec is RunnerSpec
-
-
-def test_job_runner_spec_reflects_options():
-    from repro.service import TMAJob
-
-    job = TMAJob(workload="vvadd", config="small-boom", scale=0.4,
-                 increment_mode="distributed", mode="linux",
-                 use_cache=False)
-    spec = job.runner_spec()
-    assert spec.core == "boom"
-    assert spec.increment_mode == "distributed"
-    assert spec.mode == "linux"
-    assert spec.scale == 0.4
-    assert spec.use_cache is False
 
 
 # ----------------------------------------------------------------------

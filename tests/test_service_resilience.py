@@ -65,15 +65,15 @@ def _storm_pool(broken_count, max_attempts):
     return pool, created
 
 
-def _spec():
+def _job():
     from repro.service import TMAJob
 
-    return TMAJob(workload="vvadd", scale=0.2, config="rocket").runner_spec()
+    return TMAJob(workload="vvadd", scale=0.2, config="rocket")
 
 
 def test_submit_retries_through_broken_executors_one_rebuild_each():
     pool, created = _storm_pool(broken_count=3, max_attempts=4)
-    future = pool.submit(_spec(), "vvadd", "rocket")
+    future = pool.submit(_job())
     assert future.result() == "ok"
     # Three broken executors burned three attempts; each was rebuilt
     # exactly once, and the fourth executor served the job.
@@ -87,7 +87,7 @@ def test_submit_retries_through_broken_executors_one_rebuild_each():
 def test_submit_exhausts_retry_policy_and_raises():
     pool, created = _storm_pool(broken_count=10, max_attempts=2)
     with pytest.raises(BrokenExecutor):
-        pool.submit(_spec(), "vvadd", "rocket")
+        pool.submit(_job())
     assert pool.rebuilds == 2
     assert len(created) == 2
     pool.shutdown()
@@ -95,7 +95,7 @@ def test_submit_exhausts_retry_policy_and_raises():
 
 def test_concurrent_crash_reports_cause_exactly_one_rebuild():
     pool, created = _storm_pool(broken_count=0, max_attempts=2)
-    future = pool.submit(_spec(), "vvadd", "rocket")
+    future = pool.submit(_job())
     barrier = threading.Barrier(8)
     verdicts = []
 
@@ -115,7 +115,7 @@ def test_concurrent_crash_reports_cause_exactly_one_rebuild():
     assert verdicts == [True] * 8
     assert pool.rebuilds == 1
     assert created[0].shut is True
-    pool.submit(_spec(), "vvadd", "rocket")
+    pool.submit(_job())
     assert len(created) == 2
     pool.shutdown()
 

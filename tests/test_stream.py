@@ -141,8 +141,9 @@ def test_stream_order_matches_lifecycle_with_progress_ticks():
         # needed after a successful stream.
         final = events[-1]["data"]
         assert final["state"] == "done"
-        assert len(final["result"]["windowed"]["windowed"]["spans"]) == 3
-        assert final["result"]["windowed"]["tma"]["dominant"]
+        assert len(final["result"]["windowed"]["spans"]) == 3
+        assert final["result"]["sampled"] is False
+        assert final["result"]["tma"]["dominant"]
         # Lifecycle frames are tagged with the canonical routing key
         # (progress ticks are raw window messages and carry none).
         assert all(e["data"].get("job_key") for e in events
@@ -220,7 +221,8 @@ def test_polling_client_unaffected_by_concurrent_stream():
         streamer.join(timeout=60.0)
         assert not streamer.is_alive()
         assert record["state"] == "done"
-        assert record["result"]["windowed"]["tma"]["dominant"]
+        assert record["result"]["windowed"]["windows"] == 2
+        assert record["result"]["tma"]["dominant"]
         assert streamed[-1]["event"] == "done"
         # Poll and stream agree on the result document.
         assert streamed[-1]["data"]["result"] == record["result"]

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.cores import config_by_name
 from repro.isa import ColumnarTrace
-from repro.reliability.runner import ResilientRunner
+from repro.reliability import ResilientRunner, TMAJob
 from repro.workloads import build_trace, clear_caches, trace_cache
 
 
@@ -96,12 +95,13 @@ def test_corrupt_disk_entry_is_a_miss_and_removed():
 
 
 def test_runner_outcome_carries_cache_delta():
-    runner = ResilientRunner(use_cache=False)
-    config = config_by_name("rocket")
-    cold = runner.run_one("vvadd", config)
+    runner = ResilientRunner()
+    cold = runner.run_one(TMAJob(workload="vvadd", config="rocket",
+                                 use_cache=False))
     assert cold.ok
     assert cold.trace_cache["misses"] == 1
-    warm = runner.run_one("vvadd", config_by_name("small-boom"))
+    warm = runner.run_one(TMAJob(workload="vvadd", config="small-boom",
+                                 use_cache=False))
     assert warm.trace_cache["misses"] == 0
     assert warm.trace_cache["mem_hits"] >= 1
 

@@ -27,9 +27,9 @@ from repro.cores.windowed import (ABS_PER_WINDOW, DEFAULT_WARMUP,
                                   assert_stitch_equivalent, normalized_warmup,
                                   plan_windows, run_windowed,
                                   run_windowed_points)
-from repro.reliability import TmaInvariantChecker
+from repro.reliability import ResilientRunner, TmaInvariantChecker
 from repro.service.job import TMAJob, JobValidationError, outcome_payload
-from repro.service.workers import execute_job
+from repro.service.store import ResultStore
 from repro.tools import cache as result_cache
 from repro.tools import pool
 from repro.tools.tma_tool import run_core
@@ -406,6 +406,16 @@ def test_tma_job_window_validation():
     with pytest.raises(JobValidationError, match="huge"):
         TMAJob(workload="huge-walk").validate()
     TMAJob(workload="huge-walk", windows=4).validate()
+    # Windowed runs read no PMU: every PMU option conflicts by name.
+    for conflict, option in (("increment_mode", {"increment_mode":
+                                                 "distributed"}),
+                             ("increment_mode", {"increment_mode":
+                                                 "classic"}),
+                             ("mode", {"mode": "linux"}),
+                             ("events", {"events": ("cycles",)})):
+        with pytest.raises(JobValidationError,
+                           match=f"windows conflicts with {conflict}"):
+            TMAJob(workload="towers", windows=2, **option).validate()
 
 
 def test_tma_job_payload_round_trip():
@@ -430,13 +440,28 @@ def test_window_params_fold_into_job_and_cache_keys():
 def test_service_executes_windowed_jobs(sampled):
     job = TMAJob(workload="towers", config="rocket", scale=SCALE,
                  windows=2, sampled=sampled, use_cache=False)
-    outcome = execute_job(job.runner_spec(), job.workload, job.config)
+    outcome = ResilientRunner().run_one(job)
     assert outcome.status == "ok"
-    assert outcome.payload["kind"] == "windowed"
-    assert outcome.payload["sampled"] is sampled
-    assert outcome.payload["windowed"]["windows"] == 2
-    assert ("error_bars" in outcome.payload["windowed"]) is sampled
-    assert set(outcome.payload["tma"]["level1"]) == set(TOP_LEVEL)
+    assert outcome.result.sampled is sampled
+    assert outcome.result.windowed["windows"] == 2
+    assert ("error_bars" in outcome.result.windowed) is sampled
     summary = outcome_payload(outcome)
     assert summary["sampled"] is sampled
-    assert summary["windowed"]["kind"] == "windowed"
+    assert summary["windowed"] == outcome.result.windowed
+    assert summary["cycles"] == outcome.result.cycles
+    assert set(summary["tma"]["level1"]) == set(TOP_LEVEL)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_served_windowed_repeat_equals_executed_payload(sampled):
+    # A repeat served from the store must keep the sampled label and
+    # the window metadata: an extrapolation never reads as exact.
+    job = TMAJob(workload="median", config="rocket", scale=0.2,
+                 windows=2, sampled=sampled)
+    executed = outcome_payload(ResilientRunner().run_one(job))
+    served = ResultStore().lookup(job)
+    assert served is not None and served["from_cache"] is True
+    assert served["sampled"] is sampled
+    provenance = ("attempts", "from_cache")
+    assert ({k: v for k, v in served.items() if k not in provenance}
+            == {k: v for k, v in executed.items() if k not in provenance})
