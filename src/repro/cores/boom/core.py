@@ -275,6 +275,9 @@ class BoomCore:
 
         safety_limit = total * _SAFETY_CYCLES_PER_INST + 20_000
         budget = safety_limit + 1 if max_cycles is None else max_cycles
+        # A fast-forward never jumps past the watchdog or the safety
+        # stop, so both fire at the cycle a stepped run reaches them.
+        horizon = min(budget, safety_limit)
 
         # ---------------- hot-loop local bindings --------------------
         l1i = self.l1i
@@ -288,6 +291,7 @@ class BoomCore:
         l1d_cache_lookup = l1d.cache.lookup
         mshr_refill_in_flight = l1d.mshrs.refill_in_flight
         mshr_is_full = l1d.mshrs.is_full
+        mshr_next_ready = l1d.mshrs.next_ready
         tlbs = self.tlbs
         itlb_probe = tlbs.itlb.access
         dtlb_probe = tlbs.dtlb.access
@@ -1006,7 +1010,49 @@ class BoomCore:
                 elif cycle >= recovering_from:
                     n_recovering += 1
 
-            if hooked and observers is not None:
+            if not hooked:
+                if not commit_lanes and not issued_total and not fetched_any \
+                        and not dtlb_counted and recovering_from <= cycle \
+                        and lane == (0 if serialized_slot < 0 else w_c):
+                    # ---------------- quiet-cycle fast-forward ------------
+                    # Nothing committed, resolved, issued, cleared (a flush
+                    # sets ``recovering_from`` to the next cycle), dispatched
+                    # (``lane`` is where dispatch started) or fetched, and
+                    # no blocked load's DTLB probe missed: the pipeline is
+                    # as this cycle found it, up to parked entries and an
+                    # I$ miss's refill bounds.  Every cycle before the next
+                    # bound that can change it asserts the same events: add
+                    # them for the whole stretch and jump to that bound.
+                    wake = horizon
+                    if rob_len:
+                        head = rob[0]
+                        if u_issued[head] and u_completed[head] < wake:
+                            wake = u_completed[head]
+                    for sl in pending_resolves:
+                        if u_completed[sl] < wake:
+                            wake = u_completed[sl]
+                    for parked_q in parked:
+                        if parked_q and parked_q[0][0] < wake:
+                            wake = parked_q[0][0]
+                    for bound in (fetch_resume_at, l1i_refill_until,
+                                  mshr_next_ready(cycle)):
+                        if cycle < bound < wake:
+                            wake = bound
+                    quiet = cycle + 1
+                    skipped = wake - quiet
+                    if skipped > 0:
+                        if not fb_len:
+                            if serialized_slot < 0 and not recovering \
+                                    and rob_len < rob_capacity:
+                                bubble_hist[0] += skipped
+                            if l1i_refill_until > quiet:
+                                n_icache_blocked += skipped
+                        if any_queue_nonempty and mshr_refill_in_flight(quiet):
+                            blocked_hist[0] += skipped
+                        if recovering:
+                            n_recovering += skipped
+                        cycle = wake - 1
+            elif observers is not None:
                 signals = dict.fromkeys(compress(_COUNTED_EVENTS, map(ne, (
                     n_fence_retired, n_br_mispredict, n_cf_mispredict,
                     n_flush, n_icache_blocked, n_itlb_miss, n_icache_miss,

@@ -190,6 +190,9 @@ class RocketCore:
         cycle = 0
         safety_limit = total * _SAFETY_CYCLES_PER_INST + 10_000
         budget = safety_limit + 1 if max_cycles is None else max_cycles
+        # A fast-forward never jumps past the watchdog or the safety
+        # stop, so both fire at the cycle a stepped run reaches them.
+        horizon = min(budget, safety_limit)
 
         reg_ready = [0] * 64
         reg_producer = [""] * 64
@@ -241,35 +244,35 @@ class RocketCore:
                 entry = ibuf[0]
                 dyn = entry[0]
                 s = entry[1]
-                stall = False
-
+                # ``stall`` names the event this cycle's stall asserts
+                # (a long-latency load also asserts ``dcache_blocked``
+                # in place); None issues the head.
                 if serialize_until > cycle:
-                    stall = True
-                    totals["csr_interlock"] += 1
-                if not stall and d_is_mem[s] and dcache_busy_until > cycle:
-                    stall = True
-                    totals["dcache_blocked"] += 1
-                if not stall and d_is_div[s] and div_busy_until > cycle:
-                    stall = True
-                    totals["muldiv_interlock"] += 1
-                if not stall:
+                    stall = "csr_interlock"
+                elif d_is_mem[s] and dcache_busy_until > cycle:
+                    stall = "dcache_blocked"
+                elif d_is_div[s] and div_busy_until > cycle:
+                    stall = "muldiv_interlock"
+                else:
+                    stall = None
                     for src in d_srcs[s]:
                         if reg_ready[src] > cycle:
-                            stall = True
                             producer = reg_producer[src]
                             if producer == "load":
                                 if reg_ready[src] - cycle > 4:
                                     totals["dcache_blocked"] += 1
-                                    totals["long_latency_interlock"] += 1
+                                    stall = "long_latency_interlock"
                                 else:
-                                    totals["load_use_interlock"] += 1
+                                    stall = "load_use_interlock"
                             elif producer in ("mul", "div"):
-                                totals["muldiv_interlock"] += 1
+                                stall = "muldiv_interlock"
                             else:
-                                totals["long_latency_interlock"] += 1
+                                stall = "long_latency_interlock"
                             break
 
-                if not stall:
+                if stall is not None:
+                    totals[stall] += 1
+                else:
                     ibuf_popleft()
                     issued_this_cycle = True
                     retired += 1
@@ -434,7 +437,59 @@ class RocketCore:
                     and dcache_busy_until <= cycle:
                 totals["ibuf_ready"] += 1
 
-            if hooked and observers is not None:
+            if not hooked:
+                if not issued_this_cycle and not fetched_any:
+                    # ---------------- quiet-cycle fast-forward ------------
+                    # Nothing issued or fetched, so the pipeline is as this
+                    # cycle found it (an I$ miss moved only the refill
+                    # bounds).  Every cycle before the next bound that can
+                    # change it asserts the same events: add them for the
+                    # whole stretch and jump to that bound.  A redirect
+                    # needs an issue, so ``recovering_from`` is never ahead.
+                    quiet = cycle + 1
+                    wake = horizon
+                    if ibuf:
+                        # The blocking source first: mostly a load-use
+                        # interlock that ends next cycle, so no skip.
+                        for src in d_srcs[ibuf[0][1]]:
+                            bound = reg_ready[src]
+                            if bound > cycle:
+                                if bound < wake:
+                                    wake = bound
+                                # load-use turns long-latency above 4 cycles
+                                if reg_producer[src] == "load" \
+                                        and cycle < bound - 4 < wake:
+                                    wake = bound - 4
+                                break
+                    if wake > quiet:
+                        for bound in (serialize_until, dcache_busy_until,
+                                      div_busy_until, fetch_resume_at,
+                                      icache_refill_until):
+                            if cycle < bound < wake:
+                                wake = bound
+                    skipped = wake - quiet
+                    if skipped > 0:
+                        backend_ready = (serialize_until <= quiet
+                                         and dcache_busy_until <= quiet)
+                        if ibuf:
+                            totals[stall] += skipped
+                            if stall == "long_latency_interlock" \
+                                    and producer == "load":
+                                totals["dcache_blocked"] += skipped
+                            totals["ibuf_valid"] += skipped
+                        else:
+                            if recovering:
+                                totals["recovering"] += skipped
+                            elif backend_ready:
+                                totals["fetch_bubbles"] += skipped
+                            elif dcache_busy_until > quiet:
+                                totals["dcache_blocked"] += skipped
+                            if icache_refill_until > quiet:
+                                totals["icache_blocked"] += skipped
+                        if backend_ready:
+                            totals["ibuf_ready"] += skipped
+                        cycle = wake - 1
+            elif observers is not None:
                 signals = dict.fromkeys(
                     compress(_EVENT_NAMES, map(ne, totals.values(), before)),
                     1)

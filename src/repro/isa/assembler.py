@@ -15,6 +15,7 @@ resolves every symbol to its byte address and materializes
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -26,6 +27,16 @@ from .registers import parse_fp_reg, parse_int_reg
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):(.*)$")
 _INT_RE = re.compile(r"^[+-]?(0[xX][0-9a-fA-F]+|0[bB][01]+|\d+)$")
+
+_WIDTHS = {".byte": 1, ".half": 2, ".word": 4, ".dword": 8, ".quad": 8,
+           ".2byte": 2, ".4byte": 4, ".8byte": 8}
+_DATA_DIRECTIVES = set(_WIDTHS) | {".space", ".zero", ".skip", ".ascii",
+                                   ".asciz", ".string"}
+#: ``struct`` code of an unsigned little-endian item of each width.
+_PACK_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+#: The data image under construction: ``(base, bytearray)`` runs.
+Segments = List[Tuple[int, bytearray]]
 
 
 @dataclass
@@ -70,7 +81,7 @@ class Assembler:
     def assemble(self, source: str, name: str = "program") -> Program:
         """Assemble *source* and return the placed :class:`Program`."""
         protos: List[_Proto] = []
-        data_image: Dict[int, int] = {}
+        segments: Segments = []
         symbols: Dict[str, int] = {}
         equates: Dict[str, int] = {}
         # label -> ("text", proto_index) or resolved data address
@@ -98,7 +109,7 @@ class Assembler:
 
             if line.startswith("."):
                 section, data_cursor = self._directive(
-                    line, lineno, section, data_cursor, data_image, symbols,
+                    line, lineno, section, data_cursor, segments, symbols,
                     equates)
                 continue
 
@@ -112,9 +123,9 @@ class Assembler:
 
         instructions = self._resolve(protos, symbols)
         entry = symbols.get("_start", self.text_base)
+        data = tuple((base, bytes(run)) for base, run in segments)
         return Program(instructions, text_base=self.text_base,
-                       data=data_image, symbols=symbols, entry=entry,
-                       name=name)
+                       data=data, symbols=symbols, entry=entry, name=name)
 
     # ------------------------------------------------------------------
     # parsing helpers
@@ -168,7 +179,7 @@ class Assembler:
     # ------------------------------------------------------------------
 
     def _directive(self, line: str, lineno: int, section: str,
-                   data_cursor: int, data_image: Dict[int, int],
+                   data_cursor: int, segments: Segments,
                    symbols: Dict[str, int],
                    equates: Dict[str, int]) -> Tuple[str, int]:
         parts = line.split(None, 1)
@@ -202,43 +213,37 @@ class Assembler:
                 data_cursor = (data_cursor + size - 1) & ~(size - 1)
             return section, data_cursor
 
-        widths = {".byte": 1, ".half": 2, ".word": 4, ".dword": 8,
-                  ".quad": 8, ".2byte": 2, ".4byte": 4, ".8byte": 8}
-        data_directives = set(widths) | {".space", ".zero", ".skip",
-                                         ".ascii", ".asciz", ".string"}
-        if directive not in data_directives:
+        if directive not in _DATA_DIRECTIVES:
             raise AssemblerError(f"unknown directive {directive!r}", lineno)
         if section != "data":
             raise AssemblerError(
                 f"data directive {directive!r} outside .data", lineno)
-        if directive in widths:
-            width = widths[directive]
-            for token in self._split_commas(rest):
-                value = self._data_value(token, lineno, symbols, equates)
-                for i in range(width):
-                    data_image[data_cursor + i] = (value >> (8 * i)) & 0xFF
-                data_cursor += width
-            return section, data_cursor
+        if directive in _WIDTHS:
+            width = _WIDTHS[directive]
+            mask = (1 << (8 * width)) - 1
+            tokens = self._split_commas(rest)
+            if all(map(_INT_RE.match, tokens)):
+                payload = struct.pack(
+                    f"<{len(tokens)}{_PACK_CODES[width]}",
+                    *[int(token, 0) & mask for token in tokens])
+            else:
+                payload = b"".join(
+                    (self._data_value(token, lineno, symbols, equates)
+                     & mask).to_bytes(width, "little")
+                    for token in tokens)
+            return section, _place(segments, data_cursor, payload)
         if directive in (".space", ".zero", ".skip"):
             count = self._parse_int(rest.split(",")[0], lineno, equates)
-            for i in range(count):
-                data_image[data_cursor + i] = 0
-            data_cursor += count
-            return section, data_cursor
-        if directive in (".ascii", ".asciz", ".string"):
-            text = rest.strip()
-            if not (text.startswith('"') and text.endswith('"')):
-                raise AssemblerError("string literal expected", lineno)
-            payload = text[1:-1].encode("utf-8").decode("unicode_escape")
-            for char in payload:
-                data_image[data_cursor] = ord(char) & 0xFF
-                data_cursor += 1
-            if directive in (".asciz", ".string"):
-                data_image[data_cursor] = 0
-                data_cursor += 1
-            return section, data_cursor
-
-        raise AssemblerError(f"unknown directive {directive!r}", lineno)
+            _place(segments, data_cursor, bytes(max(count, 0)))
+            return section, data_cursor + count
+        text = rest.strip()
+        if not (text.startswith('"') and text.endswith('"')):
+            raise AssemblerError("string literal expected", lineno)
+        payload = text[1:-1].encode("utf-8").decode("unicode_escape")
+        if directive != ".ascii":  # .asciz / .string
+            payload += "\0"
+        return section, _place(segments, data_cursor,
+                               bytes(ord(char) & 0xFF for char in payload))
 
     def _data_value(self, token: str, lineno: int, symbols: Dict[str, int],
                     equates: Dict[str, int]) -> int:
@@ -542,6 +547,20 @@ class Assembler:
                 proto.mnemonic, rd=proto.rd, rs1=proto.rs1, rs2=proto.rs2,
                 imm=imm, csr=proto.csr, source_line=proto.line))
         return instructions
+
+
+def _place(segments: Segments, cursor: int, payload: bytes) -> int:
+    """Lay *payload* out at *cursor*; return the cursor after it.
+
+    Contiguous data extends the last segment; data after an ``.align``
+    gap starts a new one, so the gap stays unwritten.
+    """
+    if payload:
+        if segments and segments[-1][0] + len(segments[-1][1]) == cursor:
+            segments[-1][1].extend(payload)
+        else:
+            segments.append((cursor, bytearray(payload)))
+    return cursor + len(payload)
 
 
 def assemble(source: str, name: str = "program",

@@ -23,11 +23,22 @@ class SparseMemory:
 
     __slots__ = ("_pages",)
 
-    def __init__(self, image: Dict[int, int] = None) -> None:
+    def __init__(self, segments: Iterable[Tuple[int, bytes]] = ()) -> None:
+        """Start from the ``(base, bytes)`` *segments* of an image.
+
+        Each segment is copied into its pages by slice assignment, one
+        slice per page it touches; a later segment overwrites an
+        earlier one where they overlap.
+        """
         self._pages: Dict[int, bytearray] = {}
-        if image:
-            for addr, value in image.items():
-                self.write_byte(addr, value)
+        for addr, payload in segments:
+            view = memoryview(payload)
+            while view:
+                offset = addr & PAGE_MASK
+                chunk = view[:PAGE_SIZE - offset]
+                self._page(addr)[offset:offset + len(chunk)] = chunk
+                addr += len(chunk)
+                view = view[len(chunk):]
 
     def _page(self, addr: int) -> bytearray:
         page_num = addr >> PAGE_SHIFT
@@ -81,11 +92,6 @@ class SparseMemory:
         if value & sign_bit:
             value -= 1 << (8 * size)
         return value
-
-    def load_image(self, image: Dict[int, int]) -> None:
-        """Install a ``{byte_address: byte_value}`` image."""
-        for addr, value in image.items():
-            self.write_byte(addr, value)
 
     def dump(self, addr: int, size: int) -> bytes:
         """Return *size* raw bytes starting at *addr*."""

@@ -9,7 +9,7 @@ standard RISC-V DRAM base used by Rocket/BOOM bare-metal payloads).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .instructions import Instruction
 
@@ -25,7 +25,9 @@ class Program:
     Attributes:
         instructions: static instructions in placement order.
         text_base: byte address of the first instruction.
-        data: initial data-memory image as ``{byte_address: byte_value}``.
+        data: initial data-memory image as ``(base_address, bytes)``
+            segments in placement order, each one contiguous run of
+            initialized bytes.
         symbols: label name -> byte address.
         entry: byte address execution starts at.
         name: human-readable program name (used in reports).
@@ -33,7 +35,7 @@ class Program:
 
     instructions: List[Instruction]
     text_base: int = DEFAULT_TEXT_BASE
-    data: Dict[int, int] = field(default_factory=dict)
+    data: Tuple[Tuple[int, bytes], ...] = ()
     symbols: Dict[str, int] = field(default_factory=dict)
     entry: Optional[int] = None
     name: str = "program"

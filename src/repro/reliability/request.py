@@ -26,6 +26,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 from ..cores import CONFIGS_BY_NAME
 from ..cores.batch import resolve_config_spec
 from ..pmu.csr import INCREMENT_MODES
+from ..pmu.events import events_for_core
 from ..tools.cache import cache_key
 from ..workloads import workload_names
 
@@ -110,6 +111,14 @@ class TMAJob:
                 raise JobValidationError("warmup must be >= 0 or null")
         if self.sampled and self.windows is None:
             raise JobValidationError("sampled=true requires windows")
+        if self.events is not None:
+            core = self.config_obj().core
+            unknown = [name for name in self.events
+                       if name not in events_for_core(core)]
+            if unknown:
+                raise JobValidationError(
+                    f"events {unknown} do not exist on the {core} core "
+                    f"of config {self.config!r}")
         if self.windows is not None:
             # A windowed run stitches core totals; it reads no PMU, so
             # a PMU option would label exact totals as something else.

@@ -125,12 +125,15 @@ class RetryPolicy:
              deadline: Optional[float] = None,
              sleep: Callable[[float], None] = time.sleep,
              clock: Callable[[], float] = time.time,
-             on_retry: Optional[Callable[[int, BaseException], None]] = None):
+             on_retry: Optional[Callable[[int, BaseException], None]] = None,
+             give_up: Optional[Callable[[BaseException], bool]] = None):
         """Run *fn* under this policy; returns its first success.
 
         Exceptions in *retry_on* are retried (with backoff) up to
-        ``max_attempts`` total tries; the final failure re-raises.  A
-        lapsed *deadline* raises :class:`DeadlineExceeded` instead of
+        ``max_attempts`` total tries; the final failure re-raises.
+        An exception *give_up* returns True for re-raises at once, even
+        where *retry_on* covers it: a failure another try would repeat.
+        A lapsed *deadline* raises :class:`DeadlineExceeded` instead of
         starting another attempt.
         """
         last: Optional[BaseException] = None
@@ -145,6 +148,8 @@ class RetryPolicy:
             try:
                 return fn()
             except retry_on as exc:  # noqa: PERF203 - retry loop
+                if give_up is not None and give_up(exc):
+                    raise
                 last = exc
                 if on_retry is not None:
                     on_retry(attempt, exc)

@@ -20,7 +20,9 @@ or sampled run) or a :class:`~repro.reliability.request.MulticoreJob`
    ``check_measurement`` for a PMU point, ``check_core_result`` for a
    stitched windowed result and for each scenario core;
 5. **retry** per the shared :class:`~repro.reliability.retry.RetryPolicy`
-   (default: 3 attempts, no delay);
+   (default: 3 attempts, no delay) — except a failure that another
+   attempt would only repeat (the watchdog, the instruction budget, a
+   request that fails validation), which fails once;
 6. a **cache store** of the checked result;
 7. the trace-cache counter delta on the outcome.
 
@@ -36,12 +38,13 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..core.tma import TmaResult, compute_tma
 from ..cores.base import CoreResult
-from ..isa.errors import CacheIntegrityError
+from ..isa.errors import CacheIntegrityError, ExecutionError, RunTimeout
 from ..pmu.harness import Measurement, PerfHarness
 from ..tools import cache
 from ..workloads import trace_cache
 from .invariants import TmaInvariantChecker
-from .request import DEFAULT_MAX_CYCLES, MulticoreJob, RunRequest
+from .request import (DEFAULT_MAX_CYCLES, JobValidationError, MulticoreJob,
+                      RunRequest)
 from .retry import RetryPolicy
 
 __all__ = ["DEFAULT_MAX_CYCLES", "ResilientRunner", "RunOutcome", "lookup"]
@@ -50,6 +53,25 @@ __all__ = ["DEFAULT_MAX_CYCLES", "ResilientRunner", "RunOutcome", "lookup"]
 Progress = Optional[Callable[[str], None]]
 
 _CHECKER = TmaInvariantChecker()
+
+#: Failures a request repeats identically on every attempt: the cycle
+#: watchdog, the functional instruction budget (and any other fault of
+#: the program itself), and a request that fails validation, e.g. an
+#: event its core does not have.  Retrying one only multiplies its cost.
+_DETERMINISTIC = (RunTimeout, ExecutionError, JobValidationError)
+
+
+def _repeats(error: Optional[BaseException]) -> bool:
+    """True when another attempt would fail the same way.
+
+    That is when *error*, or an error it was raised from (a scenario
+    wraps its core's error), is one of the deterministic failures.
+    """
+    while error is not None:
+        if isinstance(error, _DETERMINISTIC):
+            return True
+        error = error.__cause__
+    return False
 
 
 @dataclass
@@ -157,7 +179,8 @@ class ResilientRunner:
         try:
             self.retry_policy.call(
                 attempt, salt=f"{job.workload}:{job.config}",
-                deadline=deadline, sleep=self.sleep, clock=self.clock)
+                deadline=deadline, sleep=self.sleep, clock=self.clock,
+                give_up=_repeats)
         except Exception as exc:  # noqa: BLE001 - reported on the outcome
             outcome.status = "failed"
             outcome.error_class = type(exc).__name__
@@ -173,6 +196,7 @@ class ResilientRunner:
     def _attempt(self, job: RunRequest, outcome: RunOutcome,
                  progress: Progress) -> None:
         """One watched, checked run of *job*; fills *outcome*."""
+        job.validate()
         if isinstance(job, MulticoreJob):
             from ..multicore import run_scenario
 

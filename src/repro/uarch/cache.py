@@ -233,6 +233,17 @@ class MSHRFile:
         """True when at least one refill is outstanding at *cycle*."""
         return self._max_ready > cycle
 
+    def next_ready(self, cycle: int) -> int:
+        """Earliest refill completion after *cycle* (huge when none).
+
+        The file's state can next change for its user at that cycle: a
+        refill ends, ``busy`` drops and ``is_full`` may turn false.
+        """
+        if self._max_ready <= cycle:
+            return 1 << 62
+        return min((e.ready_cycle for e in self._entries.values()
+                    if e.ready_cycle > cycle), default=1 << 62)
+
     def is_full(self, cycle: int) -> bool:
         if len(self._entries) < self.num_entries:
             return False

@@ -26,22 +26,30 @@ so functional correctness of the assembly is verified on every build.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 from .data import Lcg, dwords, ring_permutation
 from .registry import Workload, register
 
 _MASK64 = (1 << 64) - 1
 
+#: A proxy's inputs are built once for the scale last asked for: its
+#: source builder and its exit-checksum twin (checked on every
+#: ``build_trace``) both read them.  They are tuples, so no caller can
+#: change what the other sees.
+_per_scale = lru_cache(maxsize=1)
+
 
 # ---------------------------------------------------------------------------
 # 505.mcf_r — cold pointer chase
 # ---------------------------------------------------------------------------
 
-def _mcf_params(scale: float) -> Tuple[int, int]:
+@_per_scale
+def _mcf_params(scale: float) -> Tuple[int, int, Tuple[int, ...]]:
     nodes = max(4096, int(32768 * scale))
     hops = max(300, int(1100 * scale))
-    return nodes, hops
+    return nodes, hops, tuple(ring_permutation(nodes, seed=7))
 
 
 # Per-hop "arc cost" computation: real mcf does integer arithmetic on
@@ -64,8 +72,7 @@ _MCF_COST_BLOCK = """
 
 
 def _mcf_source(scale: float) -> str:
-    nodes, hops = _mcf_params(scale)
-    ring = ring_permutation(nodes, seed=7)
+    nodes, hops, ring = _mcf_params(scale)
     half = nodes // 2
     return f"""
 .data
@@ -98,8 +105,7 @@ chase_done:
 
 
 def _mcf_exit(scale: float) -> int:
-    nodes, hops = _mcf_params(scale)
-    ring = ring_permutation(nodes, seed=7)
+    nodes, hops, ring = _mcf_params(scale)
     a = 0
     b = nodes // 2
     acc = 0
@@ -118,14 +124,15 @@ def _mcf_exit(scale: float) -> int:
 # 523.xalancbmk_r — hash-bucket record probes
 # ---------------------------------------------------------------------------
 
+@_per_scale
 def _xalanc_params(scale: float):
     buckets = 4096
     probes = max(150, int(650 * scale))
     rng = Lcg(101)
-    bucket_rec = [rng.below(buckets) for _ in range(buckets)]
+    bucket_rec = tuple(rng.below(buckets) for _ in range(buckets))
     # Each record is 8 dwords (one 64 B cache block).
-    records = [rng.below(1000) for _ in range(buckets * 8)]
-    probe_seq = [rng.below(buckets) for _ in range(probes)]
+    records = tuple(rng.below(1000) for _ in range(buckets * 8))
+    probe_seq = tuple(rng.below(buckets) for _ in range(probes))
     return buckets, probes, bucket_rec, records, probe_seq
 
 
@@ -199,9 +206,10 @@ def _xalanc_exit(scale: float) -> int:
 # 541.leela_r — pseudo-random playout branches
 # ---------------------------------------------------------------------------
 
+@_per_scale
 def _leela_params(scale: float):
     iterations = max(600, int(3000 * scale))
-    board = Lcg(113).values(512, 64)
+    board = tuple(Lcg(113).values(512, 64))
     return iterations, board
 
 
@@ -281,10 +289,11 @@ def _leela_exit(scale: float) -> int:
 # 525.x264_r — unrolled SAD compute with data-dependent selection
 # ---------------------------------------------------------------------------
 
+@_per_scale
 def _x264_params(scale: float):
     blocks = max(120, int(600 * scale))
-    ref = Lcg(127).values(512, 256)
-    cur = Lcg(131).values(512, 256)
+    ref = tuple(Lcg(127).values(512, 256))
+    cur = tuple(Lcg(131).values(512, 256))
     return blocks, ref, cur
 
 
@@ -476,6 +485,7 @@ _PERL_EXEC_INSTRS = 22        # executed instructions per handler
 _PERL_PAD_INSTRS = 20         # never-executed padding (code footprint)
 
 
+@_per_scale
 def _perl_params(scale: float):
     steps = max(200, int(800 * scale))
     # Real interpreters show opcode locality: runs of the same handler
@@ -487,8 +497,7 @@ def _perl_params(scale: float):
         opcode = rng.below(_PERL_HANDLERS)
         run = 6 + rng.below(10)
         opcodes.extend([opcode] * run)
-    opcodes = opcodes[:steps]
-    return steps, opcodes
+    return steps, tuple(opcodes[:steps])
 
 
 def _perl_source(scale: float) -> str:
@@ -566,13 +575,14 @@ def _perl_exit(scale: float) -> int:
 # 502.gcc_r — tree walk with per-node opcode switch
 # ---------------------------------------------------------------------------
 
+@_per_scale
 def _gcc_params(scale: float):
     nodes = max(512, int(4096 * scale))
     visits = max(400, int(1800 * scale))
     rng = Lcg(149)
-    ops = [rng.below(4) for _ in range(nodes)]
-    left = [rng.below(nodes) for _ in range(nodes)]
-    right = [rng.below(nodes) for _ in range(nodes)]
+    ops = tuple(rng.below(4) for _ in range(nodes))
+    left = tuple(rng.below(nodes) for _ in range(nodes))
+    right = tuple(rng.below(nodes) for _ in range(nodes))
     return nodes, visits, ops, left, right
 
 
@@ -659,15 +669,16 @@ def _gcc_exit(scale: float) -> int:
 # 520.omnetpp_r — binary-heap event queue
 # ---------------------------------------------------------------------------
 
+@_per_scale
 def _omnetpp_params(scale: float):
     heap_size = 4096
     events = max(80, int(260 * scale))
-    keys = Lcg(151).values(heap_size, 1 << 20)
-    replacements = Lcg(157).values(events, 1 << 20)
+    keys = tuple(Lcg(151).values(heap_size, 1 << 20))
+    replacements = tuple(Lcg(157).values(events, 1 << 20))
     return heap_size, events, keys, replacements
 
 
-def _heapify(keys: List[int]) -> List[int]:
+def _heapify(keys: Sequence[int]) -> List[int]:
     heap = list(keys)
     n = len(heap)
     for start in range(n // 2 - 1, -1, -1):
@@ -767,9 +778,10 @@ def _omnetpp_exit(scale: float) -> int:
 _SJENG_TABLE_DWORDS = 3072    # 24 KiB: fits 32 KiB L1D, thrashes 16 KiB
 
 
+@_per_scale
 def _deepsjeng_params(scale: float):
     iterations = max(600, int(2600 * scale))
-    table = Lcg(163).values(_SJENG_TABLE_DWORDS, 1 << 30)
+    table = tuple(Lcg(163).values(_SJENG_TABLE_DWORDS, 1 << 30))
     return iterations, table
 
 
@@ -857,13 +869,14 @@ def _deepsjeng_exit(scale: float) -> int:
 # 557.xz_r — byte-wise match loops over a dictionary window
 # ---------------------------------------------------------------------------
 
+@_per_scale
 def _xz_params(scale: float):
     window_bytes = 49152     # 48 KiB
     matches = max(250, int(1100 * scale))
     rng = Lcg(167)
-    window = [rng.below(8) for _ in range(window_bytes)]  # small alphabet
-    positions = [rng.below(window_bytes - 64)
-                 for _ in range(2 * matches)]
+    window = tuple(rng.below(8) for _ in range(window_bytes))  # alphabet 8
+    positions = tuple(rng.below(window_bytes - 64)
+                      for _ in range(2 * matches))
     return window_bytes, matches, window, positions
 
 

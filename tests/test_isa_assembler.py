@@ -61,12 +61,9 @@ def test_data_directives_lay_out_little_endian():
     h:   .half 0x1234
     w:   .word 0xDEADBEEF
     """)
-    base = DEFAULT_DATA_BASE
-    assert program.data[base] == 0x08
-    assert program.data[base + 7] == 0x01
-    assert program.data[base + 8] == 0xAA
-    assert program.data[base + 9] == 0x34
-    assert program.data[base + 11] == 0xEF
+    assert program.data == ((DEFAULT_DATA_BASE,
+                             bytes.fromhex("0807060504030201") + b"\xaa"
+                             + b"\x34\x12" + b"\xef\xbe\xad\xde"),)
 
 
 def test_space_and_align():
@@ -81,9 +78,61 @@ def test_space_and_align():
 
 def test_asciz_terminates():
     program = asm('.data\nmsg: .asciz "hi"')
-    base = program.symbols["msg"]
-    assert program.data[base] == ord("h")
-    assert program.data[base + 2] == 0
+    assert program.data == ((program.symbols["msg"], b"hi\0"),)
+
+
+def test_align_gap_starts_a_new_segment():
+    program = asm("""
+    .data
+    a: .byte 1
+    .align 3
+    b: .dword 2
+    c: .ascii "ok"
+    """)
+    base = DEFAULT_DATA_BASE
+    assert program.symbols["b"] == base + 8
+    # The 7-byte gap is never written; the runs on each side are whole.
+    assert program.data == ((base, b"\x01"),
+                            (base + 8, (2).to_bytes(8, "little") + b"ok"))
+
+
+def test_space_writes_zeros_inside_the_segment():
+    program = asm(".data\na: .byte 1\n.space 3\nb: .byte 2")
+    assert program.data == ((DEFAULT_DATA_BASE, b"\x01\0\0\0\x02"),)
+    assert program.symbols["b"] == DEFAULT_DATA_BASE + 4
+
+
+def test_negative_and_wide_values_wrap_to_their_width():
+    program = asm(".data\n.word -1, -2\n.byte 300, -128\n.half 0x12345")
+    assert program.data == ((DEFAULT_DATA_BASE,
+                             b"\xff\xff\xff\xff\xfe\xff\xff\xff"
+                             b"\x2c\x80" b"\x45\x23"),)
+
+
+def test_dword_of_a_label_plus_offset():
+    program = asm("""
+    .equ K, 7
+    .data
+    a: .dword 1, 2
+    p: .dword a+8, K, 0x10
+    """)
+    base = DEFAULT_DATA_BASE
+    (segment,) = program.data
+    assert segment[0] == base
+    assert segment[1][16:] == b"".join(
+        value.to_bytes(8, "little") for value in (base + 8, 7, 0x10))
+
+
+def test_bad_token_deep_in_a_long_list_keeps_its_line():
+    tokens = ["1"] * 500 + ["nowhere"] + ["2"] * 20
+    source = ".data\nnop_label:\n.dword " + ", ".join(tokens)
+    with pytest.raises(AssemblerError) as info:
+        asm(source)
+    assert "line 3" in str(info.value)
+    assert "forward data reference to 'nowhere'" in str(info.value)
+    with pytest.raises(AssemblerError, match="bad symbol offset") as info:
+        asm(".data\n.byte 1\n\n.word 5, 6, a+zz, 7")
+    assert "line 4" in str(info.value)
 
 
 def test_equ_constants_usable_in_immediates():

@@ -51,8 +51,22 @@ def test_invalid_size_rejected():
 
 
 def test_image_load():
-    memory = SparseMemory({0x10: 0xAA, 0x11: 0xBB})
+    memory = SparseMemory(((0x10, b"\xaa\xbb"),))
     assert memory.read(0x10, 2) == 0xBBAA
+
+
+def test_image_segment_across_a_page_boundary():
+    payload = bytes(range(1, 11))
+    memory = SparseMemory(((0x1FFA, payload), (0x5000, b"")))
+    assert memory.dump(0x1FFA, 10) == payload
+    assert memory.read(0x1FFE, 4) == 0x08070605
+    # Two pages touched; the empty segment allocates none.
+    assert memory.footprint_bytes == 2 * 4096
+
+
+def test_later_image_segment_overwrites_an_earlier_one():
+    memory = SparseMemory(((0x100, b"\x01\x02\x03"), (0x101, b"\x09")))
+    assert memory.dump(0x100, 3) == b"\x01\x09\x03"
 
 
 def test_dump():

@@ -16,7 +16,8 @@ from repro.cores.boom import BoomCore
 from repro.cores.rocket import RocketCore
 from repro.pmu import PerfHarness
 from repro.reliability import (CacheIntegrityError, CounterCorruption,
-                               MulticoreJob, ReliabilityError,
+                               JobValidationError, MulticoreJob,
+                               ReliabilityError,
                                ResilientRunner, RetryPolicy, RunTimeout,
                                SlotConservationViolation, TMAJob,
                                TmaInvariantChecker)
@@ -257,14 +258,15 @@ MEDIAN = TMAJob(workload="median", scale=0.2, events=tuple(EVENTS),
 
 def test_runner_sweep_reports_partial_results(isolated_cache):
     # A stalled core makes the job fail every attempt; the runner
-    # reports the failure instead of raising it.
+    # reports the failure instead of raising it.  The watchdog's
+    # timeout would only repeat, so it is not retried.
     fault = FaultInjector(FaultSpec(kind=STALL_CORE, seed=1, stall_at=32))
     runner = ResilientRunner(retry_policy=RetryPolicy(max_attempts=2),
                              fault_injector=fault)
     outcome = runner.run_one(MEDIAN)
     assert outcome.status == "failed"
     assert outcome.error_class == "RunTimeout"
-    assert outcome.attempts == 2
+    assert outcome.attempts == 1
     assert outcome.measurement is None
 
     clean_outcome = ResilientRunner().run_one(MEDIAN)
@@ -295,14 +297,18 @@ def test_runner_quarantines_poisoned_entry_and_recovers(isolated_cache):
     assert served.result == outcome.result
 
 
-def test_runner_backoff_is_bounded_and_deterministic():
+def test_runner_backoff_is_bounded_and_deterministic(monkeypatch):
+    # A refuted measurement is retried (a watchdog timeout would not be).
+    def refuse(self, measurement):
+        raise CounterCorruption("refuted", invariant="forced")
+
+    monkeypatch.setattr(TmaInvariantChecker, "check_measurement", refuse)
     sleeps = []
-    fault = FaultInjector(FaultSpec(kind=STALL_CORE, seed=1, stall_at=32))
     runner = ResilientRunner(
         retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5),
-        fault_injector=fault, sleep=sleeps.append)
-    outcome = runner.run_one(MEDIAN)
-    assert not outcome.ok
+        sleep=sleeps.append)
+    outcome = runner.run_one(replace(MEDIAN, use_cache=False))
+    assert not outcome.ok and outcome.attempts == 3
     assert sleeps == [0.5, 1.0]
 
 
@@ -333,7 +339,7 @@ def test_seam_watchdog_bounds_every_window(kind):
     outcome = ResilientRunner().run_one(job)
     assert outcome.status == "failed"
     assert outcome.error_class == "RunTimeout"
-    assert outcome.attempts == 3
+    assert outcome.attempts == 1
 
 
 def test_seam_watchdog_bounds_every_scenario_core(monkeypatch):
@@ -341,7 +347,39 @@ def test_seam_watchdog_bounds_every_scenario_core(monkeypatch):
     outcome = ResilientRunner().run_one(SCENARIO)
     assert outcome.status == "failed"
     assert "exceeded" in outcome.error
-    assert outcome.attempts == 3
+    assert outcome.attempts == 1
+
+
+def test_seam_watchdog_failure_of_a_point_is_not_retried():
+    job = replace(KINDS["point"], max_cycles=50)
+    outcome = ResilientRunner().run_one(job)
+    assert (outcome.status, outcome.error_class, outcome.attempts) == \
+        ("failed", "RunTimeout", 1)
+
+
+def test_job_with_an_event_its_core_lacks_is_rejected():
+    job = TMAJob(workload="median", config="rocket", scale=0.2,
+                 events=("cycles", "uops_issued"))
+    with pytest.raises(JobValidationError, match="uops_issued"):
+        job.validate()
+    with pytest.raises(JobValidationError, match="rocket core"):
+        TMAJob.from_payload({"workload": "median", "config": "rocket",
+                             "events": ["uops_issued"]})
+    replace(job, config="large-boom").validate()
+    # Run anyway, it fails once, before any simulation.
+    outcome = ResilientRunner().run_one(job)
+    assert (outcome.status, outcome.error_class, outcome.attempts) == \
+        ("failed", "JobValidationError", 1)
+
+
+def test_scenario_over_its_instruction_budget_fails_once(isolated_cache):
+    # latency-victim's mm slot needs more than the functional
+    # executor's instruction budget at scale 10.
+    job = MulticoreJob(scenario="latency-victim", scale=10.0)
+    outcome = ResilientRunner().run_one(job)
+    assert (outcome.status, outcome.error_class, outcome.attempts) == \
+        ("failed", "ExecutionError", 1)
+    assert "instruction budget exceeded" in outcome.error
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -353,7 +391,7 @@ def test_seam_retries_a_transient_failure(kind, monkeypatch):
     def flaky(self, result):
         calls.append(result)
         if len(calls) == 1:
-            raise RunTimeout("transient", invariant="watchdog")
+            raise CounterCorruption("transient", invariant="transient")
         real(self, result)
 
     monkeypatch.setattr(TmaInvariantChecker, "check_core_result", flaky)
