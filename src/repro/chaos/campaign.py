@@ -225,10 +225,12 @@ def planned_sweep_faults(plan: ChaosPlan, workloads: Sequence[str],
     exactly what pass 2 must quarantine.
     """
     pairs = [(w, p) for w in workloads for p in points]
-    entries = {cache.fault_key(cache.cache_key(w, scale, p.config)):
+    entries = {cache.fault_key("result",
+                               cache.entry_identity(w, scale, p.config)):
                f"{w}:{p.key}" for w, p in pairs}
-    disk_keys = list(entries) + [trace_cache.fault_key(w, scale)
-                                 for w in dict.fromkeys(workloads)]
+    disk_keys = list(entries) + [
+        cache.fault_key("trace", trace_cache.identity(w, scale))
+        for w in dict.fromkeys(workloads)]
     disk = plan.planned_faults("disk_fault", disk_keys)
     return {
         "worker_kill": plan.planned_faults(

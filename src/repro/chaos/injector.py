@@ -9,9 +9,9 @@ a no-op costing one global-read when no plan is active.  The seams:
   ``repro.service.workers`` jobs) call this before executing a task;
   an injected kill is ``os._exit(23)``, indistinguishable from a
   SIGKILL'd/OOM-killed worker from the parent's point of view.
-- :func:`mangle_write` — the result cache and the trace cache route
-  their payload bytes through this before writing; injected faults
-  truncate the payload, flip a bit, or raise ``ENOSPC``.
+- :func:`mangle_write` — the on-disk store's one write path routes
+  every sealed entry, result or trace, through this before writing;
+  injected faults truncate the bytes, flip a bit, or raise ``ENOSPC``.
 - :func:`client_fault` — the service HTTP client consults this before
   each request; injected faults simulate connection-refused /
   connection-reset (as ``URLError``-shaped failures) or add delay.
@@ -150,11 +150,10 @@ def maybe_kill_worker(key: str) -> None:
 def mangle_write(key: str, data: bytes) -> bytes:
     """Corrupt payload bytes bound for disk, or raise ENOSPC.
 
-    *key* is the decision key the writing store built
-    (:func:`repro.tools.cache.fault_key`,
-    :func:`repro.workloads.trace_cache.fault_key`); each namespaces it
-    with its store so the same logical entry draws independent
-    decisions per store.  Returns the (possibly mangled) bytes;
+    *key* is the decision key the store built
+    (:func:`repro.tools.cache.fault_key`), prefixed with the entry's
+    namespace so a result and a trace draw independent decisions.
+    Returns the (possibly mangled) bytes;
     ``enospc`` raises :class:`OSError` exactly like a full disk.
     """
     current = _active_plan

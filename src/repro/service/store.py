@@ -22,9 +22,10 @@ The store also owns the drain persistence file: accepted jobs that a
 shutdown could not finish are written (atomically) to
 ``pending-jobs.state`` next to the cache entries, and a restarting
 service resubmits them — accepted work is never silently lost.  The
-file deliberately does *not* carry a ``.json`` suffix: cache entries
-are globbed as ``*.json``, and the pending file must never be counted
-or evicted as an LRU cache entry by :func:`repro.tools.cache.prune`.
+file deliberately does *not* carry an entry suffix (result entries are
+globbed as ``*.json``, traces as ``traces/*.ctrc``), so it is never
+counted or evicted as an LRU cache entry by
+:func:`repro.tools.cache.prune`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .job import MulticoreJob, TMAJob, outcome_payload
 
 #: Drain-persistence file name (lives inside the cache directory so
 #: ``REPRO_CACHE_DIR`` isolates it along with the results).  JSON
-#: content, but a non-``.json`` suffix: the cache's ``*.json`` scan
+#: content, but a non-``.json`` suffix: the store's ``*.json`` scan
 #: must not treat it as an evictable entry.
 PENDING_FILE = "pending-jobs.state"
 

@@ -1,34 +1,37 @@
-"""Disk cache for core-model runs.
+"""The on-disk store: core-model results and functional traces.
 
-Cycle-level simulation is the expensive step of the pipeline, so results
-are cached as JSON keyed by (workload, scale, config, model fingerprint).
-The fingerprint hashes the source of every module in the packages that
-influence timing (:data:`MODEL_PACKAGES`), so editing the simulator
-invalidates stale results automatically.  A key reads
-``<identity>-<fingerprint>``: the identity hashes only what the entry
-*is* (:func:`entry_identity`), and the chaos disk seam decides on it
-alone (:func:`fault_key`), so a seeded fault schedule survives source
-edits.
+Cycle-level simulation and functional execution are the expensive
+steps of the pipeline, so both are kept on disk, in two namespaces of
+one store:
 
-Integrity: every entry written by :func:`store` embeds a checksum of its
-payload, so silent on-disk corruption (a flipped byte that is still
-valid JSON) is detectable.  :func:`load` treats any unreadable, corrupt,
-or checksum-failing entry as a miss; :func:`verify_entry` classifies the
-same conditions strictly, raising
-:class:`~repro.isa.errors.CacheIntegrityError`, and
-:func:`load_or_quarantine` deletes such an entry and says why, so the
-batch engine and the resilient runner quarantine poisoned entries
-(verify, delete, re-run) instead of serving them.
+- ``result``: one JSON document per run (a :class:`CoreResult` or a
+  multicore scenario payload), keyed by ``<identity>-<fingerprint>``.
+  The identity hashes only what the entry *is* (:func:`entry_identity`:
+  workload, scale, config); the fingerprint hashes the source of every
+  module that influences timing (:data:`MODEL_PACKAGES`), so editing
+  the simulator invalidates stale results automatically.
+- ``trace``: one packed functional trace per (workload, scale), written
+  by :mod:`repro.workloads.trace_cache`; it does not depend on the core
+  config, so a sweep executes each workload once.
+
+Every entry is sealed the same way: magic + sha256 digest + payload
+bytes.  :func:`read` verifies it, and deletes and reports (as
+:class:`~repro.isa.errors.CacheIntegrityError`) any entry that is
+unreadable, fails its digest or does not parse, so callers quarantine
+poisoned entries (verify, delete, re-run) instead of serving them.
+:func:`write` is the one write path: atomic, through the chaos disk
+seam, which decides on the entry's namespace and identity
+(:func:`fault_key`) so a seeded fault schedule survives source edits.
 
 Configuration is environment-driven so service instances and CI runs
 can isolate their stores:
 
-- ``REPRO_CACHE_DIR`` relocates the cache directory (:func:`cache_dir`);
-- ``REPRO_CACHE_LIMIT_BYTES`` / ``REPRO_CACHE_LIMIT_ENTRIES`` bound the
-  store's size — :func:`store` evicts least-recently-used entries
-  (:func:`load` touches hits) until both limits hold, so the cache
-  never grows without bound.  Unset limits mean unlimited, matching the
-  historical behaviour.
+- ``REPRO_CACHE_DIR`` relocates the store (:func:`cache_dir`);
+- ``REPRO_CACHE_LIMIT_BYTES`` / ``REPRO_CACHE_LIMIT_ENTRIES`` bound both
+  namespaces together: every write evicts least-recently-used entries
+  (:func:`read` touches hits) until both limits hold.  Unset limits
+  leave results unbounded; traces are always held to
+  :data:`TRACE_ENTRIES` entries.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from stat import S_ISREG
+from typing import (Any, Callable, Dict, List, Optional, Tuple, TypeVar,
+                    Union)
 
 from ..cores.base import BoomConfig, CoreResult, RocketConfig
 from ..isa.errors import CacheIntegrityError
@@ -51,6 +56,8 @@ _LIMIT_ENTRIES_ENV = "REPRO_CACHE_LIMIT_ENTRIES"
 _DEFAULT_CACHE = Path(__file__).resolve().parents[3] / ".cache" / "results"
 
 _REPRO_ROOT = Path(__file__).resolve().parents[1]
+
+_T = TypeVar("_T")
 
 #: The ``repro`` subpackages each source fingerprint covers.  Every
 #: ``.py`` file under them is hashed, so a module added later is
@@ -197,170 +204,123 @@ def deserialize_result(payload: Dict[str, Any]) -> CoreResult:
     )
 
 
-#: Top-level key holding the payload checksum in on-disk entries.
-_CHECKSUM_KEY = "__sha256__"
+# ----------------------------------------------------------------------
+# Sealed entries
 
 
-def entry_path(key: str) -> Path:
+#: Entry envelope: magic + sha256(payload)[:16] + payload bytes.  Any
+#: flipped, lost or added byte fails the digest, and a file without the
+#: magic (a torn write, or a result entry from before the envelope) is
+#: refused as unreadable.
+_MAGIC = b"TCK1"
+_DIGEST_BYTES = 16
+_HEADER_BYTES = len(_MAGIC) + _DIGEST_BYTES
+
+#: Namespace -> (subdirectory, file suffix).  Result entries keep the
+#: ``.json`` name they had before the envelope, so entries written then
+#: are still counted and evicted by the budget.
+NAMESPACES = {"result": ("", ".json"), "trace": ("traces", ".ctrc")}
+
+#: The trace namespace holds at most this many entries, budget or not.
+TRACE_ENTRIES = 512
+
+
+def entry_path(key: str, namespace: str = "result") -> Path:
     """On-disk location of the entry for *key* (existing or not)."""
-    return cache_dir() / f"{key}.json"
+    subdir, suffix = NAMESPACES[namespace]
+    return cache_dir() / subdir / f"{key}{suffix}"
 
 
-def _payload_checksum(payload: Dict[str, Any]) -> str:
-    canonical = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _read_document(path: Path) -> Dict[str, Any]:
-    """Read + checksum one entry; raises CacheIntegrityError on damage."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, ValueError) as exc:
-        # OSError: unreadable file; ValueError covers JSONDecodeError
-        # plus truncated/garbled documents.
+def _unseal(data: bytes, name: str) -> bytes:
+    """The verified payload; raises CacheIntegrityError on any damage."""
+    if len(data) < _HEADER_BYTES or not data.startswith(_MAGIC):
         raise CacheIntegrityError(
-            f"unreadable cache entry {path.name}: {exc}",
-            invariant="cache-readable", observed=str(exc)) from exc
-    if not isinstance(document, dict):
+            f"cache entry {name} is not a sealed entry",
+            invariant="cache-readable", observed=data[:len(_MAGIC)].hex())
+    stored = data[len(_MAGIC):_HEADER_BYTES]
+    payload = data[_HEADER_BYTES:]
+    actual = hashlib.sha256(payload).digest()[:_DIGEST_BYTES]
+    if actual != stored:
         raise CacheIntegrityError(
-            f"cache entry {path.name} is not a JSON object",
-            invariant="cache-schema", observed=type(document).__name__)
-    stored_sum = document.pop(_CHECKSUM_KEY, None)
-    if stored_sum is not None:
-        actual = _payload_checksum(document)
-        if actual != stored_sum:
-            raise CacheIntegrityError(
-                f"cache entry {path.name} failed its checksum",
-                invariant="cache-checksum",
-                observed=actual, expected=stored_sum)
-    return document
-
-
-def _result_of(document: Dict[str, Any], name: str) -> CoreResult:
-    try:
-        return deserialize_result(document)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CacheIntegrityError(
-            f"cache entry {name} has a broken schema: {exc}",
-            invariant="cache-schema", observed=str(exc)) from exc
-
-
-def _payload_of(document: Dict[str, Any], name: str) -> Dict[str, Any]:
-    payload = document.get(_PAYLOAD_WRAPPER_KEY)
-    if not isinstance(payload, dict):
-        raise CacheIntegrityError(
-            f"cache entry {name} holds no payload document",
-            invariant="cache-schema", observed=type(payload).__name__)
+            f"cache entry {name} failed its checksum",
+            invariant="cache-checksum",
+            observed=actual.hex(), expected=stored.hex())
     return payload
 
 
-def _load_strict(key: str, parse=_result_of):
-    """The parsed entry for *key*, None when absent; raises on damage."""
-    path = entry_path(key)
-    if not path.exists():
-        return None
-    value = parse(_read_document(path), path.name)
+def read(namespace: str, key: str, parse: Callable[[bytes], _T]
+         ) -> Optional[_T]:
+    """The parsed entry for *key*, or None when there is none.
+
+    A present entry that cannot be read, fails its digest, or whose
+    payload *parse* rejects is deleted, and the reason is raised as
+    :class:`~repro.isa.errors.CacheIntegrityError` so the caller
+    re-runs and can say why.  A hit is touched, which makes the
+    budget's eviction least-recently-used.
+    """
+    path = entry_path(key, namespace)
     try:
-        # Touch hits so size-bounded eviction is LRU rather than FIFO.
+        value = parse(_unseal(path.read_bytes(), path.name))
+    except FileNotFoundError:
+        return None
+    except Exception as exc:  # noqa: BLE001 - damage is never a crash
+        try:
+            os.remove(path)
+        except OSError:
+            pass
+        if isinstance(exc, CacheIntegrityError):
+            raise
+        raise CacheIntegrityError(
+            f"cache entry {path.name} is damaged: {exc}",
+            invariant=("cache-readable" if isinstance(exc, OSError)
+                       else "cache-schema"),
+            observed=str(exc)) from exc
+    try:
         os.utime(path)
     except OSError:
         pass
     return value
 
 
-def load(key: str) -> Optional[CoreResult]:
-    try:
-        return _load_strict(key)
-    except CacheIntegrityError:
-        return None  # treat corrupt entries as misses
+def fault_key(namespace: str, identity: str) -> str:
+    """The key the chaos disk seam decides on when writing an entry.
 
-
-def load_or_quarantine(
-    key: str,
-) -> Tuple[Optional[CoreResult], Optional[CacheIntegrityError]]:
-    """Load the entry for *key*, deleting it when it is damaged.
-
-    Returns ``(result, None)`` on a hit and ``(None, None)`` when no
-    entry exists.  An entry that is present but unreadable,
-    checksum-failing or schema-broken is quarantined and comes back as
-    ``(None, error)``; the caller re-runs and can report why.  Damage
-    is judged on the entry actually read, so an entry that is merely
-    absent is never reported.
+    *identity* names what the entry is without any source fingerprint
+    (a result's :func:`entry_identity`, a trace's workload and scale),
+    so a seeded fault schedule survives source edits.
     """
-    return _load_or_quarantine(key, _result_of)
+    return f"{namespace}-cache:{identity}"
 
 
-def load_payload_or_quarantine(
-    key: str,
-) -> Tuple[Optional[Dict[str, Any]], Optional[CacheIntegrityError]]:
-    """:func:`load_or_quarantine` for a :func:`store_payload` entry."""
-    return _load_or_quarantine(key, _payload_of)
-
-
-def _load_or_quarantine(key: str, parse
-                        ) -> Tuple[Any, Optional[CacheIntegrityError]]:
-    try:
-        return _load_strict(key, parse), None
-    except CacheIntegrityError as exc:
-        quarantine(key)
-        return None, exc
-
-
-def verify_entry(key: str) -> bool:
-    """Strictly validate the entry for *key*.
-
-    Returns ``False`` when no entry exists, ``True`` when the entry is
-    present and intact, and raises
-    :class:`~repro.isa.errors.CacheIntegrityError` when the entry is
-    present but unreadable, checksum-failing, or schema-broken.
-    """
-    path = entry_path(key)
-    if not path.exists():
-        return False
-    _result_of(_read_document(path), path.name)
-    return True
-
-
-def quarantine(key: str) -> bool:
-    """Delete the (presumed poisoned) entry for *key*.
-
-    Returns ``True`` when an entry was removed.  The caller re-runs the
-    simulation to repopulate the slot.
-    """
-    path = entry_path(key)
-    try:
-        os.remove(path)
-        return True
-    except FileNotFoundError:
-        return False
-
-
-def store(key: str, result: CoreResult) -> bool:
-    """Write the entry for *key*; returns False when the write failed.
+def write(namespace: str, key: str, payload: bytes, identity: str) -> bool:
+    """Seal and atomically write one entry; False when the write failed.
 
     A cache write is an optimization, never a correctness step: a full
     disk (ENOSPC), a permissions problem, or any other ``OSError``
-    skips the write and the caller's run result is returned as normal.
-    Payload bytes are routed through the chaos-injection disk seam so
-    campaigns can exercise truncated/bit-flipped/ENOSPC writes; the
-    embedded checksum is what makes those mangled entries *detectable*
-    on the next read.
+    skips the write.  The sealed bytes pass the chaos disk seam (keyed
+    by :func:`fault_key`), whose truncated and bit-flipped writes the
+    digest catches on the next read.  Then the store is pruned: to the
+    ``REPRO_CACHE_LIMIT_*`` budget when one is set (one scan of both
+    namespaces), else a trace write caps traces at
+    :data:`TRACE_ENTRIES` (one scan of that namespace) and a result
+    write scans nothing.
     """
-    return _write_entry(key, serialize_result(result))
+    from ..chaos import injector as chaos
 
-
-def fault_key(key: str) -> str:
-    """The key the chaos disk seam decides on when writing entry *key*.
-
-    Keys from :func:`cache_key` and :func:`windowed_cache_key` drop
-    their ``-<model fingerprint>`` suffix, so the decision depends on
-    what the entry is and not on the simulator's source; any other key
-    (e.g. a multicore scenario key) is used whole.
-    """
-    suffix = f"-{model_fingerprint()}"
-    identity = key[: -len(suffix)] if key.endswith(suffix) else key
-    return f"result-cache:{identity}"
+    sealed = (_MAGIC + hashlib.sha256(payload).digest()[:_DIGEST_BYTES]
+              + payload)
+    try:
+        atomic_write(entry_path(key, namespace),
+                     chaos.mangle_write(fault_key(namespace, identity),
+                                        sealed))
+    except OSError:
+        return False
+    limit_bytes = cache_limit_bytes()
+    limit_entries = cache_limit_entries()
+    if (namespace == "trace" or limit_bytes is not None
+            or limit_entries is not None):
+        prune(max_bytes=limit_bytes, max_entries=limit_entries, keep=(key,))
+    return True
 
 
 def atomic_write(path: Path, data: bytes) -> None:
@@ -385,37 +345,29 @@ def atomic_write(path: Path, data: bytes) -> None:
             pass
 
 
-def _write_entry(key: str, payload: Dict[str, Any]) -> bool:
-    """Checksum, atomically write, and LRU-prune one entry document."""
-    from ..chaos import injector as chaos
-
-    payload = dict(payload)
-    payload[_CHECKSUM_KEY] = _payload_checksum(
-        {k: v for k, v in payload.items() if k != _CHECKSUM_KEY})
-    data = json.dumps(payload).encode("utf-8")
-    try:
-        atomic_write(entry_path(key),
-                     chaos.mangle_write(fault_key(key), data))
-    except OSError:
-        return False
-    limit_bytes = cache_limit_bytes()
-    limit_entries = cache_limit_entries()
-    if limit_bytes is not None or limit_entries is not None:
-        prune(max_bytes=limit_bytes, max_entries=limit_entries,
-              keep=(key,))
-    return True
-
-
 # ----------------------------------------------------------------------
-# Generic JSON payload entries
+# The result namespace
 #
-# Results that are not a CoreResult (multicore scenario payloads, for
-# now) share the same store: checksummed, atomically written, subject to
-# the same LRU budget.  A wrapper key keeps them from ever being
-# mistaken for a CoreResult entry (``load`` on one simply misses).
+# A CoreResult entry holds the JSON of :func:`serialize_result`; any
+# other result (a multicore scenario payload) is wrapped under one key,
+# so it can never be mistaken for a CoreResult.
 
 
 _PAYLOAD_WRAPPER_KEY = "__payload__"
+
+
+def _write_result(key: str, document: Dict[str, Any]) -> bool:
+    # The identity drops the ``-<model fingerprint>`` suffix of keys from
+    # cache_key/windowed_cache_key; a multicore scenario key stays whole.
+    suffix = f"-{model_fingerprint()}"
+    identity = key[: -len(suffix)] if key.endswith(suffix) else key
+    return write("result", key, json.dumps(document).encode("utf-8"),
+                 identity)
+
+
+def store(key: str, result: CoreResult) -> bool:
+    """Write the entry for *key*; returns False when the write failed."""
+    return _write_result(key, serialize_result(result))
 
 
 def store_payload(key: str, payload: Dict[str, Any]) -> bool:
@@ -423,7 +375,51 @@ def store_payload(key: str, payload: Dict[str, Any]) -> bool:
 
     :func:`load_payload_or_quarantine` reads it back.
     """
-    return _write_entry(key, {_PAYLOAD_WRAPPER_KEY: payload})
+    return _write_result(key, {_PAYLOAD_WRAPPER_KEY: payload})
+
+
+def _result_of(data: bytes) -> CoreResult:
+    return deserialize_result(json.loads(data))
+
+
+def _payload_of(data: bytes) -> Dict[str, Any]:
+    payload = json.loads(data).get(_PAYLOAD_WRAPPER_KEY)
+    if not isinstance(payload, dict):
+        raise CacheIntegrityError(
+            "cache entry holds no payload document",
+            invariant="cache-schema", observed=type(payload).__name__)
+    return payload
+
+
+def load(key: str) -> Optional[CoreResult]:
+    """The result for *key*; a damaged entry is quarantined as a miss."""
+    return load_or_quarantine(key)[0]
+
+
+def load_or_quarantine(
+    key: str,
+) -> Tuple[Optional[CoreResult], Optional[CacheIntegrityError]]:
+    """``(result, None)`` on a hit, ``(None, None)`` when absent.
+
+    A damaged entry is deleted by :func:`read` and comes back as
+    ``(None, error)``; the caller re-runs and can report why.
+    """
+    return _load_or_quarantine(key, _result_of)
+
+
+def load_payload_or_quarantine(
+    key: str,
+) -> Tuple[Optional[Dict[str, Any]], Optional[CacheIntegrityError]]:
+    """:func:`load_or_quarantine` for a :func:`store_payload` entry."""
+    return _load_or_quarantine(key, _payload_of)
+
+
+def _load_or_quarantine(key: str, parse
+                        ) -> Tuple[Any, Optional[CacheIntegrityError]]:
+    try:
+        return read("result", key, parse), None
+    except CacheIntegrityError as exc:
+        return None, exc
 
 
 # ----------------------------------------------------------------------
@@ -439,6 +435,8 @@ class CacheUsage:
     total_bytes: int
     limit_bytes: Optional[int]
     limit_entries: Optional[int]
+    #: namespace -> (entries, bytes)
+    namespaces: Dict[str, Tuple[int, int]]
 
     @property
     def over_limit(self) -> bool:
@@ -451,64 +449,78 @@ class CacheUsage:
         def fmt(limit: Optional[int]) -> str:
             return "unlimited" if limit is None else str(limit)
 
-        return (f"cache {self.directory}\n"
-                f"  entries: {self.entries} (limit {fmt(self.limit_entries)})\n"
-                f"  bytes:   {self.total_bytes} (limit {fmt(self.limit_bytes)})")
+        lines = [f"cache {self.directory}",
+                 f"  entries: {self.entries} (limit {fmt(self.limit_entries)})",
+                 f"  bytes:   {self.total_bytes} (limit {fmt(self.limit_bytes)})"]
+        for namespace, (entries, size) in self.namespaces.items():
+            cap = f", cap {TRACE_ENTRIES}" if namespace == "trace" else ""
+            lines.append(f"  {namespace + ':':<8} {entries} entries, "
+                         f"{size} bytes{cap}")
+        return "\n".join(lines)
 
 
-def _scan_entries(directory: Path) -> List[Path]:
-    if not directory.is_dir():
-        return []
-    return [p for p in directory.glob("*.json") if p.is_file()]
+def _scan(namespaces) -> List[Tuple[float, int, str, Path]]:
+    """``(mtime, size, namespace, path)`` of every entry in *namespaces*."""
+    found = []
+    for namespace in namespaces:
+        subdir, suffix = NAMESPACES[namespace]
+        directory = cache_dir() / subdir
+        if not directory.is_dir():
+            continue
+        for path in directory.glob(f"*{suffix}"):
+            try:
+                info = path.stat()
+            except OSError:
+                continue
+            if S_ISREG(info.st_mode):
+                found.append((info.st_mtime, info.st_size, namespace, path))
+    return found
 
 
 def usage() -> CacheUsage:
-    """Current entry count and byte total (plus any env-set limits)."""
-    directory = cache_dir()
-    entries = _scan_entries(directory)
-    total = 0
-    for path in entries:
-        try:
-            total += path.stat().st_size
-        except OSError:
-            pass
-    return CacheUsage(directory=str(directory), entries=len(entries),
-                      total_bytes=total,
+    """Entry count and byte total of both namespaces, plus the budget."""
+    totals = {namespace: (0, 0) for namespace in NAMESPACES}
+    for _, size, namespace, _ in _scan(NAMESPACES):
+        entries, total = totals[namespace]
+        totals[namespace] = (entries + 1, total + size)
+    return CacheUsage(directory=str(cache_dir()),
+                      entries=sum(n for n, _ in totals.values()),
+                      total_bytes=sum(b for _, b in totals.values()),
                       limit_bytes=cache_limit_bytes(),
-                      limit_entries=cache_limit_entries())
+                      limit_entries=cache_limit_entries(),
+                      namespaces=totals)
 
 
 def prune(max_bytes: Optional[int] = None,
           max_entries: Optional[int] = None,
           keep: Optional[Any] = None) -> List[str]:
-    """Evict least-recently-used entries until both budgets hold.
+    """Evict least-recently-used entries until the store is in budget.
 
-    ``max_bytes`` / ``max_entries`` of ``None`` mean "no bound on that
-    axis"; calling with both ``None`` is a no-op.  Keys listed in
-    ``keep`` are never evicted (``store`` protects the entry it just
-    wrote).  Returns the evicted keys, oldest first.
+    ``max_bytes`` / ``max_entries`` bound both namespaces together;
+    ``None`` means no bound on that axis, and with both ``None`` only
+    the trace namespace is scanned.  The trace namespace is also held
+    to :data:`TRACE_ENTRIES` entries.  Keys listed in ``keep`` are
+    never evicted (:func:`write` protects the entry it just wrote).
+    Returns the evicted keys, oldest first.
     """
-    if max_bytes is None and max_entries is None:
-        return []
-    directory = cache_dir()
-    protected = set(keep or ())
-    survivors = []
-    for path in _scan_entries(directory):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        survivors.append((stat.st_mtime, stat.st_size, path))
-    survivors.sort()  # oldest mtime first = least recently used first
-    total_bytes = sum(size for _, size, _ in survivors)
+    budget = max_bytes is not None or max_entries is not None
+    survivors = sorted(_scan(NAMESPACES if budget else ("trace",)))
+    total_bytes = sum(size for _, size, _, _ in survivors)
     total_entries = len(survivors)
+    traces = sum(1 for _, _, namespace, _ in survivors
+                 if namespace == "trace")
+    protected = set(keep or ())
     evicted: List[str] = []
-    for _, size, path in survivors:
-        bytes_ok = max_bytes is None or total_bytes <= max_bytes
-        entries_ok = max_entries is None or total_entries <= max_entries
-        if bytes_ok and entries_ok:
+    for _, size, namespace, path in survivors:
+        over_budget = ((max_bytes is not None and total_bytes > max_bytes)
+                       or (max_entries is not None
+                           and total_entries > max_entries))
+        over_cap = traces > TRACE_ENTRIES
+        if not over_budget and not over_cap:
             break
         if path.stem in protected:
+            continue
+        if not over_budget and namespace != "trace":
             continue
         try:
             os.remove(path)
@@ -517,4 +529,5 @@ def prune(max_bytes: Optional[int] = None,
         evicted.append(path.stem)
         total_bytes -= size
         total_entries -= 1
+        traces -= namespace == "trace"
     return evicted

@@ -868,13 +868,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.set_defaults(func=_cmd_perf)
 
     p_cache = sub.add_parser(
-        "cache", help="result-cache size report and LRU pruning")
+        "cache", help="on-disk store (results and traces): size report "
+                      "and LRU pruning")
     p_cache.add_argument("action", choices=["stats", "prune"])
     p_cache.add_argument("--max-bytes", type=int, default=None,
-                         help="prune until the store is under this many "
-                              "bytes (default: REPRO_CACHE_LIMIT_BYTES)")
+                         help="prune until results plus traces are under "
+                              "this many bytes "
+                              "(default: REPRO_CACHE_LIMIT_BYTES)")
     p_cache.add_argument("--max-entries", type=int, default=None,
-                         help="prune until at most this many entries "
+                         help="prune until at most this many entries, "
+                              "results plus traces "
                               "(default: REPRO_CACHE_LIMIT_ENTRIES)")
     p_cache.set_defaults(func=_cmd_cache)
 

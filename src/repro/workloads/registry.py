@@ -1,14 +1,14 @@
 """Workload registry: every benchmark the evaluation uses, by name.
 
 A workload is a function from a *scale* factor to assembly source; the
-registry assembles and functionally executes on demand, caching both per
-process (the trace of a workload at a given scale never changes).
+registry assembles and functionally executes on demand, memoizing the
+trace (the trace of a workload at a given scale never changes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..isa import ColumnarTrace, Program, assemble, execute
 from . import trace_cache
@@ -53,7 +53,6 @@ def is_idle(name: str) -> bool:
 
 
 _REGISTRY: Dict[str, Workload] = {}
-_PROGRAM_CACHE: Dict[Tuple[str, float], Program] = {}
 
 
 def register(workload: Workload) -> Workload:
@@ -104,16 +103,19 @@ def get_workload(name: str) -> Workload:
 
 
 def build_program(name: str, scale: float = 1.0) -> Program:
-    """Assemble the workload (cached per (name, scale))."""
-    key = (name, scale)
-    if key not in _PROGRAM_CACHE:
-        workload = get_workload(name)
-        source = workload.source_builder(scale)
-        _PROGRAM_CACHE[key] = assemble(source, name=name)
-    return _PROGRAM_CACHE[key]
+    """Assemble the workload at *scale* (not cached; see build_trace)."""
+    return assemble(get_workload(name).source_builder(scale), name=name)
 
 
-def _verify_exit(name: str, scale: float, trace) -> None:
+def _execute(name: str, scale: float) -> ColumnarTrace:
+    """Assemble, execute, and check the workload's exit code.
+
+    The ``expected_exit`` check runs here, before the trace reaches
+    either trace tier, so a broken kernel fails loudly and leaves
+    nothing memoized instead of producing a meaningless
+    characterization.
+    """
+    trace = execute(build_program(name, scale))
     workload = get_workload(name)
     if workload.expected_exit is not None:
         expected = workload.expected_exit(scale)
@@ -121,27 +123,22 @@ def _verify_exit(name: str, scale: float, trace) -> None:
             raise AssertionError(
                 f"workload {name!r} exited with {trace.exit_code}, "
                 f"expected {expected}")
-
-
-def build_trace(name: str, scale: float = 1.0) -> ColumnarTrace:
-    """Assemble and functionally execute the workload (cached).
-
-    The trace is memoized through :mod:`repro.workloads.trace_cache`
-    (in-memory LRU + shared disk tier), so sweeps and service bursts
-    execute each workload functionally once.  The workload's
-    ``expected_exit`` code is verified, so a broken kernel fails loudly
-    instead of producing a meaningless characterization.
-    """
-    get_workload(name)  # fail fast on unknown names
-    trace = trace_cache.get(
-        name, scale, lambda: execute(build_program(name, scale)))
-    _verify_exit(name, scale, trace)
     return trace
 
 
+def build_trace(name: str, scale: float = 1.0) -> ColumnarTrace:
+    """Assemble and functionally execute the workload (memoized).
+
+    The trace is memoized through :mod:`repro.workloads.trace_cache`
+    (in-memory LRU + the store's ``trace`` namespace), so sweeps and
+    service bursts execute each workload functionally once.
+    """
+    get_workload(name)  # fail fast on unknown names
+    return trace_cache.get(name, scale, lambda: _execute(name, scale))
+
+
 def clear_caches() -> None:
-    """Drop cached programs/traces (mostly for tests)."""
-    _PROGRAM_CACHE.clear()
+    """Drop the in-memory trace tier (mostly for tests)."""
     trace_cache.clear_memory()
 
 

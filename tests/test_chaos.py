@@ -164,7 +164,9 @@ def test_corrupt_result_cache_write_is_quarantined_on_next_run():
     assert job.cache_key() == key
     # The seam decides on the entry's identity, not its full key.  Only
     # exercise a *corrupting* flavor here (enospc leaves no entry).
-    chaos_key = cache.fault_key(key)
+    chaos_key = cache.fault_key("result",
+                                cache.entry_identity("median", 0.2, ROCKET))
+    assert chaos_key == f"result-cache:{key.split('-')[0]}"
     flavor = plan.decide("disk_fault", chaos_key)
     if flavor == "enospc":
         plan = ChaosPlan(seed=12, disk_fault_rate=1.0)
@@ -174,9 +176,9 @@ def test_corrupt_result_cache_write_is_quarantined_on_next_run():
     with injector.active(plan):
         first = runner.run_one(job)
     assert first.status == "ok"
-    # The stored entry is damaged; a plain load must refuse it...
-    assert cache.load(key) is None
-    # ...and the next chaos-free run quarantines and recomputes.
+    # The stored entry is damaged: the next chaos-free run refuses it,
+    # quarantines it and recomputes.
+    assert cache.entry_path(key).exists()
     second = runner.run_one(job)
     assert second.status == "ok"
     assert second.quarantined is True
@@ -189,7 +191,7 @@ def test_corrupt_trace_cache_entry_is_a_counted_miss():
     from repro.workloads import build_trace, clear_caches
 
     built = build_trace("vvadd", scale=0.1)
-    path = trace_cache.entry_path("vvadd", 0.1)
+    path = cache.entry_path(trace_cache.trace_key("vvadd", 0.1), "trace")
     # Flip one payload byte on disk: the sealed envelope must catch it
     # even though the columnar codec itself has no content digest.
     raw = bytearray(path.read_bytes())

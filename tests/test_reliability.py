@@ -202,7 +202,8 @@ def test_stalled_core_detected_as_run_timeout():
 def test_corrupted_cache_detected_and_quarantined(isolated_cache):
     reference = measure()
     key = cache.cache_key("median", 0.2, LARGE_BOOM)
-    chaos_key = cache.fault_key(key)
+    chaos_key = cache.fault_key(
+        "result", cache.entry_identity("median", 0.2, LARGE_BOOM))
     for flavor in ("truncate", "bitflip"):
         # The first seed whose disk seam draws this corrupting flavor.
         plan = next(plan for plan in (ChaosPlan(seed=seed,
@@ -211,10 +212,10 @@ def test_corrupted_cache_detected_and_quarantined(isolated_cache):
                     if plan.decide("disk_fault", chaos_key) == flavor)
         with injector.active(plan):
             assert cache.store(key, reference.result)
-        with pytest.raises(CacheIntegrityError):
-            cache.verify_entry(key)
-        assert cache.load(key) is None  # lenient path: corrupt == miss
-        assert cache.quarantine(key)
+        assert cache.entry_path(key).exists()
+        hit, damage = cache.load_or_quarantine(key)
+        assert hit is None
+        assert isinstance(damage, CacheIntegrityError)
         assert not cache.entry_path(key).exists()
 
 
@@ -282,7 +283,7 @@ def test_runner_quarantines_poisoned_entry_and_recovers(isolated_cache):
     key = job.cache_key()
     assert key == cache.cache_key("median", 0.2, LARGE_BOOM)
     cache.store(key, reference.result)
-    # Valid JSON, valid checksum key removed -> schema damage.
+    # Valid JSON without the sealed envelope -> refused as unreadable.
     path = cache.entry_path(key)
     path.write_text('{"workload": "median"}')
     outcome = ResilientRunner().run_one(job)
@@ -290,7 +291,7 @@ def test_runner_quarantines_poisoned_entry_and_recovers(isolated_cache):
     assert outcome.ok  # re-run succeeded after quarantine
     assert outcome.attempts == 1
     assert outcome.error_class == "CacheIntegrityError"  # names the damage
-    assert cache.verify_entry(key)  # repopulated with a good entry
+    assert cache.load_or_quarantine(key) == (outcome.result, None)
     # The repaired entry is now served without a run.
     served = ResilientRunner().run_one(job)
     assert served.ok and served.attempts == 0 and not served.quarantined

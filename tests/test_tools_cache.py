@@ -1,22 +1,43 @@
-"""Unit tests for the result cache and the tma_tool pipeline."""
+"""Unit tests for the on-disk store and the tma_tool pipeline."""
 
 import pytest
 
 import os
 
 from repro.cores import LARGE_BOOM, ROCKET
+from repro.isa.columnar import unpack
 from repro.isa.errors import CacheIntegrityError
 from repro.tools import rocket_with_l1d, run_core, run_tma
 from repro.tools.cache import (cache_dir, cache_key, cache_limit_bytes,
                                cache_limit_entries, entry_path, load,
                                load_or_quarantine, model_fingerprint, prune,
-                               quarantine, store, usage, verify_entry)
+                               read, store, usage)
+from repro.workloads import build_trace, clear_caches, trace_cache
 
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     yield tmp_path
+
+
+@pytest.fixture(scope="module")
+def vvadd_results(tmp_path_factory):
+    """vvadd results by scale, simulated in a store of their own.
+
+    The store under test then holds only the entries a test writes.
+    """
+    previous = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("sim"))
+    try:
+        return {scale: run_core("vvadd", ROCKET, scale=scale,
+                                use_cache=False)
+                for scale in (0.1, 0.15, 0.2, 0.25)}
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_CACHE_DIR", None)
+        else:
+            os.environ["REPRO_CACHE_DIR"] = previous
 
 
 def test_fingerprint_stable_within_process():
@@ -68,25 +89,66 @@ def test_checksum_mismatch_detected(isolated_cache):
     key = cache_key("vvadd", 0.2, ROCKET)
     store(key, result)
     path = entry_path(key)
-    text = path.read_text()
-    assert "__sha256__" in text
-    path.write_text(text.replace(str(result.cycles),
-                                 str(result.cycles + 1), 1))
-    with pytest.raises(CacheIntegrityError) as excinfo:
-        verify_entry(key)
-    assert excinfo.value.invariant == "cache-checksum"
-    assert load(key) is None  # lenient reader treats damage as a miss
+    data = path.read_bytes()
+    assert data.startswith(b"TCK1")
+    path.write_bytes(data.replace(str(result.cycles).encode(),
+                                  str(result.cycles + 1).encode(), 1))
+    hit, damage = load_or_quarantine(key)
+    assert hit is None
+    assert damage.invariant == "cache-checksum"
+    assert not path.exists()
 
 
 def test_verify_and_quarantine_lifecycle(isolated_cache):
     key = cache_key("median", 0.2, ROCKET)
-    assert verify_entry(key) is False      # missing
-    assert quarantine(key) is False        # nothing to remove
+    assert load_or_quarantine(key) == (None, None)  # missing: nothing read
     result = run_core("median", ROCKET, scale=0.2, use_cache=False)
     store(key, result)
-    assert verify_entry(key) is True       # intact
-    assert quarantine(key) is True
+    hit, damage = load_or_quarantine(key)
+    assert damage is None and hit == result         # intact: served, kept
+    assert entry_path(key).exists()
+    entry_path(key).write_bytes(entry_path(key).read_bytes()[:-1])
+    assert load(key) is None                        # damaged: removed
     assert not entry_path(key).exists()
+
+
+def _flip_positions(size):
+    """Every header byte, the first and last 128 bytes, and a sample."""
+    return sorted(set(range(min(size, 128)))
+                  | set(range(max(0, size - 128), size))
+                  | set(range(0, size, 37)))
+
+
+def test_every_flipped_bit_of_a_result_entry_is_quarantined(isolated_cache):
+    result = run_core("median", ROCKET, scale=0.2, use_cache=False)
+    key = cache_key("median", 0.2, ROCKET)
+    store(key, result)
+    path = entry_path(key)
+    intact = path.read_bytes()
+    for position in _flip_positions(len(intact)):
+        damaged = bytearray(intact)
+        damaged[position] ^= 1 << (position % 8)
+        path.write_bytes(bytes(damaged))
+        hit, damage = load_or_quarantine(key)
+        assert hit is None and damage is not None, position
+        assert not path.exists(), position
+
+
+def test_every_flipped_bit_of_a_trace_entry_is_quarantined(isolated_cache):
+    clear_caches()
+    trace = build_trace("vvadd", scale=0.1)
+    key = trace_cache.trace_key("vvadd", 0.1)
+    path = entry_path(key, "trace")
+    intact = path.read_bytes()
+    assert len(read("trace", key, unpack)) == len(trace)
+    for position in _flip_positions(len(intact)):
+        damaged = bytearray(intact)
+        damaged[position] ^= 1 << (position % 8)
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(CacheIntegrityError):
+            read("trace", key, unpack)
+        assert not path.exists(), position
+    clear_caches()
 
 
 def test_load_or_quarantine_reports_only_damage_it_read(isolated_cache):
@@ -116,13 +178,13 @@ def test_failed_replace_leaves_no_tmp_in_any_store(isolated_cache,
     import errno
 
     from repro.service.store import ResultStore
-    from repro.workloads import build_trace, trace_cache
 
     result = run_core("vvadd", ROCKET, scale=0.2, use_cache=False)
     trace = build_trace("vvadd", scale=0.2)
     trace_cache.clear_memory()
-    # Force the disk-tier write below.
-    trace_cache.entry_path("vvadd", 0.2).unlink(missing_ok=True)
+    # Force the trace write below.
+    entry_path(trace_cache.trace_key("vvadd", 0.2), "trace").unlink(
+        missing_ok=True)
 
     def full_disk(src, dst):
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -191,35 +253,92 @@ def test_cache_limits_parse_env(monkeypatch):
 # Size accounting and LRU eviction
 
 
-def _fill_cache(scales, workload="vvadd"):
+def _fill_cache(results, scales):
     keys = []
     for scale in scales:
-        result = run_core(workload, ROCKET, scale=scale, use_cache=False)
-        key = cache_key(workload, scale, ROCKET)
-        store(key, result)
+        key = cache_key("vvadd", scale, ROCKET)
+        store(key, results[scale])
         keys.append(key)
     return keys
 
 
-def test_usage_counts_entries_and_bytes(isolated_cache):
+def _disk_bytes(root):
+    return sum(p.stat().st_size for p in root.rglob("*") if p.is_file())
+
+
+def test_usage_counts_entries_and_bytes(isolated_cache, vvadd_results):
     assert usage().entries == 0
-    keys = _fill_cache([0.1, 0.2])
+    keys = _fill_cache(vvadd_results, [0.1, 0.2])
     report = usage()
     assert report.entries == 2
     assert report.total_bytes == sum(
         entry_path(k).stat().st_size for k in keys)
+    assert report.namespaces == {"result": (2, report.total_bytes),
+                                 "trace": (0, 0)}
     assert not report.over_limit  # no limits set
     assert "entries: 2" in report.render()
 
 
-def test_prune_noop_without_limits(isolated_cache):
-    _fill_cache([0.1, 0.2])
+def test_cache_stats_reports_both_namespaces(isolated_cache, capsys):
+    from repro.tools.cli import main
+
+    clear_caches()
+    run_core("vvadd", ROCKET, scale=0.1)
+    trace_path = entry_path(trace_cache.trace_key("vvadd", 0.1), "trace")
+    result_path = entry_path(cache_key("vvadd", 0.1, ROCKET))
+    assert usage().namespaces == {
+        "result": (1, result_path.stat().st_size),
+        "trace": (1, trace_path.stat().st_size)}
+    assert main(["cache", "stats"]) == 0
+    out = capsys.readouterr().out
+    assert "entries: 2 " in out
+    assert f"bytes:   {_disk_bytes(isolated_cache)} " in out
+    assert "result:  1 entries" in out
+    assert "trace:   1 entries" in out
+
+
+def test_byte_limit_bounds_results_plus_traces(isolated_cache, monkeypatch):
+    workloads = ("vvadd", "median", "towers")
+    clear_caches()
+    for name in workloads:  # unbounded: learn the entries' sizes
+        run_core(name, ROCKET, scale=0.1)
+    largest = max(p.stat().st_size for p in isolated_cache.rglob("*")
+                  if p.is_file())
+    limit = int(largest * 1.5)
+    assert _disk_bytes(isolated_cache) > limit
+    for path in isolated_cache.rglob("*.*"):
+        path.unlink()
+    clear_caches()
+    monkeypatch.setenv("REPRO_CACHE_LIMIT_BYTES", str(limit))
+    for name in workloads:
+        run_core(name, ROCKET, scale=0.1)
+        assert _disk_bytes(isolated_cache) <= limit
+    assert usage().total_bytes <= limit
+    assert entry_path(cache_key(workloads[-1], 0.1, ROCKET)).exists()
+    clear_caches()
+
+
+def test_pending_job_files_are_never_counted_or_evicted(isolated_cache,
+                                                        vvadd_results):
+    pending = [isolated_cache / "pending-jobs.state",
+               isolated_cache / "pending-jobs-shard-1.state"]
+    for path in pending:
+        path.write_text('{"version": 1, "jobs": []}')
+    _fill_cache(vvadd_results, [0.1])
+    assert usage().entries == 1
+    assert len(prune(max_bytes=0, max_entries=0)) == 1
+    assert usage().entries == 0
+    assert all(path.exists() for path in pending)
+
+
+def test_prune_noop_without_limits(isolated_cache, vvadd_results):
+    _fill_cache(vvadd_results, [0.1, 0.2])
     assert prune() == []
     assert usage().entries == 2
 
 
-def test_prune_evicts_oldest_first(isolated_cache):
-    keys = _fill_cache([0.1, 0.15, 0.2])
+def test_prune_evicts_oldest_first(isolated_cache, vvadd_results):
+    keys = _fill_cache(vvadd_results, [0.1, 0.15, 0.2])
     for age, key in zip((300, 200, 100), keys):
         path = entry_path(key)
         stamp = path.stat().st_mtime - age
@@ -229,8 +348,8 @@ def test_prune_evicts_oldest_first(isolated_cache):
     assert load(keys[2]) is not None
 
 
-def test_prune_respects_keep(isolated_cache):
-    keys = _fill_cache([0.1, 0.15])
+def test_prune_respects_keep(isolated_cache, vvadd_results):
+    keys = _fill_cache(vvadd_results, [0.1, 0.15])
     old = entry_path(keys[0])
     stamp = old.stat().st_mtime - 500
     os.utime(old, (stamp, stamp))
@@ -239,8 +358,8 @@ def test_prune_respects_keep(isolated_cache):
     assert entry_path(keys[0]).exists()
 
 
-def test_load_touch_makes_eviction_lru(isolated_cache):
-    keys = _fill_cache([0.1, 0.15])
+def test_load_touch_makes_eviction_lru(isolated_cache, vvadd_results):
+    keys = _fill_cache(vvadd_results, [0.1, 0.15])
     # Back-date both, then touch the first via a cache hit.
     for key in keys:
         path = entry_path(key)
@@ -251,18 +370,20 @@ def test_load_touch_makes_eviction_lru(isolated_cache):
     assert evicted == [keys[1]]  # the un-touched entry goes first
 
 
-def test_store_enforces_env_entry_limit(isolated_cache, monkeypatch):
+def test_store_enforces_env_entry_limit(isolated_cache, monkeypatch,
+                                        vvadd_results):
     monkeypatch.setenv("REPRO_CACHE_LIMIT_ENTRIES", "2")
-    keys = _fill_cache([0.1, 0.15, 0.2, 0.25])
+    keys = _fill_cache(vvadd_results, [0.1, 0.15, 0.2, 0.25])
     assert usage().entries <= 2
     # The most recent write always survives its own enforcement pass.
     assert entry_path(keys[-1]).exists()
 
 
-def test_store_enforces_env_byte_limit(isolated_cache, monkeypatch):
-    keys = _fill_cache([0.1])
+def test_store_enforces_env_byte_limit(isolated_cache, monkeypatch,
+                                       vvadd_results):
+    keys = _fill_cache(vvadd_results, [0.1])
     entry_bytes = entry_path(keys[0]).stat().st_size
     monkeypatch.setenv("REPRO_CACHE_LIMIT_BYTES", str(int(entry_bytes * 1.5)))
-    _fill_cache([0.15, 0.2])
+    _fill_cache(vvadd_results, [0.15, 0.2])
     assert usage().total_bytes <= int(entry_bytes * 1.5)
     assert usage().entries == 1

@@ -1,10 +1,14 @@
 """Trace memoization tiers: hits, eviction, isolation, keying."""
 
+import dataclasses
+
 import pytest
 
 from repro.isa import ColumnarTrace
+from repro.cores import ROCKET
 from repro.reliability import ResilientRunner, TMAJob
-from repro.workloads import build_trace, clear_caches, trace_cache
+from repro.tools import cache, run_core
+from repro.workloads import build_trace, clear_caches, registry, trace_cache
 
 
 @pytest.fixture(autouse=True)
@@ -49,22 +53,12 @@ def test_scale_is_part_of_the_key():
     large = build_trace("vvadd", scale=2.0)
     assert len(small) != len(large)
     assert trace_cache.stats()["misses"] == 2
-    assert (trace_cache.entry_path("vvadd", 0.5)
-            != trace_cache.entry_path("vvadd", 2.0))
-
-
-def test_disk_tier_disabled_by_env(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-    build_trace("vvadd")
-    assert not trace_cache.trace_dir().exists()
-    trace_cache.clear_memory()
-    build_trace("vvadd")  # no disk tier: cold again
-    assert trace_cache.stats()["misses"] == 1
-    assert trace_cache.stats()["disk_hits"] == 0
+    assert (trace_cache.trace_key("vvadd", 0.5)
+            != trace_cache.trace_key("vvadd", 2.0))
 
 
 def test_memory_tier_is_bounded(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE_MEM", "1")
+    monkeypatch.setattr(trace_cache, "MEMORY_ENTRIES", 1)
     build_trace("vvadd")
     build_trace("median")  # evicts vvadd from the memory tier
     before = trace_cache.stats()
@@ -75,15 +69,24 @@ def test_memory_tier_is_bounded(monkeypatch):
 
 
 def test_disk_tier_is_bounded(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE_ENTRIES", "2")
+    monkeypatch.setattr(cache, "TRACE_ENTRIES", 2)
+    result_key = cache.cache_key("vvadd", 1.0, ROCKET)
+    cache.store(result_key, run_core("vvadd", ROCKET, use_cache=False))
     for name in ("vvadd", "median", "towers", "multiply"):
         build_trace(name)
-    assert len(list(trace_cache.trace_dir().glob("*.ctrc"))) == 2
+    assert cache.usage().namespaces["trace"][0] == 2
+    # Without a budget the cap evicts traces only, never a result.
+    assert cache.entry_path(result_key).exists()
+    # The store's budget bounds the trace namespace too.
+    monkeypatch.setenv("REPRO_CACHE_LIMIT_ENTRIES", "1")
+    clear_caches()
+    build_trace("qsort")
+    assert cache.usage().namespaces["trace"][0] == 1
 
 
 def test_corrupt_disk_entry_is_a_miss_and_removed():
     build_trace("vvadd")
-    path = trace_cache.entry_path("vvadd", 1.0)
+    path = cache.entry_path(trace_cache.trace_key("vvadd", 1.0), "trace")
     assert path.exists()
     path.write_bytes(b"garbage")
     trace_cache.clear_memory()
@@ -110,3 +113,17 @@ def test_fingerprint_change_invalidates_key(monkeypatch):
     key_before = trace_cache.trace_key("vvadd", 1.0)
     monkeypatch.setattr(trace_cache, "fingerprint", lambda: "deadbeef00000000")
     assert trace_cache.trace_key("vvadd", 1.0) != key_before
+
+
+def test_wrong_exit_code_raises_and_memoizes_nothing(monkeypatch):
+    vvadd = registry.get_workload("vvadd")
+    broken = dataclasses.replace(
+        vvadd, expected_exit=lambda scale: vvadd.expected_exit(scale) + 1)
+    monkeypatch.setitem(registry._REGISTRY, "vvadd", broken)
+    with pytest.raises(AssertionError, match="exited with"):
+        build_trace("vvadd", scale=0.1)
+    assert cache.usage().namespaces["trace"] == (0, 0)
+    monkeypatch.setitem(registry._REGISTRY, "vvadd", vvadd)
+    build_trace("vvadd", scale=0.1)  # neither tier holds the bad trace
+    assert trace_cache.stats()["mem_hits"] == 0
+    assert trace_cache.stats()["misses"] == 1

@@ -39,12 +39,6 @@ def test_workload_executes_with_expected_checksum(name):
     assert trace.halt_reason == "ecall"
 
 
-def test_programs_are_cached():
-    first = build_program("vvadd", scale=SCALE)
-    second = build_program("vvadd", scale=SCALE)
-    assert first is second
-
-
 def test_scales_produce_different_sizes():
     small = build_trace("vvadd", scale=0.2)
     large = build_trace("vvadd", scale=0.5)
