@@ -9,7 +9,7 @@ bench reproduces that comparison on real core runs and re-derives the
 
 import pytest
 
-from repro.cores import BoomCore, LARGE_BOOM
+from repro.cores import BoomCore, LARGE_BOOM, SignalStream
 from repro.pmu import (AddWiresCounterBank, ClassicOrCounter,
                        DistributedCounterBank, ScalarCounterBank,
                        new_events_for_core)
@@ -20,16 +20,16 @@ EVENTS = [event.name for event in new_events_for_core("boom")]
 
 @pytest.fixture(scope="module")
 def counter_banks():
-    """One core run observed by all architectures simultaneously."""
-    trace = build_trace("median", scale=0.5)
-    core = BoomCore(LARGE_BOOM)
+    """One recorded core run counted by every architecture."""
+    stream = SignalStream()
+    BoomCore(LARGE_BOOM).run(build_trace("median", scale=0.5),
+                             stream=stream)
     scalar = ScalarCounterBank("boom", EVENTS)
     adders = AddWiresCounterBank("boom", EVENTS)
     distributed = DistributedCounterBank("boom", EVENTS)
     classic = ClassicOrCounter("boom", ["fetch_bubbles"])
     for bank in (scalar, adders, distributed, classic):
-        core.add_observer(bank)
-    core.run(trace)
+        bank.count(stream)
     distributed.drain()
     return scalar, adders, distributed, classic
 

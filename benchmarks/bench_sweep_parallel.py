@@ -1,11 +1,12 @@
-"""Tier-2: the sweeps' plain cycle loop vs. an observed one.
+"""Tier-2: the sweeps' plain cycle loop vs. a recorded one.
 
 Not a paper figure — this bench guards the evaluation *infrastructure*:
-an attached observer must leave the core loop's results unchanged.
+recording the signal stream must leave the core loop's results
+unchanged.
 """
 
 
-from repro.cores import ROCKET
+from repro.cores import ROCKET, SignalStream
 from repro.pmu.harness import make_core
 from repro.workloads import build_trace
 
@@ -14,22 +15,12 @@ SCALE = 0.5
 
 
 def test_plain_core_loop(benchmark, artifact):
-    """The sweeps run the plain cycle loop; observers must not change it."""
+    """The sweeps run the plain cycle loop; recording must not change it."""
     traces = {name: build_trace(name, scale=SCALE) for name in WORKLOADS}
 
-    class _Count:
-        cycles = 0
-
-        def on_cycle(self, cycle, signals):
-            self.cycles += 1
-
     def observed():
-        results = []
-        for name in WORKLOADS:
-            core = make_core(ROCKET)
-            core.add_observer(_Count())
-            results.append(core.run(traces[name]))
-        return results
+        return [make_core(ROCKET).run(traces[name], stream=SignalStream())
+                for name in WORKLOADS]
 
     def plain():
         return [make_core(ROCKET).run(traces[n]) for n in WORKLOADS]
@@ -39,6 +30,6 @@ def test_plain_core_loop(benchmark, artifact):
         assert plain_result.events == observed_result.events
         assert plain_result.cycles == observed_result.cycles
         assert plain_result.instret == observed_result.instret
-    artifact("sweep_observer_equivalence",
-             "plain loop == observed loop on "
+    artifact("sweep_recording_equivalence",
+             "plain loop == recorded loop on "
              + ", ".join(WORKLOADS) + f" (scale {SCALE})")

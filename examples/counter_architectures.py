@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Counter architectures (Fig. 6) and the perf harness (§IV-D).
 
-1. Attaches all three counter implementations — scalar, add-wires, and
-   distributed — plus a pre-Icicle OR counter to a single BOOM run and
-   compares the values software reads back.
+1. Counts one recorded BOOM run with all three counter implementations
+   — scalar, add-wires, and distributed — plus a pre-Icicle OR counter,
+   and compares the values software reads back.
 2. Shows the four-step CSR programming sequence the harness generates
    for the simulated-Linux (OpenSBI) boot path, then measures a
    workload through the full PMU stack.
@@ -13,7 +13,7 @@ Usage::
     python examples/counter_architectures.py
 """
 
-from repro.cores import BoomCore, LARGE_BOOM
+from repro.cores import BoomCore, LARGE_BOOM, SignalStream
 from repro.pmu import (AddWiresCounterBank, ClassicOrCounter,
                        DistributedCounterBank, PerfHarness,
                        ScalarCounterBank, new_events_for_core)
@@ -24,14 +24,14 @@ def compare_architectures() -> None:
     events = [event.name for event in new_events_for_core("boom")]
     trace = build_trace("coremark")
 
-    core = BoomCore(LARGE_BOOM)
+    stream = SignalStream()
+    BoomCore(LARGE_BOOM).run(trace, stream=stream)
     scalar = ScalarCounterBank("boom", events)
     adders = AddWiresCounterBank("boom", events)
     distributed = DistributedCounterBank("boom", events)
     classic = ClassicOrCounter("boom", ["uops_issued"])
     for bank in (scalar, adders, distributed, classic):
-        core.add_observer(bank)
-    core.run(trace)
+        bank.count(stream)
     distributed.drain()
 
     print("coremark @ LargeBOOMV3 — software-visible counter values")

@@ -17,10 +17,10 @@ streaming phase after a tiny warm-up).
 
 import sys
 
-from repro.cores import BoomCore, LARGE_BOOM
+from repro.cores import BoomCore, LARGE_BOOM, SignalStream
 from repro.tools.textplot import percent_axis, sparkline, stacked_series
-from repro.trace import (AutoCounter, CounterAnnotation, boom_tma_bundle,
-                         capture_trace, windowed_tma)
+from repro.trace import (AutoCounter, CounterAnnotation, CycleTracer,
+                         boom_tma_bundle, windowed_tma)
 from repro.workloads import build_trace, workload_names
 
 
@@ -33,12 +33,13 @@ def main() -> int:
 
     bundle = boom_tma_bundle(LARGE_BOOM.decode_width,
                              LARGE_BOOM.issue_width)
-    trace = build_trace(workload)
-    core = BoomCore(LARGE_BOOM)
+    stream = SignalStream()
+    BoomCore(LARGE_BOOM).run(build_trace(workload), stream=stream)
     ipc_counter = AutoCounter([CounterAnnotation("uops_retired")],
                               readout_interval=window)
-    core.add_observer(ipc_counter)
-    tracer = capture_trace(core, trace, bundle)
+    ipc_counter.count(stream)
+    tracer = CycleTracer(bundle)
+    tracer.record(stream)
     signals = {f.name: tracer.signal(f.name) for f in bundle.fields}
 
     profiles = windowed_tma(signals, LARGE_BOOM.decode_width,

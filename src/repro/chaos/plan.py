@@ -126,10 +126,6 @@ class ChaosPlan:
                 planned.append((key, flavor))
         return planned
 
-    @property
-    def any_faults(self) -> bool:
-        return any(self._rate(seam) > 0.0 for seam in SEAMS)
-
     # ------------------------------------------------------------------
     # Serialization (environment round-trip into pool workers)
 

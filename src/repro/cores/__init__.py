@@ -1,7 +1,7 @@
 """Core timing models and Table IV configurations."""
 
 from .base import (BoomConfig, CoreFaultHook, CoreResult, RocketConfig,
-                   SignalObserver, check_cycle_budget, check_run_completed)
+                   SignalStream, check_cycle_budget, check_run_completed)
 from .batch import (DEFAULT_GRID, BatchResult, BatchStats, GridPoint,
                     canonical_grid_key, parse_grid, point_from_key,
                     resolve_config_spec, run_batch)
@@ -30,7 +30,7 @@ __all__ = [
     "RocketConfig",
     "RocketCore",
     "SMALL_BOOM",
-    "SignalObserver",
+    "SignalStream",
     "canonical_grid_key",
     "check_cycle_budget",
     "check_run_completed",

@@ -1,4 +1,4 @@
-"""Common core-model infrastructure: configs, signals, results, observers.
+"""Common core-model infrastructure: configs, signals, results, streams.
 
 Signal convention
 -----------------
@@ -10,34 +10,27 @@ view the PMU counter architectures (Fig. 6) and the TracerV-style tracer
 (§IV-C) tap.
 
 Each core has one cycle loop, which accumulates the core's own event
-totals in place without building any per-cycle record.  The record is
-built only when it is needed: attached :class:`SignalObserver` instances
-(counter-architecture hardware models, the cycle tracer, AutoCounter)
-receive it at the end of every cycle.  A *stepped* loop is a
-coroutine (:data:`CycleSteps`): it yields the cycle number at the top
-of every cycle and takes back whether that cycle stalls.  ``run``
-answers each yield from the core's :class:`CoreFaultHook`, and the
-multicore harness steps several cores one cycle at a time in one
-thread.  A plain run pays two tests of one flag per cycle for this
-hook and no per-instruction work.
+totals in place.  A run given a :class:`SignalStream` also records each
+cycle's signals there, for the counter architectures, the cycle tracer
+and AutoCounter to count after the run.  A *stepped* loop is a
+coroutine (:data:`CycleSteps`) that yields each cycle number and takes
+back whether the cycle stalls, answered by the core's
+:class:`CoreFaultHook` or by the multicore lockstep.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Mapping, Optional, Protocol
+from itertools import groupby
+from operator import itemgetter
+from struct import Struct
+from typing import (Callable, Dict, Generator, Iterable, Iterator, List,
+                    Mapping, Optional, Protocol, Sequence, Tuple)
 
 from ..isa.errors import RunTimeout
 from ..uarch.branch import PredictorStats
 from ..uarch.cache import CacheConfig, CacheStats, L1D_32K
-
-
-class SignalObserver(Protocol):
-    """Anything that wants the per-cycle event signals (PMU HW, tracer)."""
-
-    def on_cycle(self, cycle: int, signals: Mapping[str, int]) -> None:
-        """Observe the lane bitmasks of every event for one cycle."""
-        ...  # pragma: no cover - protocol
 
 
 class CoreFaultHook(Protocol):
@@ -219,3 +212,141 @@ class CoreResult:
     def lanes(self, name: str) -> List[int]:
         """Per-lane totals of *name* ([] when never asserted)."""
         return self.lane_events.get(name, [])
+
+
+class SignalStream:
+    """One run's per-cycle signals, recorded as run-length records, and
+    the reductions the counters, the tracer and AutoCounter share.
+
+    Record *i* holds ``length[i]`` consecutive cycles from ``first[i]``
+    that each assert ``signals[pattern[i]]`` (``{event: lane_mask}``,
+    zero masks left out).  A stretch the quiet-cycle fast-forward skips
+    is one record; a stalled cycle is not recorded.  The caller owns the
+    stream, so a run that raises ``RunTimeout`` keeps what it recorded.
+    """
+
+    def __init__(self) -> None:
+        self.first = array("q")
+        self.length = array("q")
+        self.pattern = array("l")
+        self.signals: List[Dict[str, int]] = []
+        self.weights: List[int] = []   # recorded cycles per pattern
+        self._patterns: Dict[tuple, int] = {}
+        self._end = self._tail = -1
+        # Recording state (see start and note).
+        self._layout: Sequence[Tuple[str, int]] = ()
+        self._tagged: Sequence[str] = ()
+        self._last = 0
+        self._keys: Dict[Tuple[int, int], int] = {}
+
+    @classmethod
+    def from_cycles(cls, cycles: Iterable[Tuple[int, Mapping[str, int]]]
+                    ) -> "SignalStream":
+        """A stream of explicit ``(cycle, signals)`` pairs in cycle order."""
+        stream = cls()
+        for cycle, signals in cycles:
+            stream._append(cycle, 1, stream._intern(signals))
+        return stream
+
+    def start(self, layout: Sequence[Tuple[str, int]],
+              tagged: Sequence[str]) -> Callable[..., None]:
+        """Record a run of a core whose zeroed counters each assert
+        ``(event, lane mask)`` of *layout* when they move; returns note."""
+        if self._layout or self.signals:
+            raise ValueError("a SignalStream records one run")
+        self._layout = layout
+        self._tagged = tagged
+        self._pack = Struct(f"<{len(layout)}q").pack
+        return self.note
+
+    def note(self, first: int, count: int, tag: int,
+             counters: Iterable[int]) -> None:
+        """Record *count* cycles from *first*, each asserting what the
+        *counters* that moved (by *count*) since the last note assert,
+        plus lanes ``0..tag-1`` of every *tagged* event.  Packed 64 bits
+        apiece, one subtraction gives every counter's per-cycle step."""
+        now = int.from_bytes(self._pack(*counters), "little")
+        step = now - self._last
+        self._last = now
+        if count > 1:
+            step //= count
+        pattern = self._keys.get((tag, step))
+        if pattern is None:
+            signals = dict.fromkeys(self._tagged, (1 << tag) - 1)
+            signals["cycles"] = 1
+            for index, (event, mask) in enumerate(self._layout):
+                if step >> 64 * index & 0xFFFFFFFFFFFFFFFF:
+                    signals[event] = signals.get(event, 0) | mask
+            pattern = self._keys[tag, step] = self._intern(signals)
+        self._append(first, count, pattern)
+
+    def _intern(self, signals: Mapping[str, int]) -> int:
+        asserted = {name: mask for name, mask in signals.items() if mask}
+        key = tuple(sorted(asserted.items()))
+        if key not in self._patterns:
+            self._patterns[key] = len(self.signals)
+            self.signals.append(asserted)
+            self.weights.append(0)
+        return self._patterns[key]
+
+    def _append(self, first: int, count: int, pattern: int) -> None:
+        if first == self._end and pattern == self._tail:
+            self.length[-1] += count
+        else:
+            self.first.append(first)
+            self.length.append(count)
+            self.pattern.append(pattern)
+            self._tail = pattern
+        self._end = first + count
+        self.weights[pattern] += count
+
+    def __len__(self) -> int:
+        return sum(self.weights)
+
+    def runs(self, interval: Optional[int] = None
+             ) -> Iterator[Tuple[int, int, Dict[str, int]]]:
+        """``(first, cycles, signals)`` per record, cut at *interval*s."""
+        for first, length, pattern in zip(self.first, self.length,
+                                          self.pattern):
+            end = first + length
+            while first < end:
+                cut = end if interval is None else \
+                    min(end, (first // interval + 1) * interval)
+                yield first, cut - first, self.signals[pattern]
+                first = cut
+
+    def cycles(self) -> Iterator[Tuple[int, Dict[str, int]]]:
+        for first, length, signals in self.runs():
+            for cycle in range(first, first + length):
+                yield cycle, signals
+
+    def popcount(self, names: Sequence[str]) -> int:
+        """Asserted lanes of the named events over every cycle (adders)."""
+        return sum(sum(self.lanes(name)) for name in names)
+
+    def active(self, names: Sequence[str]) -> int:
+        """Cycles in which any named event is asserted (the Fig. 1 OR)."""
+        return sum(weight
+                   for weight, signals in zip(self.weights, self.signals)
+                   if any(signals.get(name, 0) for name in names))
+
+    def lanes(self, name: str) -> List[int]:
+        """Cycles in which each lane of *name* is asserted."""
+        counts: List[int] = []
+        for weight, signals in zip(self.weights, self.signals):
+            mask = signals.get(name, 0)
+            counts += [0] * (mask.bit_length() - len(counts))
+            for lane in range(mask.bit_length()):
+                counts[lane] += weight * (mask >> lane & 1)
+        return counts
+
+    def masks(self, names: Sequence[str]) -> Iterator[Tuple[int, int]]:
+        """``(mask, cycles)`` in cycle order: the named events' lane masks
+        ORed per cycle, consecutive cycles of one mask merged."""
+        combined = [0] * len(self.signals)
+        for pattern, signals in enumerate(self.signals):
+            for name in names:
+                combined[pattern] |= signals.get(name, 0)
+        for mask, runs in groupby(zip(map(combined.__getitem__, self.pattern),
+                                      self.length), itemgetter(0)):
+            yield mask, sum(map(itemgetter(1), runs))

@@ -19,19 +19,16 @@ with the pre-existing Basic/Microarchitectural/Memory events.
 
 There is one cycle loop.  It reads the trace columns through a compiled
 descriptor table, keeps µops in a slab of parallel arrays, and
-accumulates event counters and lane histograms in place; attached
-observers and a stepped run (a fault hook, or the multicore lockstep)
-are served by an optional per-cycle hook in the same loop (see
-:meth:`BoomCore.run` and :meth:`BoomCore.steps`).
+accumulates event counters and lane histograms in place; the same loop
+records each cycle's signals on a :class:`~repro.cores.base.SignalStream`
+and yields each cycle when stepped (see :meth:`BoomCore.run`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from itertools import compress
-from operator import ne
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ...isa.columnar import ColumnarTrace
 from ...uarch.branch import BoomBranchPredictor
@@ -39,7 +36,7 @@ from ...uarch.cache import MemorySystem, NonBlockingCache
 from ...uarch.prefetch import StridePrefetcher
 from ...uarch.tlb import L2_TLB_HIT_LATENCY, PTW_LATENCY, TlbHierarchy
 from ..base import (BoomConfig, CoreFaultHook, CoreResult, CycleSteps,
-                    SignalObserver, check_cycle_budget, check_run_completed,
+                    SignalStream, check_cycle_budget, check_run_completed,
                     run_steps)
 from ..configs import LARGE_BOOM
 from ..descriptors import INT_QUEUE, MEM_QUEUE, build_boom_table
@@ -47,26 +44,31 @@ from ..descriptors import INT_QUEUE, MEM_QUEUE, build_boom_table
 _SAFETY_CYCLES_PER_INST = 600
 
 #: Single-lane events the loop counts in local variables, in the order
-#: the per-cycle hook snapshots them.
+#: a signal-stream note lists them.
 _COUNTED_EVENTS = ("fence_retired", "br_mispredict", "cf_target_mispredict",
                    "flush", "icache_blocked", "itlb_miss", "icache_miss",
                    "dtlb_miss", "l2_tlb_miss", "dcache_miss", "recovering")
 
 
-def _moved_lanes(after: List[int], before: List[int]) -> int:
-    """Bitmask of the lanes whose counter moved since *before*."""
-    mask = 0
-    for lane in compress(range(len(after)), map(ne, after, before)):
-        mask |= 1 << lane
-    return mask
+def _stream_layout(w_c: int, issue_width: int) -> List[Tuple[str, int]]:
+    """Per noted counter, the event lanes it asserts when it moves; the
+    note's tag, the commit width, asserts the retire lane prefix."""
+    suffixes = [(1 << w_c) - (1 << lane) for lane in range(w_c)]
+    return ([(name, 1) for name in _COUNTED_EVENTS]
+            + [("uops_issued", 1 << lane) for lane in range(issue_width)]
+            + [("fetch_bubbles", mask) for mask in suffixes]
+            + [("dcache_blocked", mask) for mask in suffixes])
 
 
 class BoomCore:
     """Trace-driven BOOM timing model."""
 
+    #: Read by ``perfbench/spans.py:148`` in traced runs; signals are
+    #: recorded on a :class:`~repro.cores.base.SignalStream` instead.
+    observers = ()
+
     def __init__(self, config: BoomConfig = LARGE_BOOM,
-                 memory: Optional[MemorySystem] = None,
-                 observers: Sequence[SignalObserver] = ()) -> None:
+                 memory: Optional[MemorySystem] = None) -> None:
         self.config = config
         self.memory = memory or MemorySystem.build(l1d_config=config.l1d)
         self.l1i = self.memory.l1i
@@ -77,63 +79,40 @@ class BoomCore:
             direction=config.branch_predictor)
         self.dprefetcher = (StridePrefetcher()
                             if config.dcache_prefetch else None)
-        self.observers: List[SignalObserver] = list(observers)
         self.fault_hook: Optional[CoreFaultHook] = None
         self.machine_clears = 0
         #: PCs of loads that previously caused an ordering violation; the
         #: (modelled) store-set predictor makes them wait thereafter.
         self._trained_loads: Set[int] = set()
 
-    def add_observer(self, observer: SignalObserver) -> None:
-        self.observers.append(observer)
-
     # ------------------------------------------------------------------
 
-    def run(self, trace: ColumnarTrace,
-            max_cycles: Optional[int] = None) -> CoreResult:
-        """Replay *trace* and return per-event totals.
-
-        *max_cycles* arms a watchdog (default off): exceeding the budget
-        raises :class:`~repro.isa.errors.RunTimeout` instead of spinning
-        until the internal safety stop silently truncates the run.
-
-        Observers and a fault hook ride the same loop as a plain run,
-        exactly as on :meth:`repro.cores.rocket.RocketCore.run`: with a
-        fault hook the loop runs stepped (see :meth:`steps`) and the
-        hook answers each cycle's yield, and observers receive each
-        cycle's ``{event: lane_mask}`` record at its end.
-        """
+    def run(self, trace: ColumnarTrace, max_cycles: Optional[int] = None,
+            stream: Optional[SignalStream] = None) -> CoreResult:
+        """Replay *trace* and return per-event totals; *max_cycles*,
+        the fault hook and *stream* act exactly as on
+        :meth:`repro.cores.rocket.RocketCore.run`."""
         hook = self.fault_hook
         self.reset_run_state()
         return run_steps(
-            self._run_columnar(trace, max_cycles, stepped=hook is not None),
+            self._run_columnar(trace, max_cycles, hook is not None, stream),
             hook)
 
     def steps(self, trace: ColumnarTrace,
               max_cycles: Optional[int] = None) -> CycleSteps:
-        """The cycle loop of one run of *trace*, as a coroutine.
-
-        Same contract as :meth:`repro.cores.rocket.RocketCore.steps`:
-        yields each cycle number, takes back whether it stalls, returns
-        the :class:`CoreResult`; ``fault_hook`` is not consulted.
-        """
+        """The cycle loop of one run of *trace*, as a coroutine, as on
+        :meth:`repro.cores.rocket.RocketCore.steps`."""
         self.reset_run_state()
-        return self._run_columnar(trace, max_cycles, stepped=True)
+        return self._run_columnar(trace, max_cycles, True, None)
 
     def reset_run_state(self) -> None:
         """Clear every field :meth:`run` treats as per-run scratch.
 
-        A reused core instance must not leak the machine-clear count or
-        the store-set training of the previous run into this one.
-        Everything *not* cleared here — caches, TLBs, predictor —
-        deliberately stays warm across runs on one instance, which is
-        exactly why the batched grid engine
-        (:mod:`repro.cores.batch`) instantiates a fresh core per grid
-        point instead of reusing one: warm-structure carry-over is a
-        feature within a config and state leakage across configs.
-        This method is the audited, single home of that split; the
-        batch-path regression test drives two configs whose results
-        would differ only under cross-config leakage.
+        A reused core must not leak the machine-clear count or the
+        store-set training of its previous run.  Caches, TLBs and the
+        predictor deliberately stay warm across runs on one instance,
+        which is why :mod:`repro.cores.batch` builds a fresh core per
+        grid point: no state crosses configs.
         """
         self.machine_clears = 0
         self._trained_loads.clear()
@@ -143,7 +122,8 @@ class BoomCore:
     # ------------------------------------------------------------------
 
     def _run_columnar(self, trace: ColumnarTrace, max_cycles: Optional[int],
-                      stepped: bool) -> CycleSteps:
+                      stepped: bool,
+                      stream: Optional[SignalStream]) -> CycleSteps:
         """The pipeline model over trace columns and a µop slab.
 
         - static facts come from the :class:`~repro.cores.descriptors
@@ -162,10 +142,9 @@ class BoomCore:
           patterns collapse to one histogram bump per cycle), and the
           totals and per-lane lists are rebuilt once after the run.
 
-        The per-cycle observer record is rebuilt from the same state:
-        the counters that moved, the commit prefix, the issued lanes,
-        and the bubble/blocked suffixes.  A *stepped* loop yields at the
-        top of every cycle; an unstepped one never reaches the yield.
+        A recorded cycle notes the same counters and its commit width.
+        A *stepped* loop yields at the top of every cycle; an unstepped
+        one never reaches the yield.
         """
         config = self.config
         w_c = config.decode_width
@@ -310,12 +289,10 @@ class BoomCore:
         icache_prefetch = config.icache_prefetch
         rob_capacity = config.rob_entries
 
-        # Event accumulation: plain local counters instead of per-cycle
-        # signal dictionaries.  The three tracked commit-width lane
-        # patterns are provably contiguous (commit fills a prefix of
-        # lanes; bubbles and D$-blocked fill a suffix), so one histogram
-        # bump per cycle replaces the per-lane inner loops and the lane
-        # lists are recovered by prefix/suffix sums after the run.
+        # Event accumulation in plain local counters.  Commit fills a
+        # prefix of lanes, bubbles and D$-blocked a suffix, so one
+        # histogram bump per cycle records each, and the lane lists are
+        # prefix/suffix sums after the run.
         n_fence_retired = 0
         n_br_mispredict = 0
         n_cf_mispredict = 0
@@ -332,12 +309,10 @@ class BoomCore:
         bubble_hist = [0] * w_c         # index: first bubbling lane
         blocked_hist = [0] * w_c        # index: first D$-blocked lane
 
-        # Per-cycle hook state.  On a plain run ``hooked`` is False and
-        # the hook costs two tests of it per cycle.
-        observers = self.observers or None
-        hooked = observers is not None or stepped
+        # A plain run tests ``stepped`` and ``note`` once per cycle.
+        note = None if stream is None else stream.start(
+            _stream_layout(w_c, issue_width), ("uops_retired", "instr_retired"))
         stalled = 0
-        all_lanes = (1 << w_c) - 1
 
         def flush_younger(from_seq: int) -> None:
             # Squash the ROB tail, filter the issue/store/pending
@@ -393,21 +368,11 @@ class BoomCore:
                 check_cycle_budget(cycle, max_cycles,
                                    workload=trace.program_name,
                                    retired=retired, total=total)
-            if hooked:
-                if stepped and (yield cycle):
-                    # Stalled cycle: the whole core freezes this cycle.
-                    stalled += 1
-                    cycle += 1
-                    continue
-                if observers is not None:
-                    counted_before = (
-                        n_fence_retired, n_br_mispredict, n_cf_mispredict,
-                        n_flush, n_icache_blocked, n_itlb_miss,
-                        n_icache_miss, n_dtlb_miss, n_l2tlb_miss,
-                        n_dcache_miss, n_recovering)
-                    issued_before = lanes_issued[:]
-                    bubble_before = bubble_hist[:]
-                    blocked_before = blocked_hist[:]
+            if stepped and (yield cycle):
+                # Stalled cycle: the whole core freezes this cycle.
+                stalled += 1
+                cycle += 1
+                continue
             dtlb_counted = False
             l2tlb_counted = False
             dcache_counted = False
@@ -1010,7 +975,13 @@ class BoomCore:
                 elif cycle >= recovering_from:
                     n_recovering += 1
 
-            if not hooked:
+            if note is not None:
+                note(cycle, 1, commit_lanes, (
+                    n_fence_retired, n_br_mispredict, n_cf_mispredict,
+                    n_flush, n_icache_blocked, n_itlb_miss, n_icache_miss,
+                    n_dtlb_miss, n_l2tlb_miss, n_dcache_miss, n_recovering,
+                    *lanes_issued, *bubble_hist, *blocked_hist))
+            if not stepped:
                 if not commit_lanes and not issued_total and not fetched_any \
                         and not dtlb_counted and recovering_from <= cycle \
                         and lane == (0 if serialized_slot < 0 else w_c):
@@ -1051,30 +1022,14 @@ class BoomCore:
                             blocked_hist[0] += skipped
                         if recovering:
                             n_recovering += skipped
+                        if note is not None:
+                            note(quiet, skipped, 0, (
+                                n_fence_retired, n_br_mispredict,
+                                n_cf_mispredict, n_flush, n_icache_blocked,
+                                n_itlb_miss, n_icache_miss, n_dtlb_miss,
+                                n_l2tlb_miss, n_dcache_miss, n_recovering,
+                                *lanes_issued, *bubble_hist, *blocked_hist))
                         cycle = wake - 1
-            elif observers is not None:
-                signals = dict.fromkeys(compress(_COUNTED_EVENTS, map(ne, (
-                    n_fence_retired, n_br_mispredict, n_cf_mispredict,
-                    n_flush, n_icache_blocked, n_itlb_miss, n_icache_miss,
-                    n_dtlb_miss, n_l2tlb_miss, n_dcache_miss, n_recovering),
-                    counted_before)), 1)
-                signals["cycles"] = 1
-                if commit_lanes:
-                    signals["uops_retired"] = signals["instr_retired"] = \
-                        (1 << commit_lanes) - 1
-                mask = _moved_lanes(lanes_issued, issued_before)
-                if mask:
-                    signals["uops_issued"] = mask
-                # Bubbles and D$-blocked fill a suffix starting at the
-                # one lane whose histogram entry moved.
-                mask = _moved_lanes(bubble_hist, bubble_before)
-                if mask:
-                    signals["fetch_bubbles"] = all_lanes & -mask
-                mask = _moved_lanes(blocked_hist, blocked_before)
-                if mask:
-                    signals["dcache_blocked"] = all_lanes & -mask
-                for observer in observers:
-                    observer.on_cycle(cycle, signals)
             cycle += 1
 
         check_run_completed(retired, total, cycle, max_cycles,

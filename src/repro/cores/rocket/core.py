@@ -17,25 +17,22 @@ handshake taps ``ibuf_valid``/``ibuf_ready`` (which the paper adds to the
 trace, not the PMU) are all produced here.
 
 There is one cycle loop.  It reads the trace columns through a compiled
-descriptor table and accumulates event totals in place; attached
-observers and a stepped run (a fault hook, or the multicore lockstep)
-are served by an optional per-cycle hook in the same loop (see
-:meth:`RocketCore.run` and :meth:`RocketCore.steps`).
+descriptor table and accumulates event totals in place; the same loop
+records each cycle's signals on a :class:`~repro.cores.base.SignalStream`
+and yields each cycle when stepped (see :meth:`RocketCore.run`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress
-from operator import ne
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, Optional
 
 from ...isa.columnar import ColumnarTrace
 from ...uarch.branch import RocketBranchPredictor
 from ...uarch.cache import Cache, MemorySystem
 from ...uarch.tlb import L2_TLB_HIT_LATENCY, PTW_LATENCY, TlbHierarchy
 from ..base import (CoreFaultHook, CoreResult, CycleSteps, RocketConfig,
-                    SignalObserver, check_cycle_budget, check_run_completed,
+                    SignalStream, check_cycle_budget, check_run_completed,
                     run_steps)
 from ..descriptors import build_rocket_table
 
@@ -55,12 +52,21 @@ _EVENT_NAMES = (
 )
 
 
+#: Single-lane totals; a recorded cycle's issue flag asserts the issue
+#: events, which are batched after the loop.
+_STREAM_LAYOUT = tuple((name, 1) for name in _EVENT_NAMES)
+_ISSUE_EVENTS = ("instr_issued", "instr_retired")
+
+
 class RocketCore:
     """Trace-driven Rocket timing model."""
 
+    #: Read by ``perfbench/spans.py:148`` in traced runs; signals are
+    #: recorded on a :class:`~repro.cores.base.SignalStream` instead.
+    observers = ()
+
     def __init__(self, config: RocketConfig = RocketConfig(),
-                 memory: Optional[MemorySystem] = None,
-                 observers: Sequence[SignalObserver] = ()) -> None:
+                 memory: Optional[MemorySystem] = None) -> None:
         self.config = config
         self.memory = memory or MemorySystem.build(l1d_config=config.l1d)
         self.l1i = self.memory.l1i
@@ -68,67 +74,49 @@ class RocketCore:
         self.tlbs = TlbHierarchy()
         self.predictor = RocketBranchPredictor(
             bht_entries=config.bht_entries, btb_entries=config.btb_entries)
-        self.observers: List[SignalObserver] = list(observers)
         self.fault_hook: Optional[CoreFaultHook] = None
-
-    def add_observer(self, observer: SignalObserver) -> None:
-        self.observers.append(observer)
 
     # ------------------------------------------------------------------
 
-    def run(self, trace: ColumnarTrace,
-            max_cycles: Optional[int] = None) -> CoreResult:
+    def run(self, trace: ColumnarTrace, max_cycles: Optional[int] = None,
+            stream: Optional[SignalStream] = None) -> CoreResult:
         """Replay *trace* and return per-event totals.
 
         *max_cycles* arms a watchdog (default off): exceeding the budget
         raises :class:`~repro.isa.errors.RunTimeout` instead of spinning
-        until the internal safety stop silently truncates the run.
-
-        With no observer and no fault hook the loop does nothing per
-        cycle beyond the model itself.  With a fault hook the loop runs
-        stepped (see :meth:`steps`) and each yield is answered by the
-        hook's ``stall_cycle`` (a stalled cycle passes with no activity
-        and no signals).  At the end of every cycle the observers
-        receive the ``{event: lane_mask}`` record of the events
-        asserted in it.
+        until the internal safety stop silently truncates the run.  With
+        a fault hook the loop runs stepped (see :meth:`steps`), each
+        cycle answered by its ``stall_cycle``; a *stream* records every
+        cycle that is not stalled.
         """
         hook = self.fault_hook
         self.reset_run_state()
         return run_steps(
-            self._run_columnar(trace, max_cycles, stepped=hook is not None),
+            self._run_columnar(trace, max_cycles, hook is not None, stream),
             hook)
 
     def steps(self, trace: ColumnarTrace,
               max_cycles: Optional[int] = None) -> CycleSteps:
-        """The cycle loop of one run of *trace*, as a coroutine.
-
-        It yields the cycle number at the top of every cycle, takes
-        back whether that cycle stalls, and returns the
-        :class:`CoreResult`.  ``fault_hook`` is not consulted: whoever
-        sends the answers owns the cycle, which is how the multicore
-        harness steps several cores in one thread.
-        """
+        """The cycle loop of one run of *trace*, as a coroutine that
+        yields each cycle number, takes back whether it stalls, and
+        returns the :class:`CoreResult`.  Whoever sends the answers owns
+        the cycle (``fault_hook`` is not consulted), which is how the
+        multicore harness steps several cores in one thread."""
         self.reset_run_state()
-        return self._run_columnar(trace, max_cycles, stepped=True)
+        return self._run_columnar(trace, max_cycles, True, None)
 
     def reset_run_state(self) -> None:
-        """Clear per-run scratch state (audited batch-path contract).
-
-        Rocket's loop keeps all transient pipeline state in run-local
-        variables, so today this is a no-op — it exists so the per-run
-        vs. warm-structure split is explicit and auditable in both
-        cores (see :meth:`repro.cores.boom.BoomCore.reset_run_state`).
-        The caches, TLBs, and predictor deliberately stay warm across
-        runs on one instance; the batched grid engine therefore builds
-        a fresh core per grid point so no state crosses configs.
-        """
+        """Clear per-run scratch state: a no-op, since Rocket keeps it in
+        run-local variables (see
+        :meth:`repro.cores.boom.BoomCore.reset_run_state`)."""
 
     # ------------------------------------------------------------------
     # the cycle loop: descriptor table + trace columns
     # ------------------------------------------------------------------
 
     def _run_columnar(self, trace: ColumnarTrace, max_cycles: Optional[int],
-                      stepped: bool) -> CycleSteps:
+                      stepped: bool,
+                      stream: Optional[SignalStream]) -> CycleSteps:
         """The pipeline model over trace columns.
 
         Every static fact comes from the :class:`~repro.cores.descriptors
@@ -137,8 +125,8 @@ class RocketCore:
         plain ``(dyn_index, static_index, prediction, indirect)`` tuples.
         Signals that two pipeline stages may assert in the same cycle
         (``l2_tlb_miss``, ``recovering``) are deduplicated with per-cycle
-        flags, so every event moves by at most one per cycle and the
-        per-cycle observer record is the set of totals that moved.
+        flags, so every event moves by at most one per cycle and a
+        cycle's signals are the set of totals that moved.
 
         A *stepped* loop yields at the top of every cycle; an unstepped
         one never reaches the yield and returns in its first ``next``.
@@ -179,10 +167,9 @@ class RocketCore:
         ibuf_capacity = config.ibuf_entries
 
         totals: Dict[str, int] = dict.fromkeys(_EVENT_NAMES, 0)
-        # Per-cycle hook state.  On a plain run ``hooked`` is False and
-        # the hook costs two tests of it per cycle.
-        observers = self.observers or None
-        hooked = observers is not None or stepped
+        # A plain run tests ``stepped`` and ``note`` once per cycle.
+        note = None if stream is None else \
+            stream.start(_STREAM_LAYOUT, _ISSUE_EVENTS)
         stalled = 0
 
         fetch_idx = 0
@@ -227,14 +214,11 @@ class RocketCore:
                 check_cycle_budget(cycle, max_cycles,
                                    workload=trace.program_name,
                                    retired=retired, total=total)
-            if hooked:
-                if stepped and (yield cycle):
-                    # Stalled cycle: the whole core freezes this cycle.
-                    stalled += 1
-                    cycle += 1
-                    continue
-                if observers is not None:
-                    before = list(totals.values())
+            if stepped and (yield cycle):
+                # Stalled cycle: the whole core freezes this cycle.
+                stalled += 1
+                cycle += 1
+                continue
             issued_this_cycle = False
             l2_tlb_counted = False
             recovering_counted = False
@@ -437,7 +421,9 @@ class RocketCore:
                     and dcache_busy_until <= cycle:
                 totals["ibuf_ready"] += 1
 
-            if not hooked:
+            if note is not None:
+                note(cycle, 1, issued_this_cycle, totals.values())
+            if not stepped:
                 if not issued_this_cycle and not fetched_any:
                     # ---------------- quiet-cycle fast-forward ------------
                     # Nothing issued or fetched, so the pipeline is as this
@@ -488,17 +474,9 @@ class RocketCore:
                                 totals["icache_blocked"] += skipped
                         if backend_ready:
                             totals["ibuf_ready"] += skipped
+                        if note is not None:
+                            note(quiet, skipped, False, totals.values())
                         cycle = wake - 1
-            elif observers is not None:
-                signals = dict.fromkeys(
-                    compress(_EVENT_NAMES, map(ne, totals.values(), before)),
-                    1)
-                signals["cycles"] = 1
-                if issued_this_cycle:
-                    signals["instr_issued"] = 1
-                    signals["instr_retired"] = 1
-                for observer in observers:
-                    observer.on_cycle(cycle, signals)
             cycle += 1
 
         check_run_completed(retired, total, cycle, max_cycles,

@@ -80,16 +80,6 @@ class OpSpec:
     fp_rs2: bool = False
 
     @property
-    def is_memory(self) -> bool:
-        return self.cls in (
-            InstrClass.LOAD,
-            InstrClass.STORE,
-            InstrClass.FP_LOAD,
-            InstrClass.FP_STORE,
-            InstrClass.AMO,
-        )
-
-    @property
     def is_control_flow(self) -> bool:
         return self.cls in (InstrClass.BRANCH, InstrClass.JUMP, InstrClass.JUMP_REG)
 

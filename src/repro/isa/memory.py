@@ -15,8 +15,6 @@ PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 
-_U64_MASK = (1 << 64) - 1
-
 
 class SparseMemory:
     """Sparse little-endian memory built from 4 KiB pages."""
@@ -96,11 +94,6 @@ class SparseMemory:
     def dump(self, addr: int, size: int) -> bytes:
         """Return *size* raw bytes starting at *addr*."""
         return bytes(self.read_byte(addr + i) for i in range(size))
-
-    def touched_pages(self) -> Iterable[Tuple[int, bytearray]]:
-        """Yield (page_base_address, page_bytes) for every allocated page."""
-        for page_num, page in sorted(self._pages.items()):
-            yield page_num << PAGE_SHIFT, page
 
     @property
     def footprint_bytes(self) -> int:

@@ -79,10 +79,6 @@ class RequestorMetrics:
     mshr_merges: int = 0
     mshr_peak_busy: int = 0
 
-    @property
-    def bus_wait_total(self) -> int:
-        return self.bus_wait_self + self.bus_wait_neighbor
-
     def to_payload(self) -> Dict[str, int]:
         return {
             "accesses": self.accesses,

@@ -1,9 +1,8 @@
 """PMU: performance events, counter architectures, CSR file, harness."""
 
 from .counters import (AddWiresCounterBank, COUNTER_ARCHITECTURES,
-                       ClassicOrCounter, CounterSpec,
-                       DistributedCounterBank, ScalarCounterBank,
-                       make_counter_bank)
+                       ClassicOrCounter, DistributedCounterBank,
+                       ScalarCounterBank, make_counter_bank)
 from .csr import CsrFile, INCREMENT_MODES
 from .events import (BOOM_EVENTS, Event, EventSet, ROCKET_EVENTS, TmaLevel,
                      decode_selector, encode_selector, events_for_core,
@@ -19,7 +18,6 @@ __all__ = [
     "COUNTER_ARCHITECTURES",
     "ClassicOrCounter",
     "CounterAssignment",
-    "CounterSpec",
     "CsrFile",
     "DistributedCounterBank",
     "Event",

@@ -22,30 +22,17 @@ There is also :class:`ClassicOrCounter`, the pre-Icicle behaviour of
 Fig. 1 (mapped events OR together; at most +1 per cycle), kept as the
 baseline the paper argues is insufficient for wide pipelines.
 
-All banks are :class:`~repro.cores.base.SignalObserver` implementations:
-attach them to a core and they consume the same per-cycle lane bitmasks
-the tracer sees.
+Every bank counts a recorded :class:`~repro.cores.base.SignalStream`
+(``bank.count(stream)``) as it would count cycle by cycle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from ..cores.base import SignalStream
 from .events import Event, events_for_core
-
-
-@dataclass(frozen=True)
-class CounterSpec:
-    """One logical counter: a set of same-event-set events to track."""
-
-    events: tuple
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.events:
-            raise ValueError("a counter needs at least one event")
 
 
 def _validate_event_set(events: Sequence[Event], spec_name: str) -> None:
@@ -71,10 +58,11 @@ class _BankBase:
         #: Highest lane index seen per event (sources discovered online).
         self.sources_seen: Dict[str, int] = {name: 1 for name in event_names}
 
-    def _note_width(self, name: str, mask: int) -> None:
-        width = mask.bit_length()
-        if width > self.sources_seen[name]:
-            self.sources_seen[name] = width
+    def _note_widths(self, stream: SignalStream) -> None:
+        for name in self.event_names:
+            width = len(stream.lanes(name))
+            if width > self.sources_seen[name]:
+                self.sources_seen[name] = width
 
 
 class ScalarCounterBank(_BankBase):
@@ -87,19 +75,12 @@ class ScalarCounterBank(_BankBase):
         self._lanes: Dict[str, List[int]] = {
             name: [0] * max_lanes for name in event_names}
 
-    def on_cycle(self, cycle: int, signals: Mapping[str, int]) -> None:
+    def count(self, stream: SignalStream) -> None:
+        self._note_widths(stream)
         for name in self.event_names:
-            mask = signals.get(name, 0)
-            if not mask:
-                continue
-            self._note_width(name, mask)
             lanes = self._lanes[name]
-            bit = 0
-            while mask:
-                if mask & 1:
-                    lanes[bit] += 1
-                mask >>= 1
-                bit += 1
+            for lane, cycles in enumerate(stream.lanes(name)):
+                lanes[lane] += cycles
 
     def read_lane(self, name: str, lane: int) -> int:
         """Value of the dedicated counter for (event, source lane)."""
@@ -121,15 +102,12 @@ class AddWiresCounterBank(_BankBase):
         super().__init__(core, event_names)
         self._values: Dict[str, int] = {name: 0 for name in event_names}
 
-    def on_cycle(self, cycle: int, signals: Mapping[str, int]) -> None:
+    def count(self, stream: SignalStream) -> None:
+        self._note_widths(stream)
         for name in self.event_names:
-            mask = signals.get(name, 0)
-            if not mask:
-                continue
-            self._note_width(name, mask)
             # The adder chain sums the per-source wires; behaviourally
             # this is an exact popcount increment.
-            self._values[name] += mask.bit_count()
+            self._values[name] += stream.popcount((name,))
 
     def read_event(self, name: str) -> int:
         return self._values[name]
@@ -187,6 +165,23 @@ class _DistributedEventState:
             self.overflow[sel] = False
         self.pointer = (sel + 1) % self.sources
 
+    def run(self, mask: int, cycles: int) -> None:
+        """*cycles* steps of one *mask*, in closed form where exact."""
+        if self.sources == 1 and not self.overflow[0]:
+            # The arbiter examines the one source every cycle, so each
+            # overflow drains the cycle it is flagged.
+            total = self.locals_[0] + (cycles if mask else 0)
+            self.principal += total // self.wrap
+            self.locals_[0] = total % self.wrap
+        elif not mask and cycles >= self.sources:
+            # One full rotation with no events drains every flag.
+            self.principal += self.overflow.count(True)
+            self.overflow = [False] * self.sources
+            self.pointer = (self.pointer + cycles) % self.sources
+        else:
+            for _ in range(cycles):
+                self.step(mask)
+
 
 class DistributedCounterBank(_BankBase):
     """Fig. 6b: local per-source counters + rotating one-hot arbiter.
@@ -225,15 +220,12 @@ class DistributedCounterBank(_BankBase):
             state = grown
         return state
 
-    def on_cycle(self, cycle: int, signals: Mapping[str, int]) -> None:
+    def count(self, stream: SignalStream) -> None:
+        self._note_widths(stream)
         for name in self.event_names:
-            mask = signals.get(name, 0)
-            if mask:
-                self._note_width(name, mask)
-            state = self._states.get(name)
-            if state is None and not mask:
-                continue
-            self._state(name, mask).step(mask)
+            for mask, cycles in stream.masks((name,)):
+                if mask or name in self._states:
+                    self._state(name, mask).run(mask, cycles)
 
     def drain(self) -> None:
         """Run one full arbiter rotation with no new events.
@@ -243,8 +235,7 @@ class DistributedCounterBank(_BankBase):
         ``sources * (2^N - 1)`` bound of §IV-B.
         """
         for state in self._states.values():
-            for _ in range(state.sources):
-                state.step(0)
+            state.run(0, state.sources)
 
     def read_event(self, name: str) -> int:
         """Software-visible value after ×2^N post-processing."""
@@ -293,11 +284,8 @@ class ClassicOrCounter(_BankBase):
         self.name = name
         self.value = 0
 
-    def on_cycle(self, cycle: int, signals: Mapping[str, int]) -> None:
-        for event_name in self.event_names:
-            if signals.get(event_name, 0):
-                self.value += 1
-                return
+    def count(self, stream: SignalStream) -> None:
+        self.value += stream.active(self.event_names)
 
     def read(self) -> int:
         return self.value

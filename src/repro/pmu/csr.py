@@ -13,17 +13,17 @@ the counter architectures of :mod:`repro.pmu.counters`:
 - ``distributed`` — local counters + rotating arbiter per counter, whose
   software read needs the ×2^N post-processing.
 
-The CSR file is itself a :class:`~repro.cores.base.SignalObserver`, so
-attaching it to a core models in-band counting end to end.  ``adders``
-readings are exact popcounts, so they equal the core's own event totals;
-:meth:`CsrFile.credit` adds a finished run's totals instead of stepping
-the counters cycle by cycle.
+:meth:`CsrFile.count` counts a recorded
+:class:`~repro.cores.base.SignalStream` as the counters would step
+cycle by cycle.  ``adders`` readings are exact popcounts, so
+:meth:`CsrFile.credit` adds a finished run's totals instead.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
+from ..cores.base import SignalStream
 from ..isa.csrs import (FIRST_HPM_INDEX, LAST_HPM_INDEX, MCOUNTINHIBIT,
                         MCYCLE, MINSTRET, mhpmcounter_addr, mhpmevent_addr)
 from .counters import _DistributedEventState, _validate_event_set
@@ -51,10 +51,6 @@ class _ProgrammableCounter:
         self.events: List[Event] = []
         self.value = 0
         self._distributed: Optional[_DistributedEventState] = None
-        #: One cycle of this counter's increment logic, bound once to
-        #: the architecture's step so the per-cycle call skips a mode
-        #: dispatch.
-        self.step = getattr(self, f"_step_{mode}")
 
     def program(self, selector: int, core: str) -> None:
         self.selector = selector
@@ -67,46 +63,37 @@ class _ProgrammableCounter:
         self.value = 0
         self._distributed = None
 
-    def _step_classic(self, signals: Mapping[str, int]) -> None:
-        # Fig. 1 OR: +1 when any mapped event fires this cycle.
-        for event in self.events:
-            if signals.get(event.name, 0):
-                self.value += 1
-                return
-
-    def _step_adders(self, signals: Mapping[str, int]) -> None:
-        # The adder chain sums every source wire of every mapped event;
-        # narrower increment signals are zero-padded to the widest (the
-        # padding complication of §IV-B), which leaves the arithmetic an
-        # exact popcount.
-        increment = 0
-        for event in self.events:
-            increment += signals.get(event.name, 0).bit_count()
-        self.value += increment
-
-    def _step_distributed(self, signals: Mapping[str, int]) -> None:
-        # Mapped events share the per-source local counters, so their
-        # lane masks OR together before counting.
-        combined = 0
-        for event in self.events:
-            combined |= signals.get(event.name, 0)
-        if self._distributed is None or \
-                combined.bit_length() > self._distributed.sources:
-            sources = max(1, combined.bit_length())
-            fresh = _DistributedEventState(sources)
-            if self._distributed is not None:
-                carried = (self._distributed.principal
-                           * self._distributed.wrap
-                           + sum(self._distributed.locals_))
-                fresh.principal = carried // fresh.wrap
-                fresh.locals_[0] = carried % fresh.wrap
-            self._distributed = fresh
-        self._distributed.step(combined)
-        self.value = self._distributed.principal
-
-    def software_value(self) -> int:
-        """Raw CSR read (distributed values still need ×2^N scaling)."""
-        return self.value
+    def count(self, stream: SignalStream) -> None:
+        """Every cycle of *stream* through this counter's increment logic."""
+        names = [event.name for event in self.events]
+        if self.mode == "classic":
+            # Fig. 1 OR: +1 when any mapped event fires this cycle.
+            self.value += stream.active(names)
+        elif self.mode == "adders":
+            # The adder chain sums every source wire of every mapped
+            # event (narrower ones zero-padded, §IV-B): a popcount.
+            self.value += stream.popcount(names)
+        else:
+            # Mapped events share the per-source local counters, so
+            # their lane masks OR together before counting.  With one
+            # source, only how many cycles it fires matters.
+            runs = stream.masks(names)
+            if len(stream) and max(map(len, map(stream.lanes, names))) <= 1 \
+                    and getattr(self._distributed, "sources", 1) == 1:
+                runs = [(1, stream.active(names))]
+            for combined, cycles in runs:
+                state = self._distributed
+                if state is None or combined.bit_length() > state.sources:
+                    fresh = _DistributedEventState(
+                        max(1, combined.bit_length()))
+                    if state is not None:
+                        carried = (state.principal * state.wrap
+                                   + sum(state.locals_))
+                        fresh.principal = carried // fresh.wrap
+                        fresh.locals_[0] = carried % fresh.wrap
+                    self._distributed = state = fresh
+                state.run(combined, cycles)
+                self.value = state.principal
 
     def corrected_value(self) -> int:
         """Post-processed value (the artifact's counter comparison)."""
@@ -116,8 +103,7 @@ class _ProgrammableCounter:
 
     def drain(self) -> None:
         if self._distributed is not None:
-            for _ in range(self._distributed.sources):
-                self._distributed.step(0)
+            self._distributed.run(0, self._distributed.sources)
             self.value = self._distributed.principal
 
 
@@ -134,7 +120,7 @@ class CsrFile:
         self.core = core
         self.increment_mode = increment_mode
         #: Optional :class:`repro.chaos.model.FaultInjector`-style
-        #: hook.  ``on_signals`` may perturb the per-cycle lane masks
+        #: hook.  ``on_signals`` may perturb each cycle's lane masks
         #: before they reach the counters (dropped increments);
         #: ``on_counter_read`` may perturb values at read time
         #: (bit-flips).  ``None`` (the default) is the healthy PMU.
@@ -152,7 +138,7 @@ class CsrFile:
         self._counter_at = {mhpmcounter_addr(index): counter
                             for index, counter in self.counters.items()}
         #: Programmed, uninhibited counters in index order: the only
-        #: ones a cycle or a credited run can move.  Rebuilt on every
+        #: ones a counted or credited run can move.  Rebuilt on every
         #: selector or ``mcountinhibit`` write.
         self._active: List[_ProgrammableCounter] = []
         self.enabled = False
@@ -194,7 +180,8 @@ class CsrFile:
             return counter.selector
         counter = self._counter_at.get(addr)
         if counter is not None:
-            return counter.software_value()
+            # Raw: distributed values still need the ×2^N scaling.
+            return counter.value
         return 0
 
     def _rebuild_active(self) -> None:
@@ -208,25 +195,29 @@ class CsrFile:
     # hardware interface
     # ------------------------------------------------------------------
 
-    def on_cycle(self, cycle: int, signals: Mapping[str, int]) -> None:
-        if self.fault_injector is not None:
-            signals = self.fault_injector.on_signals(cycle, signals)
+    def count(self, stream: SignalStream) -> None:
+        """Count a recorded run as the hardware counts it, cycle by
+        cycle, through the fault injector's ``on_signals`` if any."""
+        injector = self.fault_injector
+        if injector is not None:
+            stream = SignalStream.from_cycles(
+                (cycle, injector.on_signals(cycle, signals))
+                for cycle, signals in stream.cycles())
         if not self.inhibited(_CYCLE_BIT):
-            self.mcycle += 1
-        if not self.inhibited(_INSTRET_BIT) \
-                and signals.get("instr_retired", 0):
-            self.minstret += signals["instr_retired"].bit_count()
+            self.mcycle += len(stream)
+        if not self.inhibited(_INSTRET_BIT):
+            self.minstret += stream.popcount(("instr_retired",))
         for counter in self._active:
-            counter.step(signals)
+            counter.count(stream)
 
     def credit(self, result: "CoreResult") -> None:
-        """Count a finished run from its totals instead of per cycle.
+        """Count a finished run from its totals, with no stream.
 
         Exact for the ``adders`` architecture: a counter's per-cycle
         increment is the popcount of its events' lane masks, so its
         reading over a run is the sum of those events' totals, and
         ``mcycle``/``minstret`` are the run's cycle and retire counts.
-        Selectors and inhibit bits apply as they do per cycle.  Refused
+        Selectors and inhibit bits apply as in :meth:`count`.  Refused
         for the other architectures and under a fault injector, whose
         readings are not a function of the totals.
         """

@@ -16,14 +16,12 @@ Two modes mirror the paper:
   renders the one-command FireMarshal wrapper UX.
 
 When a workload needs more events than the 29 programmable counters, the
-harness multiplexes by re-running the (deterministic) workload in
-multiple passes, one counter set per pass.
-
-The exact ``adders`` counters without a fault injector are read from
-the run's own event totals (:meth:`~repro.pmu.csr.CsrFile.credit`):
-one plain run serves every pass, and no counter is stepped per cycle.
-The ``classic`` and ``distributed`` architectures and injected runs
-attach the CSR file as a per-cycle observer, one run per pass.
+harness multiplexes in passes, one counter set each.  The workload is
+deterministic, so the core runs once and every pass counts that run:
+fault-free ``adders`` counters from its totals
+(:meth:`~repro.pmu.csr.CsrFile.credit`), the other architectures and
+injected runs from its recorded stream
+(:meth:`~repro.pmu.csr.CsrFile.count`).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..cores.base import BoomConfig, CoreResult, RocketConfig
+from ..cores.base import BoomConfig, CoreResult, RocketConfig, SignalStream
 from ..cores.batch import make_core
 from ..isa import assemble, execute
 from ..isa.csrs import (FIRST_HPM_INDEX, LAST_HPM_INDEX, MCOUNTINHIBIT,
@@ -199,9 +197,8 @@ class PerfHarness:
         """Run *workload* on *config*, returning read-back event values.
 
         The deterministic simulator makes multiplexed passes exact: each
-        pass replays the identical trace with a different counter set.
-        Fault-free ``adders`` passes all read from one run's totals;
-        ``passes`` still reports the plan's count.
+        pass counts the identical run with a different counter set, so
+        the core runs once; ``passes`` still reports the plan's count.
 
         *max_cycles* arms the per-pass watchdog of the core models (see
         :meth:`~repro.cores.boom.BoomCore.run`); the resilient runner
@@ -214,12 +211,11 @@ class PerfHarness:
                 "measure() needs at least one event name; an empty list "
                 "would silently return zero passes and stale counters")
         passes = self.plan(event_names)
-        trace = self._trace(workload, scale)
+        result, stream = self._run(config, self._trace(workload, scale),
+                                   max_cycles)
         values: Dict[str, int] = {}
-        result: Optional[CoreResult] = None
         for assignment in passes:
-            readings, csr, result = self._run_pass(
-                config, trace, assignment, max_cycles, result)
+            readings, csr = self._count_pass(assignment, result, stream)
             for index, names in assignment.slots:
                 values[names[0]] = readings[index]
         return Measurement(
@@ -246,8 +242,8 @@ class PerfHarness:
                 raise ValueError("more groups than hardware counters")
             assignment.slots.append((counter, list(group)))
             counter += 1
-        readings, _, _ = self._run_pass(
-            config, self._trace(workload, scale), assignment)
+        readings, _ = self._count_pass(
+            assignment, *self._run(config, self._trace(workload, scale)))
         return {"+".join(names): readings[index]
                 for index, names in assignment.slots}
 
@@ -257,37 +253,35 @@ class PerfHarness:
             trace = self.fault_injector.perturb_trace(trace)
         return trace
 
-    def _run_pass(self, config: CoreConfig, trace,
-                  assignment: CounterAssignment,
-                  max_cycles: Optional[int] = None,
-                  totals: Optional[CoreResult] = None,
-                  ) -> Tuple[Dict[int, int], CsrFile, CoreResult]:
-        """Program one pass's counters, count one run, read them back.
+    def _run(self, config: CoreConfig, trace,
+             max_cycles: Optional[int] = None,
+             ) -> Tuple[CoreResult, Optional[SignalStream]]:
+        """The measurement's one run: plain for fault-free ``adders``
+        counters, else recorded, with the injector as fault hook."""
+        core_model = make_core(config)
+        if self.increment_mode == "adders" and self.fault_injector is None:
+            return core_model.run(trace, max_cycles=max_cycles), None
+        core_model.fault_hook = self.fault_injector
+        stream = SignalStream()
+        return core_model.run(trace, max_cycles=max_cycles,
+                              stream=stream), stream
 
-        Returns ``(readings, csr, result)`` with readings keyed by
-        counter index.  Fault-free ``adders`` counters are credited
-        from *totals* — an earlier pass's run, which a replay of the
-        deterministic trace would only repeat — or from one plain run;
-        every other pass runs the core with the CSR file attached.
-        """
-        injector = self.fault_injector
+    def _count_pass(self, assignment: CounterAssignment, result: CoreResult,
+                    stream: Optional[SignalStream],
+                    ) -> Tuple[Dict[int, int], CsrFile]:
+        """Program one pass's counters, count the run (or credit its
+        totals without a *stream*) and read them back by index."""
         csr = CsrFile(core=self.core, increment_mode=self.increment_mode,
-                      fault_injector=injector)
+                      fault_injector=self.fault_injector)
         if self.mode == "linux":
             self.apply_boot_sequence(csr, assignment)
         else:
             self.setup(csr, assignment)
-        if self.increment_mode == "adders" and injector is None:
-            result = totals
-            if result is None:
-                result = make_core(config).run(trace, max_cycles=max_cycles)
+        if stream is None:
             csr.credit(result)
         else:
-            core_model = make_core(config)
-            core_model.fault_hook = injector
-            core_model.add_observer(csr)
-            result = core_model.run(trace, max_cycles=max_cycles)
+            csr.count(stream)
             csr.drain()
         readings = {index: csr.corrected_value_for(index)
                     for index, _ in assignment.slots}
-        return readings, csr, result
+        return readings, csr

@@ -17,15 +17,16 @@ the rotation interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Sequence
 
+from ..cores.base import SignalStream
 from ..workloads import build_trace
 from .events import events_for_core
 from .harness import CoreConfig, make_core
 
 
 class MultiplexedCsrFile:
-    """Observer that rotates event groups through one physical counter.
+    """Rotates event groups through one physical counter.
 
     Each group of events gets a time slice of ``interval`` cycles in
     round-robin order.  At the end of the run, every event's raw count
@@ -53,42 +54,37 @@ class MultiplexedCsrFile:
         self._active_cycles: List[int] = [0] * len(groups)
         self.total_cycles = 0
 
-    def _active_group(self, cycle: int) -> int:
-        return (cycle // self.interval) % len(self.groups)
-
-    def on_cycle(self, cycle: int, signals: Mapping[str, int]) -> None:
-        self.total_cycles += 1
-        index = self._active_group(cycle)
-        self._active_cycles[index] += 1
-        for name in self.groups[index]:
-            mask = signals.get(name, 0)
-            if mask:
-                if self.increment_mode == "classic":
-                    self._raw[name] += 1
-                else:
-                    self._raw[name] += mask.bit_count()
+    def count(self, stream: SignalStream) -> None:
+        """Count a recorded run, one time slice of it per group."""
+        classic = self.increment_mode == "classic"
+        for first, cycles, signals in stream.runs(self.interval):
+            self.total_cycles += cycles
+            index = (first // self.interval) % len(self.groups)
+            self._active_cycles[index] += cycles
+            for name in self.groups[index]:
+                mask = signals.get(name, 0)
+                self._raw[name] += cycles * (
+                    min(mask, 1) if classic else mask.bit_count())
 
     def raw_count(self, name: str) -> int:
         return self._raw[name]
 
-    def estimated_count(self, name: str) -> float:
-        """Scale the sampled count to the whole run (perf-style)."""
+    def _group_cycles(self, name: str) -> int:
+        """Cycles the (first) group holding *name* was counted."""
         for index, group in enumerate(self.groups):
             if name in group:
-                active = self._active_cycles[index]
-                if active == 0:
-                    return 0.0
-                return self._raw[name] * self.total_cycles / active
+                return self._active_cycles[index]
         raise KeyError(name)
+
+    def estimated_count(self, name: str) -> float:
+        """Scale the sampled count to the whole run (perf-style)."""
+        active = self._group_cycles(name)
+        return self._raw[name] * self.total_cycles / active if active else 0.0
 
     def coverage(self, name: str) -> float:
         """Fraction of cycles the event's group was being counted."""
-        for index, group in enumerate(self.groups):
-            if name in group:
-                if self.total_cycles == 0:
-                    return 0.0
-                return self._active_cycles[index] / self.total_cycles
-        raise KeyError(name)
+        active = self._group_cycles(name)
+        return active / self.total_cycles if self.total_cycles else 0.0
 
 
 @dataclass
@@ -119,8 +115,9 @@ def measure_sampled(workload: str, config: CoreConfig,
     trace = build_trace(workload, scale=scale)
     core_model = make_core(config)
     mux = MultiplexedCsrFile(config.core, groups, interval=interval)
-    core_model.add_observer(mux)
-    result = core_model.run(trace)
+    stream = SignalStream()
+    result = core_model.run(trace, stream=stream)
+    mux.count(stream)
     comparisons = []
     for group in groups:
         for event in group:

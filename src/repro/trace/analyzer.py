@@ -26,10 +26,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 DEFAULT_WINDOW_PAD = 50
 
 
-def _popcount_series(series: Sequence[int]) -> int:
-    return sum(value.bit_count() for value in series)
-
-
 def _padded_activity(series: Sequence[int], pad: int) -> List[bool]:
     """Boolean per cycle: was the signal high within +/- pad cycles?"""
     n = len(series)

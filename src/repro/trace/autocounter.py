@@ -3,7 +3,7 @@
 The paper's related work (§VI) positions Icicle against FirePerf's
 AutoCounter, which "allows for annotating boolean signals and producing
 counter values at the end of simulation".  This module reproduces that
-tool on top of the same per-cycle signal stream the tracer sees: any
+tool on top of the same recorded signal stream the tracer reads: any
 signal the cores emit can be annotated — including ones that are *not*
 PMU events (e.g. Rocket's raw ``ibuf_valid``) — and read out either as
 end-of-run totals or as periodic samples forming a time series.
@@ -18,7 +18,9 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
+
+from ..cores.base import SignalStream
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class AutoCounterSample:
 
 
 class AutoCounter:
-    """Observer implementing the AutoCounter workflow."""
+    """The AutoCounter workflow over a recorded signal stream."""
 
     def __init__(self, annotations: Sequence[CounterAnnotation],
                  readout_interval: Optional[int] = None) -> None:
@@ -69,20 +71,19 @@ class AutoCounter:
         self.samples: List[AutoCounterSample] = []
         self.cycles = 0
 
-    def on_cycle(self, cycle: int, signals: Mapping[str, int]) -> None:
-        self.cycles += 1
-        for annotation in self.annotations:
-            mask = signals.get(annotation.signal, 0)
-            if not mask:
-                continue
-            if annotation.reduce == "popcount":
-                self._totals[annotation.name] += mask.bit_count()
-            else:
-                self._totals[annotation.name] += 1
-        if self.readout_interval is not None \
-                and (cycle + 1) % self.readout_interval == 0:
-            self.samples.append(
-                AutoCounterSample(cycle, dict(self._totals)))
+    def count(self, stream: SignalStream) -> None:
+        """Count a recorded run, reading out at every interval's end."""
+        interval = self.readout_interval
+        for first, cycles, signals in stream.runs(interval):
+            self.cycles += cycles
+            for annotation in self.annotations:
+                mask = signals.get(annotation.signal, 0)
+                self._totals[annotation.name] += cycles * (
+                    mask.bit_count() if annotation.reduce == "popcount"
+                    else min(mask, 1))
+            if interval is not None and (first + cycles) % interval == 0:
+                self.samples.append(AutoCounterSample(
+                    first + cycles - 1, dict(self._totals)))
 
     def total(self, name: str) -> int:
         """End-of-simulation value of one annotated counter."""

@@ -1,7 +1,7 @@
 """Per-cycle trace capture and the TracerV-style binary bridge (§IV-C).
 
-:class:`CycleTracer` is a :class:`~repro.cores.base.SignalObserver` that
-packs the bundle's signals every simulated cycle.  The paper streams
+:class:`CycleTracer` packs the bundle's signals for every cycle of a run
+recorded on a :class:`~repro.cores.base.SignalStream`.  The paper streams
 dynamic signals over a Target-to-Host bridge and PCIe as raw binary; here
 the :class:`TraceBridge` produces the same artifact — a framed binary
 byte stream — and :class:`DmaTraceReader` is the "custom DMA driver"
@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import io
 import struct
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..cores.base import SignalStream
 from .bundle import TraceBundle, TraceField
 
 _STREAM_MAGIC = b"ICTR"
@@ -32,7 +33,7 @@ DEFAULT_CHUNK_CYCLES = 4096
 
 
 class CycleTracer:
-    """Observer that records the bundle's signals every cycle."""
+    """The bundle's signals packed for every cycle of a recorded run."""
 
     def __init__(self, bundle: TraceBundle,
                  start_cycle: int = 0,
@@ -43,15 +44,17 @@ class CycleTracer:
         self.records: List[int] = []
         self.first_cycle: Optional[int] = None
 
-    def on_cycle(self, cycle: int, signals: Mapping[str, int]) -> None:
-        if cycle < self.start_cycle:
-            return
-        if self.max_cycles is not None \
-                and len(self.records) >= self.max_cycles:
-            return
-        if self.first_cycle is None:
-            self.first_cycle = cycle
-        self.records.append(self.bundle.pack(dict(signals)))
+    def record(self, stream: SignalStream) -> None:
+        """Pack each cycle of *stream* from ``start_cycle`` on."""
+        for cycle, signals in stream.cycles():
+            if cycle < self.start_cycle:
+                continue
+            if self.max_cycles is not None \
+                    and len(self.records) >= self.max_cycles:
+                return
+            if self.first_cycle is None:
+                self.first_cycle = cycle
+            self.records.append(self.bundle.pack(signals))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -175,9 +178,9 @@ class DmaTraceReader:
 
 def capture_trace(core, trace, bundle: TraceBundle,
                   max_cycles: Optional[int] = None) -> CycleTracer:
-    """Attach a tracer to *core*, run *trace*, and return the tracer."""
+    """Run *trace* on *core*, recording, and return its cycle tracer."""
+    stream = SignalStream()
+    core.run(trace, stream=stream)
     tracer = CycleTracer(bundle, max_cycles=max_cycles)
-    core.add_observer(tracer)
-    core.run(trace)
-    core.observers.remove(tracer)
+    tracer.record(stream)
     return tracer

@@ -221,14 +221,6 @@ class _TageTable:
             self._folds[history] = pair
         return pair
 
-    def _fold(self, history: int, bits: int) -> int:
-        history &= self._hist_mask
-        folded = 0
-        while history:
-            folded ^= history & ((1 << bits) - 1)
-            history >>= bits
-        return folded
-
     def index(self, pc: int, history: int) -> int:
         return ((pc >> 2) ^ self._fold_pair(history)[0]) & self._index_mask
 
@@ -377,7 +369,6 @@ class BoomBranchPredictor:
                  direction: str = "tage") -> None:
         self.direction = make_direction_predictor(
             direction, bimodal_init=bimodal_init)
-        self.tage = self.direction  # backwards-compatible alias
         self.btb = BTB(btb_entries)
         self.ras = ReturnAddressStack()
         self.stats = PredictorStats()

@@ -15,8 +15,8 @@ families are:
 
 - ``core``: the full ``CoreResult`` surface plus TMA level 1 and 2 for
   every registry workload on Rocket and the three BOOM sizes;
-- ``signals``: the per-cycle ``{event: lane_mask}`` stream an attached
-  observer sees, plus the run's ``CoreResult``;
+- ``signals``: the per-cycle ``{event: lane_mask}`` stream a recorded
+  run expands to, plus the run's ``CoreResult``;
 - ``pmu``: ``PerfHarness`` read-backs under each counter architecture,
   and runs with injected faults;
 - ``tracer``: ``CycleTracer`` records and ``AutoCounter`` totals;
@@ -96,22 +96,14 @@ def result_document(result) -> Dict[str, Any]:
     }
 
 
-class SignalStreamRecorder:
-    """Observer hashing every cycle's non-zero ``(name, mask)`` pairs."""
-
-    def __init__(self) -> None:
-        self._hash = hashlib.sha256()
-        self.cycles = 0
-
-    def on_cycle(self, cycle: int, signals) -> None:
-        items = sorted((name, mask) for name, mask in signals.items()
-                       if mask)
-        self._hash.update(repr((cycle, items)).encode())
-        self.cycles += 1
-
-    def document(self) -> Dict[str, Any]:
-        return {"observed_cycles": self.cycles,
-                "stream": self._hash.hexdigest()}
+def stream_document(stream) -> Dict[str, Any]:
+    """A ``SignalStream`` hashed cycle by cycle, non-zero masks sorted."""
+    hashed = hashlib.sha256()
+    cycles = 0
+    for cycle, signals in stream.cycles():
+        hashed.update(repr((cycle, sorted(signals.items()))).encode())
+        cycles += 1
+    return {"observed_cycles": cycles, "stream": hashed.hexdigest()}
 
 
 class WindowStall:
@@ -138,22 +130,21 @@ def core_doc(workload: str, config_name: str) -> Dict[str, Any]:
 
 
 def stream_doc(workload: str, config_name: str) -> Dict[str, Any]:
-    core = _core(config_name)
-    recorder = SignalStreamRecorder()
-    core.add_observer(recorder)
-    result = core.run(_trace(workload))
-    return {"signals": recorder.document(),
+    from repro.cores import SignalStream
+    stream = SignalStream()
+    result = _core(config_name).run(_trace(workload), stream=stream)
+    return {"signals": stream_document(stream),
             "result": result_document(result)}
 
 
 def stall_window_doc(workload: str, config_name: str) -> Dict[str, Any]:
     """A releasing stall: stalled cycles count in ``cycles`` only."""
+    from repro.cores import SignalStream
     core = _core(config_name)
-    recorder = SignalStreamRecorder()
-    core.add_observer(recorder)
     core.fault_hook = WindowStall(40, 400)
-    result = core.run(_trace(workload))
-    return {"signals": recorder.document(),
+    stream = SignalStream()
+    result = core.run(_trace(workload), stream=stream)
+    return {"signals": stream_document(stream),
             "result": result_document(result)}
 
 
@@ -205,6 +196,7 @@ def pmu_fault_doc(workload: str, config_name: str,
 
 def pmu_stall_doc(workload: str, config_name: str) -> Dict[str, Any]:
     """A ``stall-core`` fault: the watchdog fires, counters stop early."""
+    from repro.cores import SignalStream
     from repro.isa.errors import RunTimeout
     from repro.pmu.csr import CsrFile
     from repro.pmu.harness import PerfHarness
@@ -219,13 +211,14 @@ def pmu_stall_doc(workload: str, config_name: str) -> Dict[str, Any]:
     csr = CsrFile(core=core_name, increment_mode="classic",
                   fault_injector=injector)
     harness.setup(csr, assignment)
-    core.add_observer(csr)
+    stream = SignalStream()
     try:
-        core.run(_trace(workload), max_cycles=600)
+        core.run(_trace(workload), max_cycles=600, stream=stream)
         timeout: Dict[str, Any] = {}
     except RunTimeout as exc:
         timeout = {"invariant": exc.invariant, "observed": exc.observed,
                    "expected": exc.expected}
+    csr.count(stream)
     csr.drain()
     return {"timeout": timeout, "injections": injector.injections,
             "mcycle": csr.mcycle, "minstret": csr.minstret,
@@ -238,6 +231,7 @@ def pmu_stall_doc(workload: str, config_name: str) -> Dict[str, Any]:
 
 
 def tracer_doc(workload: str, config_name: str) -> Dict[str, Any]:
+    from repro.cores import SignalStream
     from repro.trace.autocounter import AutoCounter, CounterAnnotation
     from repro.trace.bundle import boom_tma_bundle, rocket_tma_bundle
     from repro.trace.tracer import CycleTracer
@@ -259,9 +253,10 @@ def tracer_doc(workload: str, config_name: str) -> Dict[str, Any]:
                        CounterAnnotation("recovering")]
     tracer = CycleTracer(bundle)
     autocounter = AutoCounter(annotations, readout_interval=256)
-    core.add_observer(tracer)
-    core.add_observer(autocounter)
-    core.run(_trace(workload))
+    stream = SignalStream()
+    core.run(_trace(workload), stream=stream)
+    tracer.record(stream)
+    autocounter.count(stream)
     return {"first_cycle": tracer.first_cycle, "records": tracer.records,
             "totals": autocounter.totals(), "cycles": autocounter.cycles,
             "samples": [[s.cycle, s.values] for s in autocounter.samples]}

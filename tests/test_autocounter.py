@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cores import BoomCore, LARGE_BOOM, ROCKET, RocketCore
+from repro.cores import BoomCore, LARGE_BOOM, ROCKET, RocketCore, SignalStream
 from repro.trace import AutoCounter, CounterAnnotation
 from repro.workloads import build_trace
 
@@ -23,8 +23,9 @@ def test_popcount_vs_or_reduction():
         CounterAnnotation("sig", label="events", reduce="popcount"),
         CounterAnnotation("sig", label="cycles", reduce="or"),
     ])
-    for cycle, mask in enumerate([0b111, 0b000, 0b001]):
-        counter.on_cycle(cycle, {"sig": mask})
+    counter.count(SignalStream.from_cycles(
+        (cycle, {"sig": mask})
+        for cycle, mask in enumerate([0b111, 0b000, 0b001])))
     assert counter.total("events") == 4
     assert counter.total("cycles") == 2
     assert counter.rate("cycles") == pytest.approx(2 / 3)
@@ -32,8 +33,8 @@ def test_popcount_vs_or_reduction():
 
 def test_periodic_readout_and_deltas():
     counter = AutoCounter([CounterAnnotation("sig")], readout_interval=4)
-    for cycle in range(12):
-        counter.on_cycle(cycle, {"sig": 1 if cycle < 6 else 0})
+    counter.count(SignalStream.from_cycles(
+        (cycle, {"sig": 1 if cycle < 6 else 0}) for cycle in range(12)))
     assert [s.cycle for s in counter.samples] == [3, 7, 11]
     assert counter.window_deltas("sig") == [4, 2, 0]
 
@@ -41,8 +42,8 @@ def test_periodic_readout_and_deltas():
 def test_csv_output():
     counter = AutoCounter([CounterAnnotation("a"),
                            CounterAnnotation("b")], readout_interval=2)
-    for cycle in range(4):
-        counter.on_cycle(cycle, {"a": 1, "b": cycle & 1})
+    counter.count(SignalStream.from_cycles(
+        (cycle, {"a": 1, "b": cycle & 1}) for cycle in range(4)))
     lines = counter.to_csv().strip().splitlines()
     assert lines[0] == "cycle,a,b"
     assert lines[1] == "1,2,1"
@@ -59,8 +60,9 @@ def test_autocounter_on_rocket_matches_pmu_events():
         CounterAnnotation("ibuf_valid", label="ibuf_valid_cycles",
                           reduce="or"),
     ])
-    core.add_observer(counter)
-    result = core.run(trace)
+    stream = SignalStream()
+    result = core.run(trace, stream=stream)
+    counter.count(stream)
     assert counter.total("instr_retired") == result.event("instr_retired")
     assert counter.total("fetch_bubbles") == result.event("fetch_bubbles")
     # The raw handshake tap is visible even though it is not a PMU event.
@@ -73,8 +75,9 @@ def test_autocounter_time_series_on_boom():
     core = BoomCore(LARGE_BOOM)
     counter = AutoCounter([CounterAnnotation("uops_retired")],
                           readout_interval=256)
-    core.add_observer(counter)
-    result = core.run(trace)
+    stream = SignalStream()
+    result = core.run(trace, stream=stream)
+    counter.count(stream)
     assert counter.samples, "expected periodic readouts"
     # Cumulative samples are monotone and end at (close to) the total.
     values = [s.values["uops_retired"] for s in counter.samples]

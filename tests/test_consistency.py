@@ -1,7 +1,7 @@
 """Cross-component consistency properties.
 
 The tracer, the counter banks, and the core's own accumulator all
-observe the *same* per-cycle signal dictionary; these property tests
+read the *same* recorded signal stream; these property tests
 pin them together on randomly generated programs, so a packing bug in
 the trace bundle or a counting bug in a bank cannot drift silently.
 """
@@ -9,7 +9,7 @@ the trace bundle or a counting bug in a bank cannot drift silently.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cores import BoomCore, LARGE_BOOM, ROCKET, RocketCore
+from repro.cores import BoomCore, LARGE_BOOM, ROCKET, RocketCore, SignalStream
 from repro.isa import assemble, execute
 from repro.pmu import AddWiresCounterBank, ScalarCounterBank
 from repro.trace import CycleTracer, boom_tma_bundle, rocket_tma_bundle
@@ -54,8 +54,9 @@ def test_rocket_tracer_matches_core_totals(source):
     core = RocketCore(ROCKET)
     bundle = rocket_tma_bundle()
     tracer = CycleTracer(bundle)
-    core.add_observer(tracer)
-    result = core.run(trace)
+    stream = SignalStream()
+    result = core.run(trace, stream=stream)
+    tracer.record(stream)
     for field in bundle.fields:
         traced = sum(v.bit_count() for v in tracer.signal(field.name))
         assert traced == result.event(field.name), field.name
@@ -74,9 +75,11 @@ def test_boom_tracer_and_banks_match_core_totals(source):
               "recovering"]
     scalar = ScalarCounterBank("boom", events)
     adders = AddWiresCounterBank("boom", events)
-    for observer in (tracer, scalar, adders):
-        core.add_observer(observer)
-    result = core.run(trace)
+    stream = SignalStream()
+    result = core.run(trace, stream=stream)
+    tracer.record(stream)
+    scalar.count(stream)
+    adders.count(stream)
 
     for field in bundle.fields:
         traced = sum(v.bit_count() for v in tracer.signal(field.name))

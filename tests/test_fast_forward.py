@@ -6,14 +6,18 @@ run, driven by a fault hook that never stalls, steps every cycle.  On
 every registry workload and every Table IV config, plus the optional
 D$ prefetcher and a gshare predictor, both must give the same
 :class:`~repro.cores.base.CoreResult`, and a cycle watchdog must fire
-at the same cycle on both paths.
+at the same cycle on both paths.  A recorded run keeps the skip (a
+skipped stretch goes into its :class:`~repro.cores.base.SignalStream`
+as one run), so it must also give the plain result and the stepped
+run's stream, cycle for cycle.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.cores import ALL_BOOM_CONFIGS, LARGE_BOOM, ROCKET, SMALL_BOOM
+from repro.cores import (ALL_BOOM_CONFIGS, LARGE_BOOM, ROCKET, SMALL_BOOM,
+                         SignalStream)
 from repro.isa.errors import RunTimeout
 from repro.pmu.harness import make_core
 from repro.workloads import build_trace, workload_names
@@ -43,10 +47,10 @@ class NeverStall:
         return False
 
 
-def stepped_run(config, trace, max_cycles=None):
+def stepped_run(config, trace, max_cycles=None, stream=None):
     core = make_core(config)
     core.fault_hook = NeverStall()
-    return core.run(trace, max_cycles=max_cycles)
+    return core.run(trace, max_cycles=max_cycles, stream=stream)
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=config_id)
@@ -60,25 +64,33 @@ def test_plain_run_equals_stepped_run(config):
     assert mismatched == []
 
 
-class BusyCycles:
-    """Observer: the cycles in which anything issued or retired."""
-
-    def __init__(self):
-        self.cycles = []
-
-    def on_cycle(self, cycle, signals):
-        if signals.keys() & {"uops_issued", "uops_retired", "instr_issued"}:
-            self.cycles.append(cycle)
+@pytest.mark.parametrize("config", [ROCKET, *ALL_BOOM_CONFIGS],
+                         ids=config_id)
+def test_recorded_run_equals_plain_result_and_stepped_stream(config):
+    """Run-length records of skipped stretches expand to stepped cycles."""
+    mismatched = []
+    for workload in WORKLOADS:
+        trace = build_trace(workload, scale=SCALE)
+        recorded, stepped = SignalStream(), SignalStream()
+        result = make_core(config).run(trace, stream=recorded)
+        stepped_run(config, trace, stream=stepped)
+        if result != make_core(config).run(trace) \
+                or list(recorded.runs()) != list(stepped.runs()):
+            mismatched.append(workload)
+    assert mismatched == []
 
 
 def longest_quiet_stretch(config, trace):
-    """``(first, last)`` cycle of the longest run with no issue/retire."""
-    core = make_core(config)
-    busy = BusyCycles()
-    core.add_observer(busy)
-    core.run(trace)
-    gaps = [(b - a, a + 1, b - 1) for a, b in zip(busy.cycles,
-                                                 busy.cycles[1:])]
+    """``(first, last)`` cycle of the longest run with no issue/retire.
+
+    Read from a stepped run, whose stream has a record per cycle.
+    """
+    stream = SignalStream()
+    stepped_run(config, trace, stream=stream)
+    busy = [cycle for cycle, signals in stream.cycles()
+            if signals.keys() & {"uops_issued", "uops_retired",
+                                 "instr_issued"}]
+    gaps = [(b - a, a + 1, b - 1) for a, b in zip(busy, busy[1:])]
     _, first, last = max(gaps)
     return first, last
 

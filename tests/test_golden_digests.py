@@ -2,8 +2,8 @@
 
 ``tests/golden_digests.json`` pins the full ``CoreResult`` surface and
 TMA level 1/2 of every registry workload on Rocket and three BOOM
-sizes, the per-cycle signal streams observers see, and every registry
-workload's functional trace; the per-core loop tests and
+sizes, the per-cycle signal streams recorded runs expand to, and every
+registry workload's functional trace; the per-core loop tests and
 ``tests/test_trace_compiler.py`` check those.  Checked here: a run
 under a releasing stall hook, PMU read-backs under every counter
 architecture with and without injected faults, cycle tracer and

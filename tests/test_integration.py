@@ -8,7 +8,7 @@ who wins and in which direction — the reproduction's contract.
 import pytest
 
 from repro.core import compute_tma
-from repro.cores import BoomCore, LARGE_BOOM, ROCKET
+from repro.cores import BoomCore, LARGE_BOOM, ROCKET, SignalStream
 from repro.pmu import (AddWiresCounterBank, DistributedCounterBank,
                        ScalarCounterBank, new_events_for_core)
 from repro.tools import rocket_with_l1d, run_core, run_tma
@@ -146,9 +146,10 @@ def test_counter_architectures_agree_on_real_run():
     scalar = ScalarCounterBank("boom", events)
     adders = AddWiresCounterBank("boom", events)
     distributed = DistributedCounterBank("boom", events)
+    stream = SignalStream()
+    core.run(trace, stream=stream)
     for bank in (scalar, adders, distributed):
-        core.add_observer(bank)
-    core.run(trace)
+        bank.count(stream)
     distributed.drain()
     for event in events:
         exact = scalar.read_event(event)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cores import SignalStream
 from repro.pmu import (AddWiresCounterBank, ClassicOrCounter,
                        DistributedCounterBank, ScalarCounterBank,
                        make_counter_bank)
@@ -12,8 +13,8 @@ EVENTS = ["fetch_bubbles", "uops_issued"]
 
 
 def feed(bank, stream):
-    for cycle, signals in enumerate(stream):
-        bank.on_cycle(cycle, signals)
+    """Count *stream*, one signals mapping per cycle from 0, on *bank*."""
+    bank.count(SignalStream.from_cycles(enumerate(stream)))
 
 
 def test_scalar_counts_each_lane_separately():

@@ -4,7 +4,13 @@ import pytest
 
 from repro.isa.csrs import (MCOUNTINHIBIT, MCYCLE, MINSTRET,
                             mhpmcounter_addr, mhpmevent_addr)
+from repro.cores import SignalStream
 from repro.pmu import CsrFile, encode_selector
+
+
+def cycles(*signals) -> SignalStream:
+    """A recorded stream of *signals*, one mapping per cycle from 0."""
+    return SignalStream.from_cycles(enumerate(signals))
 
 
 def programmed(core="boom", mode="adders", event="fetch_bubbles",
@@ -19,29 +25,27 @@ def test_counters_start_inhibited():
     csr = CsrFile()
     csr.write(mhpmevent_addr(3),
               encode_selector(["fetch_bubbles"], "boom"))
-    csr.on_cycle(0, {"fetch_bubbles": 0b111})
+    csr.count(cycles({"fetch_bubbles": 0b111}))
     assert csr.read(mhpmcounter_addr(3)) == 0
     assert csr.read(MCYCLE) == 0
 
 
 def test_clearing_inhibit_starts_counting():
     csr = programmed()
-    csr.on_cycle(0, {"fetch_bubbles": 0b111})
+    csr.count(cycles({"fetch_bubbles": 0b111}))
     assert csr.read(mhpmcounter_addr(3)) == 3  # adders mode popcounts
     assert csr.read(MCYCLE) == 1
 
 
 def test_classic_mode_increments_at_most_one():
     csr = programmed(mode="classic")
-    csr.on_cycle(0, {"fetch_bubbles": 0b111})
-    csr.on_cycle(1, {"fetch_bubbles": 0b001})
+    csr.count(cycles({"fetch_bubbles": 0b111}, {"fetch_bubbles": 0b001}))
     assert csr.read(mhpmcounter_addr(3)) == 2
 
 
 def test_distributed_mode_needs_correction():
     csr = programmed(mode="distributed")
-    for cycle in range(32):
-        csr.on_cycle(cycle, {"fetch_bubbles": 0b111})
+    csr.count(cycles(*[{"fetch_bubbles": 0b111}] * 32))
     csr.drain()
     raw = csr.read(mhpmcounter_addr(3))
     corrected = csr.counter_for(3).corrected_value()
@@ -53,8 +57,7 @@ def test_distributed_mode_needs_correction():
 
 def test_minstret_counts_retired():
     csr = programmed()
-    csr.on_cycle(0, {"instr_retired": 0b11})
-    csr.on_cycle(1, {"instr_retired": 0b1})
+    csr.count(cycles({"instr_retired": 0b11}, {"instr_retired": 0b1}))
     assert csr.read(MINSTRET) == 3
 
 
@@ -62,7 +65,7 @@ def test_selector_readback_and_reprogram_resets():
     csr = programmed()
     selector = encode_selector(["fetch_bubbles"], "boom")
     assert csr.read(mhpmevent_addr(3)) == selector
-    csr.on_cycle(0, {"fetch_bubbles": 1})
+    csr.count(cycles({"fetch_bubbles": 1}))
     csr.write(mhpmevent_addr(3), encode_selector(["recovering"], "boom"))
     assert csr.read(mhpmcounter_addr(3)) == 0
 
@@ -89,7 +92,7 @@ def test_multiple_events_one_counter_adders():
     selector = encode_selector(["icache_miss", "dcache_miss"], "boom")
     csr.write(mhpmevent_addr(4), selector)
     csr.write(MCOUNTINHIBIT, 0)
-    csr.on_cycle(0, {"icache_miss": 1, "dcache_miss": 1})
+    csr.count(cycles({"icache_miss": 1, "dcache_miss": 1}))
     assert csr.read(mhpmcounter_addr(4)) == 2  # multi-bit increment
 
 
@@ -105,7 +108,7 @@ def test_cross_set_selector_rejected_by_hardware():
 
 def test_corrected_values_listing():
     csr = programmed()
-    csr.on_cycle(0, {"fetch_bubbles": 0b11})
+    csr.count(cycles({"fetch_bubbles": 0b11}))
     values = csr.corrected_values()
     assert values == {3: 2}
 
@@ -116,6 +119,6 @@ def test_inhibit_bit_granularity():
     csr.write(mhpmevent_addr(4), encode_selector(["icache_miss"], "boom"))
     # inhibit only counter 4
     csr.write(MCOUNTINHIBIT, 1 << 4)
-    csr.on_cycle(0, {"recovering": 1, "icache_miss": 1})
+    csr.count(cycles({"recovering": 1, "icache_miss": 1}))
     assert csr.read(mhpmcounter_addr(3)) == 1
     assert csr.read(mhpmcounter_addr(4)) == 0

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.cores import LARGE_BOOM
+from repro.cores import LARGE_BOOM, SignalStream
 from repro.pmu import MultiplexedCsrFile, measure_sampled
+
+
+def cycles(signals) -> SignalStream:
+    """A recorded stream of *signals*, one mapping per cycle from 0."""
+    return SignalStream.from_cycles(enumerate(signals))
 
 
 def test_constructor_validation():
@@ -17,8 +22,7 @@ def test_constructor_validation():
 
 def test_single_group_is_exact():
     mux = MultiplexedCsrFile("boom", [["uops_retired"]], interval=10)
-    for cycle in range(100):
-        mux.on_cycle(cycle, {"uops_retired": 0b11})
+    mux.count(cycles([{"uops_retired": 0b11}] * 100))
     assert mux.raw_count("uops_retired") == 200
     assert mux.estimated_count("uops_retired") == pytest.approx(200)
     assert mux.coverage("uops_retired") == pytest.approx(1.0)
@@ -27,8 +31,7 @@ def test_single_group_is_exact():
 def test_rotation_splits_time_evenly():
     groups = [["uops_retired"], ["fetch_bubbles"]]
     mux = MultiplexedCsrFile("boom", groups, interval=10)
-    for cycle in range(200):
-        mux.on_cycle(cycle, {"uops_retired": 1, "fetch_bubbles": 1})
+    mux.count(cycles([{"uops_retired": 1, "fetch_bubbles": 1}] * 200))
     assert mux.coverage("uops_retired") == pytest.approx(0.5)
     assert mux.coverage("fetch_bubbles") == pytest.approx(0.5)
     # Uniform signals extrapolate exactly.
@@ -40,11 +43,9 @@ def test_bursty_signal_can_be_missed():
     """A burst entirely inside the other group's slice is invisible."""
     groups = [["uops_retired"], ["fetch_bubbles"]]
     mux = MultiplexedCsrFile("boom", groups, interval=10)
-    for cycle in range(40):
-        signals = {}
-        if 2 <= cycle < 8:     # burst in group 0's first slice
-            signals["fetch_bubbles"] = 0b111
-        mux.on_cycle(cycle, signals)
+    # A burst in group 0's first slice.
+    mux.count(cycles({"fetch_bubbles": 0b111} if 2 <= cycle < 8 else {}
+                     for cycle in range(40)))
     assert mux.raw_count("fetch_bubbles") == 0
     assert mux.estimated_count("fetch_bubbles") == 0.0
 
@@ -52,8 +53,7 @@ def test_bursty_signal_can_be_missed():
 def test_classic_mode_counts_once_per_cycle():
     mux = MultiplexedCsrFile("boom", [["uops_issued"]], interval=10,
                              increment_mode="classic")
-    for cycle in range(10):
-        mux.on_cycle(cycle, {"uops_issued": 0b11111})
+    mux.count(cycles([{"uops_issued": 0b11111}] * 10))
     assert mux.raw_count("uops_issued") == 10
 
 

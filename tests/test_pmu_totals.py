@@ -1,19 +1,20 @@
 """PMU read-backs from run totals: the ``adders`` shortcut and its edges.
 
 ``PerfHarness.measure`` credits fault-free ``adders`` counters from the
-core's own event totals (``CsrFile.credit``) instead of attaching the
-CSR file as a per-cycle observer.  The identity test below is what
-proves that shortcut: the observer path, run on every registry
-workload, reads exactly the totals.
+core's own event totals (``CsrFile.credit``) instead of recording the
+run on a ``SignalStream`` and counting it.  The identity test below is
+what proves that shortcut: counting the recorded stream, on every
+registry workload, reads exactly the totals.
 """
 
 import pytest
 
-from repro.cores import LARGE_BOOM, ROCKET
+from repro.cores import LARGE_BOOM, ROCKET, SignalStream
 from repro.isa.csrs import MCOUNTINHIBIT, mhpmcounter_addr, mhpmevent_addr
 from repro.isa.errors import RunTimeout
 from repro.pmu import CsrFile, PerfHarness, encode_selector
 from repro.pmu.events import events_for_core
+from repro.pmu import harness as harness_module
 from repro.pmu.harness import make_core
 from repro.chaos.model import FaultInjector, FaultSpec
 from repro.workloads import build_trace, workload_names
@@ -24,12 +25,12 @@ WORKLOADS = workload_names()
 
 
 def observed(harness, config, trace, assignment):
-    """One pass through the per-cycle observer: (CSR file, result)."""
+    """One pass counted from a recorded stream: (CSR file, result)."""
     csr = CsrFile(core=harness.core, increment_mode=harness.increment_mode)
     harness.setup(csr, assignment)
-    core = make_core(config)
-    core.add_observer(csr)
-    result = core.run(trace)
+    stream = SignalStream()
+    result = make_core(config).run(trace, stream=stream)
+    csr.count(stream)
     csr.drain()
     return csr, result
 
@@ -61,12 +62,12 @@ def test_adders_observer_reads_the_core_totals(config):
     assert mismatches == []
 
 
-def refuse_on_cycle(self, cycle, signals):
-    raise AssertionError("the per-cycle observer ran")
+def refuse_stream(self):
+    raise AssertionError("a signal stream was recorded")
 
 
 def test_adders_measure_never_steps_counters(monkeypatch):
-    monkeypatch.setattr(CsrFile, "on_cycle", refuse_on_cycle)
+    monkeypatch.setattr(SignalStream, "__init__", refuse_stream)
     for config in (ROCKET, LARGE_BOOM):
         measurement = PerfHarness(core=config.core).measure(
             "median", config, scale=0.2)
@@ -82,20 +83,29 @@ def test_adders_measure_never_steps_counters(monkeypatch):
     ("adders", "drop-increments"), ("adders", "bitflip-counter")])
 def test_other_modes_and_injected_runs_keep_the_observer(
         monkeypatch, mode, fault):
-    calls = []
-    step = CsrFile.on_cycle
+    """Both passes count every cycle of the one recorded run."""
+    counted, cores = [], []
+    count = CsrFile.count
 
-    def counting(self, cycle, signals):
-        calls.append(cycle)
-        step(self, cycle, signals)
+    def counting(self, stream):
+        counted.append(len(stream))
+        count(self, stream)
 
-    monkeypatch.setattr(CsrFile, "on_cycle", counting)
+    def counting_cores(config):
+        cores.append(config)
+        return make_core(config)
+
+    monkeypatch.setattr(CsrFile, "count", counting)
+    monkeypatch.setattr(harness_module, "make_core", counting_cores)
     injector = FaultInjector(FaultSpec(kind=fault, seed=3)) if fault else None
     measurement = PerfHarness(
         core="rocket", increment_mode=mode, fault_injector=injector).measure(
-            "median", ROCKET, event_names=["cycles", "instr_retired"],
+            "median", ROCKET, event_names=["cycles"] * 30 + ["instr_retired"],
             scale=0.2)
-    assert len(calls) == measurement.result.cycles > 0
+    assert measurement.passes == 2
+    assert cores == [ROCKET]
+    assert counted == [measurement.result.cycles] * 2
+    assert counted[0] > 0
 
 
 def test_linux_mode_applies_one_boot_sequence_per_pass(monkeypatch):
@@ -138,7 +148,7 @@ def test_two_pass_plan_reads_what_the_observer_reads():
 
 
 def test_grouped_adders_counters_read_the_summed_totals(monkeypatch):
-    monkeypatch.setattr(CsrFile, "on_cycle", refuse_on_cycle)
+    monkeypatch.setattr(SignalStream, "__init__", refuse_stream)
     harness = PerfHarness(core="boom")
     groups = [["icache_miss", "dcache_miss"], ["uops_retired"]]
     readings = harness.measure_grouped("median", LARGE_BOOM, groups,
@@ -189,11 +199,11 @@ def test_observer_steps_only_programmed_uninhibited_counters():
     csr.write(mhpmevent_addr(3), selector)
     csr.write(mhpmevent_addr(7), selector)
     csr.write(MCOUNTINHIBIT, 1 << 7)
-    csr.on_cycle(0, {"fetch_bubbles": 0b11})
+    csr.count(SignalStream.from_cycles([(0, {"fetch_bubbles": 0b11})]))
     csr.write(MCOUNTINHIBIT, 0)              # start counter 7
     csr.write(mhpmevent_addr(3), 0)          # unprogram counter 3
     csr.write(mhpmevent_addr(9), selector)   # program 9 while counting
-    csr.on_cycle(1, {"fetch_bubbles": 0b1})
+    csr.count(SignalStream.from_cycles([(1, {"fetch_bubbles": 0b1})]))
     assert [csr.read(mhpmcounter_addr(index)) for index in (3, 7, 9)] == \
         [2, 1, 1]
     assert csr.read(mhpmevent_addr(7)) == selector

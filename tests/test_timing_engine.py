@@ -14,15 +14,15 @@ import dataclasses
 
 import pytest
 
-from repro.cores import LARGE_BOOM, MEDIUM_BOOM, ROCKET, SMALL_BOOM
+from repro.cores import (LARGE_BOOM, MEDIUM_BOOM, ROCKET, SMALL_BOOM,
+                         SignalStream)
 from repro.cores.boom import BoomCore
 from repro.isa.columnar import ColumnarTrace
 from repro.pmu.harness import make_core
 from repro.workloads import build_trace, workload_names
 
-from tests.make_golden_digests import (SCALE, SignalStreamRecorder,
-                                       config_key, digest, load_golden,
-                                       result_document)
+from tests.make_golden_digests import (SCALE, config_key, digest,
+                                       load_golden, result_document)
 
 CONFIGS = [ROCKET, SMALL_BOOM, MEDIUM_BOOM, LARGE_BOOM]
 GOLDEN = load_golden()
@@ -93,17 +93,16 @@ def test_boom_run_resets_per_run_state():
 @pytest.mark.parametrize("config", [SMALL_BOOM, LARGE_BOOM],
                          ids=lambda c: c.name)
 def test_reused_core_engines_stay_identical(config):
-    """Back-to-back runs on one instance do not depend on observers.
+    """Back-to-back runs on one instance do not depend on recording.
 
-    Warm cache/predictor state evolves across runs; a reused core with
-    an observer attached and a reused core without one must see the
-    identical evolution, so the two agree run by run.
+    Warm cache/predictor state evolves across runs; a reused core that
+    records every run's signals and a reused core that records none
+    must see the identical evolution, so the two agree run by run.
     """
     core_observed = BoomCore(config)
-    core_observed.add_observer(SignalStreamRecorder())
     core_plain = BoomCore(config)
     for workload in ("qsort", "median", "qsort"):
         trace = build_trace(workload, scale=SCALE)
-        observed = core_observed.run(trace)
+        observed = core_observed.run(trace, stream=SignalStream())
         plain = core_plain.run(trace)
         assert result_digest(observed) == result_digest(plain)

@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cores import SignalStream
 from repro.trace import (CycleTracer, DmaTraceReader, TraceBridge,
                          TraceBundle, TraceField, boom_tma_bundle,
                          rocket_frontend_bundle)
+
+
+def cycles(signals) -> SignalStream:
+    """A recorded stream of *signals*, one mapping per cycle from 0."""
+    return SignalStream.from_cycles(enumerate(signals))
 
 
 def small_bundle() -> TraceBundle:
@@ -58,8 +64,7 @@ def test_default_bundles_have_expected_signals():
 def test_tracer_records_and_extracts_series():
     bundle = small_bundle()
     tracer = CycleTracer(bundle)
-    tracer.on_cycle(0, {"a": 1})
-    tracer.on_cycle(1, {"b": 0b110})
+    tracer.record(cycles([{"a": 1}, {"b": 0b110}]))
     assert len(tracer) == 2
     assert tracer.signal("a") == [1, 0]
     assert tracer.signal("b") == [0, 0b110]
@@ -68,8 +73,7 @@ def test_tracer_records_and_extracts_series():
 def test_tracer_start_and_max_cycles():
     bundle = small_bundle()
     tracer = CycleTracer(bundle, start_cycle=2, max_cycles=3)
-    for cycle in range(10):
-        tracer.on_cycle(cycle, {"a": 1})
+    tracer.record(cycles([{"a": 1}] * 10))
     assert len(tracer) == 3
     assert tracer.first_cycle == 2
 
@@ -77,9 +81,8 @@ def test_tracer_start_and_max_cycles():
 def test_bridge_roundtrip():
     bundle = small_bundle()
     tracer = CycleTracer(bundle)
-    for cycle in range(100):
-        tracer.on_cycle(cycle, {"a": cycle & 1, "b": cycle & 7,
-                                "c": (cycle >> 1) & 3})
+    tracer.record(cycles({"a": cycle & 1, "b": cycle & 7,
+                          "c": (cycle >> 1) & 3} for cycle in range(100)))
     blob = TraceBridge(bundle, chunk_cycles=16).encode(tracer)
     reader = DmaTraceReader(blob)
     first, records = reader.read_all()
@@ -92,8 +95,7 @@ def test_bridge_roundtrip():
 def test_bridge_chunking():
     bundle = small_bundle()
     tracer = CycleTracer(bundle)
-    for cycle in range(50):
-        tracer.on_cycle(cycle, {"a": 1})
+    tracer.record(cycles([{"a": 1}] * 50))
     blob = TraceBridge(bundle, chunk_cycles=20).encode(tracer)
     chunks = list(DmaTraceReader(blob).chunks())
     assert [len(r) for _, r in chunks] == [20, 20, 10]
@@ -108,7 +110,7 @@ def test_reader_rejects_bad_magic():
 def test_reader_rejects_truncated_chunk():
     bundle = small_bundle()
     tracer = CycleTracer(bundle)
-    tracer.on_cycle(0, {"a": 1})
+    tracer.record(cycles([{"a": 1}]))
     blob = TraceBridge(bundle).encode(tracer)
     with pytest.raises(ValueError):
         list(DmaTraceReader(blob[:-1]).chunks())
@@ -117,7 +119,7 @@ def test_reader_rejects_truncated_chunk():
 def test_decoded_bundle_matches_source_layout():
     bundle = boom_tma_bundle(3, 5)
     tracer = CycleTracer(bundle)
-    tracer.on_cycle(0, {"uops_issued": 0b10101})
+    tracer.record(cycles([{"uops_issued": 0b10101}]))
     reader = DmaTraceReader(TraceBridge(bundle).encode(tracer))
     assert reader.bundle.offset_of("uops_issued") \
         == bundle.offset_of("uops_issued")
@@ -130,8 +132,9 @@ def test_decoded_bundle_matches_source_layout():
 def test_property_bridge_roundtrip_any_stream(cycles):
     bundle = small_bundle()
     tracer = CycleTracer(bundle)
-    for index, (a, b, c) in enumerate(cycles):
-        tracer.on_cycle(index, {"a": a, "b": b, "c": c})
+    tracer.record(SignalStream.from_cycles(
+        (index, {"a": a, "b": b, "c": c})
+        for index, (a, b, c) in enumerate(cycles)))
     blob = TraceBridge(bundle, chunk_cycles=7).encode(tracer)
     _, records = DmaTraceReader(blob).read_all()
     assert records == tracer.records
