@@ -90,7 +90,7 @@ def main():
     os.environ["REPRO_CACHE_DIR"] = cluster_cache
 
     from repro.service import (Gateway, ServiceClient, TMAService,
-                               serve_gateway_in_thread)
+                               serve_in_thread)
     from repro.service.job import TMAJob
 
     # -- boot the cluster --------------------------------------------------
@@ -104,7 +104,7 @@ def main():
     gateway = Gateway(
         ",".join(f"{sid}={url}" for sid, url in sorted(urls.items())),
         evict_threshold=2)
-    gw_server, _thread = serve_gateway_in_thread(gateway)
+    gw_server, _thread = serve_in_thread(gateway)
     gw_url = f"http://127.0.0.1:{gw_server.server_address[1]}"
     client = ServiceClient(gw_url, timeout=30.0)
     check(client.healthz()["role"] == "gateway",

@@ -182,6 +182,18 @@ class _DistributedEventState:
             for _ in range(cycles):
                 self.step(mask)
 
+    def grow(self, sources: int) -> "_DistributedEventState":
+        """This structure re-synthesised with *sources* sources.
+
+        Pending overflow flags and local residues fold into the carried
+        count at the old wrap, so the grown state holds every event.
+        """
+        grown = _DistributedEventState(sources)
+        carried = ((self.principal + self.overflow.count(True)) * self.wrap
+                   + sum(self.locals_))
+        grown.principal, grown.locals_[0] = divmod(carried, grown.wrap)
+        return grown
+
 
 class DistributedCounterBank(_BankBase):
     """Fig. 6b: local per-source counters + rotating one-hot arbiter.
@@ -207,17 +219,7 @@ class DistributedCounterBank(_BankBase):
         elif width > state.sources:
             # A wider mask than anticipated: grow the structure, keeping
             # existing counts (models re-synthesis with more sources).
-            grown = _DistributedEventState(width)
-            grown.locals_[:state.sources] = state.locals_
-            grown.overflow[:state.sources] = state.overflow
-            carried = state.principal * state.wrap
-            grown.principal = carried // grown.wrap
-            extra = carried % grown.wrap + grown.locals_[0]
-            grown.locals_[0] = extra % grown.wrap
-            if extra >= grown.wrap:
-                grown.overflow[0] = True
-            self._states[name] = grown
-            state = grown
+            state = self._states[name] = state.grow(width)
         return state
 
     def count(self, stream: SignalStream) -> None:

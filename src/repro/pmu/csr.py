@@ -83,15 +83,11 @@ class _ProgrammableCounter:
                 runs = [(1, stream.active(names))]
             for combined, cycles in runs:
                 state = self._distributed
-                if state is None or combined.bit_length() > state.sources:
-                    fresh = _DistributedEventState(
-                        max(1, combined.bit_length()))
-                    if state is not None:
-                        carried = (state.principal * state.wrap
-                                   + sum(state.locals_))
-                        fresh.principal = carried // fresh.wrap
-                        fresh.locals_[0] = carried % fresh.wrap
-                    self._distributed = state = fresh
+                if state is None:
+                    state = _DistributedEventState(combined.bit_length())
+                elif combined.bit_length() > state.sources:
+                    state = state.grow(combined.bit_length())
+                self._distributed = state
                 state.run(combined, cycles)
                 self.value = state.principal
 

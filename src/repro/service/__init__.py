@@ -32,8 +32,7 @@ per shard + ``repro-tma gateway --shards ...``.
 
 from .app import TMAService
 from .client import JobRejected, ServiceClient, ServiceError
-from .gateway import (Gateway, GatewayServer, make_gateway_server,
-                      serve_gateway_in_thread)
+from .gateway import Gateway
 from .hashring import (DEFAULT_VNODES, HashRing, parse_shard_spec,
                        ring_position, stable_hash)
 from .job import (GridJob, JobRecord, JobValidationError, MulticoreJob,
@@ -50,7 +49,6 @@ __all__ = [
     "DEFAULT_VNODES",
     "EventJournal",
     "Gateway",
-    "GatewayServer",
     "GridJob",
     "HashRing",
     "Histogram",
@@ -71,7 +69,6 @@ __all__ = [
     "TMAService",
     "WorkerPool",
     "execute_job",
-    "make_gateway_server",
     "make_server",
     "make_shard_service",
     "merge_snapshots",
@@ -79,7 +76,6 @@ __all__ = [
     "parse_shard_spec",
     "parse_sse",
     "ring_position",
-    "serve_gateway_in_thread",
     "serve_in_thread",
     "sse_encode",
     "stable_hash",

@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..reliability.breaker import CircuitBreaker
@@ -328,8 +328,10 @@ class TMAService:
     # ------------------------------------------------------------------
     # Client-facing API
 
-    def submit_payload(self, payload: Dict[str, Any]) -> SubmitReceipt:
-        """Admit a raw JSON submission: ``{job fields..., client, priority}``."""
+    @staticmethod
+    def _admission(payload: Dict[str, Any]
+                   ) -> Tuple[Dict[str, Any], str, int]:
+        """Split a raw submission into (job fields, client, priority)."""
         if not isinstance(payload, dict):
             raise JobValidationError("submission must be a JSON object")
         body = dict(payload)
@@ -341,6 +343,11 @@ class TMAService:
         if not (0 <= priority <= MAX_PRIORITY):
             raise JobValidationError(
                 f"priority must be in [0, {MAX_PRIORITY}]")
+        return body, client, priority
+
+    def submit_payload(self, payload: Dict[str, Any]) -> SubmitReceipt:
+        """Admit a raw JSON submission: ``{job fields..., client, priority}``."""
+        body, client, priority = self._admission(payload)
         job = TMAJob.from_payload(body)
         return self.submit_job(job, client=client, priority=priority)
 
@@ -405,34 +412,14 @@ class TMAService:
         path — admission, in-flight dedup, breaker, cached-payload
         fast path, drain persistence — via :meth:`submit_job`.
         """
-        if not isinstance(payload, dict):
-            raise JobValidationError("submission must be a JSON object")
-        body = dict(payload)
-        client = str(body.pop("client", "anonymous")) or "anonymous"
-        try:
-            priority = int(body.pop("priority", DEFAULT_PRIORITY))
-        except (TypeError, ValueError):
-            raise JobValidationError("priority must be an integer") from None
-        if not (0 <= priority <= MAX_PRIORITY):
-            raise JobValidationError(
-                f"priority must be in [0, {MAX_PRIORITY}]")
+        body, client, priority = self._admission(payload)
         job = MulticoreJob.from_payload(body)
         self.metrics.inc("multicore_submitted")
         return self.submit_job(job, client=client, priority=priority)
 
     def submit_grid_payload(self, payload: Dict[str, Any]) -> GridRecord:
         """Admit a raw grid submission: ``{grid fields..., client, priority}``."""
-        if not isinstance(payload, dict):
-            raise JobValidationError("submission must be a JSON object")
-        body = dict(payload)
-        client = str(body.pop("client", "anonymous")) or "anonymous"
-        try:
-            priority = int(body.pop("priority", DEFAULT_PRIORITY))
-        except (TypeError, ValueError):
-            raise JobValidationError("priority must be an integer") from None
-        if not (0 <= priority <= MAX_PRIORITY):
-            raise JobValidationError(
-                f"priority must be in [0, {MAX_PRIORITY}]")
+        body, client, priority = self._admission(payload)
         grid_job = GridJob.from_payload(body)
         return self.submit_grid(grid_job, client=client, priority=priority)
 

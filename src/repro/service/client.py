@@ -29,7 +29,7 @@ import os
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from ..chaos import injector as chaos
 from ..reliability.retry import RetryPolicy
@@ -80,6 +80,28 @@ class JobRejected(ServiceError):
     def __init__(self, status: int, payload: Dict[str, Any]) -> None:
         super().__init__(status, payload)
         self.retry_after = float(payload.get("retry_after", 1.0))
+
+
+def http_error(exc: urllib.error.HTTPError) -> ServiceError:
+    """The error an HTTP error response carries (:class:`JobRejected` on 429)."""
+    try:
+        payload = json.loads(exc.read().decode("utf-8"))
+    except ValueError:
+        payload = {"error": str(exc)}
+    error = JobRejected if exc.code == 429 else ServiceError
+    return error(exc.code, payload)
+
+
+#: Submission path -> (retry salt prefix, body field the salt names).
+_SUBMISSIONS = {
+    "/jobs": ("submit", "workload"),
+    "/multicore": ("multicore", "scenario"),
+    "/grids": ("grid", "workload"),
+}
+
+#: States after which a job or a grid no longer changes.
+_JOB_TERMINAL = ("done", "failed", "rejected", "requeued", "quarantined")
+_GRID_TERMINAL = ("done", "failed", "rejected")
 
 
 class ServiceClient:
@@ -142,13 +164,7 @@ class ServiceClient:
                                         timeout=effective) as response:
                 return json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
-            try:
-                payload = json.loads(exc.read().decode("utf-8"))
-            except ValueError:
-                payload = {"error": str(exc)}
-            if exc.code == 429:
-                raise JobRejected(exc.code, payload) from None
-            raise ServiceError(exc.code, payload) from None
+            raise http_error(exc) from None
         except urllib.error.URLError as exc:
             # Connection-level failure (refused, DNS, timeout): status 0.
             raise ServiceError(0, {"error": str(exc.reason)}) from None
@@ -179,67 +195,48 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
 
-    def submit(self, workload: str, retries: int = 0,
-               **fields: Any) -> Dict[str, Any]:
-        """POST /jobs; optionally retry (honouring Retry-After) on 429.
+    def submit_to(self, path: str, body: Dict[str, Any],
+                  retries: int = 0) -> Dict[str, Any]:
+        """POST one submission; optionally retry (honouring Retry-After) on 429.
 
-        The pause before each retry is the larger of the retry policy's
-        scheduled backoff and the server's (capped) ``retry_after``
-        hint, so the client never hammers a loaded queue faster than
-        the server asked it to.
+        *path* is ``/jobs``, ``/multicore`` or ``/grids``.  The pause
+        before each retry is the larger of the retry policy's scheduled
+        backoff and the server's (capped) ``retry_after`` hint, so the
+        client never hammers a loaded queue faster than the server
+        asked it to.  A 429 means nothing was enqueued (a grid is
+        admitted all or nothing), so retrying it is always safe.
         """
-        body = {"workload": workload, **fields}
+        prefix, name = _SUBMISSIONS[path]
         attempt = 0
         while True:
             try:
-                return self._request("POST", "/jobs", body)
+                return self._request("POST", path, body)
             except JobRejected as rejected:
                 if attempt >= retries:
                     raise
                 pause = max(self.retry_policy.delay(
-                                attempt, salt=f"submit:{workload}"),
+                                attempt, salt=f"{prefix}:{body[name]}"),
                             min(rejected.retry_after, 2.0))
                 attempt += 1
                 time.sleep(pause)
+
+    def submit(self, workload: str, retries: int = 0,
+               **fields: Any) -> Dict[str, Any]:
+        """POST /jobs; see :meth:`submit_to`."""
+        return self.submit_to("/jobs", {"workload": workload, **fields},
+                              retries)
 
     def submit_multicore(self, scenario: str, retries: int = 0,
                          **fields: Any) -> Dict[str, Any]:
-        """POST /multicore; optionally retry (honouring Retry-After) on 429."""
-        body = {"scenario": scenario, **fields}
-        attempt = 0
-        while True:
-            try:
-                return self._request("POST", "/multicore", body)
-            except JobRejected as rejected:
-                if attempt >= retries:
-                    raise
-                pause = max(self.retry_policy.delay(
-                                attempt, salt=f"multicore:{scenario}"),
-                            min(rejected.retry_after, 2.0))
-                attempt += 1
-                time.sleep(pause)
+        """POST /multicore; see :meth:`submit_to`."""
+        return self.submit_to("/multicore", {"scenario": scenario, **fields},
+                              retries)
 
     def submit_grid(self, workload: str, retries: int = 0,
                     **fields: Any) -> Dict[str, Any]:
-        """POST /grids; optionally retry (honouring Retry-After) on 429.
-
-        A grid rejection is all-or-nothing (the server admits the whole
-        design-space matrix atomically or none of it), so retrying a
-        429 is always safe: nothing was enqueued.
-        """
-        body = {"workload": workload, **fields}
-        attempt = 0
-        while True:
-            try:
-                return self._request("POST", "/grids", body)
-            except JobRejected as rejected:
-                if attempt >= retries:
-                    raise
-                pause = max(self.retry_policy.delay(
-                                attempt, salt=f"grid:{workload}"),
-                            min(rejected.retry_after, 2.0))
-                attempt += 1
-                time.sleep(pause)
+        """POST /grids; see :meth:`submit_to`."""
+        return self.submit_to("/grids", {"workload": workload, **fields},
+                              retries)
 
     def status(self, job_id: str) -> Dict[str, Any]:
         return self._request("GET", f"/jobs/{job_id}")
@@ -247,47 +244,39 @@ class ServiceClient:
     def grid_status(self, grid_id: str) -> Dict[str, Any]:
         return self._request("GET", f"/grids/{grid_id}")
 
-    def wait_grid(self, grid_id: str, timeout: float = 120.0,
-                  poll: float = 0.05,
-                  deadline: Optional[float] = None) -> Dict[str, Any]:
-        """Poll until every grid point reaches a terminal state.
-
-        ``deadline`` is an *absolute* ``time.time()`` cutoff that wins
-        over ``timeout`` — the same plumbing ``submit --deadline``
-        stamps onto jobs, so a CLI grid wait and the jobs it watches
-        share one wall-clock budget instead of two drifting ones.
-        """
-        if deadline is None:
-            deadline = time.time() + timeout
-        terminal = ("done", "failed", "rejected")
-        while True:
-            payload = self.grid_status(grid_id)
-            if payload["state"] in terminal:
-                return payload
-            if time.time() >= deadline:
-                raise TimeoutError(
-                    f"grid {grid_id} still {payload['state']!r} "
-                    f"at deadline (timeout {timeout:.1f}s)")
-            time.sleep(poll)
-
     def wait(self, job_id: str, timeout: float = 60.0,
              poll: float = 0.05,
              deadline: Optional[float] = None) -> Dict[str, Any]:
         """Poll until the job reaches a terminal state (or timeout).
 
-        ``deadline`` (absolute, optional) wins over ``timeout`` — see
-        :meth:`wait_grid`.
+        ``deadline`` is an *absolute* ``time.time()`` cutoff that wins
+        over ``timeout`` — the same plumbing ``submit --deadline``
+        stamps onto jobs, so a CLI wait and the jobs it watches share
+        one wall-clock budget instead of two drifting ones.
         """
+        return self._wait(self.status, "job", job_id, _JOB_TERMINAL,
+                          timeout, poll, deadline)
+
+    def wait_grid(self, grid_id: str, timeout: float = 120.0,
+                  poll: float = 0.05,
+                  deadline: Optional[float] = None) -> Dict[str, Any]:
+        """Poll until every grid point reaches a terminal state; see :meth:`wait`."""
+        return self._wait(self.grid_status, "grid", grid_id, _GRID_TERMINAL,
+                          timeout, poll, deadline)
+
+    @staticmethod
+    def _wait(fetch: Callable[[str], Dict[str, Any]], kind: str,
+              ident: str, terminal: Tuple[str, ...], timeout: float,
+              poll: float, deadline: Optional[float]) -> Dict[str, Any]:
         if deadline is None:
             deadline = time.time() + timeout
-        terminal = ("done", "failed", "rejected", "requeued", "quarantined")
         while True:
-            payload = self.status(job_id)
+            payload = fetch(ident)
             if payload["state"] in terminal:
                 return payload
             if time.time() >= deadline:
                 raise TimeoutError(
-                    f"job {job_id} still {payload['state']!r} "
+                    f"{kind} {ident} still {payload['state']!r} "
                     f"at deadline (timeout {timeout:.1f}s)")
             time.sleep(poll)
 
@@ -324,11 +313,7 @@ class ServiceClient:
                         if event.get("event") in TERMINAL_EVENTS:
                             return
             except urllib.error.HTTPError as exc:
-                try:
-                    payload = json.loads(exc.read().decode("utf-8"))
-                except ValueError:
-                    payload = {"error": str(exc)}
-                raise ServiceError(exc.code, payload) from None
+                raise http_error(exc) from None
             except (urllib.error.URLError, ConnectionError, OSError) as exc:
                 if not reconnect:
                     raise ServiceError(0, {"error": str(exc)}) from None

@@ -34,26 +34,31 @@ Gateway ids are composite — ``<shard>:<remote job id>`` as first
 minted — and double as keys into a bounded soft-state route table that
 tracks re-homing; a fresh gateway process can still resolve any
 not-yet-rerouted id statelessly by parsing it.
+
+**HTTP.**  :class:`GatewayRequestHandler` declares the gateway's routes
+on the one HTTP layer in :mod:`repro.service.server` (body reader,
+error contract, SSE head and cursor), and ``make_server`` /
+``serve_in_thread`` serve a :class:`Gateway` as they serve a shard.
+Membership administration takes ``{"id": ...}`` (plus ``"url"`` to
+join) on ``POST /admin/join``, ``/admin/leave`` and ``/admin/evict``.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 import urllib.error
-import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..reliability.breaker import CircuitBreaker
-from .client import ServiceClient, ServiceError
+from .client import ServiceClient, ServiceError, http_error
 from .hashring import HashRing, parse_shard_spec
 from .job import GridJob, JobValidationError, MulticoreJob, TMAJob
 from .metrics import MetricsRegistry, merge_snapshots
+from .server import JsonRequestHandler, ServiceServer, serve_in_thread
 
 #: Cluster spec default for ``repro-tma gateway --shards``:
 #: ``REPRO_SHARDS="s1=http://h:p,s2=http://h:p"``.
@@ -199,14 +204,8 @@ class Gateway:
                 client = self.clients.get(shard_id)
             if client is None:
                 continue  # evicted while we walked the order
-            fields = {key: value for key, value in body.items()
-                      if key not in ("workload", "scenario")}
             try:
-                if path == "/multicore":
-                    receipt = client.submit_multicore(body["scenario"],
-                                                      **fields)
-                else:
-                    receipt = client.submit(body["workload"], **fields)
+                receipt = client.submit_to(path, body)
             except ServiceError as exc:
                 if exc.status == 0:
                     last_error = exc
@@ -674,129 +673,58 @@ class Gateway:
 # HTTP front
 
 
-class GatewayRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests into the owning server's Gateway."""
+class GatewayRequestHandler(JsonRequestHandler):
+    """The gateway's routes into its :class:`Gateway`."""
 
     server_version = "repro-tma-gateway/1.0"
-    protocol_version = "HTTP/1.1"
+    routes = (
+        ("POST", "/jobs", "_post_jobs"),
+        ("POST", "/multicore", "_post_multicore"),
+        ("POST", "/grids", "_post_grids"),
+        ("GET", "/jobs/<id>/events", "_relay_events"),
+        ("GET", "/jobs/<id>", "_get_job"),
+        ("GET", "/grids/<id>", "_get_grid"),
+        ("GET", "/metrics", "_get_metrics"),
+        ("GET", "/healthz", "_get_healthz"),
+        ("POST", "/admin/drain", "_post_drain"),
+        ("POST", "/admin/join", "_post_join"),
+        ("POST", "/admin/leave", "_post_leave"),
+        ("POST", "/admin/evict", "_post_evict"),
+    )
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
+    def _post_jobs(self) -> None:
+        self.send_json(202, self.app.submit_payload(self.read_json_body()))
 
-    @property
-    def gateway(self) -> Gateway:
-        return self.server.gateway  # type: ignore[attr-defined]
+    def _post_multicore(self) -> None:
+        self.send_json(202, self.app.submit_payload(self.read_json_body(),
+                                                    multicore=True))
 
-    def _send_json(self, status: int, payload: Dict[str, Any],
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+    def _post_grids(self) -> None:
+        self.send_json(202,
+                       self.app.submit_grid_payload(self.read_json_body()))
 
-    def _read_json_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
-        try:
-            payload = json.loads(raw.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise JobValidationError(f"body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise JobValidationError("body must be a JSON object")
-        return payload
+    def _post_drain(self) -> None:
+        self.send_json(200, self.app.drain_all())
 
-    def _guarded(self, action: Callable[[], None]) -> None:
-        """Run a handler body with the gateway's error contract."""
-        try:
-            action()
-        except JobValidationError as exc:
-            self._send_json(400, {"error": str(exc)})
-        except ServiceError as exc:
-            if exc.status == 429:
-                retry_after = float(exc.payload.get("retry_after", 1.0))
-                self._send_json(429, dict(exc.payload),
-                                headers={"Retry-After":
-                                         f"{retry_after:.3f}"})
-            elif exc.status == 0:
-                self._send_json(503, {"error": str(exc)})
-            else:
-                self._send_json(exc.status, dict(exc.payload))
+    def _post_join(self) -> None:
+        body = self.read_json_body()
+        if not body.get("id") or not body.get("url"):
+            raise JobValidationError("join requires 'id' and 'url'")
+        self.send_json(200, self.app.join(str(body["id"]), str(body["url"])))
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/jobs":
-            self._guarded(lambda: self._send_json(
-                202, self.gateway.submit_payload(self._read_json_body())))
-        elif self.path == "/multicore":
-            self._guarded(lambda: self._send_json(
-                202, self.gateway.submit_payload(self._read_json_body(),
-                                                 multicore=True)))
-        elif self.path == "/grids":
-            self._guarded(lambda: self._send_json(
-                202, self.gateway.submit_grid_payload(
-                    self._read_json_body())))
-        elif self.path == "/admin/drain":
-            self._guarded(lambda: self._send_json(
-                200, self.gateway.drain_all()))
-        elif self.path == "/admin/join":
-            def _join() -> None:
-                body = self._read_json_body()
-                if not body.get("id") or not body.get("url"):
-                    raise JobValidationError("join requires 'id' and 'url'")
-                self._send_json(200, self.gateway.join(str(body["id"]),
-                                                       str(body["url"])))
-            self._guarded(_join)
-        elif self.path == "/admin/leave":
-            def _leave() -> None:
-                body = self._read_json_body()
-                if not body.get("id"):
-                    raise JobValidationError("leave requires 'id'")
-                self._send_json(200, self.gateway.leave(str(body["id"])))
-            self._guarded(_leave)
-        elif self.path == "/admin/evict":
-            def _evict() -> None:
-                body = self._read_json_body()
-                if not body.get("id"):
-                    raise JobValidationError("evict requires 'id'")
-                self._send_json(200, self.gateway.evict(str(body["id"])))
-            self._guarded(_evict)
-        else:
-            self._send_json(404, {"error": f"no such endpoint {self.path}"})
+    def _post_leave(self) -> None:
+        self.send_json(200, self.app.leave(self._member_id("leave")))
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path.startswith("/jobs/"):
-            rest = self.path[len("/jobs/"):]
-            if rest.endswith("/events") or "/events?" in rest:
-                job_id, _, query = rest.partition("/events")
-                self._relay_events(job_id, query.lstrip("?"))
-                return
-            self._guarded(lambda: self._get_status(rest))
-        elif self.path.startswith("/grids/"):
-            grid_id = self.path[len("/grids/"):]
-            payload = self.gateway.grid_status(grid_id)
-            if payload is None:
-                self._send_json(404, {"error": f"unknown grid {grid_id!r}"})
-            else:
-                self._send_json(200, payload)
-        elif self.path == "/metrics":
-            self._send_json(200, self.gateway.metrics_snapshot())
-        elif self.path == "/healthz":
-            self._send_json(200, self.gateway.healthz())
-        else:
-            self._send_json(404, {"error": f"no such endpoint {self.path}"})
+    def _post_evict(self) -> None:
+        self.send_json(200, self.app.evict(self._member_id("evict")))
 
-    def _get_status(self, job_id: str) -> None:
-        payload = self.gateway.status(job_id)
-        if payload is None:
-            self._send_json(404, {"error": f"unknown job {job_id!r}"})
-        else:
-            self._send_json(200, payload)
+    def _member_id(self, action: str) -> str:
+        body = self.read_json_body()
+        if not body.get("id"):
+            raise JobValidationError(f"{action} requires 'id'")
+        return str(body["id"])
 
-    def _relay_events(self, gateway_id: str, query: str) -> None:
+    def _relay_events(self, gateway_id: str) -> None:
         """Byte-wise SSE relay from the owning shard.
 
         The relay holds no journal: it copies the shard's stream line
@@ -808,40 +736,23 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         event still arrives exactly once: the dead shard never sent
         one).
         """
-        source = self.gateway.stream_source(gateway_id)
+        source = self.app.stream_source(gateway_id)
         if source is None:
-            self._send_json(404, {"error": f"unknown job {gateway_id!r}"})
+            self.send_json(404, {"error": f"unknown job {gateway_id!r}"})
             return
         base_url, remote_id, drop_cursor = source
-        after = "0"
-        if not drop_cursor:
-            params = urllib.parse.parse_qs(query)
-            if params.get("after"):
-                after = params["after"][0]
-            elif self.headers.get("Last-Event-ID"):
-                after = self.headers["Last-Event-ID"]
+        after = 0 if drop_cursor else self.event_cursor()
         request = urllib.request.Request(
-            f"{base_url}/jobs/{remote_id}/events?after="
-            f"{urllib.parse.quote(after)}",
+            f"{base_url}/jobs/{remote_id}/events?after={after}",
             headers={"Accept": "text/event-stream"})
         try:
             upstream = urllib.request.urlopen(request, timeout=30.0)
         except urllib.error.HTTPError as exc:
-            try:
-                payload = json.loads(exc.read().decode("utf-8"))
-            except ValueError:
-                payload = {"error": str(exc)}
-            self._send_json(exc.code, payload)
-            return
+            raise http_error(exc) from None
         except (urllib.error.URLError, OSError) as exc:
-            self._send_json(503, {"error": f"shard stream failed: {exc}"})
+            self.send_json(503, {"error": f"shard stream failed: {exc}"})
             return
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.close_connection = True
+        self.start_event_stream()
         try:
             with upstream:
                 for line in upstream:
@@ -853,43 +764,18 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
             return
 
 
-class GatewayServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that owns a Gateway reference."""
-
-    daemon_threads = True
-
-    def __init__(self, address: Tuple[str, int], gateway: Gateway,
-                 verbose: bool = False) -> None:
-        super().__init__(address, GatewayRequestHandler)
-        self.gateway = gateway
-        self.verbose = verbose
-
-
-def make_gateway_server(gateway: Gateway, host: str = "127.0.0.1",
-                        port: int = 0,
-                        verbose: bool = False) -> GatewayServer:
-    """Bind (port 0 = ephemeral) but do not start serving yet."""
-    return GatewayServer((host, port), gateway, verbose=verbose)
-
-
 def serve_gateway_in_thread(
     gateway: Gateway, host: str = "127.0.0.1", port: int = 0,
-) -> Tuple[GatewayServer, threading.Thread]:
-    """Start a gateway server on a daemon thread (tests and smoke)."""
-    server = make_gateway_server(gateway, host=host, port=port)
-    thread = threading.Thread(target=server.serve_forever,
-                              name="tma-gateway", daemon=True)
-    thread.start()
-    return server, thread
+) -> Tuple[ServiceServer, threading.Thread]:
+    """:func:`serve_in_thread`, kept for callers that import this name."""
+    return serve_in_thread(gateway, host=host, port=port)
 
 
 __all__ = [
     "Gateway",
-    "GatewayServer",
     "GridPart",
     "GridRoute",
     "JobRoute",
     "SHARDS_ENV",
-    "make_gateway_server",
     "serve_gateway_in_thread",
 ]

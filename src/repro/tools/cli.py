@@ -597,8 +597,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"repro-tma service on http://{host}:{port} "
           f"(workers={args.workers}, executor={args.executor}, "
           f"queue={args.queue_size}{shard_note})", flush=True)
-    print("POST /jobs · GET /jobs/<id> · GET /jobs/<id>/events · "
-          "GET /metrics · GET /healthz · POST /admin/drain", flush=True)
+    print(server.RequestHandlerClass.banner(), flush=True)
 
     def _drain() -> None:
         report = service.drain()
@@ -610,7 +609,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_gateway(args: argparse.Namespace) -> int:
     import os
 
-    from ..service.gateway import SHARDS_ENV, Gateway, make_gateway_server
+    from ..service import make_server
+    from ..service.gateway import SHARDS_ENV, Gateway
 
     shards = args.shards or os.environ.get(SHARDS_ENV, "")
     if not shards:
@@ -618,16 +618,14 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
               "\"s1=http://host:port,...\"", file=sys.stderr)
         return 2
     gateway = Gateway(shards)
-    server = make_gateway_server(gateway, host=args.host, port=args.port,
-                                 verbose=args.verbose)
+    server = make_server(gateway, host=args.host, port=args.port,
+                         verbose=args.verbose)
     host, port = server.server_address[:2]
     members = ", ".join(f"{shard_id}={url}"
                         for shard_id, url in sorted(gateway.urls.items()))
     print(f"repro-tma gateway on http://{host}:{port} "
           f"routing to [{members}]", flush=True)
-    print("POST /jobs|/multicore|/grids · GET /jobs/<id>[/events] · "
-          "GET /grids/<id> · GET /metrics · GET /healthz · "
-          "POST /admin/{join,leave,evict,drain}", flush=True)
+    print(server.RequestHandlerClass.banner(), flush=True)
     return _serve_until_signal(server, lambda: None)
 
 

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cores import SignalStream
-from repro.pmu import (AddWiresCounterBank, ClassicOrCounter,
+from repro.isa.csrs import MCOUNTINHIBIT, mhpmevent_addr
+from repro.pmu import (AddWiresCounterBank, ClassicOrCounter, CsrFile,
                        DistributedCounterBank, ScalarCounterBank,
-                       make_counter_bank)
+                       encode_selector, make_counter_bank)
 
 EVENTS = ["fetch_bubbles", "uops_issued"]
 
@@ -170,3 +171,50 @@ def test_property_scalar_lane_sums_match_total(masks):
     feed(bank, [{"fetch_bubbles": m} for m in masks])
     total = sum(bank.read_lane("fetch_bubbles", lane) for lane in range(3))
     assert total == bank.read_event("fetch_bubbles")
+
+
+def feed_masks(masks):
+    return SignalStream.from_cycles(
+        (cycle, {"fetch_bubbles": mask}) for cycle, mask in enumerate(masks))
+
+
+def _bank_state(stream):
+    bank = DistributedCounterBank("boom", ["fetch_bubbles"])
+    bank.count(stream)
+    return bank._states["fetch_bubbles"]
+
+
+def _csr_state(stream):
+    csr = CsrFile(core="boom", increment_mode="distributed")
+    csr.write(mhpmevent_addr(3), encode_selector(["fetch_bubbles"], "boom"))
+    csr.write(MCOUNTINHIBIT, 0)
+    csr.count(stream)
+    return csr.counter_for(3)._distributed
+
+
+def _held(state):
+    """principal*2^N + pending flags*2^N + local residues."""
+    return ((state.principal + state.overflow.count(True)) * state.wrap
+            + sum(state.locals_))
+
+
+@pytest.mark.parametrize("state_after", [_bank_state, _csr_state],
+                         ids=["bank", "csr"])
+def test_distributed_growth_keeps_pending_flags(state_after):
+    # Two 2-source cycles leave one flag pending; the 3-source cycle
+    # grows the arbiter, which must carry that flag at the old wrap.
+    masks = [0b11, 0b11, 0b111]
+    state = state_after(feed_masks(masks))
+    assert state.sources == 3
+    assert _held(state) == 7
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=15), min_size=1,
+                max_size=200).filter(any))
+@pytest.mark.parametrize("state_after", [_bank_state, _csr_state],
+                         ids=["bank", "csr"])
+def test_property_distributed_growth_is_lossless(state_after, masks):
+    """With unfixed sources every wider mask grows the arbiter."""
+    state = state_after(feed_masks(masks))
+    assert _held(state) == sum(mask.bit_count() for mask in masks)

@@ -18,7 +18,10 @@ The gateway is the one path by which jobs reach a cluster;
 single-node oracle.
 """
 
+import json
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -284,13 +287,36 @@ def test_dead_shard_is_evicted_and_routes_rehome_with_zero_loss(cluster):
         assert result["tma"]["dominant"]
 
 
-def test_leave_drains_and_adopts_pending_manifest(cluster):
+def post_json(url, path, body):
+    """POST *body* as JSON; returns (status, decoded response body)."""
+    request = urllib.request.Request(
+        url + path, data=json.dumps(body).encode("utf-8"), method="POST",
+        headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=60.0) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+@pytest.fixture
+def served_gateway(cluster):
+    """A gateway over *cluster* and the URL it is served on."""
     gateway = Gateway(cluster.spec())
+    server, _thread = serve_in_thread(gateway)
+    yield gateway, f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+
+
+def test_leave_drains_and_adopts_pending_manifest(served_gateway):
+    gateway, url = served_gateway
     receipt = gateway.submit_payload(
         {"workload": "median", "config": "rocket", "scale": 0.25})
     wait_status(gateway, receipt["id"])
     victim = receipt["shard"]
-    report = gateway.leave(victim)
+    status, report = post_json(url, "/admin/leave", {"id": victim})
+    assert status == 200
     assert victim not in gateway.clients
     assert report["drain"]["state"] in ("drained", "draining")
     assert victim not in report["shards"]
@@ -301,18 +327,21 @@ def test_leave_drains_and_adopts_pending_manifest(cluster):
     assert record["shard"] != victim
 
 
-def test_join_extends_the_ring_for_future_submissions(cluster, tmp_path):
-    gateway = Gateway(cluster.spec())
+def test_join_extends_the_ring_for_future_submissions(cluster,
+                                                      served_gateway):
+    gateway, gateway_url = served_gateway
     joiner = make_shard_service("s9", workers=1, executor="thread",
                                 queue_capacity=64).start()
     server, _thread = serve_in_thread(joiner)
     try:
         url = f"http://127.0.0.1:{server.server_address[1]}"
-        topology = gateway.join("s9", url)
+        join = {"id": "s9", "url": url}
+        status, topology = post_json(gateway_url, "/admin/join", join)
+        assert status == 200
         assert "s9" in topology["shards"]
         assert "s9" in gateway.ring
-        with pytest.raises(Exception):
-            gateway.join("s9", url)  # double-join is a validation error
+        # A double join is a validation error.
+        assert post_json(gateway_url, "/admin/join", join)[0] == 400
         # A key owned by the joiner routes there now.
         ring = HashRing(dict(cluster.urls, s9=url))
         for i in range(64):
@@ -331,6 +360,20 @@ def test_join_extends_the_ring_for_future_submissions(cluster, tmp_path):
         server.shutdown()
         server.server_close()
         joiner.drain()
+
+
+@pytest.mark.parametrize("action,body", [
+    ("join", {"url": "http://127.0.0.1:9"}),
+    ("join", {"id": "s9"}),
+    ("leave", {}),
+    ("evict", {"shard_id": "s1"}),
+])
+def test_admin_membership_requires_id(served_gateway, action, body):
+    gateway, url = served_gateway
+    status, payload = post_json(url, f"/admin/{action}", body)
+    assert status == 400
+    assert "requires 'id'" in payload["error"]
+    assert sorted(gateway.clients) == ["s1", "s2", "s3"]
 
 
 # ----------------------------------------------------------------------
