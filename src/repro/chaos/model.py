@@ -19,7 +19,7 @@ fault class          injection point
 ``truncate-trace``   :meth:`FaultInjector.perturb_trace` — the
                      trace is cut short before replay (a
                      truncated TracerV dump).
-``stall-core``       :meth:`FaultInjector.stall_cycle` — from a
+``stall-core``       :meth:`FaultInjector.stall_window` — from a
                      chosen cycle on, the core freezes forever (a
                      hung memory system); only a watchdog ends it.
 ===================  ============================================
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 from .plan import decision_fraction
 
@@ -126,7 +126,8 @@ class FaultInjector:
     (spec, run) pair.  Hooks not owned by the spec's class are exact
     pass-throughs, so the same injector object can be handed to every
     instrumented layer at once.  ``injections`` counts how many times
-    the fault actually fired, letting a campaign discard vacuous trials.
+    the fault actually fired (for stall-core, the frozen cycles),
+    letting a campaign discard vacuous trials.
     """
 
     def __init__(self, spec: FaultSpec) -> None:
@@ -165,13 +166,19 @@ class FaultInjector:
     # core hooks
     # ------------------------------------------------------------------
 
-    def stall_cycle(self, cycle: int) -> bool:
-        """True when the core must freeze this cycle (never releases)."""
+    def stall_window(self, cycle: int,
+                     end: int) -> Optional[Tuple[int, int]]:
+        """The one frozen window, ``[stall_at, end)``: it never releases.
+
+        Asked inside it, the core freezes up to *end* now, so every
+        cycle from *cycle* to *end* counts as an injection.
+        """
         spec = self.spec
-        if spec.kind != STALL_CORE or cycle < spec.stall_at:
-            return False
-        self.injections += 1
-        return True
+        if spec.kind != STALL_CORE or spec.stall_at >= end:
+            return None
+        if cycle >= spec.stall_at:
+            self.injections += end - cycle
+        return spec.stall_at, end
 
     # ------------------------------------------------------------------
     # trace hook

@@ -10,12 +10,15 @@ view the PMU counter architectures (Fig. 6) and the TracerV-style tracer
 (§IV-C) tap.
 
 Each core has one cycle loop, which accumulates the core's own event
-totals in place.  A run given a :class:`SignalStream` also records each
-cycle's signals there, for the counter architectures, the cycle tracer
-and AutoCounter to count after the run.  A *stepped* loop is a
-coroutine (:data:`CycleSteps`) that yields each cycle number and takes
-back whether the cycle stalls, answered by the core's
-:class:`CoreFaultHook` or by the multicore lockstep.
+totals in place and jumps over quiet stretches.  A run given a
+:class:`SignalStream` also records each cycle's signals there, for the
+counter architectures, the cycle tracer and AutoCounter to count after
+the run.  The loop is a coroutine (:data:`CycleSteps`) that runs up to
+a bound the multicore lockstep sends it; a run alone is sent
+:data:`UNBOUNDED`.  Each
+cycle tests one bound: the watchdog, the next window a
+:class:`CoreFaultHook` freezes, or the lockstep bound, whichever comes
+first.
 """
 
 from __future__ import annotations
@@ -34,39 +37,62 @@ from ..uarch.cache import CacheConfig, CacheStats, L1D_32K
 
 
 class CoreFaultHook(Protocol):
-    """Injection point the fault injector uses to stall a core.
+    """Injection point the fault injector uses to freeze a core.
 
-    A core consults the hook at the top of every simulated cycle; a
-    ``True`` return means the whole pipeline is frozen that cycle (a
-    hung memory system / clock-gated core), so the cycle passes with no
-    fetch, issue, or commit and no signals.  Combined with the
-    ``max_cycles`` watchdog this models — and detects — runaway runs.
+    A frozen cycle passes with no fetch, issue or commit and no signals
+    (a hung memory system / clock-gated core).  Combined with the
+    ``max_cycles`` watchdog this models, and detects, runaway runs.
     """
 
-    def stall_cycle(self, cycle: int) -> bool:
+    def stall_window(self, cycle: int,
+                     end: int) -> Optional[Tuple[int, int]]:
+        """The first frozen window ``[start, stop)`` with ``stop > cycle``,
+        or ``None``.
+
+        The loop asks at its first cycle and again each time it reaches
+        the start it was given.  A window holding *cycle* is frozen now,
+        from *cycle* up to the earlier of ``stop`` and *end* (where the
+        watchdog or the safety stop ends the run), so a hook counts its
+        frozen cycles here.  A later window only bounds the loop's
+        fast-forward until it gets there.
+        """
         ...  # pragma: no cover - protocol
 
 
-#: A core's cycle loop as a coroutine: it yields each cycle number at
-#: the top of that cycle, takes back whether the cycle stalls, and
-#: returns the run's :class:`CoreResult`.
-CycleSteps = Generator[int, bool, "CoreResult"]
+def stall_from(hook: Optional[CoreFaultHook], cycle: int,
+               end: int) -> Tuple[int, int]:
+    """``(resume, start)`` for a loop at *cycle*: the cycle it resumes at
+    after the windows *hook* freezes from there on, and the start of
+    the next window (*end* when none starts before it)."""
+    while hook is not None and cycle < end:
+        window = hook.stall_window(cycle, end)
+        if window is None:
+            break
+        start, stop = window
+        if start > cycle:
+            return cycle, min(start, end)
+        cycle = min(stop, end)
+    return cycle, end
 
 
-def run_steps(steps: CycleSteps,
-              hook: Optional[CoreFaultHook]) -> "CoreResult":
-    """Drive *steps* to its result, answering every cycle from *hook*.
+#: The bound of a core that runs alone: it never hands off.
+UNBOUNDED = 1 << 62
 
-    A loop started unstepped never yields, so it finishes in the first
-    ``next`` and *hook* may be ``None``.
-    """
+#: A core's cycle loop as a coroutine.  Set up, it yields its first
+#: cycle; sent a bound, it runs every cycle before the bound, skipping
+#: quiet stretches, and yields the first cycle it reaches at or past
+#: it.  It returns the run's :class:`CoreResult`.
+CycleSteps = Generator[int, int, "CoreResult"]
+
+
+def run_steps(steps: CycleSteps) -> "CoreResult":
+    """Run *steps* alone to its result."""
+    next(steps)
     try:
-        cycle = next(steps)
-        stall_cycle = hook.stall_cycle
-        while True:
-            cycle = steps.send(stall_cycle(cycle))
+        steps.send(UNBOUNDED)
     except StopIteration as stop:
         return stop.value
+    raise RuntimeError("a core run alone yielded before its end")
 
 
 def check_cycle_budget(cycle: int, max_cycles: Optional[int], *,
@@ -74,8 +100,9 @@ def check_cycle_budget(cycle: int, max_cycles: Optional[int], *,
     """Watchdog guard for core run loops.
 
     Raises :class:`~repro.isa.errors.RunTimeout` once *cycle* reaches
-    the optional *max_cycles* budget.  Cores call this every cycle when
-    a budget is armed (the resilient runner sets one; default off).
+    the optional *max_cycles* budget.  Cores call this whenever a cycle
+    reaches their next bound, which is never past the budget (the
+    resilient runner arms one; default off).
     """
     if max_cycles is not None and cycle >= max_cycles:
         raise RunTimeout(

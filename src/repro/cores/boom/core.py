@@ -19,9 +19,11 @@ with the pre-existing Basic/Microarchitectural/Memory events.
 
 There is one cycle loop.  It reads the trace columns through a compiled
 descriptor table, keeps µops in a slab of parallel arrays, and
-accumulates event counters and lane histograms in place; the same loop
-records each cycle's signals on a :class:`~repro.cores.base.SignalStream`
-and yields each cycle when stepped (see :meth:`BoomCore.run`).
+accumulates event counters and lane histograms in place, jumping over
+quiet stretches; the same loop records each cycle's signals on a
+:class:`~repro.cores.base.SignalStream`, freezes the windows a fault
+hook gives, and hands off at the multicore lockstep's bound (see
+:meth:`BoomCore.run` and :meth:`BoomCore.steps`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from ...uarch.prefetch import StridePrefetcher
 from ...uarch.tlb import L2_TLB_HIT_LATENCY, PTW_LATENCY, TlbHierarchy
 from ..base import (BoomConfig, CoreFaultHook, CoreResult, CycleSteps,
                     SignalStream, check_cycle_budget, check_run_completed,
-                    run_steps)
+                    run_steps, stall_from)
 from ..configs import LARGE_BOOM
 from ..descriptors import INT_QUEUE, MEM_QUEUE, build_boom_table
 
@@ -92,18 +94,15 @@ class BoomCore:
         """Replay *trace* and return per-event totals; *max_cycles*,
         the fault hook and *stream* act exactly as on
         :meth:`repro.cores.rocket.RocketCore.run`."""
-        hook = self.fault_hook
         self.reset_run_state()
-        return run_steps(
-            self._run_columnar(trace, max_cycles, hook is not None, stream),
-            hook)
+        return run_steps(self._run_columnar(trace, max_cycles, stream))
 
     def steps(self, trace: ColumnarTrace,
               max_cycles: Optional[int] = None) -> CycleSteps:
         """The cycle loop of one run of *trace*, as a coroutine, as on
         :meth:`repro.cores.rocket.RocketCore.steps`."""
         self.reset_run_state()
-        return self._run_columnar(trace, max_cycles, True, None)
+        return self._run_columnar(trace, max_cycles, None)
 
     def reset_run_state(self) -> None:
         """Clear every field :meth:`run` treats as per-run scratch.
@@ -122,7 +121,6 @@ class BoomCore:
     # ------------------------------------------------------------------
 
     def _run_columnar(self, trace: ColumnarTrace, max_cycles: Optional[int],
-                      stepped: bool,
                       stream: Optional[SignalStream]) -> CycleSteps:
         """The pipeline model over trace columns and a µop slab.
 
@@ -143,8 +141,7 @@ class BoomCore:
           totals and per-lane lists are rebuilt once after the run.
 
         A recorded cycle notes the same counters and its commit width.
-        A *stepped* loop yields at the top of every cycle; an unstepped
-        one never reaches the yield.
+        The top of each cycle tests one bound, as in the Rocket loop.
         """
         config = self.config
         w_c = config.decode_width
@@ -253,10 +250,10 @@ class BoomCore:
         wrong_path = False
 
         safety_limit = total * _SAFETY_CYCLES_PER_INST + 20_000
-        budget = safety_limit + 1 if max_cycles is None else max_cycles
-        # A fast-forward never jumps past the watchdog or the safety
-        # stop, so both fire at the cycle a stepped run reaches them.
-        horizon = min(budget, safety_limit)
+        end = safety_limit if max_cycles is None else \
+            min(max_cycles, safety_limit)
+        # ``horizon``, ``handoff`` and ``limit`` as in the Rocket loop.
+        horizon = handoff = limit = 0
 
         # ---------------- hot-loop local bindings --------------------
         l1i = self.l1i
@@ -309,9 +306,10 @@ class BoomCore:
         bubble_hist = [0] * w_c         # index: first bubbling lane
         blocked_hist = [0] * w_c        # index: first D$-blocked lane
 
-        # A plain run tests ``stepped`` and ``note`` once per cycle.
+        # An unrecorded run tests ``note`` once per cycle.
         note = None if stream is None else stream.start(
             _stream_layout(w_c, issue_width), ("uops_retired", "instr_retired"))
+        hook = self.fault_hook
         stalled = 0
 
         def flush_younger(from_seq: int) -> None:
@@ -364,14 +362,22 @@ class BoomCore:
             return ld, st
 
         while retired < total and cycle < safety_limit:
-            if cycle >= budget:
-                check_cycle_budget(cycle, max_cycles,
-                                   workload=trace.program_name,
-                                   retired=retired, total=total)
-            if stepped and (yield cycle):
-                # Stalled cycle: the whole core freezes this cycle.
-                stalled += 1
-                cycle += 1
+            if cycle >= limit:
+                if cycle >= horizon:
+                    if cycle == max_cycles and cycle > handoff:
+                        # Jumped over the bound into the watchdog, whose
+                        # check ends the cycle before: hand off there.
+                        handoff = yield cycle - 1
+                    check_cycle_budget(cycle, max_cycles,
+                                       workload=trace.program_name,
+                                       retired=retired, total=total)
+                    # Frozen cycles: the whole core stops.
+                    resume, horizon = stall_from(hook, cycle, end)
+                    stalled += resume - cycle
+                    cycle = resume
+                else:
+                    handoff = yield cycle
+                limit = min(horizon, handoff)
                 continue
             dtlb_counted = False
             l2tlb_counted = False
@@ -981,55 +987,54 @@ class BoomCore:
                     n_flush, n_icache_blocked, n_itlb_miss, n_icache_miss,
                     n_dtlb_miss, n_l2tlb_miss, n_dcache_miss, n_recovering,
                     *lanes_issued, *bubble_hist, *blocked_hist))
-            if not stepped:
-                if not commit_lanes and not issued_total and not fetched_any \
-                        and not dtlb_counted and recovering_from <= cycle \
-                        and lane == (0 if serialized_slot < 0 else w_c):
-                    # ---------------- quiet-cycle fast-forward ------------
-                    # Nothing committed, resolved, issued, cleared (a flush
-                    # sets ``recovering_from`` to the next cycle), dispatched
-                    # (``lane`` is where dispatch started) or fetched, and
-                    # no blocked load's DTLB probe missed: the pipeline is
-                    # as this cycle found it, up to parked entries and an
-                    # I$ miss's refill bounds.  Every cycle before the next
-                    # bound that can change it asserts the same events: add
-                    # them for the whole stretch and jump to that bound.
-                    wake = horizon
-                    if rob_len:
-                        head = rob[0]
-                        if u_issued[head] and u_completed[head] < wake:
-                            wake = u_completed[head]
-                    for sl in pending_resolves:
-                        if u_completed[sl] < wake:
-                            wake = u_completed[sl]
-                    for parked_q in parked:
-                        if parked_q and parked_q[0][0] < wake:
-                            wake = parked_q[0][0]
-                    for bound in (fetch_resume_at, l1i_refill_until,
-                                  mshr_next_ready(cycle)):
-                        if cycle < bound < wake:
-                            wake = bound
-                    quiet = cycle + 1
-                    skipped = wake - quiet
-                    if skipped > 0:
-                        if not fb_len:
-                            if serialized_slot < 0 and not recovering \
-                                    and rob_len < rob_capacity:
-                                bubble_hist[0] += skipped
-                            if l1i_refill_until > quiet:
-                                n_icache_blocked += skipped
-                        if any_queue_nonempty and mshr_refill_in_flight(quiet):
-                            blocked_hist[0] += skipped
-                        if recovering:
-                            n_recovering += skipped
-                        if note is not None:
-                            note(quiet, skipped, 0, (
-                                n_fence_retired, n_br_mispredict,
-                                n_cf_mispredict, n_flush, n_icache_blocked,
-                                n_itlb_miss, n_icache_miss, n_dtlb_miss,
-                                n_l2tlb_miss, n_dcache_miss, n_recovering,
-                                *lanes_issued, *bubble_hist, *blocked_hist))
-                        cycle = wake - 1
+            if not commit_lanes and not issued_total and not fetched_any \
+                    and not dtlb_counted and recovering_from <= cycle \
+                    and lane == (0 if serialized_slot < 0 else w_c):
+                # ---------------- quiet-cycle fast-forward ------------
+                # Nothing committed, resolved, issued, cleared (a flush
+                # sets ``recovering_from`` to the next cycle), dispatched
+                # (``lane`` is where dispatch started) or fetched, and
+                # no blocked load's DTLB probe missed: the pipeline is
+                # as this cycle found it, up to parked entries and an
+                # I$ miss's refill bounds.  Every cycle before the next
+                # bound that can change it asserts the same events: add
+                # them for the whole stretch and jump to that bound.
+                wake = horizon
+                if rob_len:
+                    head = rob[0]
+                    if u_issued[head] and u_completed[head] < wake:
+                        wake = u_completed[head]
+                for sl in pending_resolves:
+                    if u_completed[sl] < wake:
+                        wake = u_completed[sl]
+                for parked_q in parked:
+                    if parked_q and parked_q[0][0] < wake:
+                        wake = parked_q[0][0]
+                for bound in (fetch_resume_at, l1i_refill_until,
+                              mshr_next_ready(cycle)):
+                    if cycle < bound < wake:
+                        wake = bound
+                quiet = cycle + 1
+                skipped = wake - quiet
+                if skipped > 0:
+                    if not fb_len:
+                        if serialized_slot < 0 and not recovering \
+                                and rob_len < rob_capacity:
+                            bubble_hist[0] += skipped
+                        if l1i_refill_until > quiet:
+                            n_icache_blocked += skipped
+                    if any_queue_nonempty and mshr_refill_in_flight(quiet):
+                        blocked_hist[0] += skipped
+                    if recovering:
+                        n_recovering += skipped
+                    if note is not None:
+                        note(quiet, skipped, 0, (
+                            n_fence_retired, n_br_mispredict,
+                            n_cf_mispredict, n_flush, n_icache_blocked,
+                            n_itlb_miss, n_icache_miss, n_dtlb_miss,
+                            n_l2tlb_miss, n_dcache_miss, n_recovering,
+                            *lanes_issued, *bubble_hist, *blocked_hist))
+                    cycle = wake - 1
             cycle += 1
 
         check_run_completed(retired, total, cycle, max_cycles,

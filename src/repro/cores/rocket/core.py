@@ -17,9 +17,11 @@ handshake taps ``ibuf_valid``/``ibuf_ready`` (which the paper adds to the
 trace, not the PMU) are all produced here.
 
 There is one cycle loop.  It reads the trace columns through a compiled
-descriptor table and accumulates event totals in place; the same loop
-records each cycle's signals on a :class:`~repro.cores.base.SignalStream`
-and yields each cycle when stepped (see :meth:`RocketCore.run`).
+descriptor table, accumulates event totals in place and jumps over
+quiet stretches; the same loop records each cycle's signals on a
+:class:`~repro.cores.base.SignalStream`, freezes the windows a fault
+hook gives, and hands off at the multicore lockstep's bound (see
+:meth:`RocketCore.run` and :meth:`RocketCore.steps`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ...uarch.cache import Cache, MemorySystem
 from ...uarch.tlb import L2_TLB_HIT_LATENCY, PTW_LATENCY, TlbHierarchy
 from ..base import (CoreFaultHook, CoreResult, CycleSteps, RocketConfig,
                     SignalStream, check_cycle_budget, check_run_completed,
-                    run_steps)
+                    run_steps, stall_from)
 from ..descriptors import build_rocket_table
 
 _SAFETY_CYCLES_PER_INST = 400
@@ -84,26 +86,21 @@ class RocketCore:
 
         *max_cycles* arms a watchdog (default off): exceeding the budget
         raises :class:`~repro.isa.errors.RunTimeout` instead of spinning
-        until the internal safety stop silently truncates the run.  With
-        a fault hook the loop runs stepped (see :meth:`steps`), each
-        cycle answered by its ``stall_cycle``; a *stream* records every
-        cycle that is not stalled.
+        until the internal safety stop silently truncates the run.  A
+        ``fault_hook`` freezes the windows its ``stall_window`` gives; a
+        *stream* records every cycle that is not frozen.
         """
-        hook = self.fault_hook
         self.reset_run_state()
-        return run_steps(
-            self._run_columnar(trace, max_cycles, hook is not None, stream),
-            hook)
+        return run_steps(self._run_columnar(trace, max_cycles, stream))
 
     def steps(self, trace: ColumnarTrace,
               max_cycles: Optional[int] = None) -> CycleSteps:
-        """The cycle loop of one run of *trace*, as a coroutine that
-        yields each cycle number, takes back whether it stalls, and
-        returns the :class:`CoreResult`.  Whoever sends the answers owns
-        the cycle (``fault_hook`` is not consulted), which is how the
-        multicore harness steps several cores in one thread."""
+        """The cycle loop of one run of *trace*, as a coroutine (see
+        :data:`~repro.cores.base.CycleSteps`) that runs up to each bound
+        it is sent and returns the :class:`CoreResult`.  This is how the
+        multicore harness interleaves several cores in one thread."""
         self.reset_run_state()
-        return self._run_columnar(trace, max_cycles, True, None)
+        return self._run_columnar(trace, max_cycles, None)
 
     def reset_run_state(self) -> None:
         """Clear per-run scratch state: a no-op, since Rocket keeps it in
@@ -115,7 +112,6 @@ class RocketCore:
     # ------------------------------------------------------------------
 
     def _run_columnar(self, trace: ColumnarTrace, max_cycles: Optional[int],
-                      stepped: bool,
                       stream: Optional[SignalStream]) -> CycleSteps:
         """The pipeline model over trace columns.
 
@@ -128,8 +124,8 @@ class RocketCore:
         flags, so every event moves by at most one per cycle and a
         cycle's signals are the set of totals that moved.
 
-        A *stepped* loop yields at the top of every cycle; an unstepped
-        one never reaches the yield and returns in its first ``next``.
+        The top of each cycle tests one bound, ``limit``: the watchdog
+        or safety stop, the next frozen window, or the lockstep bound.
         """
         config = self.config
         total = len(trace)
@@ -167,19 +163,23 @@ class RocketCore:
         ibuf_capacity = config.ibuf_entries
 
         totals: Dict[str, int] = dict.fromkeys(_EVENT_NAMES, 0)
-        # A plain run tests ``stepped`` and ``note`` once per cycle.
+        # An unrecorded run tests ``note`` once per cycle.
         note = None if stream is None else \
             stream.start(_STREAM_LAYOUT, _ISSUE_EVENTS)
+        hook = self.fault_hook
         stalled = 0
 
         fetch_idx = 0
         retired = 0
         cycle = 0
         safety_limit = total * _SAFETY_CYCLES_PER_INST + 10_000
-        budget = safety_limit + 1 if max_cycles is None else max_cycles
-        # A fast-forward never jumps past the watchdog or the safety
-        # stop, so both fire at the cycle a stepped run reaches them.
-        horizon = min(budget, safety_limit)
+        end = safety_limit if max_cycles is None else \
+            min(max_cycles, safety_limit)
+        # A fast-forward never jumps past ``horizon``, the next frozen
+        # window or else ``end``, so the watchdog and the safety stop
+        # fire at exactly their cycle.  The first cycle asks the hook
+        # and then yields to whoever drives the loop.
+        horizon = handoff = limit = 0
 
         reg_ready = [0] * 64
         reg_producer = [""] * 64
@@ -210,14 +210,22 @@ class RocketCore:
         redirect_latency = config.redirect_latency
 
         while retired < total and cycle < safety_limit:
-            if cycle >= budget:
-                check_cycle_budget(cycle, max_cycles,
-                                   workload=trace.program_name,
-                                   retired=retired, total=total)
-            if stepped and (yield cycle):
-                # Stalled cycle: the whole core freezes this cycle.
-                stalled += 1
-                cycle += 1
+            if cycle >= limit:
+                if cycle >= horizon:
+                    if cycle == max_cycles and cycle > handoff:
+                        # Jumped over the bound into the watchdog, whose
+                        # check ends the cycle before: hand off there.
+                        handoff = yield cycle - 1
+                    check_cycle_budget(cycle, max_cycles,
+                                       workload=trace.program_name,
+                                       retired=retired, total=total)
+                    # Frozen cycles: the whole core stops.
+                    resume, horizon = stall_from(hook, cycle, end)
+                    stalled += resume - cycle
+                    cycle = resume
+                else:
+                    handoff = yield cycle
+                limit = min(horizon, handoff)
                 continue
             issued_this_cycle = False
             l2_tlb_counted = False
@@ -423,60 +431,59 @@ class RocketCore:
 
             if note is not None:
                 note(cycle, 1, issued_this_cycle, totals.values())
-            if not stepped:
-                if not issued_this_cycle and not fetched_any:
-                    # ---------------- quiet-cycle fast-forward ------------
-                    # Nothing issued or fetched, so the pipeline is as this
-                    # cycle found it (an I$ miss moved only the refill
-                    # bounds).  Every cycle before the next bound that can
-                    # change it asserts the same events: add them for the
-                    # whole stretch and jump to that bound.  A redirect
-                    # needs an issue, so ``recovering_from`` is never ahead.
-                    quiet = cycle + 1
-                    wake = horizon
-                    if ibuf:
-                        # The blocking source first: mostly a load-use
-                        # interlock that ends next cycle, so no skip.
-                        for src in d_srcs[ibuf[0][1]]:
-                            bound = reg_ready[src]
-                            if bound > cycle:
-                                if bound < wake:
-                                    wake = bound
-                                # load-use turns long-latency above 4 cycles
-                                if reg_producer[src] == "load" \
-                                        and cycle < bound - 4 < wake:
-                                    wake = bound - 4
-                                break
-                    if wake > quiet:
-                        for bound in (serialize_until, dcache_busy_until,
-                                      div_busy_until, fetch_resume_at,
-                                      icache_refill_until):
-                            if cycle < bound < wake:
+            if not issued_this_cycle and not fetched_any:
+                # ---------------- quiet-cycle fast-forward ------------
+                # Nothing issued or fetched, so the pipeline is as this
+                # cycle found it (an I$ miss moved only the refill
+                # bounds).  Every cycle before the next bound that can
+                # change it asserts the same events: add them for the
+                # whole stretch and jump to that bound.  A redirect
+                # needs an issue, so ``recovering_from`` is never ahead.
+                quiet = cycle + 1
+                wake = horizon
+                if ibuf:
+                    # The blocking source first: mostly a load-use
+                    # interlock that ends next cycle, so no skip.
+                    for src in d_srcs[ibuf[0][1]]:
+                        bound = reg_ready[src]
+                        if bound > cycle:
+                            if bound < wake:
                                 wake = bound
-                    skipped = wake - quiet
-                    if skipped > 0:
-                        backend_ready = (serialize_until <= quiet
-                                         and dcache_busy_until <= quiet)
-                        if ibuf:
-                            totals[stall] += skipped
-                            if stall == "long_latency_interlock" \
-                                    and producer == "load":
-                                totals["dcache_blocked"] += skipped
-                            totals["ibuf_valid"] += skipped
-                        else:
-                            if recovering:
-                                totals["recovering"] += skipped
-                            elif backend_ready:
-                                totals["fetch_bubbles"] += skipped
-                            elif dcache_busy_until > quiet:
-                                totals["dcache_blocked"] += skipped
-                            if icache_refill_until > quiet:
-                                totals["icache_blocked"] += skipped
-                        if backend_ready:
-                            totals["ibuf_ready"] += skipped
-                        if note is not None:
-                            note(quiet, skipped, False, totals.values())
-                        cycle = wake - 1
+                            # load-use turns long-latency above 4 cycles
+                            if reg_producer[src] == "load" \
+                                    and cycle < bound - 4 < wake:
+                                wake = bound - 4
+                            break
+                if wake > quiet:
+                    for bound in (serialize_until, dcache_busy_until,
+                                  div_busy_until, fetch_resume_at,
+                                  icache_refill_until):
+                        if cycle < bound < wake:
+                            wake = bound
+                skipped = wake - quiet
+                if skipped > 0:
+                    backend_ready = (serialize_until <= quiet
+                                     and dcache_busy_until <= quiet)
+                    if ibuf:
+                        totals[stall] += skipped
+                        if stall == "long_latency_interlock" \
+                                and producer == "load":
+                            totals["dcache_blocked"] += skipped
+                        totals["ibuf_valid"] += skipped
+                    else:
+                        if recovering:
+                            totals["recovering"] += skipped
+                        elif backend_ready:
+                            totals["fetch_bubbles"] += skipped
+                        elif dcache_busy_until > quiet:
+                            totals["dcache_blocked"] += skipped
+                        if icache_refill_until > quiet:
+                            totals["icache_blocked"] += skipped
+                    if backend_ready:
+                        totals["ibuf_ready"] += skipped
+                    if note is not None:
+                        note(quiet, skipped, False, totals.values())
+                    cycle = wake - 1
             cycle += 1
 
         check_run_completed(retired, total, cycle, max_cycles,

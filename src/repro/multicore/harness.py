@@ -1,7 +1,7 @@
 """The multicore harness: run a scenario, attribute the interference.
 
-:func:`run_scenario` steps every active core of a
-:class:`~repro.multicore.scenarios.Scenario` in cycle-lockstep over one
+:func:`run_scenario` runs every active core of a
+:class:`~repro.multicore.scenarios.Scenario` in cycle-lockstep order over one
 :class:`~repro.multicore.uncore.SharedUncore`, then computes per-core
 TMA and the self-vs-neighbor Memory-Bound split.
 
@@ -16,10 +16,12 @@ Two execution paths:
   the shared path itself against the solo oracle.
 - **Multiple active cores**: each core's cycle loop is a coroutine
   (:meth:`~repro.cores.rocket.RocketCore.steps`), and
-  :func:`run_lockstep` steps them one cycle at a time in the calling
-  thread, in arbitration order, over one shared uncore.  Shared-uncore
-  state (bus cursor, shared LRU) is therefore mutated in one fixed
-  global cycle order, so repeated runs are identical.
+  :func:`run_lockstep` interleaves them in the calling thread over one
+  shared uncore, by next event: the core waiting on the earliest
+  ``(cycle, arbitration rank)`` runs on, quiet stretches skipped, up to
+  the cycle the next core waits on.  Shared-uncore state (bus cursor,
+  shared LRU) is therefore mutated in one fixed global cycle order, the
+  order a per-cycle lockstep gives, so repeated runs are identical.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.tma import TmaResult, compute_tma
-from ..cores.base import CoreResult, CycleSteps, RocketConfig
+from ..cores.base import UNBOUNDED, CoreResult, CycleSteps, RocketConfig
 from ..cores.boom import BoomCore
 from ..cores.batch import resolve_config_spec
 from ..cores.rocket import RocketCore
@@ -178,46 +181,54 @@ def _core_label(scenario: Scenario, index: int, slot: CoreSlot) -> str:
 
 def run_lockstep(steps: Sequence[Tuple[str, CycleSteps]],
                  arbitration: str) -> List[CoreResult]:
-    """Step every ``(label, steps)`` core loop to its result, in lockstep.
+    """Run every ``(label, steps)`` core loop to its result in the order
+    of a per-cycle lockstep: each cycle runs every unfinished core in
+    arbitration rank (``fcfs`` is core order; ``round-robin`` rotates
+    the first slot so core ``(ordinal - cycle) % n == 0`` leads).
 
-    Each simulated cycle, every unfinished core runs that one cycle in
-    the arbitration order, which decides who goes first *within* the
-    cycle: ``fcfs`` is core order, ``round-robin`` rotates the first
-    slot so core ``(ordinal - cycle) % n == 0`` leads.  A finished core
-    drops out.  An exception from a core closes the other loops and
-    raises :class:`MulticoreError`, naming the core by its label.
-    Results come back in the order of *steps*.
+    The cores wait on a heap of ``(cycle, rank, ordinal)``.  The first
+    runs on up to the cycle the next one waits on, and through it if it
+    ranks first there.  Cores touch one another only through the shared
+    uncore, which changes only inside an access, and a skipped quiet
+    cycle makes none.  A core that skips over its bound into the
+    watchdog yields the cycle before, whose end is where a per-cycle
+    lockstep checks it.  A finished core drops out.  An exception from
+    a core closes the other loops and raises :class:`MulticoreError`,
+    naming the core by its label.  Results come back in the order of
+    *steps*.
     """
     n = len(steps)
-    if arbitration == "round-robin":
-        orders = [[(first + k) % n for k in range(n)]
-                  for first in range(n)]
-    else:
-        orders = [list(range(n))]
+    rotate = arbitration == "round-robin"
     results: List[Any] = [None] * n
-    live = set(range(n))
+    waiting: List[Tuple[int, int, int]] = []
 
-    def step(ordinal: int, stall: Optional[bool]) -> None:
+    def rank(ordinal: int, cycle: int) -> int:
+        return (ordinal - cycle) % n if rotate else ordinal
+
+    def resume(ordinal: int, bound: Optional[int]) -> None:
         label, gen = steps[ordinal]
         try:
-            gen.send(stall)
+            cycle = gen.send(bound)
         except StopIteration as stop:
             results[ordinal] = stop.value
-            live.discard(ordinal)
+            return
         except Exception as exc:
             for _, other in steps:
                 other.close()
             raise MulticoreError(f"{label} failed: {exc}") from exc
+        heappush(waiting, (cycle, rank(ordinal, cycle), ordinal))
 
     # Run every loop's set-up up to its first cycle, then the cycles.
     for ordinal in range(n):
-        step(ordinal, None)
-    cycle = 0
-    while live:
-        for ordinal in orders[cycle % len(orders)]:
-            if ordinal in live:
-                step(ordinal, False)
-        cycle += 1
+        resume(ordinal, None)
+    while waiting:
+        _, _, ordinal = heappop(waiting)
+        bound = UNBOUNDED
+        if waiting:
+            bound, next_rank, _ = waiting[0]
+            if rank(ordinal, bound) < next_rank:
+                bound += 1
+        resume(ordinal, bound)
     return results
 
 

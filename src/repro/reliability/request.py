@@ -36,6 +36,12 @@ from ..workloads import workload_names
 #: ~71k cycles at scale 1).
 DEFAULT_MAX_CYCLES = 2_000_000
 
+#: The largest scale a job may ask for: every registry workload's trace
+#: fits the functional executor's instruction budget up to here.
+#: ``towers`` bounds it, at 2.56M of the 4M instructions at 1.75 and
+#: ~5.1M from 1.8 on (its disk count is ``int(10 * scale)``).
+MAX_SCALE = 1.75
+
 
 class JobValidationError(ValueError):
     """A submitted job payload failed validation (HTTP 400)."""
@@ -89,9 +95,9 @@ class TMAJob:
                 f"unknown config {self.config!r}; choose from "
                 f"{sorted(CONFIGS_BY_NAME)} or a canonical grid point "
                 f"key such as 'large-boom+l1d=16'") from None
-        if not (0 < self.scale <= 10.0):
+        if not (0 < self.scale <= MAX_SCALE):
             raise JobValidationError(
-                f"scale must be in (0, 10], got {self.scale}")
+                f"scale must be in (0, {MAX_SCALE}], got {self.scale}")
         if self.increment_mode not in INCREMENT_MODES:
             raise JobValidationError(
                 f"unknown increment mode {self.increment_mode!r}")
@@ -300,9 +306,9 @@ class MulticoreJob:
             shared_bus=self.shared_bus, arbitration=self.arbitration)
 
     def validate(self) -> None:
-        if self.scale is not None and not (0 < self.scale <= 10.0):
+        if self.scale is not None and not (0 < self.scale <= MAX_SCALE):
             raise JobValidationError(
-                f"scale must be in (0, 10], got {self.scale}")
+                f"scale must be in (0, {MAX_SCALE}], got {self.scale}")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise JobValidationError(
                 "deadline_seconds must be > 0 or null")

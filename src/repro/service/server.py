@@ -66,6 +66,10 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     """The protocol both fronts share; subclasses declare ``routes``."""
 
     protocol_version = "HTTP/1.1"
+    # The head and the body go out in two writes.  On a kept-alive
+    # connection Nagle's algorithm holds the second until the client
+    # ACKs the first, which a delayed ACK puts off by ~40 ms.
+    disable_nagle_algorithm = True
 
     #: ``(method, path template, handler method)``, matched in order
     #: against the path without its query string.  ``<id>`` matches

@@ -14,13 +14,15 @@ floats in ``repr`` form, so every bit of every number counts).  The
 families are:
 
 - ``core``: the full ``CoreResult`` surface plus TMA level 1 and 2 for
-  every registry workload on Rocket and the three BOOM sizes;
+  every registry workload on Rocket and the three BOOM sizes, and at
+  scale 0.02 on the other configs the cores take (``@0.02`` keys);
 - ``signals``: the per-cycle ``{event: lane_mask}`` stream a recorded
   run expands to, plus the run's ``CoreResult``;
 - ``pmu``: ``PerfHarness`` read-backs under each counter architecture,
   and runs with injected faults;
 - ``tracer``: ``CycleTracer`` records and ``AutoCounter`` totals;
-- ``multicore``: every registry scenario through the lockstep path;
+- ``multicore``: every registry scenario through the lockstep path, as
+  registered and again under ``fcfs`` and with a private DRAM bus;
 - ``trace``: the functional executor's ``ColumnarTrace`` for every
   registry workload at scale 1.0 (static ops, a sha256 per column, CSR
   writes and end-of-run state).
@@ -50,6 +52,13 @@ STREAM_CONFIGS = ("rocket", "small-boom", "large-boom")
 CORE_CONFIGS = ("rocket", "small-boom", "medium-boom", "large-boom")
 PMU_PAIRS = (("median", "rocket"), ("qsort", "small-boom"),
              ("spmv", "large-boom"))
+#: The configs only the small-scale ``core`` digests cover, and their scale.
+SMALL_CORE_CONFIGS = ("mega-boom", "giga-boom", "large-boom+prefetch",
+                      "small-boom+gshare")
+SMALL_CORE_SCALE = 0.02
+#: The uncore variants the ``multicore`` digests cover beyond the default.
+MULTICORE_VARIANTS = (("fcfs", {"arbitration": "fcfs"}),
+                      ("private-bus", {"shared_bus": False}))
 
 
 def digest(document: Any) -> str:
@@ -58,8 +67,16 @@ def digest(document: Any) -> str:
 
 
 def _config(name: str):
+    """A registry config, or ``<name>+prefetch`` / ``<name>+<predictor>``."""
+    from dataclasses import replace
     from repro.cores.configs import config_by_name
-    return config_by_name(name)
+    name, _, variant = name.partition("+")
+    config = config_by_name(name)
+    if variant == "prefetch":
+        return replace(config, dcache_prefetch=True)
+    if variant:
+        return replace(config, branch_predictor=variant)
+    return config
 
 
 def config_key(config) -> str:
@@ -74,9 +91,9 @@ def _core(config_name: str):
     return make_core(_config(config_name))
 
 
-def _trace(workload: str):
+def _trace(workload: str, scale: float = SCALE):
     from repro.workloads import build_trace
-    return build_trace(workload, scale=SCALE)
+    return build_trace(workload, scale=scale)
 
 
 def result_document(result) -> Dict[str, Any]:
@@ -113,16 +130,19 @@ class WindowStall:
         self.start = start
         self.stop = stop
 
-    def stall_cycle(self, cycle: int) -> bool:
-        return self.start <= cycle < self.stop and cycle % 3 == 0
+    def stall_window(self, cycle: int, end: int):
+        first = max(cycle, self.start)
+        first += -first % 3
+        return (first, first + 1) if first < self.stop else None
 
 
 # ----------------------------------------------------------------------
 # (a) CoreResult + TMA across the registry
 
 
-def core_doc(workload: str, config_name: str) -> Dict[str, Any]:
-    return result_document(_core(config_name).run(_trace(workload)))
+def core_doc(workload: str, config_name: str,
+             scale: float = SCALE) -> Dict[str, Any]:
+    return result_document(_core(config_name).run(_trace(workload, scale)))
 
 
 # ----------------------------------------------------------------------
@@ -266,9 +286,10 @@ def tracer_doc(workload: str, config_name: str) -> Dict[str, Any]:
 # (e) multicore scenarios through the lockstep path
 
 
-def multicore_doc(scenario_name: str) -> Dict[str, Any]:
+def multicore_doc(scenario_name: str, **overrides: Any) -> Dict[str, Any]:
     from repro.multicore import get_scenario, run_scenario
-    scenario = get_scenario(scenario_name).with_overrides(scale=SCALE)
+    scenario = get_scenario(scenario_name).with_overrides(scale=SCALE,
+                                                          **overrides)
     payload = run_scenario(scenario, force_lockstep=True).to_payload()
     payload.pop("wall_s")
     return payload
@@ -326,6 +347,10 @@ def entries() -> List[Tuple[str, Callable[[], Dict[str, Any]]]]:
         for config in CORE_CONFIGS:
             out.append((f"core/{workload}/{config}",
                         lambda w=workload, c=config: core_doc(w, c)))
+        for config in SMALL_CORE_CONFIGS:
+            out.append((f"core/{workload}/{config}@{SMALL_CORE_SCALE}",
+                        lambda w=workload, c=config:
+                        core_doc(w, c, SMALL_CORE_SCALE)))
     for workload in STREAM_WORKLOADS:
         for config in STREAM_CONFIGS:
             out.append((f"signals/{workload}/{config}",
@@ -355,6 +380,9 @@ def entries() -> List[Tuple[str, Callable[[], Dict[str, Any]]]]:
                 lambda: tracer_doc("qsort", "medium-boom")))
     for name in scenario_names():
         out.append((f"multicore/{name}", lambda n=name: multicore_doc(n)))
+        for variant, overrides in MULTICORE_VARIANTS:
+            out.append((f"multicore/{name}/{variant}",
+                        lambda n=name, o=overrides: multicore_doc(n, **o)))
     for workload in workload_names():
         out.append((f"trace/{workload}", lambda w=workload: trace_doc(w)))
     return out

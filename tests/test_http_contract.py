@@ -3,7 +3,7 @@
 Each case runs against a served shard and against a gateway served in
 front of one.  Requests go over a raw socket, so the test controls the
 exact ``Content-Length`` header, and each must be answered within a
-second.
+second.  Requests on one kept-alive connection are answered at once.
 """
 
 import http.client
@@ -112,3 +112,21 @@ def test_body_of_an_unknown_path_is_not_parsed_as_a_request(front_port):
             received += chunk
     assert received.startswith(b"HTTP/1.1 404 ")
     assert received.count(b"HTTP/1.1 ") == 1
+
+
+def test_kept_alive_connection_answers_without_a_delayed_ack(front_port):
+    # Nagle's algorithm would hold each response body ~40 ms for the
+    # client's delayed ACK of its head: 20 requests would take ~0.8 s.
+    connection = http.client.HTTPConnection("127.0.0.1", front_port,
+                                            timeout=5.0)
+    try:
+        started = time.monotonic()
+        for _ in range(20):
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            json.loads(response.read())
+        elapsed = time.monotonic() - started
+    finally:
+        connection.close()
+    assert elapsed < 0.2

@@ -10,11 +10,13 @@ The load-bearing guarantees:
   to 1.0 and ``self + neighbor == mem_bound`` exactly (as floats) on
   every scenario in the registry, and every per-core result passes the
   ``TmaInvariantChecker`` audit.
-- **Determinism**: :func:`run_lockstep` steps the cores' cycles in one
-  fixed arbitration order, so repeated runs are bit-identical.
+- **Determinism**: :func:`run_lockstep` runs the cores' cycles in one
+  fixed arbitration order, the order a per-cycle lockstep gives, so
+  repeated runs are bit-identical.
 """
 
 import dataclasses
+import random
 import threading
 import time
 
@@ -34,6 +36,7 @@ from repro.multicore import (
     scenario_cache_key,
     scenario_names,
 )
+from repro.multicore import harness
 from repro.multicore.harness import run_lockstep
 from repro.reliability import TmaInvariantChecker
 from repro.tools.tma_tool import run_core
@@ -234,14 +237,24 @@ def test_core_failure_surfaces_as_multicore_error():
 # Lockstep stepping order
 
 
-def stub_core(core, cycles, log, fail_at=None):
-    """A cycle loop that logs ``(cycle, core)`` for every cycle it runs."""
-    for cycle in range(cycles):
-        stall = yield cycle
-        assert stall is False
+def stub_core(core, cycles, log, fail_at=None, quiet=()):
+    """A cycle loop that logs ``(cycle, core)`` for every busy cycle it
+    runs: it runs up to each bound it is sent, jumps over its *quiet*
+    cycles, and yields the first cycle it reaches at or past the bound."""
+    bound = yield 0
+    cycle = 0
+    while cycle < cycles:
+        if cycle >= bound:
+            bound = yield cycle
+            continue
         if cycle == fail_at:
             raise RuntimeError(f"core {core} broke")
+        if cycle in quiet:
+            while cycle in quiet:
+                cycle += 1
+            continue
         log.append((cycle, core))
+        cycle += 1
     return f"result {core}"
 
 
@@ -274,6 +287,68 @@ def test_lockstep_failure_closes_every_core_loop():
     assert isinstance(info.value.__cause__, RuntimeError)
     assert log == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)]
     assert all(gen.gi_frame is None for _, gen in steps)
+
+
+def per_cycle_order(lengths, quiet, arbitration):
+    """The busy cycles of every core, one cycle at a time in rank order."""
+    n = len(lengths)
+    log = []
+    for cycle in range(max(lengths)):
+        for k in range(n):
+            core = (cycle + k) % n if arbitration == "round-robin" else k
+            if cycle < lengths[core] and cycle not in quiet[core]:
+                log.append((cycle, core))
+    return log
+
+
+@pytest.mark.parametrize("arbitration", ["fcfs", "round-robin"])
+def test_lockstep_matches_a_per_cycle_order_on_random_cores(arbitration):
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        lengths = [rng.randint(1, 60) for _ in range(n)]
+        quiet = [set() for _ in range(n)]
+        for core in range(n):
+            cycle = 0
+            while cycle < lengths[core]:  # busy and quiet stretches
+                stretch = rng.randint(1, 8)
+                if rng.random() < 0.5:
+                    quiet[core].update(range(cycle, cycle + stretch))
+                cycle += stretch
+        log = []
+        steps = [(f"core {core}",
+                  stub_core(core, lengths[core], log, quiet=quiet[core]))
+                 for core in range(n)]
+        run_lockstep(steps, arbitration)
+        assert log == per_cycle_order(lengths, quiet, arbitration)
+
+
+def test_scenario_resumes_each_core_far_fewer_times_than_it_has_cycles(
+        monkeypatch):
+    resumes = []
+
+    def counted(steps):
+        cycle = next(steps)
+        count = 0
+        while True:
+            bound = yield cycle
+            count += 1
+            try:
+                cycle = steps.send(bound)
+            except StopIteration as stop:
+                resumes.append(count)
+                return stop.value
+
+    def run_counted(steps, arbitration):
+        return run_lockstep([(label, counted(gen)) for label, gen in steps],
+                            arbitration)
+
+    monkeypatch.setattr(harness, "run_lockstep", run_counted)
+    result = run_scenario(get_scenario("noisy-neighbor").with_overrides(
+        scale=SCALE))
+    assert len(resumes) == len(result.cores) == 2
+    for count, core in zip(resumes, result.cores):
+        assert count * 4 < core.result.cycles
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.reliability import (CacheIntegrityError, CounterCorruption,
                                SlotConservationViolation, TMAJob,
                                TmaInvariantChecker)
 from repro.reliability import runner as runner_module
+from repro.reliability.request import MAX_SCALE
 from repro.reliability.runner import lookup
 from repro.tools import cache
 from repro.workloads import build_trace
@@ -375,12 +376,21 @@ def test_job_with_an_event_its_core_lacks_is_rejected():
 
 def test_scenario_over_its_instruction_budget_fails_once(isolated_cache):
     # latency-victim's mm slot needs more than the functional
-    # executor's instruction budget at scale 10.
+    # executor's instruction budget at scale 10, which is over the cap.
     job = MulticoreJob(scenario="latency-victim", scale=10.0)
     outcome = ResilientRunner().run_one(job)
     assert (outcome.status, outcome.error_class, outcome.attempts) == \
-        ("failed", "ExecutionError", 1)
-    assert "instruction budget exceeded" in outcome.error
+        ("failed", "JobValidationError", 1)
+    assert f"scale must be in (0, {MAX_SCALE}]" in outcome.error
+
+
+def test_scale_cap_rejects_what_cannot_run_before_any_trace():
+    with pytest.raises(JobValidationError, match="scale must be in"):
+        MulticoreJob(scenario="latency-victim", scale=10.0).validate()
+    with pytest.raises(JobValidationError, match="scale must be in"):
+        TMAJob(workload="towers", config="rocket", scale=1.8).validate()
+    MulticoreJob(scenario="latency-victim", scale=MAX_SCALE).validate()
+    TMAJob(workload="towers", config="rocket", scale=MAX_SCALE).validate()
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
