@@ -87,8 +87,8 @@ CycleSteps = Generator[int, int, "CoreResult"]
 
 def run_steps(steps: CycleSteps) -> "CoreResult":
     """Run *steps* alone to its result."""
-    next(steps)
     try:
+        next(steps)
         steps.send(UNBOUNDED)
     except StopIteration as stop:
         return stop.value

@@ -33,11 +33,14 @@ from ..workloads import workload_names
 #: Default per-run watchdog: generous for every registered workload at
 #: the scales the sweeps use, tiny next to a genuine hang.  Scenario
 #: cores run under it too (the largest registry scenario core runs
-#: ~71k cycles at scale 1).
+#: ~124k cycles at :data:`MAX_SCALE`).  ``towers`` from scale 1.7 on
+#: needs more on Rocket (2.80M cycles at 1.75) and SmallBOOM (2.59M),
+#: so a job there sets a larger ``max_cycles``.
 DEFAULT_MAX_CYCLES = 2_000_000
 
 #: The largest scale a job may ask for: every registry workload's trace
-#: fits the functional executor's instruction budget up to here.
+#: fits the functional executor's instruction budget up to here, the
+#: huge tier included (huge-stream 1.16M, huge-walk 0.83M at 1.75).
 #: ``towers`` bounds it, at 2.56M of the 4M instructions at 1.75 and
 #: ~5.1M from 1.8 on (its disk count is ``int(10 * scale)``).
 MAX_SCALE = 1.75

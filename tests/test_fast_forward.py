@@ -22,7 +22,7 @@ import pytest
 
 from repro.chaos.model import FaultInjector, FaultSpec
 from repro.cores import (ALL_BOOM_CONFIGS, LARGE_BOOM, ROCKET, SMALL_BOOM,
-                         SignalStream)
+                         CoreResult, SignalStream)
 from repro.isa.errors import RunTimeout
 from repro.pmu.harness import make_core
 from repro.workloads import build_trace, workload_names
@@ -144,3 +144,13 @@ def test_stall_core_freezes_every_cycle_up_to_the_watchdog(config):
     assert info.value.observed == 600
     assert injector.injections == 600 - 150
     assert len(stream) == 150
+
+
+@pytest.mark.parametrize("config", [ROCKET, LARGE_BOOM], ids=config_id)
+def test_empty_trace_runs_to_a_zero_cycle_result(config):
+    """A loop that ends before its first cycle still returns its result."""
+    trace = build_trace("vvadd", scale=SCALE).slice(0, 0)
+    for max_cycles in (None, 100):
+        result = make_core(config).run(trace, max_cycles=max_cycles)
+        assert isinstance(result, CoreResult)
+        assert (result.cycles, result.instret, result.events) == (0, 0, {})

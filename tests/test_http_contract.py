@@ -9,6 +9,7 @@ second.  Requests on one kept-alive connection are answered at once.
 import http.client
 import json
 import socket
+import statistics
 import time
 import urllib.request
 
@@ -116,17 +117,19 @@ def test_body_of_an_unknown_path_is_not_parsed_as_a_request(front_port):
 
 def test_kept_alive_connection_answers_without_a_delayed_ack(front_port):
     # Nagle's algorithm would hold each response body ~40 ms for the
-    # client's delayed ACK of its head: 20 requests would take ~0.8 s.
+    # client's delayed ACK of its head.  A gateway /healthz also makes
+    # one HTTP hop per live shard, so the bound is on the median.
     connection = http.client.HTTPConnection("127.0.0.1", front_port,
                                             timeout=5.0)
+    elapsed = []
     try:
-        started = time.monotonic()
         for _ in range(20):
+            started = time.monotonic()
             connection.request("GET", "/healthz")
             response = connection.getresponse()
             assert response.status == 200
             json.loads(response.read())
-        elapsed = time.monotonic() - started
+            elapsed.append(time.monotonic() - started)
     finally:
         connection.close()
-    assert elapsed < 0.2
+    assert statistics.median(elapsed) < 0.02

@@ -374,14 +374,28 @@ def test_job_with_an_event_its_core_lacks_is_rejected():
         ("failed", "JobValidationError", 1)
 
 
-def test_scenario_over_its_instruction_budget_fails_once(isolated_cache):
-    # latency-victim's mm slot needs more than the functional
-    # executor's instruction budget at scale 10, which is over the cap.
-    job = MulticoreJob(scenario="latency-victim", scale=10.0)
+def test_scenario_over_its_instruction_budget_fails_once(isolated_cache,
+                                                         monkeypatch):
+    # A kernel that never halts runs into the functional executor's
+    # instruction budget at any scale; its scenario fails once.
+    from repro.multicore import scenarios
+    from repro.multicore.scenarios import CoreSlot, Scenario
+    from repro.workloads import Workload, registry, workload_names
+
+    workload_names()  # load the registry before copying it
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    registry.register(Workload(
+        name="spin", category="micro",
+        source_builder=lambda scale: ".text\n_start:\n    j _start\n"))
+    monkeypatch.setitem(scenarios.SCENARIOS, "spinner", Scenario(
+        name="spinner", description="a core that never halts",
+        slots=(CoreSlot("median", "rocket"), CoreSlot("spin", "rocket"))))
+    job = MulticoreJob(scenario="spinner", scale=0.1)
+    job.validate()
     outcome = ResilientRunner().run_one(job)
     assert (outcome.status, outcome.error_class, outcome.attempts) == \
-        ("failed", "JobValidationError", 1)
-    assert f"scale must be in (0, {MAX_SCALE}]" in outcome.error
+        ("failed", "ExecutionError", 1)
+    assert "instruction budget exceeded" in outcome.error
 
 
 def test_scale_cap_rejects_what_cannot_run_before_any_trace():
