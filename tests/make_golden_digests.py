@@ -25,7 +25,19 @@ families are:
   registered and again under ``fcfs`` and with a private DRAM bus;
 - ``trace``: the functional executor's ``ColumnarTrace`` for every
   registry workload at scale 1.0 (static ops, a sha256 per column, CSR
-  writes and end-of-run state).
+  writes and end-of-run state);
+- ``level3``: third-level TMA (Memory-Bound drill-down, the TLB-bound
+  upper bound, Rocket's Core-Bound split) and its rendered class tree;
+- ``perlane``: Table V per-lane rates and the §V-A single-lane
+  approximation on every BOOM size;
+- ``vlsi``: every ``FlowResult`` field of the calibrated Fig. 9 sweep,
+  and the calibration factors themselves;
+- ``temporal``: Fig. 8's temporal TMA, Table VI's overlap bound and the
+  recovery-sequence CDF over a captured cycle trace, plus the
+  trace bridge's encoded bytes;
+- ``mux``: time-multiplexed counter estimates (``measure_sampled``);
+- ``pmu-grouped``: several events mapped onto one counter each
+  (``PerfHarness.measure_grouped``) under every counter architecture.
 
 ``tests/test_golden_digests.py`` recomputes every entry with the
 builders below and compares.
@@ -59,6 +71,35 @@ SMALL_CORE_SCALE = 0.02
 #: The uncore variants the ``multicore`` digests cover beyond the default.
 MULTICORE_VARIANTS = (("fcfs", {"arbitration": "fcfs"}),
                       ("private-bus", {"shared_bus": False}))
+#: ``505.mcf_r`` is the TLB-bound case of the level-3 drill-down.
+LEVEL3_PAIRS = (("505.mcf_r", "rocket"), ("505.mcf_r", "large-boom"),
+                ("coremark", "rocket"), ("memcpy", "large-boom"))
+PERLANE_WORKLOADS = ("505.mcf_r", "mm")
+BOOM_SIZES = ("small-boom", "medium-boom", "large-boom", "mega-boom",
+              "giga-boom")
+TEMPORAL_PAIRS = (("mergesort", "large-boom"), ("qsort", "small-boom"),
+                  ("towers", "rocket"))
+#: Multiplexed groups per core, and the rotation intervals pinned.
+MUX_GROUPS = {
+    "boom": (("uops_issued", "uops_retired"),
+             ("fetch_bubbles", "recovering"),
+             ("dcache_blocked", "icache_blocked")),
+    "rocket": (("instr_retired", "branch"),
+               ("fetch_bubbles", "recovering"),
+               ("icache_blocked", "dcache_blocked")),
+}
+MUX_RUNS = (("qsort", "large-boom", 50), ("qsort", "large-boom", 1000),
+            ("median", "rocket", 200))
+#: Same-set events sharing one counter (§II-A, Fig. 1).
+GROUPED_EVENTS = {
+    "boom": (("icache_miss", "dcache_miss"),
+             ("fetch_bubbles", "recovering"),
+             ("uops_retired",)),
+    "rocket": (("load", "store"),
+               ("icache_blocked", "dcache_blocked", "load_use_interlock"),
+               ("fetch_bubbles",)),
+}
+GROUPED_PAIRS = (("median", "large-boom"), ("vvadd", "rocket"))
 
 
 def digest(document: Any) -> str:
@@ -334,12 +375,158 @@ def trace_doc(workload: str) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
+# (g) level-3 TMA and the class tree
+
+
+def level3_doc(workload: str, config_name: str) -> Dict[str, Any]:
+    from repro.core import build_tree, compute_level3, render_tree
+    level3 = compute_level3(_core(config_name).run(_trace(workload)))
+    tree = build_tree(level3.base, level3)
+    return {"l1_bound": level3.l1_bound, "l2_bound": level3.l2_bound,
+            "dram_bound": level3.dram_bound,
+            "tlb_bound": level3.tlb_bound,
+            "core_breakdown": dict(level3.core_breakdown),
+            "render": level3.render(),
+            "tree": render_tree(level3.base, level3),
+            "dominant_path": [node.name for node in tree.dominant_path()]}
+
+
+# ----------------------------------------------------------------------
+# (h) Table V per-lane rates
+
+
+def perlane_doc(workload: str, config_name: str) -> Dict[str, Any]:
+    from repro.core import (PER_LANE_EVENTS,
+                            frontend_error_of_lane_approx,
+                            frontend_point_error_of_lane_approx,
+                            per_lane_rates, render_table5,
+                            single_lane_approximation)
+    config = _config(config_name)
+    result = _core(config_name).run(_trace(workload))
+    lane_counts = {"fetch_bubbles": config.decode_width,
+                   "dcache_blocked": config.decode_width,
+                   "uops_issued": config.issue_width}
+    rates = per_lane_rates(result, lane_counts=lane_counts)
+    approximations = {}
+    for event in PER_LANE_EVENTS:
+        approx = single_lane_approximation(result, event)
+        approximations[event] = dict(dataclasses.asdict(approx),
+                                     relative_error=approx.relative_error)
+    return {"cycles": rates.cycles, "rates": rates.rates,
+            "approximations": approximations,
+            "frontend_error": frontend_error_of_lane_approx(result),
+            "frontend_point_error":
+                frontend_point_error_of_lane_approx(result),
+            "table": render_table5([rates], lane_counts)}
+
+
+# ----------------------------------------------------------------------
+# (i) the Fig. 9 physical-design model
+
+
+def vlsi_doc(config_name: str, architecture: str) -> Dict[str, Any]:
+    from repro.vlsi import sweep
+    results = sweep()[_config(config_name).name]
+    flow = results[architecture]
+    return dict(dataclasses.asdict(flow),
+                passes_200mhz=flow.passes_200mhz,
+                normalized_csr_path=flow.normalized_csr_path(
+                    results["baseline"]))
+
+
+def vlsi_calibration_doc() -> Dict[str, Any]:
+    from repro.cores.configs import ALL_BOOM_CONFIGS
+    from repro.vlsi import floorplan, paper_calibration
+    from repro.vlsi import single_lane_wire_reduction
+    return {"calibration": paper_calibration(),
+            "die_area": {config.name: floorplan(config).die_area
+                         for config in ALL_BOOM_CONFIGS},
+            "single_lane_wire_reduction": {
+                config.name: single_lane_wire_reduction(config)
+                for config in ALL_BOOM_CONFIGS}}
+
+
+# ----------------------------------------------------------------------
+# (j) temporal TMA over a captured cycle trace
+
+
+def temporal_doc(workload: str, config_name: str) -> Dict[str, Any]:
+    from repro.core import compute_tma
+    from repro.trace import (DmaTraceReader, TraceBridge, analyze_overlap,
+                             boom_tma_bundle, capture_trace,
+                             check_fetch_bubble_formula, find_first,
+                             length_cdf, modal_length, recovery_sequences,
+                             render_raster, rocket_tma_bundle, temporal_tma,
+                             validate_against_counters, windowed_tma)
+    config = _config(config_name)
+    if config.core == "rocket":
+        bundle = rocket_tma_bundle()
+    else:
+        bundle = boom_tma_bundle(config.commit_width, config.issue_width)
+    width = config.commit_width
+    trace = _trace(workload)
+    tracer = capture_trace(_core(config_name), trace, bundle)
+    signals = {field.name: tracer.signal(field.name)
+               for field in bundle.fields}
+    encoded = TraceBridge(bundle, chunk_cycles=1024).encode(tracer)
+    temporal = temporal_tma(signals, width)
+    overlap = analyze_overlap(signals, width)
+    lengths = [run.length for run in
+               recovery_sequences(signals["recovering"])]
+    first = find_first(signals, "recovering") or 0
+    counters = compute_tma(_core(config_name).run(trace)).level1
+    return {
+        "bridge": hashlib.sha256(encoded).hexdigest(),
+        "bridge_round_trip": DmaTraceReader(encoded).signals() == signals,
+        "temporal": dataclasses.asdict(temporal),
+        "fractions": temporal.fractions(),
+        "windows": [dataclasses.asdict(window) for window in
+                    windowed_tma(signals, width, window=512)],
+        "validation": validate_against_counters(temporal, counters),
+        "overlap": dict(dataclasses.asdict(overlap),
+                        render=overlap.render()),
+        "recovery_lengths": lengths,
+        "recovery_cdf": length_cdf(lengths),
+        "modal_length": modal_length(lengths),
+        "fetch_bubble_mismatches": check_fetch_bubble_formula(signals),
+        "raster": render_raster(signals, [f.name for f in bundle.fields],
+                                max(0, first - 8), first + 24),
+    }
+
+
+# ----------------------------------------------------------------------
+# (k) multiplexed and grouped counters
+
+
+def mux_doc(workload: str, config_name: str,
+            interval: int) -> Dict[str, Any]:
+    from repro.pmu.sampling import measure_sampled
+    config = _config(config_name)
+    comparisons = measure_sampled(workload, config,
+                                  MUX_GROUPS[config.core],
+                                  interval=interval, scale=SCALE)
+    return {"comparisons": [
+        dict(dataclasses.asdict(c), relative_error=c.relative_error)
+        for c in comparisons]}
+
+
+def grouped_doc(workload: str, config_name: str,
+                mode: str) -> Dict[str, Any]:
+    from repro.pmu.harness import PerfHarness
+    core_name = _core_name(config_name)
+    harness = PerfHarness(core=core_name, increment_mode=mode)
+    return harness.measure_grouped(workload, _config(config_name),
+                                   GROUPED_EVENTS[core_name], scale=SCALE)
+
+
+# ----------------------------------------------------------------------
 
 
 def entries() -> List[Tuple[str, Callable[[], Dict[str, Any]]]]:
     """Every ``(key, document builder)`` pair the golden file holds."""
     from repro.multicore import scenario_names
     from repro.pmu.csr import INCREMENT_MODES
+    from repro.vlsi import ARCHITECTURES
     from repro.workloads import workload_names
 
     out: List[Tuple[str, Callable[[], Dict[str, Any]]]] = []
@@ -385,6 +572,30 @@ def entries() -> List[Tuple[str, Callable[[], Dict[str, Any]]]]:
                         lambda n=name, o=overrides: multicore_doc(n, **o)))
     for workload in workload_names():
         out.append((f"trace/{workload}", lambda w=workload: trace_doc(w)))
+    for workload, config in LEVEL3_PAIRS:
+        out.append((f"level3/{workload}/{config}",
+                    lambda w=workload, c=config: level3_doc(w, c)))
+    for workload in PERLANE_WORKLOADS:
+        for config in BOOM_SIZES:
+            out.append((f"perlane/{workload}/{config}",
+                        lambda w=workload, c=config: perlane_doc(w, c)))
+    for config in BOOM_SIZES:
+        for architecture in ARCHITECTURES:
+            out.append((f"vlsi/{config}/{architecture}",
+                        lambda c=config, a=architecture: vlsi_doc(c, a)))
+    out.append(("vlsi/calibration", vlsi_calibration_doc))
+    for workload, config in TEMPORAL_PAIRS:
+        out.append((f"temporal/{workload}/{config}",
+                    lambda w=workload, c=config: temporal_doc(w, c)))
+    for workload, config, interval in MUX_RUNS:
+        out.append((f"mux/{workload}/{config}/{interval}",
+                    lambda w=workload, c=config, i=interval:
+                    mux_doc(w, c, i)))
+    for workload, config in GROUPED_PAIRS:
+        for mode in INCREMENT_MODES:
+            out.append((f"pmu-grouped/{workload}/{config}/{mode}",
+                        lambda w=workload, c=config, m=mode:
+                        grouped_doc(w, c, m)))
     return out
 
 

@@ -7,8 +7,10 @@ registry workload's functional trace; the per-core loop tests and
 ``tests/test_trace_compiler.py`` check those.  Checked here: a run
 under a releasing stall hook, PMU read-backs under every counter
 architecture with and without injected faults, cycle tracer and
-AutoCounter output, and every multicore scenario through the lockstep
-path.  ``tests/make_golden_digests.py`` builds each document; see its
+AutoCounter output, every multicore scenario through the lockstep
+path, and the analysis outputs: level-3 TMA, Table V per-lane rates,
+the Fig. 9 physical-design model, temporal TMA over a captured trace,
+multiplexed and grouped counter read-backs.  ``tests/make_golden_digests.py`` builds each document; see its
 docstring before regenerating anything.
 """
 
