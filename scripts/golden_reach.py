@@ -89,9 +89,10 @@ def reached_functions() -> Set[Tuple[str, int]]:
 
 
 def main() -> int:
-    os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="golden-reach-")
     functions = defined_functions()
-    seen = reached_functions()
+    with tempfile.TemporaryDirectory(prefix="golden-reach-") as cache:
+        os.environ["REPRO_CACHE_DIR"] = cache
+        seen = reached_functions()
     totals: Dict[str, List[int]] = defaultdict(lambda: [0, 0])
     for path, found in functions.items():
         module = Path(path).relative_to(SRC.parent).with_suffix("")

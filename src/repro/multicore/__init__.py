@@ -2,10 +2,13 @@
 
 Public surface:
 
-- :func:`run_scenario` / :func:`run_scenario_payload` — execute a named
-  (or ad-hoc) co-location scenario in cycle-lockstep over a shared
-  uncore and return per-core TMA with the Memory-Bound slots split into
-  self vs. neighbor-induced shares;
+- :func:`run_scenario` — execute a named (or ad-hoc) co-location
+  scenario in cycle-lockstep over a shared uncore and return per-core
+  TMA with the Memory-Bound slots split into self vs. neighbor-induced
+  shares.  The CLI and the service run scenarios as
+  :class:`~repro.reliability.MulticoreJob` requests through
+  :meth:`~repro.reliability.ResilientRunner.run_one`, which adds
+  validation, the per-core invariant check and the result cache;
 - :data:`SCENARIOS` / :func:`get_scenario` / :func:`scenario_names` —
   the named scenario registry (``noisy-neighbor``, ``symmetric``,
   ``latency-victim``);
@@ -20,7 +23,6 @@ from .harness import (
     MulticoreResult,
     multicore_fingerprint,
     run_scenario,
-    run_scenario_payload,
     scenario_cache_key,
 )
 from .scenarios import (
@@ -52,7 +54,6 @@ __all__ = [
     "get_scenario",
     "multicore_fingerprint",
     "run_scenario",
-    "run_scenario_payload",
     "scenario_cache_key",
     "scenario_names",
 ]

@@ -298,7 +298,7 @@ def run_scenario(scenario: Union[str, Scenario], *,
 
 
 # ----------------------------------------------------------------------
-# Cached payload entry point (CLI --json and the service job reuse it)
+# Result-cache identity of a scenario run (``MulticoreJob.cache_key``)
 
 
 def multicore_fingerprint() -> str:
@@ -318,28 +318,3 @@ def scenario_cache_key(scenario: Scenario) -> str:
     digest.update(scenario.arbitration.encode())
     digest.update(f"l2={scenario.l2_kib}".encode())
     return "mc-" + digest.hexdigest()[:24]
-
-
-def run_scenario_payload(scenario: Union[str, Scenario], *,
-                         cores: Optional[int] = None,
-                         scale: Optional[float] = None,
-                         shared_bus: Optional[bool] = None,
-                         arbitration: Optional[str] = None,
-                         max_cycles: Optional[int] = None,
-                         use_cache: bool = True) -> Dict[str, Any]:
-    """Resolve overrides, run (or serve from disk), return the payload."""
-    if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
-    scenario = scenario.with_overrides(cores=cores, scale=scale,
-                                       shared_bus=shared_bus,
-                                       arbitration=arbitration)
-    scenario.validate()
-    key = scenario_cache_key(scenario)
-    if use_cache:
-        cached, _ = cache.load_payload_or_quarantine(key)
-        if cached is not None:
-            return dict(cached, from_cache=True)
-    payload = run_scenario(scenario, max_cycles=max_cycles).to_payload()
-    if use_cache:
-        cache.store_payload(key, payload)
-    return dict(payload, from_cache=False)

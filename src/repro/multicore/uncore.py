@@ -235,9 +235,8 @@ class L2View:
 
     Implements the slice of the :class:`~repro.uarch.cache.Cache`
     interface the L1s and core models actually use (``access``,
-    ``lookup``, ``block_address``, ``flush``, ``config``, ``stats``), so
-    a :class:`~repro.uarch.cache.MemorySystem` can carry it as its
-    ``l2`` and the cores need no changes at all.
+    ``config``, ``stats``), so a :class:`~repro.uarch.cache.MemorySystem`
+    can carry it as its ``l2`` and the cores need no changes at all.
     """
 
     def __init__(self, uncore: SharedUncore, requestor: int) -> None:
@@ -255,26 +254,3 @@ class L2View:
                cycle: Optional[int] = None) -> Tuple[bool, int]:
         return self.uncore.access(self.requestor, addr, is_store=is_store,
                                   cycle=cycle)
-
-    def lookup(self, addr: int) -> bool:
-        return self.uncore.array.lookup(self.uncore.color(self.requestor,
-                                                          addr))
-
-    def block_address(self, addr: int) -> int:
-        return self.uncore.array.block_address(addr)
-
-    def flush(self) -> None:
-        """Invalidate only this requestor's blocks (neighbors keep theirs).
-
-        No current core flushes the L2 (``fence.i`` flushes the L1I), so
-        this exists for interface completeness, not the hot path.
-        """
-        array = self.uncore.array
-        lo = self.requestor << (COLOR_SHIFT - array._set_shift)
-        hi = (self.requestor + 1) << (COLOR_SHIFT - array._set_shift)
-        for set_index, blocks in enumerate(array._sets):
-            mine = [tag for tag in blocks if lo <= tag < hi]
-            for tag in mine:
-                blocks.remove(tag)
-                array._dirty[set_index].pop(tag, None)
-        self.uncore.shadows[self.requestor].flush()

@@ -89,8 +89,18 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_tma(args: argparse.Namespace) -> int:
+    from ..reliability import JobValidationError, TMAJob
     from .tma_tool import run_core
 
+    job = TMAJob(workload=args.workload, config=args.config,
+                 scale=args.scale, use_cache=not args.no_cache,
+                 windows=args.windows, warmup=args.warmup,
+                 sampled=args.sampled)
+    try:
+        job.validate()
+    except JobValidationError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     config = config_by_name(args.config)
     try:
         core_result = run_core(args.workload, config, scale=args.scale,
@@ -320,7 +330,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_multicore(payload: dict) -> str:
+def _render_multicore(payload: dict, cached: bool) -> str:
     """Human-readable scenario report from a multicore payload."""
     from ..core.report import format_percent
 
@@ -333,7 +343,7 @@ def _render_multicore(payload: dict) -> str:
         f"arbitration {payload['arbitration']}  L2 {l2}",
         f"lockstep cycles {payload['cycles']}  "
         f"wall {payload['wall_s']:.3f}s"
-        + ("  (cached)" if payload.get("from_cache") else ""),
+        + ("  (cached)" if cached else ""),
     ]
     for core in payload["cores"]:
         lines.append("")
@@ -369,12 +379,9 @@ def _render_multicore(payload: dict) -> str:
 
 
 def _cmd_multicore(args: argparse.Namespace) -> int:
-    from ..multicore import (
-        SCENARIOS,
-        MulticoreError,
-        run_scenario_payload,
-        scenario_names,
-    )
+    from ..multicore import SCENARIOS, scenario_names
+    from ..reliability import (JobValidationError, MulticoreJob,
+                               ResilientRunner)
 
     if args.list:
         for name in scenario_names():
@@ -387,21 +394,22 @@ def _cmd_multicore(args: argparse.Namespace) -> int:
     if not args.scenario:
         print("--scenario is required (or --list)", file=sys.stderr)
         return 2
+    job = MulticoreJob(
+        scenario=args.scenario, cores=args.cores, scale=args.scale,
+        shared_bus=False if args.no_shared_bus else None,
+        arbitration=args.arbitration, use_cache=not args.no_cache)
     try:
-        payload = run_scenario_payload(
-            args.scenario, cores=args.cores, scale=args.scale,
-            shared_bus=False if args.no_shared_bus else None,
-            arbitration=args.arbitration, use_cache=not args.no_cache)
-    except KeyError as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        job.validate()
+    except JobValidationError as exc:
         print(f"bad scenario spec: {exc}", file=sys.stderr)
         return 2
-    except MulticoreError as exc:
-        print(f"multicore run failed: {exc}", file=sys.stderr)
+    outcome = ResilientRunner().run_one(job)
+    if not outcome.ok:
+        print(f"multicore run failed: {outcome.error_class}: "
+              f"{outcome.error}", file=sys.stderr)
         return 1
-    print(_render_multicore(payload))
+    payload = outcome.payload
+    print(_render_multicore(payload, cached=outcome.attempts == 0))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)

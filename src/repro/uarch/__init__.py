@@ -1,11 +1,10 @@
-"""Shared microarchitecture substrates: caches, predictors, TLBs, queues."""
+"""Shared microarchitecture substrates: caches, predictors, TLBs."""
 
 from .branch import (BHT, BTB, BimodalPredictor, BoomBranchPredictor,
                      DIRECTION_PREDICTORS, GsharePredictor, Prediction,
                      PredictorStats, ReturnAddressStack,
                      RocketBranchPredictor, TagePredictor,
                      make_direction_predictor)
-from .buffers import ReadyValidQueue
 from .cache import (Cache, CacheConfig, CacheStats, DRAM_LATENCY, L1D_16K,
                     L1D_32K, L1I_32K, L2_512K, MemorySystem, MSHRFile,
                     NonBlockingCache)
@@ -34,7 +33,6 @@ __all__ = [
     "PredictorStats",
     "PrefetchStats",
     "StridePrefetcher",
-    "ReadyValidQueue",
     "ReturnAddressStack",
     "RocketBranchPredictor",
     "TagePredictor",

@@ -10,7 +10,7 @@ table with a fixed latency, going through the L2 TLB first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 PAGE_SHIFT = 12
 
@@ -72,18 +72,3 @@ class TlbHierarchy:
         self.itlb = Tlb(itlb_entries, "itlb")
         self.dtlb = Tlb(dtlb_entries, "dtlb")
         self.l2 = Tlb(l2_entries, "l2tlb")
-
-    def _access(self, l1: Tlb, addr: int) -> Tuple[bool, int]:
-        if l1.access(addr):
-            return True, 0
-        if self.l2.access(addr):
-            return False, L2_TLB_HIT_LATENCY
-        return False, PTW_LATENCY
-
-    def access_instruction(self, addr: int) -> Tuple[bool, int]:
-        """ITLB access; return (l1_hit, extra_latency)."""
-        return self._access(self.itlb, addr)
-
-    def access_data(self, addr: int) -> Tuple[bool, int]:
-        """DTLB access; return (l1_hit, extra_latency)."""
-        return self._access(self.dtlb, addr)

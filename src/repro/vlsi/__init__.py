@@ -1,7 +1,7 @@
 """Physical-design overhead model (the §V-C substitution)."""
 
 from .area import (FLOP_BIT_AREA, GATE_AREA, MEM_BIT_AREA, ModuleArea,
-                   area_by_name, tile_area, tile_modules)
+                   tile_area, tile_modules)
 from .floorplan import EVENT_SOURCE_MODULE, Floorplan, Placement, floorplan
 from .flow import (ARCHITECTURES, CLOCK_PERIOD_NS, ArchStructure,
                    EventSourceGroup, FlowResult, PhysicalFlow,
@@ -22,7 +22,6 @@ __all__ = [
     "ModuleArea",
     "PhysicalFlow",
     "Placement",
-    "area_by_name",
     "event_source_groups",
     "floorplan",
     "paper_calibration",

@@ -17,7 +17,7 @@ from structural counts (see :mod:`repro.vlsi.flow`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..cores.base import BoomConfig
 
@@ -89,7 +89,3 @@ def tile_modules(config: BoomConfig) -> List[ModuleArea]:
 def tile_area(config: BoomConfig) -> float:
     """Total tile area in µm²."""
     return sum(module.area for module in tile_modules(config))
-
-
-def area_by_name(config: BoomConfig) -> Dict[str, float]:
-    return {module.name: module.area for module in tile_modules(config)}

@@ -436,8 +436,8 @@ def vlsi_doc(config_name: str, architecture: str) -> Dict[str, Any]:
 
 def vlsi_calibration_doc() -> Dict[str, Any]:
     from repro.cores.configs import ALL_BOOM_CONFIGS
-    from repro.vlsi import floorplan, paper_calibration
-    from repro.vlsi import single_lane_wire_reduction
+    from repro.vlsi import (floorplan, paper_calibration,
+                            single_lane_wire_reduction)
     return {"calibration": paper_calibration(),
             "die_area": {config.name: floorplan(config).die_area
                          for config in ALL_BOOM_CONFIGS},

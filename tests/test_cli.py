@@ -71,6 +71,17 @@ def test_tma_level2_included_by_default(capsys):
     assert "level 2" in out
 
 
+def test_tma_refuses_a_scale_over_the_cap_before_running(capsys):
+    from repro.reliability.request import MAX_SCALE
+
+    code, out, err = run_cli(capsys, "tma", "--workload", "towers",
+                             "--config", "rocket", "--scale", "1.8")
+    assert code == 2
+    assert out == ""
+    assert f"scale must be in (0, {MAX_SCALE}], got 1.8" in err
+    assert "Traceback" not in err
+
+
 def test_trace_command_anchors_on_first_event(capsys):
     code, out, _ = run_cli(capsys, "trace", "--workload", "vvadd",
                            "--config", "rocket", "--scale", "0.2",
@@ -296,6 +307,33 @@ def test_multicore_run_renders_and_writes_json(capsys, tmp_path,
                            "noisy-neighbor", "--scale", "0.1")
     assert code == 0
     assert "(cached)" in out
+
+
+def test_multicore_refuses_a_scale_over_the_cap(capsys, tmp_path,
+                                                 monkeypatch):
+    from repro.reliability.request import MAX_SCALE
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, "multicore", "--scenario",
+                             "symmetric", "--scale", "3")
+    assert code == 2
+    assert out == ""
+    assert f"scale must be in (0, {MAX_SCALE}], got 3.0" in err
+    assert "Traceback" not in err
+
+
+def test_multicore_reports_a_failed_run(capsys, tmp_path, monkeypatch):
+    from repro.multicore import MulticoreError
+
+    def broken(*args, **kwargs):
+        raise MulticoreError("core 0 failed: injected")
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr("repro.multicore.run_scenario", broken)
+    code, _, err = run_cli(capsys, "multicore", "--scenario", "symmetric",
+                           "--scale", "0.1")
+    assert code == 1
+    assert "multicore run failed: MulticoreError" in err
 
 
 def test_sweep_json_surfaces_pool_fallback(capsys, tmp_path, monkeypatch):

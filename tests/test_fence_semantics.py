@@ -10,26 +10,35 @@ import pytest
 
 from repro.core import compute_tma
 from repro.cores import BoomCore, LARGE_BOOM, ROCKET, RocketCore
-from repro.isa import AsmBuilder, execute
+from repro.isa import assemble, execute
 
 
 def fence_kernel(fences: bool, iterations: int = 120):
-    builder = AsmBuilder()
-    builder.dword("cells", [3] * 8)
-    builder.label("_start")
-    builder.emit("la a0, cells")
-    builder.emit("li s1, 0")
-    with builder.loop("work", trip_reg="t0", bound=iterations):
-        builder.emit("ld t1, 0(a0)")
-        builder.emit("add s1, s1, t1")
-        builder.emit("sd s1, 8(a0)")
-        if fences:
-            builder.emit("fence")
-        else:
-            builder.emit("add s2, s2, t1")  # same instruction count
-    builder.exit(code_reg="s1")
-    return execute(builder.assemble(
-        name="fences" if fences else "nofences"))
+    # The fenced and plain kernels run the same instruction count.
+    payload = "fence" if fences else "add s2, s2, t1"
+    source = f"""
+.data
+cells:
+    .dword 3, 3, 3, 3, 3, 3, 3, 3
+.text
+_start:
+    la a0, cells
+    li s1, 0
+    li t0, 0
+work_head:
+    ld t1, 0(a0)
+    add s1, s1, t1
+    sd s1, 8(a0)
+    {payload}
+    addi t0, t0, 1
+    li t6, {iterations}
+    blt t0, t6, work_head
+    mv a0, s1
+    li a7, 93
+    ecall
+"""
+    return execute(assemble(source,
+                            name="fences" if fences else "nofences"))
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,8 @@ architecture with and without injected faults, cycle tracer and
 AutoCounter output, every multicore scenario through the lockstep
 path, and the analysis outputs: level-3 TMA, Table V per-lane rates,
 the Fig. 9 physical-design model, temporal TMA over a captured trace,
-multiplexed and grouped counter read-backs.  ``tests/make_golden_digests.py`` builds each document; see its
+multiplexed and grouped counter read-backs.
+``tests/make_golden_digests.py`` builds each document; see its
 docstring before regenerating anything.
 """
 

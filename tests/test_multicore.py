@@ -32,13 +32,13 @@ from repro.multicore import (
     SharedUncore,
     get_scenario,
     run_scenario,
-    run_scenario_payload,
     scenario_cache_key,
     scenario_names,
 )
 from repro.multicore import harness
 from repro.multicore.harness import run_lockstep
-from repro.reliability import TmaInvariantChecker
+from repro.reliability import (MulticoreJob, ResilientRunner,
+                               TmaInvariantChecker)
 from repro.tools.tma_tool import run_core
 from repro.uarch.cache import Cache, L1D_32K, NonBlockingCache
 
@@ -439,24 +439,25 @@ def test_private_bus_never_attributes_neighbor_waits():
 
 
 # ----------------------------------------------------------------------
-# Cached payload entry point
+# Scenario jobs through the run seam
 
 
-def test_run_scenario_payload_round_trips_through_cache():
-    first = run_scenario_payload("noisy-neighbor", scale=SCALE)
-    assert first["from_cache"] is False
-    again = run_scenario_payload("noisy-neighbor", scale=SCALE)
-    assert again["from_cache"] is True
-    first.pop("from_cache")
-    again.pop("from_cache")
-    assert first == again
+def run_job(**fields):
+    return ResilientRunner().run_one(MulticoreJob(**fields))
 
 
-def test_run_scenario_payload_no_cache_bypasses_store():
-    first = run_scenario_payload("symmetric", scale=SCALE, use_cache=False)
-    again = run_scenario_payload("symmetric", scale=SCALE, use_cache=False)
-    assert first["from_cache"] is False
-    assert again["from_cache"] is False
+def test_run_one_scenario_round_trips_through_cache():
+    first = run_job(scenario="noisy-neighbor", scale=SCALE)
+    assert first.ok and first.attempts == 1
+    again = run_job(scenario="noisy-neighbor", scale=SCALE)
+    assert again.ok and again.attempts == 0
+    assert first.payload == again.payload
+
+
+def test_run_one_scenario_no_cache_bypasses_store():
+    first = run_job(scenario="symmetric", scale=SCALE, use_cache=False)
+    again = run_job(scenario="symmetric", scale=SCALE, use_cache=False)
+    assert (first.attempts, again.attempts) == (1, 1)
 
 
 def test_scenario_cache_key_covers_every_knob():
@@ -474,7 +475,8 @@ def test_scenario_cache_key_covers_every_knob():
 def test_payload_shape_is_json_ready():
     import json
 
-    payload = run_scenario_payload("latency-victim", scale=SCALE, cores=4)
+    payload = run_job(scenario="latency-victim", scale=SCALE,
+                      cores=4).payload
     document = json.loads(json.dumps(payload))
     assert document["scenario"] == "latency-victim"
     assert len(document["cores"]) == 4

@@ -1,10 +1,6 @@
-"""Unit tests for TLBs and ready/valid queues."""
+"""Unit tests for the TLB model."""
 
-import pytest
-
-from repro.uarch.buffers import ReadyValidQueue
-from repro.uarch.tlb import (L2_TLB_HIT_LATENCY, PTW_LATENCY, Tlb,
-                             TlbHierarchy)
+from repro.uarch.tlb import Tlb
 
 
 def test_tlb_miss_then_hit():
@@ -29,60 +25,3 @@ def test_tlb_flush():
     tlb.access(0x1000)
     tlb.flush()
     assert not tlb.access(0x1000)
-
-
-def test_hierarchy_l2_backstop():
-    tlbs = TlbHierarchy(itlb_entries=1, dtlb_entries=1, l2_entries=64)
-    tlbs.access_data(0x1000)
-    tlbs.access_data(0x2000)      # evicts page 1 from the tiny DTLB
-    hit, extra = tlbs.access_data(0x1000)
-    assert not hit and extra == L2_TLB_HIT_LATENCY
-
-
-def test_hierarchy_full_walk_cost():
-    tlbs = TlbHierarchy()
-    hit, extra = tlbs.access_instruction(0x5000)
-    assert not hit and extra == PTW_LATENCY
-    hit, extra = tlbs.access_instruction(0x5000)
-    assert hit and extra == 0
-
-
-def test_queue_capacity_and_handshake():
-    queue = ReadyValidQueue(2)
-    assert queue.producer_ready and not queue.valid
-    assert queue.push(1)
-    assert queue.push(2)
-    assert not queue.push(3)      # full: producer not ready
-    assert not queue.producer_ready
-    assert queue.valid
-    assert queue.pop() == 1
-    assert queue.producer_ready
-
-
-def test_queue_pop_up_to_preserves_order():
-    queue = ReadyValidQueue(8)
-    for value in range(5):
-        queue.push(value)
-    assert queue.pop_up_to(3) == [0, 1, 2]
-    assert queue.pop_up_to(10) == [3, 4]
-    assert not queue.valid
-
-
-def test_queue_clear_models_flush():
-    queue = ReadyValidQueue(4)
-    queue.push("a")
-    queue.clear()
-    assert not queue.valid and queue.occupancy == 0
-
-
-def test_queue_peek_and_free_slots():
-    queue = ReadyValidQueue(3)
-    assert queue.peek() is None
-    queue.push(7)
-    assert queue.peek() == 7
-    assert queue.free_slots() == 2
-
-
-def test_queue_rejects_zero_capacity():
-    with pytest.raises(ValueError):
-        ReadyValidQueue(0)
