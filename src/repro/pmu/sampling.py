@@ -10,8 +10,8 @@ exactly what ``perf`` does when events exceed hardware counters.
 
 Because the reproduction can also measure the *exact* values (one event
 per counter across multiple deterministic passes), the sampling error is
-directly quantifiable; ``benchmarks/bench_ablation_sampling.py`` sweeps
-the rotation interval.
+directly quantifiable; the ``ext.sampling-*`` claims
+(:mod:`repro.tools.claims`) sweep the rotation interval.
 """
 
 from __future__ import annotations

@@ -80,6 +80,22 @@ def _sampled_banner(result) -> Optional[str]:
     return "\n".join(lines)
 
 
+def _refused(jobs) -> bool:
+    """Validate each run as a :class:`TMAJob` before any trace is built.
+
+    Prints the first job's validation error; the command then exits 2.
+    """
+    from ..reliability import JobValidationError
+
+    for job in jobs:
+        try:
+            job.validate()
+        except JobValidationError as exc:
+            print(str(exc), file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     for name in workload_names(args.category):
         workload = get_workload(name)
@@ -89,17 +105,13 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_tma(args: argparse.Namespace) -> int:
-    from ..reliability import JobValidationError, TMAJob
+    from ..reliability import TMAJob
     from .tma_tool import run_core
 
-    job = TMAJob(workload=args.workload, config=args.config,
-                 scale=args.scale, use_cache=not args.no_cache,
-                 windows=args.windows, warmup=args.warmup,
-                 sampled=args.sampled)
-    try:
-        job.validate()
-    except JobValidationError as exc:
-        print(str(exc), file=sys.stderr)
+    if _refused([TMAJob(workload=args.workload, config=args.config,
+                        scale=args.scale, use_cache=not args.no_cache,
+                        windows=args.windows, warmup=args.warmup,
+                        sampled=args.sampled)]):
         return 2
     config = config_by_name(args.config)
     try:
@@ -136,6 +148,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     import time
 
     from ..cores.batch import GridPoint
+    from ..reliability import TMAJob
     from .tma_tool import SuiteDeadlineExceeded, run_grid
 
     config = config_by_name(args.config)
@@ -144,6 +157,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         print("the 'huge' tier is only runnable windowed: pass --windows "
               "(optionally --sampled); see docs/windowed.md",
               file=sys.stderr)
+        return 2
+    if _refused(TMAJob(workload=name, config=args.config, scale=args.scale,
+                       use_cache=not args.no_cache, windows=args.windows,
+                       warmup=args.warmup, sampled=args.sampled)
+                for name in names):
         return 2
     deadline = (time.time() + args.deadline
                 if args.deadline is not None else None)
@@ -265,6 +283,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import time
 
     from ..cores.batch import DEFAULT_GRID, parse_grid
+    from ..reliability import TMAJob
     from .tma_tool import SuiteDeadlineExceeded, run_grid
 
     try:
@@ -287,6 +306,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("'huge' tier workloads are only runnable windowed: pass "
               "--windows (optionally --sampled); see docs/windowed.md",
               file=sys.stderr)
+        return 2
+    if _refused(TMAJob(workload=name, config=point.key, scale=args.scale,
+                       use_cache=not args.no_cache, windows=args.windows,
+                       warmup=args.warmup, sampled=args.sampled)
+                for name in names for point in points):
         return 2
     deadline = (time.time() + args.deadline
                 if args.deadline is not None else None)
@@ -475,44 +499,38 @@ def _cmd_vlsi(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from pathlib import Path
+    from .claims import CLAIMS, Results, render_report
 
-    out_dir = Path(args.artifacts)
-    if not out_dir.is_dir():
-        print(f"no artifacts at {out_dir}; run "
-              "`pytest benchmarks/ --benchmark-only` first",
-              file=sys.stderr)
-        return 1
-    sections = sorted(out_dir.glob("*.txt"))
-    if not sections:
-        print(f"no .txt artifacts in {out_dir}", file=sys.stderr)
-        return 1
-    lines = ["# Reproduction report", "",
-             "Collated from the benchmark harness's rendered artifacts "
-             f"({len(sections)} experiments).", ""]
-    for section in sections:
-        lines.append(f"## {section.stem}")
-        lines.append("")
-        lines.append("```")
-        lines.append(section.read_text(encoding="utf-8").rstrip())
-        lines.append("```")
-        lines.append("")
-    report = "\n".join(lines)
+    results = Results()
+    report = render_report(results)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
-        print(f"wrote {args.output} ({len(sections)} sections)")
+            handle.write(report + "\n")
+        print(f"wrote {args.output} ({len(CLAIMS)} claims)")
     else:
         print(report)
+    failing = [claim.id for claim in CLAIMS
+               if claim.verdict(results) == "FAILS"]
+    if failing:
+        print(f"claims failing: {', '.join(failing)}", file=sys.stderr)
+        return 1
     return 0
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
+    from ..reliability import TMAJob
+
+    events = args.events.split(",") if args.events else None
+    if _refused([TMAJob(workload=args.workload, config=args.config,
+                        scale=args.scale, increment_mode=args.counter_arch,
+                        mode=args.mode,
+                        events=tuple(events) if events else None,
+                        use_cache=not args.no_cache)]):
+        return 2
     config = config_by_name(args.config)
     harness = PerfHarness(core=config.core,
                           increment_mode=args.counter_arch,
                           mode=args.mode)
-    events = args.events.split(",") if args.events else None
     measurement = harness.measure(args.workload, config,
                                   event_names=events, scale=args.scale)
     print(f"workload={measurement.workload} config={config.name} "
@@ -854,9 +872,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_vlsi.set_defaults(func=_cmd_vlsi)
 
     p_report = sub.add_parser(
-        "report", help="collate benchmark artifacts into one markdown")
-    p_report.add_argument("--artifacts", default="benchmarks/out",
-                          help="directory of rendered artifacts")
+        "report", help="measure every paper claim and render the claims "
+                       "table as markdown")
     p_report.add_argument("--output", default=None,
                           help="write to a file instead of stdout")
     p_report.set_defaults(func=_cmd_report)

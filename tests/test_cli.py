@@ -82,6 +82,28 @@ def test_tma_refuses_a_scale_over_the_cap_before_running(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("perf", "--workload", "towers", "--scale", "1.8"),
+    ("suite", "--category", "micro", "--config", "rocket", "--scale", "1.8"),
+    ("sweep", "--workloads", "towers", "--grid", "rocket", "--scale", "1.8"),
+], ids=lambda argv: argv[0])
+def test_perf_suite_sweep_refuse_a_scale_over_the_cap(capsys, argv):
+    from repro.reliability.request import MAX_SCALE
+
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"scale must be in (0, {MAX_SCALE}], got 1.8" in err
+
+
+def test_perf_refuses_an_unknown_event_before_running(capsys):
+    code, out, err = run_cli(capsys, "perf", "--workload", "median",
+                             "--config", "rocket", "--events", "bogus")
+    assert code == 2
+    assert out == ""
+    assert "events ['bogus'] do not exist on the rocket core" in err
+
+
 def test_trace_command_anchors_on_first_event(capsys):
     code, out, _ = run_cli(capsys, "trace", "--workload", "vvadd",
                            "--config", "rocket", "--scale", "0.2",
@@ -133,24 +155,42 @@ def test_suite_command(capsys):
     assert "IPC" in out
 
 
-def test_report_command(tmp_path, capsys):
-    artifacts = tmp_path / "out"
-    artifacts.mkdir()
-    (artifacts / "fig1_demo.txt").write_text("demo table\n")
+def _stub_claims(monkeypatch, measured, holds):
+    """Two claims over a stub measurement: one predicate, one pointer."""
+    from repro.tools import claims
+
+    def measure(results):
+        return {"value": measured}
+
+    monkeypatch.setattr(claims, "CLAIMS", [
+        claims.Claim("fig0.demo", "Fig. 0", "demo claim", "~1", measure,
+                     "value {value}", lambda v: holds),
+        claims.Claim("fig0.pointer", "Fig. 0", "asserted elsewhere", "yes",
+                     measure, "value {value}",
+                     test="tests/test_cli.py::test_vlsi_command"),
+    ])
+
+
+def test_report_command_renders_the_claims_table(tmp_path, capsys,
+                                                 monkeypatch):
+    _stub_claims(monkeypatch, measured=7, holds=True)
     output = tmp_path / "REPORT.md"
-    code, out, _ = run_cli(capsys, "report", "--artifacts",
-                           str(artifacts), "--output", str(output))
+    code, out, _ = run_cli(capsys, "report", "--output", str(output))
     assert code == 0
+    assert "(2 claims)" in out
     text = output.read_text()
-    assert "## fig1_demo" in text
-    assert "demo table" in text
+    assert "| Claim | Figure | Paper | Measured | Verdict |" in text
+    assert "| `fig0.demo` | Fig. 0 | ~1 | value 7 | holds |" in text
+    assert ("| `fig0.pointer` | Fig. 0 | yes | value 7 | "
+            "tier-1 tests/test_cli.py::test_vlsi_command |") in text
 
 
-def test_report_command_missing_artifacts(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "report", "--artifacts",
-                           str(tmp_path / "nope"))
+def test_report_command_exits_1_when_a_claim_fails(capsys, monkeypatch):
+    _stub_claims(monkeypatch, measured=3, holds=False)
+    code, out, err = run_cli(capsys, "report")
     assert code == 1
-    assert "no artifacts" in err
+    assert "| `fig0.demo` | Fig. 0 | ~1 | value 3 | FAILS |" in out
+    assert "claims failing: fig0.demo" in err
 
 
 def test_mix_command(capsys):
